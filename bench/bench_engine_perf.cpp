@@ -139,6 +139,17 @@ static void BM_NeumannOffsetFilament(benchmark::State& state) {
 }
 BENCHMARK(BM_NeumannOffsetFilament);
 
+// The whole production coil pair at a 5 mm lateral offset: 6 x 14 Neumann
+// filament sums, the cost of one offset link power query.
+static void BM_MutualInductanceOffsetCoil(benchmark::State& state) {
+  const magnetics::Coil tx{magnetics::patch_coil_spec()};
+  const magnetics::Coil rx{magnetics::implant_coil_spec()};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(magnetics::mutual_inductance(tx, rx, 6e-3, 5e-3));
+  }
+}
+BENCHMARK(BM_MutualInductanceOffsetCoil);
+
 // Sweep-engine scaling: the coil design-space grid as an exec::Sweep at
 // 1/2/4/8 worker threads. Emits BENCH_sweep_scaling.json with wall time,
 // throughput, speedup vs the 1-thread pool, and worker utilization per

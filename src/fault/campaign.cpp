@@ -184,6 +184,7 @@ ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
   result.checkpoints =
       workload == Workload::kBioZ ? bioz.measurements : plant.checkpoints;
   result.power_queries = budget.power_queries;
+  result.power_hits = budget.power_hits;
   result.final_rate = session.current_rate();
   result.sim_time = clock.now();
   for (int k = 0; k < kFaultKindCount; ++k) {
@@ -541,12 +542,17 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
   if constexpr (obs::kEnabled) {
     // link.* schema: which physical layer served this campaign, its
-    // nominal numbers, and the power queries the scenarios issued
-    // (trace_validate --require pins these in CI).
+    // nominal numbers, and the power queries the scenarios issued and
+    // the memo answered (trace_validate --require pins these in CI).
     std::uint64_t power_queries = 0;
-    for (const auto& s : result.scenarios) power_queries += s.power_queries;
+    std::uint64_t power_hits = 0;
+    for (const auto& s : result.scenarios) {
+      power_queries += s.power_queries;
+      power_hits += s.power_hits;
+    }
     const auto& profile = link::nominal_profile(effective.link);
     registry.counter("link.power_queries").add(power_queries);
+    registry.counter("link.power_hits").add(power_hits);
     LinkBudget probe(effective.link);
     registry.gauge("link." + effective.link + ".p_nominal_w")
         .set(probe.p_nominal);

@@ -57,8 +57,10 @@ struct ScenarioResult {
   double sim_time = 0.0;    // scenario SimClock at the end [s]
   std::uint64_t faults_injected[kFaultKindCount] = {};
   std::vector<std::uint16_t> adc_codes;  // one per completed measurement
-  // LinkPhy power queries served (telemetry only, never fingerprinted).
+  // LinkPhy power queries served, and those the LinkBudget memo
+  // answered (telemetry only, never fingerprinted).
   std::uint64_t power_queries = 0;
+  std::uint64_t power_hits = 0;
 };
 
 struct CampaignResult {

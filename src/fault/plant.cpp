@@ -1,6 +1,7 @@
 #include "src/fault/plant.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -53,13 +54,37 @@ LinkBudget::LinkBudget(std::unique_ptr<link::LinkPhy> backend)
   p_nominal = phy->nominal_power();
 }
 
+namespace {
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+// Bit-exact key equality: -0.0 and +0.0 differ, as do an engaged and an
+// empty tissue thickness.
+bool same_condition(const link::LinkCondition& x, const link::LinkCondition& y) {
+  return same_bits(x.distance, y.distance) &&
+         same_bits(x.lateral_offset, y.lateral_offset) &&
+         x.tissue_thickness.has_value() == y.tissue_thickness.has_value() &&
+         (!x.tissue_thickness.has_value() ||
+          same_bits(*x.tissue_thickness, *y.tissue_thickness));
+}
+
+}  // namespace
+
 double LinkBudget::power_now(const FaultInjector& injector) {
   link::LinkCondition condition = phy->nominal_condition();
   condition.distance = injector.distance(condition.distance);
   condition.lateral_offset = injector.lateral_offset(condition.lateral_offset);
   condition.tissue_thickness = injector.tissue_thickness();
   ++power_queries;
-  return phy->power_delivered(condition);
+  if (last_condition_.has_value() && same_condition(*last_condition_, condition)) {
+    ++power_hits;
+    return last_power_;
+  }
+  last_power_ = phy->power_delivered(condition);
+  last_condition_ = condition;
+  return last_power_;
 }
 
 double LinkBudget::drive_amplitude(double power,

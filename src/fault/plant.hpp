@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/fault/injector.hpp"
@@ -66,10 +67,12 @@ std::uint16_t adc_code(double vo);
 // injector-perturbed geometry; power feeds the BER model and the
 // implant drive amplitude.
 struct LinkBudget {
-  std::unique_ptr<link::LinkPhy> phy;
+  std::unique_ptr<link::LinkPhy> phy;  // fixed for the budget's lifetime
   double p_nominal = 0.0;
-  // Power queries served (telemetry only; never fed to fingerprints).
+  // Power queries served, and how many of them the memo answered
+  // (telemetry only; never fed to fingerprints).
   std::uint64_t power_queries = 0;
+  std::uint64_t power_hits = 0;
 
   // Backend #1, the paper's inductive ASK/LSK chain.
   LinkBudget();
@@ -81,12 +84,20 @@ struct LinkBudget {
   const link::NominalProfile& nominal() const { return phy->nominal(); }
 
   // Delivered power under the injector's current geometry faults [W].
+  // Geometry only moves at fault edges, so consecutive queries mostly
+  // repeat one condition: the last condition and its power are memoized
+  // under a bit-exact key. That is exact because power_delivered is a
+  // pure function of its LinkCondition (the LinkPhy contract).
   double power_now(const FaultInjector& injector);
 
   // Backend compensation law x the injected overvoltage drive scale.
   double drive_amplitude(double power, const FaultInjector& injector) const;
 
   double bit_error_rate(double power, double sensitivity, double rate) const;
+
+ private:
+  std::optional<link::LinkCondition> last_condition_;
+  double last_power_ = 0.0;
 };
 
 // Deprecated free-function forms of the inductive backend's laws (the

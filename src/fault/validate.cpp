@@ -15,7 +15,7 @@ const char* magnitude_problem(FaultKind kind, double m) {
   if (!std::isfinite(m)) return "magnitude must be finite";
   switch (kind) {
     case FaultKind::kCouplingStep:
-      if (m < 0.0 || m > 1.0) return "coil separation must be in [0, 1] m";
+      if (m <= 0.0 || m > 1.0) return "coil separation must be in (0, 1] m";
       break;
     case FaultKind::kMisalignment:
       if (m < 0.0 || m > 1.0) return "lateral offset must be in [0, 1] m";

@@ -270,6 +270,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
       }
       result.charge_capture_seconds += s.charge_wall_seconds;
       wall_sum += s.wall_seconds;
+      result.power_queries += s.power_queries;
+      result.power_hits += s.power_hits;
     }
     result.total_exchanges += s.exchanges;
     result.lost_measurements += s.lost;
@@ -346,6 +348,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
         .set(static_cast<double>(result.checkpoint_forks));
     root.gauge("fleet.wall_seconds").set(result.wall_seconds);
     root.gauge("fleet.session_wall_mean_s").set(result.session_wall_mean_s);
+    root.counter("link.power_queries").add(result.power_queries);
+    root.counter("link.power_hits").add(result.power_hits);
     // Supervision roll-ups: always published (zero on a clean run) so
     // trace_validate --require can pin them either way.
     root.gauge("fleet.failed").set(static_cast<double>(result.failed));

@@ -116,6 +116,8 @@ struct FleetResult {
   double charge_capture_seconds = 0.0;    // total wall spent charging up
   std::size_t checkpoint_forks = 0;       // sessions that ran from the blob
   double session_wall_mean_s = 0.0;       // mean session body wall clock
+  std::uint64_t power_queries = 0;        // link power queries, fresh sessions
+  std::uint64_t power_hits = 0;           // ... of which the memo answered
 };
 
 // Exact percentile (p in [0, 100]) of a sorted sample set by linear

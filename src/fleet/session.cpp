@@ -262,6 +262,8 @@ SessionResult run_patient_session(
   result.checkpoints = spec.cohort.workload == fault::Workload::kBioZ
                            ? bioz.measurements
                            : plant.checkpoints;
+  result.power_queries = budget.power_queries;
+  result.power_hits = budget.power_hits;
   result.final_rate = session.current_rate();
   result.sim_time = clock.now();
   for (int k = 0; k < fault::kFaultKindCount; ++k) {

@@ -88,10 +88,13 @@ struct SessionResult {
   double sim_time = 0.0;
   std::array<std::uint64_t, fault::kFaultKindCount> faults_injected{};
   std::vector<std::uint16_t> adc_codes;
-  // Wall-clock accounting, excluded from the fingerprint.
+  // Wall-clock and telemetry accounting, excluded from the fingerprint
+  // and not journaled.
   bool forked = false;               // ran from a shared checkpoint
   double wall_seconds = 0.0;         // session body (charge-up excluded)
   double charge_wall_seconds = 0.0;  // private charge-up cost (0 if forked)
+  std::uint64_t power_queries = 0;   // LinkBudget power queries served
+  std::uint64_t power_hits = 0;      // ... of which the memo answered
 };
 
 // FNV-1a over the deterministic fields in declaration order; equal

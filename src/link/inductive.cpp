@@ -21,8 +21,7 @@ LinkCondition InductiveAskLsk::nominal_condition() const {
 }
 
 void InductiveAskLsk::apply(const LinkCondition& condition) {
-  link_.set_distance(condition.distance);
-  link_.set_lateral_offset(condition.lateral_offset);
+  link_.set_placement(condition.distance, condition.lateral_offset);
   if (condition.tissue_thickness.has_value()) {
     link_.set_tissue(magnetics::TissueSlab(magnetics::sirloin_properties(),
                                            *condition.tissue_thickness));

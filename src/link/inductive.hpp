@@ -3,8 +3,8 @@
 //
 // Refactor-neutrality contract: this backend must reproduce the
 // pre-LinkPhy fault::LinkBudget bit-for-bit — same drive_for_power /
-// analyze call order in the constructor, same geometry application
-// order per power query, same libm expression shapes in the BER and
+// analyze call order in the constructor, the same geometry in place
+// before each analyze, same libm expression shapes in the BER and
 // compensation laws. Every campaign and fleet fingerprint pinned before
 // the refactor (tests/link_neutrality_test.cpp, the linkphy CI stage)
 // rides on this file; change it only with those pins in hand.
@@ -46,8 +46,8 @@ class InductiveAskLsk final : public LinkPhy {
   double tx_drive() const { return drive_; }
 
  private:
-  // Applies `condition` to the link geometry in the canonical order
-  // (distance, lateral offset, tissue) — the order the fingerprints pin.
+  // Applies `condition` to the link geometry: the placement (distance and
+  // lateral offset, one mutual-inductance solve), then the tissue slab.
   void apply(const LinkCondition& condition);
 
   magnetics::InductiveLink link_;

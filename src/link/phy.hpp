@@ -22,6 +22,10 @@
 //     `rate` at fixed power (energy per bit shrinks) and lands in
 //     [0, 0.5];
 //   * power_delivered(nominal_condition()) == nominal_power();
+//   * power_delivered is a pure function of its LinkCondition:
+//     fault::LinkBudget memoizes the last condition and its power under
+//     a bit-exact key, so an answer that also depended on call history,
+//     a clock or an RNG would be served stale;
 //   * the wrap_* hooks must be deterministic pass-through codecs: any
 //     randomness belongs to the caller's channel, never the backend
 //     (thread-count invariance of every campaign depends on it).

@@ -9,6 +9,11 @@ namespace ironic::magnetics {
 // separated axially by d (Maxwell's formula, exact). [H]
 double mutual_coaxial_filaments(double a, double b, double d);
 
+// Quadrature points per angle of the Neumann rule mutual_inductance
+// applies to laterally offset filament pairs. mutual_filaments keeps one
+// process-wide node table for this rule; other counts build theirs per call.
+inline constexpr int kCoilQuadraturePoints = 64;
+
 // Mutual inductance of two parallel circular filaments whose centers are
 // offset axially by d and laterally by rho, via numerical integration of
 // the Neumann double integral. Falls back to the exact coaxial formula

@@ -93,15 +93,22 @@ double InductiveLink::drive_for_power(double target_power, double load_resistanc
   return probe * std::sqrt(target_power / at_probe.power_delivered);
 }
 
-void InductiveLink::set_distance(double distance) {
+void InductiveLink::set_placement(double distance, double offset) {
+  if (!std::isfinite(distance) || !std::isfinite(offset)) {
+    throw std::invalid_argument("InductiveLink: placement must be finite");
+  }
   if (distance <= 0.0) throw std::invalid_argument("InductiveLink: distance must be > 0");
   config_.distance = distance;
+  config_.lateral_offset = offset;
   recompute();
 }
 
+void InductiveLink::set_distance(double distance) {
+  set_placement(distance, config_.lateral_offset);
+}
+
 void InductiveLink::set_lateral_offset(double offset) {
-  config_.lateral_offset = offset;
-  recompute();
+  set_placement(config_.distance, offset);
 }
 
 void InductiveLink::set_tissue(std::optional<TissueSlab> tissue) {

@@ -60,7 +60,11 @@ class InductiveLink {
   // Drive amplitude needed to deliver `target_power` into `load` [V].
   double drive_for_power(double target_power, double load_resistance) const;
 
-  // Reconfigure the geometry (retunes k and M).
+  // Reconfigure the geometry (retunes k and M). set_placement moves both
+  // coordinates with one mutual-inductance solve; it throws
+  // std::invalid_argument on a non-finite input or a distance <= 0. The
+  // single-coordinate setters are shorthands for it.
+  void set_placement(double distance, double offset);
   void set_distance(double distance);
   void set_lateral_offset(double offset);
   void set_tissue(std::optional<TissueSlab> tissue);

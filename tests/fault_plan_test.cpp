@@ -47,6 +47,7 @@ TEST(FaultPlan, MagnitudeDomainsPerKind) {
     double good;
   } cases[] = {
       {FaultKind::kCouplingStep, 2.0, 17e-3},   // metres, not mm typos
+      {FaultKind::kCouplingStep, 0.0, 1.0},     // coils cannot touch
       {FaultKind::kMisalignment, -1e-3, 5e-3},
       {FaultKind::kTissueDrift, 0.75, 17e-3},
       {FaultKind::kBitFlip, 1.5, 0.01},

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -242,12 +243,62 @@ TEST(BioZ, TissueScaleMapsThicknessFaultsIntoTheClampedBand) {
 TEST(LinkBudget, DefaultIsTheInductiveBackend) {
   fault::LinkBudget def;
   fault::LinkBudget named("inductive");
-  EXPECT_EQ(def.phy->name(), "inductive");
+  EXPECT_STREQ(def.phy->name(), "inductive");
   EXPECT_DOUBLE_EQ(def.p_nominal, named.p_nominal);
   EXPECT_DOUBLE_EQ(def.nominal().rate_bps, fault::kNominalRate);
   EXPECT_DOUBLE_EQ(def.nominal().cadence_s, fault::kCadence);
   EXPECT_DOUBLE_EQ(def.nominal().drive_v, fault::kNominalDrive);
   EXPECT_DOUBLE_EQ(def.nominal().load_ohms, fault::kLoadOhms);
+}
+
+TEST(LinkBudget, PowerMemoIsBitExactAndCountsHits) {
+  for (const auto& name : link::backend_names()) {
+    SCOPED_TRACE(name);
+    fault::LinkBudget budget(name);
+    const link::LinkCondition nominal = budget.phy->nominal_condition();
+    link::LinkCondition offset = nominal;
+    offset.lateral_offset = 5e-3;
+    link::LinkCondition slab = offset;
+    slab.tissue_thickness = 17e-3;
+    link::LinkCondition thicker = offset;
+    thicker.tissue_thickness = 25e-3;
+    link::LinkCondition negative_zero = nominal;
+    negative_zero.lateral_offset = -0.0;
+
+    fault::FaultSchedule schedule;
+    schedule.add({fault::FaultKind::kMisalignment, 1.0, 2.0, 5e-3});
+    schedule.add({fault::FaultKind::kTissueDrift, 2.0, 0.5, 17e-3});
+    schedule.add({fault::FaultKind::kTissueDrift, 2.5, 0.5, 25e-3});
+    schedule.add({fault::FaultKind::kMisalignment, 4.0, 1.0, -0.0});
+    fault::SimClock clock;
+    fault::FaultInjector injector(&schedule, &clock, util::Rng(7));
+
+    const struct {
+      double t;
+      link::LinkCondition condition;
+    } steps[] = {
+        {0.0, nominal}, {1.0, offset},  {1.5, offset},  // the repeat hits
+        {2.0, slab},    {2.5, thicker},                 // tissue-only changes
+        {3.0, nominal}, {4.0, negative_zero},
+    };
+    std::vector<double> powers;
+    for (const auto& step : steps) {
+      clock.advance(step.t - clock.now());
+      const double got = budget.power_now(injector);
+      const double want = link::make_backend(name)->power_delivered(step.condition);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "t=" << step.t << ": " << got << " vs " << want;
+      powers.push_back(got);
+    }
+    // Every change of condition really moved the power, so a stale memo
+    // would show.
+    EXPECT_NE(powers[1], powers[0]);
+    EXPECT_NE(powers[3], powers[2]);
+    EXPECT_NE(powers[4], powers[3]);
+    EXPECT_EQ(budget.power_queries, 7u);
+    // -0.0 and +0.0 are different keys: only the repeated offset hits.
+    EXPECT_EQ(budget.power_hits, 1u);
+  }
 }
 
 TEST(LinkBudget, UnknownBackendThrows) {

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
+#include <limits>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "src/magnetics/coil.hpp"
 #include "src/magnetics/coupling.hpp"
@@ -80,6 +86,110 @@ TEST(Coupling, LateralOffsetReducesCoupling) {
 TEST(Coupling, RejectsBadArguments) {
   EXPECT_THROW(mutual_coaxial_filaments(0.0, 1e-3, 1e-3), std::invalid_argument);
   EXPECT_THROW(mutual_filaments(1e-3, 1e-3, 1e-3, 1e-3, 2), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- Neumann kernel
+
+// mutual_filaments' Neumann double sum exactly as it was evaluated before
+// the node table: the oracle the tabulated kernel must match bit for bit.
+double direct_neumann(double a, double b, double d, double rho,
+                      int quadrature_points) {
+  const int n = quadrature_points;
+  const double h = constants::kTwoPi / n;
+  double sum = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double t = i * h;
+    const double x1 = a * std::cos(t);
+    const double y1 = a * std::sin(t);
+    for (int j = 0; j < n; ++j) {
+      const double s = j * h;
+      const double x2 = rho + b * std::cos(s);
+      const double y2 = b * std::sin(s);
+      const double dx = x2 - x1;
+      const double dy = y2 - y1;
+      const double r = std::sqrt(dx * dx + dy * dy + d * d);
+      sum += std::cos(t - s) / r;
+    }
+  }
+  return constants::kMu0 / (4.0 * constants::kPi) * a * b * sum * h * h;
+}
+
+bool bit_equal(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+TEST(NeumannKernel, MatchesDirectSumOnSeededGrid) {
+  std::mt19937_64 rng(0x5eedf00dULL);
+  std::uniform_real_distribution<double> radius(0.5e-3, 30e-3);
+  std::uniform_real_distribution<double> gap(0.2e-3, 40e-3);
+  std::uniform_real_distribution<double> offset(-40e-3, 40e-3);
+  for (const int n : {8, kCoilQuadraturePoints, 96, 128}) {
+    for (int draw = 0; draw < 60; ++draw) {
+      const double a = radius(rng);
+      const double b = radius(rng);
+      const double d = gap(rng);
+      double rho = offset(rng);
+      if (std::abs(rho) < 1e-6) rho = 1e-6;  // keep off the coaxial branch
+      const double want = direct_neumann(a, b, d, rho, n);
+      const double got = mutual_filaments(a, b, d, rho, n);
+      EXPECT_TRUE(bit_equal(got, want))
+          << "n=" << n << " a=" << a << " b=" << b << " d=" << d
+          << " rho=" << rho << ": " << got << " vs " << want;
+    }
+  }
+}
+
+TEST(NeumannKernel, MatchesDirectSumOnProductionCoilPair) {
+  const Coil tx{patch_coil_spec()};
+  const Coil rx{implant_coil_spec()};
+  const double distance = 6e-3;
+  for (const double offset : {0.5e-3, 1e-3, 2e-3, 5e-3, 10e-3, 20e-3, 40e-3}) {
+    double want_total = 0.0;
+    for (const auto& f1 : tx.filaments()) {
+      for (const auto& f2 : rx.filaments()) {
+        const double d = distance + f1.z + f2.z;
+        const double want = direct_neumann(f1.radius, f2.radius, d, offset,
+                                           kCoilQuadraturePoints);
+        const double got = mutual_filaments(f1.radius, f2.radius, d, offset,
+                                            kCoilQuadraturePoints);
+        ASSERT_TRUE(bit_equal(got, want)) << "offset=" << offset;
+        want_total += want;
+      }
+    }
+    EXPECT_TRUE(bit_equal(mutual_inductance(tx, rx, distance, offset), want_total))
+        << "offset=" << offset;
+  }
+}
+
+TEST(NeumannKernel, ConcurrentFirstUseOfTheTableAgrees) {
+  // Four threads race the production table's lazy construction; every
+  // one must see the finished table and the oracle's bits.
+  const double geometry[][4] = {
+      {25e-3, 5e-3, 6e-3, 8e-3}, {10e-3, 4e-3, 3e-3, 1e-3},
+      {5e-3, 5e-3, 12e-3, -6e-3}, {30e-3, 2e-3, 17e-3, 20e-3}};
+  constexpr int kThreads = 4;
+  std::vector<std::vector<double>> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      start.arrive_and_wait();
+      for (const auto& g : geometry) {
+        results[k].push_back(
+            mutual_filaments(g[0], g[1], g[2], g[3], kCoilQuadraturePoints));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 0; i < std::size(geometry); ++i) {
+    const auto& g = geometry[i];
+    const double want =
+        direct_neumann(g[0], g[1], g[2], g[3], kCoilQuadraturePoints);
+    for (int k = 0; k < kThreads; ++k) {
+      ASSERT_EQ(results[k].size(), std::size(geometry));
+      EXPECT_TRUE(bit_equal(results[k][i], want)) << "thread " << k << " case " << i;
+    }
+  }
 }
 
 // -------------------------------------------------------------------- coil
@@ -295,6 +405,33 @@ TEST(Link, AddToCircuitProducesCoupledInductors) {
                                 ckt.node("s"), ironic::spice::kGround);
   EXPECT_NEAR(t.coupling(), link.coupling(), link.coupling() * 1e-9);
   EXPECT_EQ(ckt.devices().size(), 1u);
+}
+
+TEST(Link, SetPlacementMatchesAFreshLinkBitForBit) {
+  InductiveLink moved{LinkConfig{}};
+  moved.set_placement(9e-3, 4e-3);  // both coordinates in one call
+  LinkConfig config;
+  config.distance = 9e-3;
+  config.lateral_offset = 4e-3;
+  const InductiveLink fresh{config};
+  EXPECT_TRUE(bit_equal(moved.mutual(), fresh.mutual()));
+  EXPECT_TRUE(bit_equal(moved.coupling(), fresh.coupling()));
+  EXPECT_TRUE(bit_equal(moved.analyze(3.5, 150.0).power_delivered,
+                        fresh.analyze(3.5, 150.0).power_delivered));
+}
+
+TEST(Link, SetPlacementRejectsNonFiniteOrNonPositiveInputs) {
+  InductiveLink link{LinkConfig{}};
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(link.set_placement(std::nan(""), 0.0), std::invalid_argument);
+  EXPECT_THROW(link.set_placement(inf, 0.0), std::invalid_argument);
+  EXPECT_THROW(link.set_placement(6e-3, std::nan("")), std::invalid_argument);
+  EXPECT_THROW(link.set_placement(6e-3, -inf), std::invalid_argument);
+  EXPECT_THROW(link.set_placement(0.0, 0.0), std::invalid_argument);
+  EXPECT_THROW(link.set_lateral_offset(inf), std::invalid_argument);
+  // A rejected placement leaves the geometry untouched.
+  EXPECT_EQ(link.config().distance, LinkConfig{}.distance);
+  EXPECT_EQ(link.config().lateral_offset, 0.0);
 }
 
 TEST(Link, RejectsInvalidConfig) {

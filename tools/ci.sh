@@ -85,7 +85,7 @@ run_sanitize() {
 }
 
 run_tsan() {
-  log "TSan build + exec/sweep/rng/obs/fault tests"
+  log "TSan build + exec/sweep/rng/obs/fault/magnetics-kernel tests"
   cmake -B "$ROOT/build-ci-tsan" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DIRONIC_WARNINGS_AS_ERRORS=ON \
@@ -93,10 +93,10 @@ run_tsan() {
   cmake --build "$ROOT/build-ci-tsan" -j "$JOBS" \
     --target exec_test sweep_test rng_stream_test obs_test \
              obs_telemetry_test fault_session_test fault_campaign_test \
-             linalg_sparse_test spice_solver_equiv_test
+             linalg_sparse_test spice_solver_equiv_test magnetics_test
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler)'
+      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel)'
 }
 
 run_tidy() {
@@ -449,9 +449,11 @@ run_linkphy() {
   fi
 
   # The link.* telemetry published by run_campaign must land in the run
-  # report: the query counter plus both backends' operating points.
+  # report: the query and memo-hit counters plus both backends'
+  # operating points.
   "$validator" --require-obs \
     --require link.power_queries \
+    --require link.power_hits \
     --require link.inductive.p_nominal_w \
     --require link.inductive.nominal_rate_bps \
     --require link.inductive.cadence_s \
