@@ -137,18 +137,56 @@ std::unique_ptr<spice::Circuit> RectifierPlant::build(double amplitude,
   return ckt;
 }
 
+SegmentMemo::Segment SegmentMemo::lookup(
+    const Key& key, std::shared_ptr<const spice::TransientCheckpoint> parent,
+    const std::function<Segment()>& simulate) {
+  std::optional<std::promise<Segment>> computing;  // engaged on a miss
+  std::shared_future<Segment> segment;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto [it, inserted] = entries_.try_emplace(key);
+    if (inserted) {
+      ++misses_;
+      computing.emplace();
+      it->second.parent = std::move(parent);
+      it->second.segment = computing->get_future().share();
+    } else {
+      ++hits_;
+    }
+    segment = it->second.segment;
+  }
+  if (computing.has_value()) {
+    try {
+      computing->set_value(simulate());
+    } catch (...) {
+      computing->set_exception(std::current_exception());
+    }
+  }
+  // Waits while another session is still simulating this key; rethrows
+  // a stored failure.
+  return segment.get();
+}
+
+std::uint64_t SegmentMemo::hits() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return hits_;
+}
+
+std::uint64_t SegmentMemo::misses() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return misses_;
+}
+
 void RectifierPlant::fork_from(
     std::shared_ptr<const spice::TransientCheckpoint> base,
     double base_amplitude) {
-  base_ = std::move(base);
-  owned_ = spice::TransientCheckpoint{};
+  committed_ = std::move(base);
   committed_amplitude_ = base_amplitude;
 }
 
 const spice::TransientCheckpoint* RectifierPlant::committed() const {
-  if (base_ != nullptr && base_->valid()) return base_.get();
-  if (owned_.valid()) return &owned_;
-  return nullptr;
+  return committed_ != nullptr && committed_->valid() ? committed_.get()
+                                                      : nullptr;
 }
 
 spice::TransientResult RectifierPlant::run_segment(
@@ -169,7 +207,8 @@ spice::TransientResult RectifierPlant::run_segment(
   return spice::run_transient(*ckt, opts);
 }
 
-double RectifierPlant::measure(double amplitude) {
+SegmentMemo::Segment RectifierPlant::simulate(double amplitude) {
+  SegmentMemo::Segment segment;
   if (committed() != nullptr && committed_amplitude_ >= 0.0 &&
       amplitude != committed_amplitude_) {
     // The fault hit while a segment at the old drive was in flight:
@@ -177,23 +216,38 @@ double RectifierPlant::measure(double amplitude) {
     // checkpoint; the measurement restarts from the committed state.
     spice::TransientCheckpoint doomed;
     run_segment(committed_amplitude_, segment_length / 2.0, &doomed);
-    ++restarts;
+    segment.restarted = true;
   }
-  spice::TransientCheckpoint scratch;
-  const auto res = run_segment(amplitude, segment_length, &scratch);
+  auto scratch = std::make_shared<spice::TransientCheckpoint>();
+  const auto res = run_segment(amplitude, segment_length, scratch.get());
   const spice::TransientCheckpoint* from = committed();
   const double t0 = from != nullptr ? from->time : 0.0;
   // Average the settled second half of the segment (the first half of
   // the very first segment is still charging Co).
-  const double vo = res.mean_between("v(r.vo)", t0 + segment_length / 2.0,
-                                     t0 + segment_length);
-  // Copy-on-write commit: the plant's state is now its own private
-  // checkpoint, and the shared base (if any) is released untouched.
-  owned_ = std::move(scratch);
-  base_.reset();
+  segment.vo = res.mean_between("v(r.vo)", t0 + segment_length / 2.0,
+                                t0 + segment_length);
+  segment.committed = std::move(scratch);
+  return segment;
+}
+
+double RectifierPlant::measure(double amplitude) {
+  const SegmentMemo::Segment segment =
+      memo == nullptr
+          ? simulate(amplitude)
+          : memo->lookup({reinterpret_cast<std::uintptr_t>(committed_.get()),
+                          std::bit_cast<std::uint64_t>(committed_amplitude_),
+                          std::bit_cast<std::uint64_t>(amplitude),
+                          std::bit_cast<std::uint64_t>(segment_length),
+                          std::bit_cast<std::uint64_t>(carrier_hz),
+                          analysis_hints},
+                         committed_, [&] { return simulate(amplitude); });
+  if (segment.restarted) ++restarts;
+  // Commit: the new node replaces the old one, which stays untouched for
+  // any sibling (or memo entry) still holding it.
+  committed_ = segment.committed;
   committed_amplitude_ = amplitude;
   ++checkpoints;
-  return vo;
+  return segment.vo;
 }
 
 spice::TransientCheckpoint capture_charged_checkpoint(

@@ -5,12 +5,14 @@
 //
 // Extracted from the campaign runner so the fleet service can run the
 // same pipeline per patient session. The plant adds the fleet's scaling
-// lever: `fork_from` adopts a shared charged-up TransientCheckpoint as
-// the committed operating point *without copying it* — thousands of
-// sessions reference one immutable blob, and each plant detaches onto
-// its own private checkpoint the first time it commits a segment
-// (copy-on-write). `capture_charged_checkpoint` produces that shared
-// blob by running the ~270 us charge-up transient once.
+// levers. Its committed operating point is an immutable, shared
+// TransientCheckpoint node: `fork_from` adopts a charged-up node
+// *without copying it*, so thousands of sessions reference one blob,
+// and every measure commits a fresh node instead of overwriting one.
+// `capture_charged_checkpoint` produces the shared blob by running the
+// ~270 us charge-up transient once. `SegmentMemo` then lets plants that
+// sit on the same node and see the same drive share the next segment
+// too.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
@@ -20,7 +22,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -113,6 +119,66 @@ double bit_error_rate_for(double power, double sensitivity, double rate);
 void tally_active(FaultInjector& injector, const FaultSchedule& schedule,
                   double t);
 
+// An exact memo of RectifierPlant::measure, shared by the plants of one
+// fleet run. Sessions whose plants sit on the same committed node and
+// are measured at the same drive simulate that segment once.
+//
+// The key is the committed node's *address* plus the plant fields
+// measure reads (committed and requested amplitude, segment length,
+// carrier, analysis hints), doubles compared bit for bit. Identity
+// keying is exact because every entry holds a shared_ptr to its parent
+// node: the address cannot be reused while the key exists, and a node
+// never changes after it is committed. Inputs outside the key (the
+// process default solver, Newton options, the circuit recipe) are
+// constant within one run, which is why a memo is scoped to one run.
+//
+// Each key is simulated once. The mutex is never held while a transient
+// runs; a second request for a key still in flight waits for that
+// result. Hits and misses are therefore exact and independent of thread
+// count (misses == distinct keys). A simulation that throws stores its
+// exception, and every requester of that key sees the same failure.
+class SegmentMemo {
+ public:
+  // What one measure computes from a committed state: the node it
+  // commits, the settled Vo, and whether a drive change threw away a
+  // half segment first (the plant's `restarts` tally).
+  struct Segment {
+    std::shared_ptr<const spice::TransientCheckpoint> committed;
+    double vo = 0.0;
+    bool restarted = false;
+  };
+
+  struct Key {
+    std::uintptr_t parent = 0;  // committed node address (0 = none)
+    std::uint64_t committed_amplitude = 0;
+    std::uint64_t amplitude = 0;
+    std::uint64_t segment_length = 0;
+    std::uint64_t carrier_hz = 0;
+    bool analysis_hints = false;
+
+    auto operator<=>(const Key&) const = default;
+  };
+
+  // The segment for `key`, calling `simulate` only on the first request.
+  // `parent` is the node the key's address names.
+  Segment lookup(const Key& key,
+                 std::shared_ptr<const spice::TransientCheckpoint> parent,
+                 const std::function<Segment()>& simulate);
+
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
+
+ private:
+  struct Entry {
+    std::shared_ptr<const spice::TransientCheckpoint> parent;  // pins the key
+    std::shared_future<Segment> segment;
+  };
+  mutable std::mutex mutex_;
+  std::map<Key, Entry> entries_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
 // Rectifier transient segments spliced at committed checkpoints: the
 // implant's analog state persists between measurements, and a drive
 // change mid-flight (a fault landing inside a segment) costs a discarded
@@ -128,6 +194,8 @@ struct RectifierPlant {
   // circuit and install the solver/dt hints before the transient.
   bool analysis_hints = false;
   spice::analysis::AnalysisManager analyzer;
+  // When set, measure consults this memo before simulating (not owned).
+  SegmentMemo* memo = nullptr;
 
   static std::unique_ptr<spice::Circuit> build(
       double amplitude, double carrier_hz = link::kInductiveNominal.carrier_hz);
@@ -135,27 +203,26 @@ struct RectifierPlant {
   // Adopt `base` as the committed operating point without copying the
   // blob. `base_amplitude` is the drive the blob was captured at, so the
   // first measurement at a different drive pays the usual doomed-segment
-  // restart. The shared checkpoint is only ever read through a const
-  // pointer; the plant detaches onto its own private checkpoint when it
-  // commits its first segment, so mutating this plant can never perturb
-  // sibling plants forked from the same blob.
+  // restart. Committed nodes are immutable: a measure commits a new node
+  // rather than writing into the old one, so mutating this plant can
+  // never perturb sibling plants forked from the same blob.
   void fork_from(std::shared_ptr<const spice::TransientCheckpoint> base,
                  double base_amplitude);
-  // True until the first committed segment replaces the shared blob.
-  bool shares_base() const { return base_ != nullptr; }
 
   double measure(double amplitude);
 
-  // The committed operating point (shared or private), nullptr before
-  // the first segment when the plant was not forked.
+  // The committed operating point (forked or committed here), nullptr
+  // before the first segment when the plant was not forked.
   const spice::TransientCheckpoint* committed() const;
 
   spice::TransientResult run_segment(double amplitude, double length,
                                      spice::TransientCheckpoint* capture);
 
  private:
-  std::shared_ptr<const spice::TransientCheckpoint> base_;  // forked, immutable
-  spice::TransientCheckpoint owned_;  // private once a segment commits
+  // The one physics path behind measure, memoized or not.
+  SegmentMemo::Segment simulate(double amplitude);
+
+  std::shared_ptr<const spice::TransientCheckpoint> committed_;
   double committed_amplitude_ = -1.0;
 };
 

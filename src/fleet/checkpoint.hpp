@@ -5,8 +5,11 @@
 // every session with the same ChargeUpSpec charges up to the bit-same
 // operating point. The cache runs that transient once per distinct spec
 // and hands every session a shared_ptr to one immutable checkpoint;
-// plants fork it copy-on-write (fault::RectifierPlant::fork_from), so a
-// thousand sessions cost one capture plus a thousand pointer copies.
+// plants adopt it as their committed node without copying it
+// (fault::RectifierPlant::fork_from), so a thousand sessions cost one
+// capture plus a thousand pointer copies. The same idea continues past
+// the charge-up: fault::SegmentMemo shares every later committed node
+// between sessions with the same drive history, for one fleet run.
 #pragma once
 
 #include <cstddef>

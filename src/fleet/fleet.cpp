@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -49,6 +51,9 @@ void validate(const FleetConfig& config) {
   if (config.cohorts.empty()) {
     throw std::invalid_argument("fleet: at least one cohort profile");
   }
+  if (!std::isfinite(config.soak_seconds) || config.soak_seconds < 0.0) {
+    throw std::invalid_argument("fleet: soak seconds must be finite and >= 0");
+  }
   if (effective_exchanges(config) < 1) {
     throw std::invalid_argument("fleet: exchanges must be >= 1");
   }
@@ -65,8 +70,12 @@ void validate(const FleetConfig& config) {
 
 int effective_exchanges(const FleetConfig& config) {
   if (config.soak_seconds > 0.0) {
-    return std::max(
-        1, static_cast<int>(std::ceil(config.soak_seconds / fault::kCadence)));
+    const double exchanges = std::ceil(config.soak_seconds / fault::kCadence);
+    if (!(exchanges <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      throw std::invalid_argument(
+          "fleet: soak horizon needs more exchanges than an int holds");
+    }
+    return std::max(1, static_cast<int>(exchanges));
   }
   return config.exchanges;
 }
@@ -130,12 +139,16 @@ FleetResult FleetService::run(const FleetConfig& config) {
   // One capture per distinct spec, shared by every session in the
   // cohorts that need it (the bio-impedance workload is stateless and
   // skips charge-up entirely). cache_.charged dedupes by spec value, so
-  // same-backend cohorts resolve to the same blob. When sharing is off
-  // each session pays its own charge-up inside run_patient_session —
-  // same results, different wall clock.
+  // same-backend cohorts resolve to the same blob. The segment memo then
+  // shares every later segment of sessions with the same drive history;
+  // it lives for this run only. When sharing is off each session pays
+  // its own charge-up and segments inside run_patient_session — same
+  // results, different wall clock.
   std::vector<std::shared_ptr<const spice::TransientCheckpoint>> blobs(
       n_cohorts);
+  std::optional<fault::SegmentMemo> memo;
   if (config.share_checkpoint) {
+    memo.emplace();
     for (std::size_t c = 0; c < n_cohorts; ++c) {
       if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
         blobs[c] = cache_.charged(charge_for(config, config.cohorts[c]));
@@ -194,7 +207,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
         // Containment is unconditional: a throwing session comes back
         // as a recorded SessionHealth, never an unwound parallel_for.
         SupervisedSession sup =
-            run_supervised_session(spec, blobs[i % n_cohorts], scoped, policy);
+            run_supervised_session(spec, blobs[i % n_cohorts], scoped, policy,
+                                   memo.has_value() ? &*memo : nullptr);
         if (journal.is_open()) journal.record(sup.health, sup.result);
         result.sessions[i] = std::move(sup.result);
         result.health[i] = std::move(sup.health);
@@ -314,6 +328,10 @@ FleetResult FleetService::run(const FleetConfig& config) {
   result.session_wall_mean_s =
       fresh_sessions > 0 ? wall_sum / static_cast<double>(fresh_sessions)
                          : 0.0;
+  if (memo.has_value()) {
+    result.segment_hits = memo->hits();
+    result.segment_misses = memo->misses();
+  }
 
   // Solo-path captures were booked per session above; add the cache's
   // share (0 extra when this spec was already cached by a prior run).
@@ -350,6 +368,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
     root.gauge("fleet.session_wall_mean_s").set(result.session_wall_mean_s);
     root.counter("link.power_queries").add(result.power_queries);
     root.counter("link.power_hits").add(result.power_hits);
+    root.counter("fleet.segment_hits").add(result.segment_hits);
+    root.counter("fleet.segment_misses").add(result.segment_misses);
     // Supervision roll-ups: always published (zero on a clean run) so
     // trace_validate --require can pin them either way.
     root.gauge("fleet.failed").set(static_cast<double>(result.failed));

@@ -2,14 +2,17 @@
 // the full spice + magnetics + comms + fault pipeline with its own
 // SimClock and RNG lanes — sharded across the exec work-stealing pool.
 //
-// The scaling lever is checkpoint sharing: one charge-up transient is
+// The scaling lever is shared analog state. One charge-up transient is
 // captured per distinct ChargeUpSpec (CheckpointCache) and every
-// session forks the immutable blob copy-on-write instead of
-// re-simulating the ~270 us charge-up. The hard contract: every
-// session's deterministic results are bit-identical to running that
-// session solo with the same seed, for any thread count and whether or
-// not the checkpoint was shared — slot-indexed results, per-session
-// hashed RNG streams, and a deterministic capture make that structural.
+// session forks the immutable blob instead of re-simulating the ~270 us
+// charge-up. Then one fault::SegmentMemo per run lets sessions with the
+// same drive history share every later rectifier segment too: a segment
+// two sessions would simulate from the same committed node at the same
+// drive runs once. The hard contract: every session's deterministic
+// results are bit-identical to running that session solo with the same
+// seed, for any thread count and whether or not analog state was shared
+// — slot-indexed results, per-session hashed RNG streams, a
+// deterministic capture and an exact memo make that structural.
 //
 // Observability: each session records into a scoped registry parented
 // on its cohort's registry; after the run the service aggregates each
@@ -38,9 +41,12 @@ struct FleetConfig {
   int exchanges = 4;  // per session; overridden when soak_seconds > 0
   // Simulated per-session horizon [s]: > 0 runs ceil(soak / kCadence)
   // exchanges. Simulated time, not wall time, so a soak is exactly as
-  // deterministic as a fixed exchange count.
+  // deterministic as a fixed exchange count. Must be finite, >= 0, and
+  // give an exchange count that fits an int (run() rejects others).
   double soak_seconds = 0.0;
-  // false = every session captures its own charge-up (the solo path,
+  // Whether sessions share analog state: the charge-up checkpoint and
+  // the run's segment memo. false = every session captures its own
+  // charge-up and simulates every segment itself (the solo path,
   // fleet-wide). Results are bit-identical either way; only wall clock
   // moves. The A/B lever behind BENCH_fleet_soak's fork-speedup row.
   bool share_checkpoint = true;
@@ -58,6 +64,7 @@ struct FleetConfig {
 };
 
 // ceil(soak_seconds / kCadence) when soaking, else config.exchanges.
+// Throws std::invalid_argument when that count does not fit an int.
 int effective_exchanges(const FleetConfig& config);
 
 struct CohortSummary {
@@ -118,6 +125,11 @@ struct FleetResult {
   double session_wall_mean_s = 0.0;       // mean session body wall clock
   std::uint64_t power_queries = 0;        // link power queries, fresh sessions
   std::uint64_t power_hits = 0;           // ... of which the memo answered
+  // Rectifier segment memo traffic over the whole run (0/0 without
+  // sharing). Totals only: which session reaches a key first depends on
+  // scheduling, but the totals do not (misses == distinct segments).
+  std::uint64_t segment_hits = 0;
+  std::uint64_t segment_misses = 0;
 };
 
 // Exact percentile (p in [0, 100]) of a sorted sample set by linear
@@ -125,7 +137,9 @@ struct FleetResult {
 double exact_percentile(const std::vector<double>& sorted, double p);
 
 // Long-lived service: owns the worker pool and the checkpoint cache, so
-// successive runs (a soak driver, a growing fleet) reuse both.
+// successive runs (a soak driver, a growing fleet) reuse both. The
+// segment memo is per run: run() creates it and drops it on return, so
+// a long-lived service never grows with the segments it has simulated.
 class FleetService {
  public:
   explicit FleetService(std::size_t threads = 1);

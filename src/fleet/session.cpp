@@ -114,7 +114,8 @@ fault::FaultSchedule make_session_schedule(const SessionSpec& spec) {
 SessionResult run_patient_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
-    obs::MetricsRegistry* scoped, const SessionControls& controls) {
+    obs::MetricsRegistry* scoped, const SessionControls& controls,
+    fault::SegmentMemo* memo) {
   SessionResult result;
   result.index = spec.index;
   result.cohort = spec.cohort.name;
@@ -153,6 +154,7 @@ SessionResult run_patient_session(
   fault::RectifierPlant plant;
   plant.carrier_hz = budget.nominal().carrier_hz;
   plant.analysis_hints = spec.analysis_hints;
+  plant.memo = memo;
   if (spice_plant) plant.fork_from(charged, spec.charge.amplitude);
   fault::BioZPlant bioz;
   bioz.analysis_hints = spec.analysis_hints;

@@ -106,7 +106,7 @@ std::uint64_t fingerprint_session(const SessionResult& result);
 fault::FaultSchedule make_session_schedule(const SessionSpec& spec);
 
 // Run one session to completion. `charged` is the shared charged-up
-// operating point the plant forks copy-on-write; pass nullptr and the
+// operating point the plant forks without copying; pass nullptr and the
 // session captures its own (the solo path — bit-identical results by
 // the contract above, just slower). `scoped` (optional) receives the
 // session's fleet.session.* metrics for cohort aggregation.
@@ -119,9 +119,15 @@ fault::FaultSchedule make_session_schedule(const SessionSpec& spec);
 // SessionFailure{kChaos} or stalls at the planned exchange. Controls
 // never touch the session's RNG lanes or SimClock, so any attempt that
 // runs to completion is bit-identical to an uncontrolled run.
+//
+// `memo` (optional) is the run's shared rectifier-segment memo: a
+// segment another session already simulated from the same committed
+// node at the same drive is read back instead of re-run. A hit returns
+// exactly what the simulation would have, so results are unchanged.
 SessionResult run_patient_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
-    obs::MetricsRegistry* scoped, const SessionControls& controls = {});
+    obs::MetricsRegistry* scoped, const SessionControls& controls = {},
+    fault::SegmentMemo* memo = nullptr);
 
 }  // namespace ironic::fleet

@@ -108,7 +108,8 @@ std::uint64_t failure_fingerprint(const SessionHealth& health) {
 SupervisedSession run_supervised_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
-    obs::MetricsRegistry* scoped, const SupervisorPolicy& policy) {
+    obs::MetricsRegistry* scoped, const SupervisorPolicy& policy,
+    fault::SegmentMemo* memo) {
   SupervisedSession out;
   out.health.index = spec.index;
   out.health.cohort = spec.cohort.name;
@@ -133,7 +134,7 @@ SupervisedSession run_supervised_session(
       // Each attempt rebuilds the session from (seed, index) alone —
       // fresh RNG lanes, fresh SimClock, fresh plant fork — so a retry
       // that succeeds is bit-identical to a clean first-attempt run.
-      out.result = run_patient_session(spec, charged, scoped, controls);
+      out.result = run_patient_session(spec, charged, scoped, controls, memo);
       out.health.ok = true;
       out.health.code = FailureCode::kNone;
       out.health.message.clear();

@@ -4,6 +4,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "src/obs/json.hpp"
 #include "src/obs/profiler.hpp"
@@ -12,6 +13,15 @@
 
 #ifndef IRONIC_GIT_SHA
 #define IRONIC_GIT_SHA "unknown"
+#endif
+#ifndef IRONIC_BUILD_TYPE
+#define IRONIC_BUILD_TYPE "unknown"
+#endif
+#ifndef IRONIC_COMPILER
+#define IRONIC_COMPILER "unknown"
+#endif
+#ifndef IRONIC_CXX_FLAGS
+#define IRONIC_CXX_FLAGS "unknown"
 #endif
 
 namespace ironic::obs {
@@ -23,6 +33,34 @@ std::string env_or(const char* name, const std::string& fallback) {
   // any worker threads exist — nothing mutates the environment after.
   const char* v = std::getenv(name);  // NOLINT(concurrency-mt-unsafe)
   return v != nullptr && *v != '\0' ? std::string(v) : fallback;
+}
+
+// The "model name" of the first CPU in /proc/cpuinfo; "unknown" where
+// there is no such file.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+// What built this binary (configure-time definitions) and the host it
+// ran on (read now), so a report's numbers carry their provenance.
+json::Value::Object build_block() {
+  json::Value::Object build;
+  build["type"] = IRONIC_BUILD_TYPE;
+  build["compiler"] = IRONIC_COMPILER;
+  build["cxx_flags"] = IRONIC_CXX_FLAGS;
+  build["cpu_model"] = cpu_model();
+  build["hardware_concurrency"] =
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency());
+  return build;
 }
 
 }  // namespace
@@ -102,6 +140,7 @@ bool RunReport::write() {
   root["timestamp_unix"] = static_cast<double>(std::time(nullptr));
   root["wall_seconds"] = elapsed_seconds();
   root["obs_compiled_in"] = kEnabled;
+  root["build"] = build_block();
   if (!trace_path_.empty()) root["trace_file"] = trace_path_;
 
   json::Value::Object extras;

@@ -2,9 +2,10 @@
 //
 // Construct one RunReport at the top of main(); on destruction it writes
 // `BENCH_<name>.json` — wall time, the full metrics-registry snapshot,
-// any extra scalars/notes the program attached, and the git SHA the
-// binary was built from — seeding the perf trajectory future PRs diff
-// against.
+// any extra scalars/notes the program attached, the git SHA the binary
+// was built from, and a `build` block (build type, compiler and version,
+// C++ flags, CPU model, hardware_concurrency) — seeding the perf
+// trajectory future PRs diff against.
 //
 // Environment contract (also documented in README.md "Observability"):
 //   IRONIC_TRACE=<path>   enable trace recording; the Chrome trace JSON

@@ -5,15 +5,20 @@
 //   - every session run inside a fleet is bit-identical to running that
 //     session solo with the same seed (fork == private charge-up);
 //   - the fleet fingerprint is invariant to the thread count and to
-//     whether the charged checkpoint was shared;
+//     whether analog state (charge-up blob, segment memo) was shared;
 //   - mutating one forked plant never perturbs siblings forked from the
-//     same blob (copy-on-write isolation).
+//     same blob (committed nodes are immutable);
+//   - a memoized measure is bit-identical to the uncached one.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <latch>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -72,6 +77,12 @@ TEST(Fleet, FingerprintInvariantToThreadCount) {
   config.threads = 3;
   const auto pooled = fleet::run_fleet(config);
   EXPECT_EQ(serial.fingerprint, pooled.fingerprint);
+  // Memo totals are exact too: misses are the distinct segments, however
+  // the sessions interleave.
+  EXPECT_GT(serial.segment_hits, 0u);
+  EXPECT_GT(serial.segment_misses, 0u);
+  EXPECT_EQ(serial.segment_hits, pooled.segment_hits);
+  EXPECT_EQ(serial.segment_misses, pooled.segment_misses);
   // The derived statistics ride on the same deterministic fields.
   ASSERT_EQ(serial.cohorts.size(), pooled.cohorts.size());
   for (std::size_t c = 0; c < serial.cohorts.size(); ++c) {
@@ -89,9 +100,12 @@ TEST(Fleet, FingerprintInvariantToCheckpointSharing) {
   EXPECT_EQ(shared.fingerprint, isolated.fingerprint);
   EXPECT_EQ(shared.charge_captures, 1u);
   EXPECT_EQ(shared.checkpoint_forks, 3u);
-  // Without sharing every session pays its own charge-up.
+  // Without sharing every session pays its own charge-up and simulates
+  // every segment: no memo at all.
   EXPECT_EQ(isolated.charge_captures, 3u);
   EXPECT_EQ(isolated.checkpoint_forks, 0u);
+  EXPECT_EQ(isolated.segment_hits, 0u);
+  EXPECT_EQ(isolated.segment_misses, 0u);
 }
 
 TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
@@ -103,7 +117,6 @@ TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
   fault::RectifierPlant b;
   a.fork_from(blob, spec.amplitude);
   b.fork_from(blob, spec.amplitude);
-  EXPECT_TRUE(a.shares_base());
   EXPECT_EQ(a.committed(), blob.get());
   EXPECT_EQ(b.committed(), blob.get());
 
@@ -111,10 +124,8 @@ TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
   // which restarts from the committed point and commits new state).
   const double a1 = a.measure(spec.amplitude);
   const double a2 = a.measure(spec.amplitude * 0.8);
-  EXPECT_FALSE(a.shares_base());      // detached onto its private copy
-  EXPECT_NE(a.committed(), blob.get());
-  // B still references the shared blob, untouched by A's detach.
-  EXPECT_TRUE(b.shares_base());
+  EXPECT_NE(a.committed(), blob.get());  // A committed nodes of its own
+  // B still references the shared blob, untouched by A's commits.
   EXPECT_EQ(b.committed(), blob.get());
 
   // B now measures the same sequence and must see exactly what A saw —
@@ -129,6 +140,152 @@ TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
   c.fork_from(blob, spec.amplitude);
   EXPECT_EQ(c.measure(spec.amplitude), a1);
   EXPECT_EQ(c.measure(spec.amplitude * 0.8), a2);
+}
+
+// ------------------------------------------------------------ segment memo
+
+bool same_bits(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+std::shared_ptr<const spice::TransientCheckpoint> charged_blob() {
+  static const auto blob = std::make_shared<const spice::TransientCheckpoint>(
+      fault::capture_charged_checkpoint());
+  return blob;
+}
+
+TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  // Nominal twice, a 0.8x drive change (a discarded half segment and a
+  // restart), 0.8x again, and back to nominal (a second restart).
+  const std::vector<double> drives = {nominal, nominal, 0.8 * nominal,
+                                      0.8 * nominal, nominal};
+  const auto blob = charged_blob();
+  fault::SegmentMemo memo;
+  fault::RectifierPlant cached;
+  fault::RectifierPlant reference;
+  cached.memo = &memo;
+  cached.fork_from(blob, nominal);
+  reference.fork_from(blob, nominal);
+
+  std::vector<double> vos;
+  std::vector<const spice::TransientCheckpoint*> nodes;
+  for (const double drive : drives) {
+    const double vo = cached.measure(drive);
+    EXPECT_TRUE(same_bits(vo, reference.measure(drive))) << "drive " << drive;
+    EXPECT_EQ(cached.restarts, reference.restarts);
+    EXPECT_EQ(cached.checkpoints, reference.checkpoints);
+    ASSERT_NE(cached.committed(), nullptr);
+    ASSERT_NE(reference.committed(), nullptr);
+    EXPECT_TRUE(same_bits(cached.committed()->x, reference.committed()->x));
+    EXPECT_TRUE(same_bits(cached.committed()->device_state,
+                          reference.committed()->device_state));
+    vos.push_back(vo);
+    nodes.push_back(cached.committed());
+  }
+  EXPECT_EQ(reference.restarts, 2);
+  EXPECT_EQ(reference.checkpoints, 5);
+  EXPECT_EQ(memo.misses(), drives.size());
+  EXPECT_EQ(memo.hits(), 0u);
+
+  // A third plant with the same drive history is served entirely from
+  // the memo: the same values, the same counters, the very same nodes.
+  fault::RectifierPlant replay;
+  replay.memo = &memo;
+  replay.fork_from(blob, nominal);
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    EXPECT_TRUE(same_bits(replay.measure(drives[k]), vos[k])) << "step " << k;
+    EXPECT_EQ(replay.committed(), nodes[k]) << "step " << k;
+  }
+  EXPECT_EQ(replay.restarts, reference.restarts);
+  EXPECT_EQ(replay.checkpoints, reference.checkpoints);
+  EXPECT_EQ(memo.misses(), drives.size());
+  EXPECT_EQ(memo.hits(), drives.size());
+}
+
+TEST(SegmentMemo, ConcurrentRequestsForOneKeySimulateOnce) {
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  const auto blob = charged_blob();
+  fault::SegmentMemo memo;
+  constexpr int kThreads = 4;
+  std::vector<fault::RectifierPlant> plants(kThreads);
+  std::vector<double> vos(kThreads, 0.0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    plants[t].memo = &memo;
+    plants[t].fork_from(blob, nominal);
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      vos[t] = plants[t].measure(0.8 * nominal);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  fault::RectifierPlant reference;
+  reference.fork_from(blob, nominal);
+  const double expected = reference.measure(0.8 * nominal);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(vos[t], expected)) << "thread " << t;
+    EXPECT_EQ(plants[t].committed(), plants[0].committed());
+    EXPECT_EQ(plants[t].restarts, reference.restarts);
+    EXPECT_EQ(plants[t].checkpoints, 1);
+  }
+}
+
+TEST(SegmentMemo, FailureReachesEveryRequester) {
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  const auto blob = charged_blob();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // The uncached plant's failure is the one every requester must see.
+  std::string expected;
+  {
+    fault::RectifierPlant reference;
+    reference.fork_from(blob, nominal);
+    try {
+      reference.measure(nan);
+    } catch (const std::exception& error) {
+      expected = error.what();
+    }
+  }
+  EXPECT_NE(expected.find("run_transient: Newton failed below minimum step"),
+            std::string::npos)
+      << expected;
+
+  fault::SegmentMemo memo;
+  constexpr int kThreads = 3;
+  std::vector<std::string> messages(kThreads);
+  std::vector<fault::RectifierPlant> plants(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    plants[t].memo = &memo;
+    plants[t].fork_from(blob, nominal);
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        plants[t].measure(nan);
+      } catch (const std::exception& error) {
+        messages[t] = error.what();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(messages[t], expected) << "thread " << t;
+    // A measure that throws commits nothing.
+    EXPECT_EQ(plants[t].committed(), blob.get());
+    EXPECT_EQ(plants[t].checkpoints, 0);
+  }
 }
 
 TEST(Fleet, CheckpointCacheCapturesOncePerSpec) {
@@ -203,6 +360,19 @@ TEST(Fleet, InvalidConfigsThrow) {
   config = {};
   config.exchanges = 0;
   EXPECT_THROW(fleet::run_fleet(config), std::invalid_argument);
+  // A soak horizon must be finite, non-negative, and give an exchange
+  // count that fits an int; all are rejected before any session runs.
+  for (const double soak :
+       {std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(), -3.0, -0.5, 1e12,
+        std::numeric_limits<double>::max()}) {
+    config = {};
+    config.soak_seconds = soak;
+    EXPECT_THROW(fleet::run_fleet(config), std::invalid_argument)
+        << "soak " << soak;
+    EXPECT_THROW(fleet::run_solo_session(config, 0), std::invalid_argument)
+        << "soak " << soak;
+  }
 }
 
 // ------------------------------------------------------------- supervision

@@ -651,6 +651,44 @@ TEST(RunReport, WritesParsableReportJson) {
   EXPECT_TRUE(root.at("metrics").is_array());
 }
 
+TEST(RunReport, DescribesTheBuildAndHost) {
+  const std::string dir = ::testing::TempDir() + "obs_report_build_test";
+  ASSERT_EQ(::setenv("IRONIC_REPORT_DIR", dir.c_str(), 1), 0);
+  ::unsetenv("IRONIC_TRACE");
+  ::unsetenv("IRONIC_METRICS");
+  ::unsetenv("IRONIC_REPORT");
+
+  std::string path;
+  {
+    obs::RunReport report("obs_build");
+    path = report.report_path();
+    ASSERT_FALSE(path.empty());
+    EXPECT_TRUE(report.write());
+  }
+  ::unsetenv("IRONIC_REPORT_DIR");
+
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good()) << "missing " << path;
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  const Value root = Value::parse(ss.str());
+  ASSERT_TRUE(root.contains("build"));
+  const Value& build = root.at("build");
+  ASSERT_TRUE(build.is_object());
+  EXPECT_EQ(build.size(), 5u);
+  for (const char* key : {"type", "compiler", "cxx_flags", "cpu_model"}) {
+    ASSERT_TRUE(build.contains(key)) << key;
+    EXPECT_TRUE(build.at(key).is_string()) << key;
+  }
+  // The build type and compiler are always known to CMake; the flags may
+  // legitimately be empty, the CPU model "unknown" off Linux.
+  EXPECT_FALSE(build.at("type").as_string().empty());
+  EXPECT_NE(build.at("compiler").as_string(), "unknown");
+  EXPECT_FALSE(build.at("cpu_model").as_string().empty());
+  ASSERT_TRUE(build.contains("hardware_concurrency"));
+  EXPECT_GE(build.at("hardware_concurrency").as_double(), 0.0);
+}
+
 TEST(RunReport, SuppressedWhenReportEnvIsZero) {
   ASSERT_EQ(::setenv("IRONIC_REPORT", "0", 1), 0);
   {

@@ -7,8 +7,9 @@
 #   3. tsan      ThreadSanitizer build, exec/sweep/rng/obs/fault subset
 #                plus the solver-backend suites (campaign workers solve
 #                circuits concurrently; the rest of the numeric suite
-#                stays on ASan) and the telemetry drainer / sharded-merge
-#                races (TelemetrySink, Profiler, MetricsShard)
+#                stays on ASan), the telemetry drainer / sharded-merge
+#                races (TelemetrySink, Profiler, MetricsShard) and the
+#                fleet's shared segment memo (SegmentMemo)
 #   4. tidy      clang-tidy over src/ and tools/ (skips if not installed)
 #   5. lint      netlist_lint --strict over every shipped .cir netlist,
 #                and the broken fixtures must FAIL
@@ -29,9 +30,11 @@
 #   8. fleet     fleet_runner 1000-session smoke with solo-parity spot
 #                checks (--verify-solo exits 1 on any fingerprint
 #                mismatch), checkpoint forking pinned to exactly one
-#                charge-up capture, the fleet fingerprint bit-identical
-#                across two thread counts, and the fleet.* / cohort.fleet.*
-#                telemetry schema pinned via trace_validate
+#                charge-up capture, the fleet fingerprint and segment-memo
+#                hit/miss totals identical across two thread counts, a
+#                --no-share leg reproducing the shared fingerprint, and
+#                the fleet.* / cohort.fleet.* telemetry schema pinned via
+#                trace_validate
 #   9. chaos     fleet supervision: injected chaos is contained (exact
 #                fleet.failed/quarantined pins, exit code 1), a
 #                retried-to-health chaos run is bit-identical to a
@@ -85,7 +88,7 @@ run_sanitize() {
 }
 
 run_tsan() {
-  log "TSan build + exec/sweep/rng/obs/fault/magnetics-kernel tests"
+  log "TSan build + exec/sweep/rng/obs/fault/magnetics-kernel/segment-memo tests"
   cmake -B "$ROOT/build-ci-tsan" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DIRONIC_WARNINGS_AS_ERRORS=ON \
@@ -93,10 +96,11 @@ run_tsan() {
   cmake --build "$ROOT/build-ci-tsan" -j "$JOBS" \
     --target exec_test sweep_test rng_stream_test obs_test \
              obs_telemetry_test fault_session_test fault_campaign_test \
-             linalg_sparse_test spice_solver_equiv_test magnetics_test
+             linalg_sparse_test spice_solver_equiv_test magnetics_test \
+             fleet_test
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel)'
+      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo)'
 }
 
 run_tidy() {
@@ -261,15 +265,29 @@ run_fleet() {
   # Forking must have amortized the charge-up: one capture, 1000 forks.
   grep -q '"charge_captures": 1' "$smoke"
   grep -q '"checkpoint_forks": 1000' "$smoke"
-  # The fleet fingerprint must be bit-identical across thread counts.
+  # The fleet fingerprint must be bit-identical across thread counts,
+  # and so must the segment memo's hit/miss totals (misses are the
+  # distinct segments, however the sessions interleave).
   local t1="$ROOT/build-ci-release/fleet_t1.json"
   local t3="$ROOT/build-ci-release/fleet_t3.json"
+  local pins='"(fingerprint|segment_hits|segment_misses)"'
   "$runner" --sessions 24 --threads 1 --exchanges 2 --out "$t1"
   "$runner" --sessions 24 --threads 3 --exchanges 2 --out "$t3"
-  if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t3"); then
-    echo "ci: FAIL -- fleet fingerprints differ across thread counts" >&2
+  if ! diff <(grep -E "$pins" "$t1") <(grep -E "$pins" "$t3"); then
+    echo "ci: FAIL -- fleet fingerprint or memo totals differ across" \
+         "thread counts" >&2
     exit 1
   fi
+  # Sharing analog state (the charge-up blob and the segment memo) must
+  # not change a bit: a --no-share run reproduces the shared fingerprint.
+  local unshared="$ROOT/build-ci-release/fleet_noshare.json"
+  "$runner" --sessions 24 --threads 3 --exchanges 2 --no-share \
+    --out "$unshared"
+  if ! diff <(grep '"fingerprint"' "$t3") <(grep '"fingerprint"' "$unshared"); then
+    echo "ci: FAIL -- --no-share fingerprint differs from the shared run" >&2
+    exit 1
+  fi
+  grep -q '"segment_misses": 0' "$unshared"
   # An unwritable --out must exit 2, same contract as the other runners.
   local rc=0
   "$runner" --sessions 2 --exchanges 1 --out /nonexistent-ci-dir/fleet.json \
@@ -289,13 +307,16 @@ run_fleet() {
     --require fleet.recovery_p99_s \
     --require fleet.charge_captures \
     --require fleet.checkpoint_forks \
+    --require fleet.segment_hits \
+    --require fleet.segment_misses \
     --require fleet.sessions_per_second \
     --require cohort.fleet.nominal.fleet.session.retries.sum \
     --require cohort.fleet.noisy_link.fleet.session.exchange_latency_s.p95 \
     --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
     "$ROOT/build-ci-release/BENCH_fleet_soak.json"
-  echo "ci: 1000-session fleet smoke parity-clean; fingerprints" \
-       "thread-count invariant; fleet telemetry schema pinned"
+  echo "ci: 1000-session fleet smoke parity-clean; fingerprints and memo" \
+       "totals thread-count invariant; --no-share reproduces the" \
+       "fingerprint; fleet telemetry schema pinned"
 }
 
 run_chaos() {

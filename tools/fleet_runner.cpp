@@ -2,7 +2,8 @@
 // line: N independent patient sessions (full spice + magnetics + comms
 // + fault pipeline each), sharded across the exec pool, forking one
 // shared charged-up checkpoint per session instead of re-simulating the
-// charge-up per patient.
+// charge-up per patient, and sharing every later rectifier segment
+// between sessions with the same drive history (the run's segment memo).
 //
 //   fleet_runner [--sessions N] [--threads N] [--seed S]
 //                [--exchanges N | --soak SECONDS] [--no-share]
@@ -17,17 +18,19 @@
 // (--verify-solo re-runs a sample of sessions solo, with their own
 // charge-up, and exits 1 on any fingerprint mismatch). The obs run
 // report lands in BENCH_fleet_soak.json: per-cohort percentile recovery
-// time, lost-measurement rate, the checkpoint-fork accounting, and the
-// supervision health roll-ups (fleet.failed / retried / quarantined and
-// per-code failure counters).
+// time, lost-measurement rate, the checkpoint-fork and segment-memo
+// accounting, and the supervision health roll-ups (fleet.failed /
+// retried / quarantined and per-code failure counters).
 //
 // Exit-code contract (pinned by FleetRunner.* tests and the CI chaos
 // stage): 0 = every session healthy; 1 = at least one failed or
 // quarantined session, or a solo-parity mismatch; 2 = usage error or an
 // unwritable --out/--telemetry/--journal path.
+#include <cerrno>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +44,30 @@
 using namespace ironic;
 
 namespace {
+
+// Whole-token numeric parsing: the entire argument must be the number
+// ("2x", "", and out-of-range values are rejected), so a typo is a usage
+// error rather than a silently different run.
+bool parse_count(const char* text, std::size_t& out) {
+  // Digits only: strtoull would skip blanks and wrap a negative count.
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
+}
+
+// Any token strtod accepts in full, including inf/nan: the soak range
+// itself is fleet::validate's to enforce (exit 2 through run_fleet).
+bool parse_real(const char* text, double& out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') return false;
+  out = value;
+  return true;
+}
 
 std::string hex64(std::uint64_t value) {
   std::ostringstream os;
@@ -95,6 +122,8 @@ obs::json::Value to_json(const fleet::FleetResult& result,
   doc["charge_capture_seconds"] = result.charge_capture_seconds;
   doc["checkpoint_forks"] =
       static_cast<std::uint64_t>(result.checkpoint_forks);
+  doc["segment_hits"] = result.segment_hits;
+  doc["segment_misses"] = result.segment_misses;
   obs::json::Value::Array cohorts;
   for (const auto& c : result.cohorts) {
     obs::json::Value::Object row;
@@ -135,9 +164,11 @@ int usage(int code) {
         "  --exchanges N  measurement exchanges per session (default 4)\n"
         "  --soak SECS    simulated per-session horizon; overrides\n"
         "                 --exchanges with ceil(SECS / 0.25) exchanges\n"
-        "  --no-share     every session captures its own charge-up instead\n"
-        "                 of forking the shared checkpoint (same results,\n"
-        "                 the A/B lever for the fork speedup)\n"
+        "  --no-share     sessions share no analog state: each captures its\n"
+        "                 own charge-up instead of forking the shared\n"
+        "                 checkpoint, and simulates every rectifier segment\n"
+        "                 itself instead of reading the run's segment memo\n"
+        "                 (same results; the A/B lever for the fork speedup)\n"
         "  --workload W   sensing front end every cohort drives per\n"
         "                 measurement: lactate (default; spice rectifier +\n"
         "                 potentiostat), lactate-behavioural, or bioz (the\n"
@@ -195,12 +226,26 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       return usage(0);
     } else if (arg == "--sessions" && i + 1 < argc) {
-      config.sessions =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_count(argv[++i], config.sessions)) {
+        std::cerr << "fleet_runner: --sessions wants a count, got '"
+                  << argv[i] << "'\n";
+        return usage(2);
+      }
     } else if (arg == "--exchanges" && i + 1 < argc) {
-      config.exchanges = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      std::size_t exchanges = 0;
+      if (!parse_count(argv[++i], exchanges) ||
+          exchanges > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+        std::cerr << "fleet_runner: --exchanges wants a count, got '"
+                  << argv[i] << "'\n";
+        return usage(2);
+      }
+      config.exchanges = static_cast<int>(exchanges);
     } else if (arg == "--soak" && i + 1 < argc) {
-      config.soak_seconds = std::strtod(argv[++i], nullptr);
+      if (!parse_real(argv[++i], config.soak_seconds)) {
+        std::cerr << "fleet_runner: --soak wants seconds, got '" << argv[i]
+                  << "'\n";
+        return usage(2);
+      }
     } else if (arg == "--no-share") {
       config.share_checkpoint = false;
     } else if (arg == "--retries" && i + 1 < argc) {
@@ -259,7 +304,9 @@ int main(int argc, char** argv) {
               << " exchanges each: lost_rate=" << result.lost_rate
               << " recovery_p95_s=" << result.recovery_p95_s
               << " charge_captures=" << result.charge_captures
-              << " forks=" << result.checkpoint_forks << " wall="
+              << " forks=" << result.checkpoint_forks
+              << " segment_hits=" << result.segment_hits
+              << " segment_misses=" << result.segment_misses << " wall="
               << result.wall_seconds << "s\n";
     std::cerr << "fleet_runner: health: failed=" << result.failed
               << " retried=" << result.retried
@@ -313,8 +360,10 @@ int main(int argc, char** argv) {
                         static_cast<double>(mismatches));
       run_report.metric("verify_solo.wall_mean_s", solo_mean);
       if (solo_mean > 0.0 && result.session_wall_mean_s > 0.0) {
-        // The fork speedup: a solo session pays its own charge-up; a
-        // fleet session amortizes one capture across the whole fleet.
+        // The fork speedup: a solo session pays its own charge-up and
+        // simulates every segment; a fleet session amortizes one capture
+        // across the whole fleet and reads segments other sessions
+        // already ran from the memo, so this credits both.
         const double amortized =
             result.session_wall_mean_s +
             result.charge_capture_seconds /
@@ -351,6 +400,10 @@ int main(int argc, char** argv) {
     run_report.metric("charge_capture_seconds", result.charge_capture_seconds);
     run_report.metric("checkpoint_forks",
                       static_cast<double>(result.checkpoint_forks));
+    run_report.metric("segment_hits",
+                      static_cast<double>(result.segment_hits));
+    run_report.metric("segment_misses",
+                      static_cast<double>(result.segment_misses));
     run_report.metric("lost_rate", result.lost_rate);
     run_report.metric("recovery_p50_s", result.recovery_p50_s);
     run_report.metric("recovery_p95_s", result.recovery_p95_s);
