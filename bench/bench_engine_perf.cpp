@@ -2,9 +2,6 @@
 // circuit simulator that all reproduction experiments stand on.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -18,7 +15,6 @@
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 #include "src/spice/engine.hpp"
-#include "src/spice/netlist_parser.hpp"
 
 using namespace ironic;
 using namespace ironic::spice;
@@ -247,87 +243,6 @@ static void run_sweep_scaling() {
   report.note("determinism", "all thread counts byte-identical to serial CSV");
 }
 
-// Dense-vs-sparse backend shootout on the largest shipped netlist, the
-// 60-segment Fricke tissue ladder (~120 MNA unknowns). Runs the same
-// end-to-end transient under each backend, checks the waveforms agree,
-// and records per-backend wall time, throughput, and solver-cache
-// behaviour into BENCH_engine_perf.json (DESIGN.md §11). The acceptance
-// bar — sparse beats dense on wall time at this size — rides as the
-// solver.speedup metric so CI diffs catch a regression.
-static void run_solver_shootout(ironic::obs::RunReport& report) {
-  const std::string path =
-      std::string(IRONIC_SOURCE_DIR) + "/examples/netlists/tissue_ladder.cir";
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "FAIL: cannot open " << path << "\n";
-    std::exit(EXIT_FAILURE);
-  }
-  std::ostringstream text;
-  text << in.rdbuf();
-  report.note("solver.netlist", "tissue_ladder.cir");
-
-  TransientOptions opts;
-  opts.t_stop = 20e-6;
-  opts.dt_max = 5e-9;
-  opts.record_every = 16;
-
-  std::cout << "\nsolver shootout (tissue_ladder.cir, t_stop 20 us):\n";
-  double dense_wall = 0.0;
-  double probe_dense = 0.0, probe_sparse = 0.0;
-  for (const auto kind :
-       {linalg::SolverKind::kDense, linalg::SolverKind::kSparse}) {
-    Circuit ckt;
-    parse_netlist(ckt, text.str());
-    TransientOptions o = opts;
-    o.solver = kind;
-    TransientStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto result = run_transient(ckt, o, &stats);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double wall = std::chrono::duration<double>(t1 - t0).count();
-
-    const std::string name = linalg::solver_kind_name(kind);
-    const auto& out = result.signal("v(t60)");
-    (kind == linalg::SolverKind::kDense ? probe_dense : probe_sparse) =
-        out.back();
-    report.metric("solver." + name + ".wall_seconds", wall);
-    report.metric("solver." + name + ".steps_per_second",
-                  static_cast<double>(stats.accepted_steps) / wall);
-    report.metric("solver." + name + ".factorizations",
-                  static_cast<double>(stats.factorizations));
-    report.metric("solver." + name + ".solves",
-                  static_cast<double>(stats.solves));
-    const auto& st = ckt.acquire_solver(kind).stats();
-    report.metric("solver." + name + ".factor_nnz",
-                  static_cast<double>(st.factor_nnz));
-    if (kind == linalg::SolverKind::kDense) dense_wall = wall;
-    std::cout << "  " << name << ": "
-              << util::Table::cell(wall * 1e3, 4) << " ms, "
-              << stats.accepted_steps << " steps, "
-              << stats.factorizations << " factorizations, "
-              << stats.solves << " solves\n";
-    if (kind == linalg::SolverKind::kSparse) {
-      const double speedup = dense_wall / wall;
-      report.metric("solver.speedup", speedup);
-      std::cout << "  sparse speedup over dense: "
-                << util::Table::cell(speedup, 3) << "x\n";
-      if (speedup <= 1.0) {
-        std::cerr << "FAIL: sparse backend slower than dense on the "
-                     "largest example netlist\n";
-        std::exit(EXIT_FAILURE);
-      }
-    }
-  }
-  // Same circuit, same step sequence: the load-node waveforms must agree
-  // to solver roundoff, or one backend factored the wrong matrix.
-  if (std::abs(probe_dense - probe_sparse) >
-      1e-9 + 1e-6 * std::abs(probe_dense)) {
-    std::cerr << "FAIL: backends disagree on v(t60): dense " << probe_dense
-              << " vs sparse " << probe_sparse << "\n";
-    std::exit(EXIT_FAILURE);
-  }
-}
-
 // Hand-rolled main (instead of BENCHMARK_MAIN) so the run is wrapped in a
 // RunReport: BENCH_engine_perf.json gets the registry snapshot the
 // transient benchmarks populate, next to google-benchmark's own output.
@@ -337,7 +252,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_solver_shootout(run_report);
   run_sweep_scaling();
   return 0;
 }

@@ -44,7 +44,7 @@ struct BioZPlant {
   int sense_tap = 5;
   int measurements = 0;
   // When set, the static-analysis passes run over each measurement
-  // circuit and install the solver/dt hints before the transient.
+  // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
   spice::analysis::AnalysisManager analyzer;
 

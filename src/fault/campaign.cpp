@@ -229,13 +229,20 @@ ScenarioResult run_ask_burst_scenario(const CampaignConfig& config, int index,
                            Workload::kLactateSpice, scoped);
 }
 
+// The stochastic generator's horizon [s], shared by the schedule and
+// its validation. Its literal 0.25 s cadence feeds the pinned stochastic
+// fingerprints, so it stays fixed for every link.
+double stochastic_horizon(const CampaignConfig& config) {
+  return 0.25 * config.exchanges + 1.0;
+}
+
 // Stochastic soak: every fault kind drawn from a seeded schedule, the
 // behavioural front end, and a tighter retry budget — partial recovery
 // is allowed and the campaign reports the achieved rate.
 FaultSchedule make_stochastic_schedule(const CampaignConfig& config, int index) {
   util::Rng schedule_rng = util::Rng::stream(config.seed, 1000u + index);
   StochasticScheduleConfig stochastic;
-  stochastic.horizon = 0.25 * config.exchanges + 1.0;
+  stochastic.horizon = stochastic_horizon(config);
   return FaultSchedule::stochastic(schedule_rng, stochastic);
 }
 
@@ -383,7 +390,8 @@ double plant_envelope_vmax() {
 
 void validate_ask_burst_plan(const CampaignConfig& config, int index) {
   PlanContext context;
-  context.horizon = kCadence * config.exchanges;
+  context.horizon =
+      link::nominal_profile(config.link).cadence_s * config.exchanges;
   context.envelope_vmax = plant_envelope_vmax();
   // An overvoltage only matters if the scaled drive can push the rail
   // past the LDO's input floor.
@@ -394,7 +402,7 @@ void validate_ask_burst_plan(const CampaignConfig& config, int index) {
 
 void validate_stochastic_plan(const CampaignConfig& config, int index) {
   PlanContext context;
-  context.horizon = kCadence * config.exchanges + 1.0;  // generator horizon
+  context.horizon = stochastic_horizon(config);
   require_valid_schedule(make_stochastic_schedule(config, index), context,
                          plan_label(config, index));
 }

@@ -32,9 +32,9 @@ struct CampaignConfig {
   // bit-identical to the pre-LinkPhy pipeline.
   std::string link = "inductive";
   // Run the static-analysis passes over each rectifier-plant circuit and
-  // install the solver/dt hints before the transient segments. Must not
-  // change the fingerprint (the hints agree with the engine's own
-  // choices; the ctest gate pins this).
+  // install the dt hint before the transient segments. Must not change
+  // the fingerprint (the segments set dt_max explicitly, and the hint
+  // only fills a dt_max left at auto; the ctest gate pins this).
   bool analysis_hints = false;
 };
 

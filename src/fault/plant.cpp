@@ -97,19 +97,6 @@ double LinkBudget::bit_error_rate(double power, double sensitivity,
   return phy->bit_error_rate(power, sensitivity, rate);
 }
 
-double drive_amplitude(double power, double p_nominal,
-                       const FaultInjector& injector) {
-  const double compensation =
-      std::clamp(std::sqrt(std::max(0.0, power) / p_nominal), 0.6, 1.0);
-  return kNominalDrive * compensation * injector.drive_scale();
-}
-
-double bit_error_rate_for(double power, double sensitivity, double rate) {
-  const double snr =
-      std::max(0.0, power / sensitivity) * (kNominalRate / rate);
-  return 0.5 * std::erfc(std::sqrt(snr));
-}
-
 void tally_active(FaultInjector& injector, const FaultSchedule& schedule,
                   double t) {
   for (const auto kind :

@@ -41,19 +41,10 @@
 
 namespace ironic::fault {
 
-// Deprecated aliases for the former hard-coded nominal link constants;
-// they are the *inductive* backend's numbers. New code should read
-// LinkBudget::nominal() (or link::nominal_profile(name)) so multi-
-// backend call sites can never mix one backend's BER model with
-// another's operating point.
-inline constexpr double kNominalRate =
-    link::kInductiveNominal.rate_bps;  // ASK downlink [bit/s]
-inline constexpr double kCadence =
-    link::kInductiveNominal.cadence_s;  // [s] between measurements
-inline constexpr double kLoadOhms =
-    link::kInductiveNominal.load_ohms;  // rectifier input impedance scale
-inline constexpr double kNominalDrive =
-    link::kInductiveNominal.drive_v;  // rectifier input amplitude [V]
+// Rectifier input amplitude of the inductive charge-up [V]: the drive
+// the shared plant checkpoint is captured at. Per-backend operating
+// points live in LinkBudget::nominal() (or link::nominal_profile(name)).
+inline constexpr double kNominalDrive = link::kInductiveNominal.drive_v;
 
 // Which sensing front end a scenario/session drives per measurement:
 // the spice rectifier + lactate potentiostat plant, its behavioural
@@ -105,13 +96,6 @@ struct LinkBudget {
   std::optional<link::LinkCondition> last_condition_;
   double last_power_ = 0.0;
 };
-
-// Deprecated free-function forms of the inductive backend's laws (the
-// pre-LinkPhy API); prefer the LinkBudget members, which dispatch to
-// the session's actual backend.
-double drive_amplitude(double power, double p_nominal,
-                       const FaultInjector& injector);
-double bit_error_rate_for(double power, double sensitivity, double rate);
 
 // Tally the continuously-active fault kinds once per executed
 // measurement (the comms kinds tally per corrupted frame inside the
@@ -191,7 +175,7 @@ struct RectifierPlant {
   int restarts = 0;
   int checkpoints = 0;
   // When set, the static-analysis passes run over each fresh segment
-  // circuit and install the solver/dt hints before the transient.
+  // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
   spice::analysis::AnalysisManager analyzer;
   // When set, measure consults this memo before simulating (not owned).

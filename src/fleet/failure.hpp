@@ -23,12 +23,15 @@
 namespace ironic::fleet {
 
 // Stable failure codes. kNone is the healthy sentinel; every other code
-// maps 1:1 onto a wire string via failure_code_name.
+// maps 1:1 onto a wire string via failure_code_name. Nothing maps to
+// kCommsExhausted any more (comms exhaustion returns a lost exchange and
+// never throws); it keeps its slot because the journal stores the names
+// and the failure fingerprints hash the integer values.
 enum class FailureCode {
   kNone = 0,
   kSolverSingular,     // "solver-singular"    matrix went singular
   kNewtonNonconverge,  // "newton-nonconverge" Newton loop gave up
-  kCommsExhausted,     // "comms-exhausted"    link retry budget spent
+  kCommsExhausted,     // "comms-exhausted"    link retry budget spent (unused)
   kValidation,         // "validation"         bad spec / config input
   kDeadline,           // "deadline"           watchdog deadline expired
   kChaos,              // "chaos"              injected by ChaosSpec
@@ -42,19 +45,20 @@ FailureCode failure_code_from_name(const std::string& name);
 
 // Thrown by session code that already knows its classification (chaos
 // injection, spec validation); foreign exceptions are classified by
-// message instead (classify_failure).
+// type instead (classify_failure).
 struct SessionFailure : std::runtime_error {
   SessionFailure(FailureCode code, const std::string& what)
       : std::runtime_error(what), code(code) {}
   FailureCode code;
 };
 
-// Map an in-flight exception to a stable code: SessionFailure carries
-// its own code, exec::TaskCancelled means the watchdog deadline fired,
-// std::invalid_argument is a validation error, and engine
-// std::runtime_errors are sniffed for the solver's known failure
-// messages ("singular", "converge", "exhaust"). Everything else is
-// kUnknown — contained and recorded, just not attributed.
+// Map an in-flight exception to a stable code by its type:
+// SessionFailure carries its own code, exec::TaskCancelled means the
+// watchdog deadline fired, std::invalid_argument is a validation error,
+// linalg::SingularMatrixError is solver-singular, and
+// spice::ConvergenceError is newton-nonconverge. Everything else is
+// kUnknown — contained and recorded, just not attributed; the message
+// text is never consulted.
 FailureCode classify_failure(const std::exception& error);
 
 // Deterministic fault injection for the supervision layer itself. The

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/link/inductive.hpp"
 #include "src/link/phy.hpp"
 #include "src/obs/json.hpp"
 #include "src/obs/metrics.hpp"
@@ -70,7 +71,8 @@ void validate(const FleetConfig& config) {
 
 int effective_exchanges(const FleetConfig& config) {
   if (config.soak_seconds > 0.0) {
-    const double exchanges = std::ceil(config.soak_seconds / fault::kCadence);
+    const double exchanges =
+        std::ceil(config.soak_seconds / link::kInductiveNominal.cadence_s);
     if (!(exchanges <= static_cast<double>(std::numeric_limits<int>::max()))) {
       throw std::invalid_argument(
           "fleet: soak horizon needs more exchanges than an int holds");

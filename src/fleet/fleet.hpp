@@ -39,10 +39,11 @@ struct FleetConfig {
   std::size_t threads = 1;  // pool size for run_fleet (0 = hardware)
   std::uint64_t seed = 0xf1ee70001ull;
   int exchanges = 4;  // per session; overridden when soak_seconds > 0
-  // Simulated per-session horizon [s]: > 0 runs ceil(soak / kCadence)
-  // exchanges. Simulated time, not wall time, so a soak is exactly as
-  // deterministic as a fixed exchange count. Must be finite, >= 0, and
-  // give an exchange count that fits an int (run() rejects others).
+  // Simulated per-session horizon [s]: > 0 runs ceil(soak / 0.25 s)
+  // exchanges, 0.25 s being the inductive cadence. Simulated time, not
+  // wall time, so a soak is exactly as deterministic as a fixed exchange
+  // count. Must be finite, >= 0, and give an exchange count that fits an
+  // int (run() rejects others).
   double soak_seconds = 0.0;
   // Whether sessions share analog state: the charge-up checkpoint and
   // the run's segment memo. false = every session captures its own
@@ -63,7 +64,8 @@ struct FleetConfig {
   SupervisorPolicy supervise;
 };
 
-// ceil(soak_seconds / kCadence) when soaking, else config.exchanges.
+// ceil(soak_seconds / inductive cadence) when soaking, else
+// config.exchanges.
 // Throws std::invalid_argument when that count does not fit an int.
 int effective_exchanges(const FleetConfig& config);
 

@@ -8,7 +8,9 @@
 #include <sstream>
 #include <utility>
 
+#include "src/linalg/lu.hpp"
 #include "src/obs/json.hpp"
+#include "src/spice/engine.hpp"
 #include "src/util/fingerprint.hpp"
 
 namespace ironic::fleet {
@@ -17,10 +19,6 @@ namespace {
 constexpr const char* kCodeNames[kFailureCodeCount] = {
     "ok",         "solver-singular", "newton-nonconverge", "comms-exhausted",
     "validation", "deadline",        "chaos",              "unknown"};
-
-bool message_contains(const std::exception& error, const char* needle) {
-  return std::string(error.what()).find(needle) != std::string::npos;
-}
 
 std::string hex64(std::uint64_t value) {
   std::ostringstream os;
@@ -57,16 +55,11 @@ FailureCode classify_failure(const std::exception& error) {
   if (dynamic_cast<const std::invalid_argument*>(&error) != nullptr) {
     return FailureCode::kValidation;
   }
-  // Engine/solver errors carry no type of their own; sniff the known
-  // messages (pinned by FleetSupervisor.ClassifiesKnownFailureMessages).
-  if (message_contains(error, "singular")) return FailureCode::kSolverSingular;
-  if (message_contains(error, "converge") ||
-      message_contains(error, "Newton")) {
-    return FailureCode::kNewtonNonconverge;
+  if (dynamic_cast<const linalg::SingularMatrixError*>(&error) != nullptr) {
+    return FailureCode::kSolverSingular;
   }
-  if (message_contains(error, "exhaust") ||
-      message_contains(error, "transactor")) {
-    return FailureCode::kCommsExhausted;
+  if (dynamic_cast<const spice::ConvergenceError*>(&error) != nullptr) {
+    return FailureCode::kNewtonNonconverge;
   }
   return FailureCode::kUnknown;
 }

@@ -1,4 +1,5 @@
-// Complex dense matrix + LU, the kernel of AC (phasor) analysis.
+// Complex dense matrix + LU: the reference oracle for the complex sparse
+// backend that runs AC (phasor) analysis.
 #pragma once
 
 #include <complex>

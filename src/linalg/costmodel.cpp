@@ -159,22 +159,4 @@ FactorPrediction predict_sparse_factor(std::size_t n,
   return out;
 }
 
-SolverCostModel choose_solver(const FactorPrediction& prediction) {
-  SolverCostModel model;
-  const double n = static_cast<double>(prediction.n);
-  // Dense partial-pivot LU: (2/3)n^3 elimination + 2n^2 substitution.
-  model.dense_cost = (2.0 / 3.0) * n * n * n + 2.0 * n * n;
-  model.sparse_cost =
-      kSparseEntryCost * (prediction.factor_flops + prediction.solve_flops) +
-      kSparseBaseCost;
-  // A singular prediction means the replay could not finish (the real
-  // solve escalates through gmin/source stepping); fall back to dense,
-  // whose cost estimate needs no structure.
-  model.recommendation =
-      (!prediction.singular && model.sparse_cost < model.dense_cost)
-          ? SolverKind::kSparse
-          : SolverKind::kDense;
-  return model;
-}
-
 }  // namespace ironic::linalg

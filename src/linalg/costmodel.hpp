@@ -1,8 +1,8 @@
-// Static factorization cost model for the dense/sparse backend choice
-// (DESIGN.md §13). The symbolic fill predictor replays the SparseSolver
-// assembly (triplet merge in stamp order) and left-looking column LU —
-// same column pre-order, same partial-pivot rule — on a caller-supplied
-// numeric snapshot of the matrix, so the predicted factor nnz matches
+// Static fill prediction for the sparse backend (DESIGN.md §13). The
+// symbolic predictor replays the SparseSolver assembly (triplet merge in
+// stamp order) and left-looking column LU — same column pre-order, same
+// partial-pivot rule — on a caller-supplied numeric snapshot of the
+// matrix, so the predicted factor nnz matches
 // SparseSolver::stats().factor_nnz exactly for the same values.
 #pragma once
 
@@ -37,29 +37,5 @@ struct FactorPrediction {
 FactorPrediction predict_sparse_factor(
     std::size_t n, std::span<const MatrixEntry> entries,
     double pivot_tol = LinearSolverT<double>::kDefaultPivotTol);
-
-// Abstract-work comparison between the two backends. Units are "dense
-// inner-loop flops": the sparse side is scaled by a per-entry overhead
-// factor (indirection, touched-list maintenance) plus a fixed base cost
-// (pattern/CSC rebuild amortized over a run), both calibrated against
-// the measured crossover on this tree's example netlists (the ~12-unknown
-// rectifier plant stays dense, the 122-unknown tissue ladder goes sparse,
-// consistent with the 4.3x sparse speedup measured in bench_engine_perf).
-struct SolverCostModel {
-  double dense_cost = 0.0;
-  double sparse_cost = 0.0;
-  SolverKind recommendation = SolverKind::kDense;
-};
-
-// Per-entry overhead of the sparse kernels relative to the dense loop.
-constexpr double kSparseEntryCost = 8.0;
-// Fixed per-factorization overhead of the sparse bookkeeping (pattern
-// merge, CSC view, touched-list churn). Calibrated so the crossover
-// lands near n ~ 22 on MNA-shaped patterns — below the historical
-// kSparseAutoThreshold of 32, matching the measurement that every
-// sub-32-unknown example engages the dense backend faster.
-constexpr double kSparseBaseCost = 2000.0;
-
-SolverCostModel choose_solver(const FactorPrediction& prediction);
 
 }  // namespace ironic::linalg

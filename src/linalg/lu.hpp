@@ -1,5 +1,6 @@
-// LU factorization with partial pivoting, the linear-solve kernel behind
-// every Newton iteration of the circuit engine.
+// Dense LU factorization with partial pivoting: the reference oracle the
+// sparse backend (src/linalg/sparse.hpp), which runs every Newton
+// iteration of the circuit engine, is tested against.
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,9 @@
 // Dense row-major matrix.
 //
-// The MNA engines assemble through the pluggable solver layer
-// (src/linalg/solver.hpp) and only use dense storage below the sparse
-// auto-threshold, where it is both simpler and faster. This type remains
-// the general-purpose dense matrix for everything else (filters, field
-// solvers, tests).
+// The MNA engines assemble through the sparse solver layer
+// (src/linalg/solver.hpp) and never use dense storage. This type backs
+// the dense reference LU (lu.hpp) that the tests check the sparse
+// backend against.
 #pragma once
 
 #include <cstddef>

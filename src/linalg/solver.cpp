@@ -1,198 +1,15 @@
 #include "src/linalg/solver.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <stdexcept>
-#include <string>
-#include <vector>
-
 #include "src/linalg/sparse.hpp"
 
 namespace ironic::linalg {
-namespace {
 
-double magnitude(double v) { return std::abs(v); }
-double magnitude(const Complex& v) { return std::abs(v); }
-
-// Dense partial-pivot LU behind the solver interface. The factorization
-// and solve loops are the same, in the same order, as LuFactorization
-// (lu.cpp) and solve_complex (complex_matrix.cpp), so results are
-// bit-for-bit what the engines produced before the refactor. On top of
-// that: a values-identical factor skip — re-factoring the exact matrix
-// just factored is a no-op (NaNs never compare equal, so a poisoned
-// assembly always reaches the pivot check).
-template <typename T>
-class DenseSolver final : public LinearSolverT<T> {
- public:
-  explicit DenseSolver(std::size_t n)
-      : n_(n), a_(n * n, T{}), lu_(n * n, T{}), perm_(n) {}
-
-  const char* name() const override { return "dense"; }
-  SolverKind kind() const override { return SolverKind::kDense; }
-  std::size_t size() const override { return n_; }
-
-  void begin_assembly() override { std::fill(a_.begin(), a_.end(), T{}); }
-
-  void add(int row, int col, T value) override {
-    if (row < 0 || col < 0 || static_cast<std::size_t>(row) >= n_ ||
-        static_cast<std::size_t>(col) >= n_) {
-      throw std::out_of_range("DenseSolver::add: index out of range");
-    }
-    a_[static_cast<std::size_t>(row) * n_ + static_cast<std::size_t>(col)] += value;
-  }
-
-  void factor(double pivot_tol) override {
-    if (n_ == 0) {
-      factored_ = true;
-      return;
-    }
-    if (factored_ && a_ == last_factored_) {
-      ++stats_.factor_skips;
-      return;
-    }
-    factored_ = false;
-    lu_ = a_;
-    for (std::size_t i = 0; i < n_; ++i) perm_[i] = i;
-    for (std::size_t k = 0; k < n_; ++k) {
-      // Partial pivoting: largest |entry| in column k at/below row k.
-      std::size_t pivot_row = k;
-      double pivot_mag = magnitude(lu_[k * n_ + k]);
-      for (std::size_t r = k + 1; r < n_; ++r) {
-        const double mag = magnitude(lu_[r * n_ + k]);
-        if (mag > pivot_mag) {
-          pivot_mag = mag;
-          pivot_row = r;
-        }
-      }
-      // Negated comparison so a NaN pivot (poisoned stamp upstream) is
-      // rejected here instead of silently propagating through the solve.
-      if (!(pivot_mag >= pivot_tol)) {
-        throw SingularMatrixError("LU pivot " + std::to_string(k) + " below tolerance (" +
-                                  std::to_string(pivot_mag) + ") — floating node or " +
-                                  "inconsistent circuit?");
-      }
-      if (pivot_row != k) {
-        std::swap(perm_[k], perm_[pivot_row]);
-        T* rk = lu_.data() + k * n_;
-        T* rp = lu_.data() + pivot_row * n_;
-        for (std::size_t c = 0; c < n_; ++c) std::swap(rk[c], rp[c]);
-      }
-      const T inv_pivot = T{1.0} / lu_[k * n_ + k];
-      for (std::size_t r = k + 1; r < n_; ++r) {
-        const T factor = lu_[r * n_ + k] * inv_pivot;
-        lu_[r * n_ + k] = factor;
-        if (factor == T{}) continue;
-        T* rr = lu_.data() + r * n_;
-        const T* rk = lu_.data() + k * n_;
-        for (std::size_t c = k + 1; c < n_; ++c) rr[c] -= factor * rk[c];
-      }
-    }
-    ++stats_.factorizations;
-    last_factored_ = a_;
-    factored_ = true;
-    stats_.nnz = n_ * n_;
-    stats_.factor_nnz = n_ * n_;
-  }
-
-  void solve_in_place(std::span<T> b) override {
-    if (b.size() != n_) {
-      throw std::invalid_argument("DenseSolver::solve_in_place: size mismatch");
-    }
-    ++stats_.solves;
-    if (n_ == 0) return;
-    if (!factored_) {
-      throw std::logic_error("DenseSolver::solve_in_place called before factor()");
-    }
-    y_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) y_[i] = b[perm_[i]];
-    // Forward substitution (L has implicit unit diagonal).
-    for (std::size_t r = 1; r < n_; ++r) {
-      const T* row = lu_.data() + r * n_;
-      T sum = y_[r];
-      for (std::size_t c = 0; c < r; ++c) sum -= row[c] * y_[c];
-      y_[r] = sum;
-    }
-    // Back substitution.
-    for (std::size_t ri = n_; ri-- > 0;) {
-      const T* row = lu_.data() + ri * n_;
-      T sum = y_[ri];
-      for (std::size_t c = ri + 1; c < n_; ++c) sum -= row[c] * y_[c];
-      y_[ri] = sum / row[ri];
-    }
-    for (std::size_t i = 0; i < n_; ++i) b[i] = y_[i];
-  }
-
-  double diagonal_ratio() const override {
-    double max_d = 0.0;
-    double min_d = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double d = magnitude(lu_[i * n_ + i]);
-      max_d = std::max(max_d, d);
-      min_d = std::min(min_d, d);
-    }
-    return (min_d == 0.0) ? std::numeric_limits<double>::infinity() : max_d / min_d;
-  }
-
-  void invalidate_structure() override {
-    factored_ = false;
-    last_factored_.clear();
-  }
-
-  const SolverStats& stats() const override { return stats_; }
-
- private:
-  std::size_t n_;
-  std::vector<T> a_;
-  std::vector<T> lu_;
-  std::vector<std::size_t> perm_;
-  std::vector<T> y_;
-  std::vector<T> last_factored_;
-  bool factored_ = false;
-  SolverStats stats_;
-};
-
-}  // namespace
-
-const char* solver_kind_name(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kAuto: return "auto";
-    case SolverKind::kDense: return "dense";
-    case SolverKind::kSparse: return "sparse";
-  }
-  return "?";
+std::unique_ptr<LinearSolver> make_solver(std::size_t n) {
+  return std::make_unique<SparseSolver<double>>(n);
 }
 
-bool parse_solver_kind(std::string_view text, SolverKind& out) {
-  if (text == "auto") {
-    out = SolverKind::kAuto;
-  } else if (text == "dense") {
-    out = SolverKind::kDense;
-  } else if (text == "sparse") {
-    out = SolverKind::kSparse;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-SolverKind resolve_solver_kind(SolverKind requested, std::size_t n) {
-  if (requested != SolverKind::kAuto) return requested;
-  return n >= kSparseAutoThreshold ? SolverKind::kSparse : SolverKind::kDense;
-}
-
-std::unique_ptr<LinearSolver> make_solver(SolverKind kind, std::size_t n) {
-  if (resolve_solver_kind(kind, n) == SolverKind::kSparse) {
-    return std::make_unique<SparseSolver<double>>(n);
-  }
-  return std::make_unique<DenseSolver<double>>(n);
-}
-
-std::unique_ptr<ComplexLinearSolver> make_complex_solver(SolverKind kind, std::size_t n) {
-  if (resolve_solver_kind(kind, n) == SolverKind::kSparse) {
-    return std::make_unique<SparseSolver<Complex>>(n);
-  }
-  return std::make_unique<DenseSolver<Complex>>(n);
+std::unique_ptr<ComplexLinearSolver> make_complex_solver(std::size_t n) {
+  return std::make_unique<SparseSolver<Complex>>(n);
 }
 
 }  // namespace ironic::linalg

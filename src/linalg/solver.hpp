@@ -1,39 +1,24 @@
-// Pluggable linear-solver layer behind the MNA engines (DESIGN.md §11).
+// Linear-solver layer behind the MNA engines (DESIGN.md §11).
 //
 // The circuit engines assemble A x = rhs through this interface instead
 // of a concrete matrix type: an assembly pass (`begin_assembly` + `add`)
-// followed by `factor` + `solve_in_place` per Newton iteration. Two
-// backends implement it:
-//
-//   dense   The historical dense partial-pivot LU (src/linalg/lu.cpp
-//           semantics, bit-for-bit), plus a values-identical factor skip:
-//           re-factoring the exact same matrix is a no-op.
-//   sparse  CSR storage with a cached call-sequence slot map for O(1)
-//           re-stamping, symbolic-pattern caching, and numeric-only
-//           refactorization (src/linalg/sparse.hpp).
-//
-// `SolverKind::kAuto` picks dense below kSparseAutoThreshold unknowns and
-// sparse at/above it — implant-scale netlists are overwhelmingly sparse,
-// but tiny systems fit in cache and the dense kernel wins there.
+// followed by `factor` + `solve_in_place` per Newton iteration. The one
+// production backend is SparseSolver (src/linalg/sparse.hpp): CSR
+// storage with a cached call-sequence slot map for O(1) re-stamping,
+// symbolic-pattern caching, and numeric-only refactorization. The dense
+// LuFactorization (lu.hpp) and solve_complex (complex_matrix.hpp) stay
+// as the reference oracles the tests compare it against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "src/linalg/complex_matrix.hpp"
 #include "src/linalg/lu.hpp"
 
 namespace ironic::linalg {
-
-enum class SolverKind { kAuto, kDense, kSparse };
-
-// "auto", "dense", "sparse".
-const char* solver_kind_name(SolverKind kind);
-// Parse the names above; returns false (out untouched) on anything else.
-bool parse_solver_kind(std::string_view text, SolverKind& out);
 
 // Counters a backend maintains across its lifetime. Callers that want
 // per-run numbers snapshot stats() before and after and subtract.
@@ -44,8 +29,8 @@ struct SolverStats {
   std::uint64_t solves = 0;           // triangular solve_in_place calls
   std::uint64_t pattern_builds = 0;   // sparsity-pattern (re)constructions
   std::uint64_t pattern_reuses = 0;   // assemblies that fit the cached pattern
-  std::size_t nnz = 0;                // structural nonzeros of A (n*n for dense)
-  std::size_t factor_nnz = 0;         // nonzeros of L+U incl. fill (n*n for dense)
+  std::size_t nnz = 0;                // structural nonzeros of A
+  std::size_t factor_nnz = 0;         // nonzeros of L+U incl. fill
 };
 
 // One linear system A x = b of fixed size n, reusable across solves.
@@ -66,7 +51,6 @@ class LinearSolverT {
   virtual ~LinearSolverT() = default;
 
   virtual const char* name() const = 0;
-  virtual SolverKind kind() const = 0;
   virtual std::size_t size() const = 0;
 
   virtual void begin_assembly() = 0;
@@ -81,7 +65,7 @@ class LinearSolverT {
   virtual void solve_in_place(std::span<T> b) = 0;
 
   // Conditioning estimate of the last factorization: max|U_ii|/min|U_ii|,
-  // identical semantics across backends (see LuFactorization).
+  // the same semantics as LuFactorization::diagonal_ratio.
   virtual double diagonal_ratio() const = 0;
 
   // Drop every cached structure (pattern, slot sequence, symbolic
@@ -97,20 +81,8 @@ class LinearSolverT {
 using LinearSolver = LinearSolverT<double>;
 using ComplexLinearSolver = LinearSolverT<Complex>;
 
-// kAuto resolution threshold: systems with n >= this many unknowns go to
-// the sparse backend (MNA matrices at that size are a few % dense).
-// This is the *fallback* for circuits nobody has analyzed: the static
-// sparsity pass (src/spice/analysis) predicts the actual fill and flop
-// count and installs a cost-model-driven hint via Circuit::set_solver_hint,
-// which refines kAuto before this threshold is consulted (see
-// src/linalg/costmodel.hpp).
-constexpr std::size_t kSparseAutoThreshold = 32;
-
-// Resolve kAuto by system size; kDense/kSparse pass through.
-SolverKind resolve_solver_kind(SolverKind requested, std::size_t n);
-
-// Factories. kAuto is resolved with resolve_solver_kind(n).
-std::unique_ptr<LinearSolver> make_solver(SolverKind kind, std::size_t n);
-std::unique_ptr<ComplexLinearSolver> make_complex_solver(SolverKind kind, std::size_t n);
+// The production backend (SparseSolver) for an n-unknown system.
+std::unique_ptr<LinearSolver> make_solver(std::size_t n);
+std::unique_ptr<ComplexLinearSolver> make_complex_solver(std::size_t n);
 
 }  // namespace ironic::linalg

@@ -226,7 +226,7 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     }
     // Eliminate with every earlier pivot whose row appears structurally.
     // The scan is O(jj) but each hit does real work; at MNA sizes the
-    // scan is noise next to the dense-kernel O(n^3) it replaces.
+    // scan is noise next to a dense O(n^3) elimination.
     auto& ucol = ucols_[jj];
     for (std::size_t kk = 0; kk < jj; ++kk) {
       const int pr = pivot_row_[kk];
@@ -243,7 +243,7 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     }
     // Partial pivot among the not-yet-pivoted structural rows. A NaN
     // anywhere in the candidates poisons the column: reject it (negated
-    // comparison below), mirroring the dense backend's NaN-aware check.
+    // comparison below), mirroring LuFactorization's NaN-aware check.
     int best = -1;
     double best_mag = -1.0;
     bool poisoned = false;

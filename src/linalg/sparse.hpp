@@ -39,7 +39,6 @@ class SparseSolver final : public LinearSolverT<T> {
   explicit SparseSolver(std::size_t n);
 
   const char* name() const override { return "sparse"; }
-  SolverKind kind() const override { return SolverKind::kSparse; }
   std::size_t size() const override { return n_; }
 
   void begin_assembly() override;

@@ -15,9 +15,8 @@
 
 namespace ironic::link {
 
-// The nominal operating point of the inductive stack — the former
-// fault::kNominalRate / kNominalDrive / kLoadOhms / kCadence constants,
-// now owned by the backend so its BER model can never disagree.
+// The nominal operating point of the inductive stack, owned by the
+// backend so its BER model can never disagree with it.
 inline constexpr NominalProfile kInductiveNominal{
     /*rate_bps=*/100e3, /*drive_v=*/3.5, /*load_ohms=*/150.0,
     /*cadence_s=*/0.25, /*carrier_hz=*/5e6};

@@ -100,10 +100,9 @@ AcResult run_ac(Circuit& circuit, const AcOptions& options) {
   } else if (options.use_operating_point) {
     DcOptions dc_opts;
     dc_opts.newton = options.newton;
-    dc_opts.solver = options.solver;
     const DcResult dc = solve_dc(circuit, dc_opts);
     if (!dc.converged) {
-      throw std::runtime_error("run_ac: DC operating point failed to converge");
+      throw ConvergenceError("run_ac: DC operating point failed to converge");
     }
     op = dc.x;
     circuit.finalize();
@@ -128,8 +127,9 @@ AcResult run_ac(Circuit& circuit, const AcOptions& options) {
   }
 
   AcResult result(circuit.signal_names(), freqs);
-  linalg::ComplexLinearSolver& solver =
-      circuit.acquire_complex_solver(effective_solver_kind(options.solver));
+  // The AC pattern is frequency-invariant, so every frequency after the
+  // first is a numeric-only refactorization.
+  linalg::ComplexLinearSolver& solver = circuit.acquire_complex_solver();
   linalg::CVector rhs(n);
   linalg::CVector x(n);
 

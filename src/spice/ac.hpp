@@ -33,11 +33,6 @@ struct AcOptions {
   // the final state of a settling transient).
   std::vector<double> operating_point;
   NewtonOptions newton;
-  // Linear-solver backend for the complex system (and the DC operating
-  // point), as in DcOptions::solver. The AC pattern is frequency-
-  // invariant, so under the sparse backend every frequency after the
-  // first is a numeric-only refactorization.
-  linalg::SolverKind solver = linalg::SolverKind::kAuto;
 };
 
 class AcResult {
@@ -78,7 +73,7 @@ class AcResult {
 };
 
 // Run the sweep. Throws std::logic_error if a device lacks an AC model
-// and std::runtime_error if the operating point cannot be found.
+// and ConvergenceError if the operating point cannot be found.
 AcResult run_ac(Circuit& circuit, const AcOptions& options = {});
 
 // Input impedance seen by a (unit-AC) voltage source: -V/I at its branch.

@@ -96,10 +96,8 @@ std::string AnalysisReport::to_text() const {
   std::ostringstream os;
   os << "analysis: " << sparsity.unknowns << " unknowns, "
      << sparsity.prediction.pattern_nnz << " nnz, predicted factor nnz "
-     << sparsity.prediction.factor_nnz << "\n";
-  os << "solver choice: " << sparsity.choice() << " (dense cost "
-     << sparsity.cost.dense_cost << ", sparse cost " << sparsity.cost.sparse_cost
-     << (sparsity.prediction.singular ? ", prediction singular" : "") << ")\n";
+     << sparsity.prediction.factor_nnz
+     << (sparsity.prediction.singular ? " (prediction singular)" : "") << "\n";
   if (timescale.dt_recommend > 0.0) {
     os << "dt recommendation: " << timescale.dt_recommend << " s";
     if (timescale.tau_min > 0.0) {
@@ -151,9 +149,6 @@ std::string AnalysisReport::to_json() const {
   sp["factor_flops"] = sparsity.prediction.factor_flops;
   sp["solve_flops"] = sparsity.prediction.solve_flops;
   sp["singular"] = sparsity.prediction.singular;
-  sp["dense_cost"] = sparsity.cost.dense_cost;
-  sp["sparse_cost"] = sparsity.cost.sparse_cost;
-  sp["solver_choice"] = sparsity.choice();
   root["sparsity"] = std::move(sp);
 
   Value::Object ts;
@@ -248,11 +243,6 @@ AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options) {
 }
 
 void apply_hints(Circuit& circuit, const AnalysisReport& report) {
-  // A singular prediction means the replayed factorization never
-  // finished; leave the backend choice to the engine's escalation path.
-  if (report.sparsity.unknowns > 0 && !report.sparsity.prediction.singular) {
-    circuit.set_solver_hint(report.sparsity.cost.recommendation);
-  }
   if (report.timescale.dt_recommend > 0.0) {
     circuit.set_dt_hint(report.timescale.dt_recommend);
   }

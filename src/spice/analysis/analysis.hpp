@@ -12,17 +12,15 @@
 //   sparsity   symbolic fill prediction: replay the sparse backend's
 //              pattern merge and left-looking LU on the captured stamp
 //              stream (src/linalg/costmodel.hpp), predicting factor nnz
-//              and flop count, then pick dense vs sparse from the cost
-//              model instead of the bare kSparseAutoThreshold cutoff
+//              and flop count
 //   timescale  RC / L-over-R time constants, LC periods, and stimulus
 //              breakpoint density, distilled into an initial/max-dt
 //              recommendation and a stiffness warning
 //
 // Results are cached per (circuit, topology revision) — re-running on an
 // unchanged netlist is a pointer-and-counter compare. `apply_hints`
-// installs the solver recommendation (Circuit::set_solver_hint) and the
-// dt recommendation (Circuit::set_dt_hint); the engine honors them only
-// where the caller left the corresponding option at auto, so hints can
+// installs the dt recommendation (Circuit::set_dt_hint); the engine
+// honors it only where the caller left dt_max at auto, so the hint can
 // never override an explicit request.
 //
 // Diagnostic catalog (extends the lint.* set, same Diagnostic type):
@@ -81,11 +79,6 @@ struct EnvelopeResult {
 struct SparsityResult {
   std::size_t unknowns = 0;
   linalg::FactorPrediction prediction;
-  linalg::SolverCostModel cost;
-  // "dense" or "sparse" — the cost model's recommendation.
-  const char* choice() const {
-    return cost.recommendation == linalg::SolverKind::kSparse ? "sparse" : "dense";
-  }
 };
 
 // All timescale fields use 0 for "no such term found".
@@ -122,7 +115,7 @@ struct AnalysisReport {
 
   // Multi-line human-readable summary (always non-empty).
   std::string to_text() const;
-  // Machine-readable report: envelope bands, predicted fill + costs, dt
+  // Machine-readable report: envelope bands, predicted fill + flops, dt
   // recommendation, pass timings, and both diagnostic sets.
   std::string to_json() const;
 };
@@ -137,9 +130,7 @@ class AnalysisManager {
   // per-point state on entry).
   const AnalysisReport& run(Circuit& circuit);
 
-  // run() + install the solver/dt hints on the circuit. The solver hint
-  // is withheld when the symbolic factorization predicts a singular
-  // matrix (the engine's escalation path should keep its own choice).
+  // run() + install the dt hint on the circuit.
   const AnalysisReport& apply_hints(Circuit& circuit);
 
   void invalidate() { valid_ = false; }

@@ -25,7 +25,6 @@ class CaptureSolver final : public linalg::LinearSolver {
   explicit CaptureSolver(std::size_t n) : n_(n) {}
 
   const char* name() const override { return "capture"; }
-  linalg::SolverKind kind() const override { return linalg::SolverKind::kAuto; }
   std::size_t size() const override { return n_; }
 
   void begin_assembly() override { entries_.clear(); }
@@ -85,7 +84,6 @@ SparsityResult run_sparsity(Circuit& circuit) {
   }
 
   result.prediction = linalg::predict_sparse_factor(n, capture.entries());
-  result.cost = linalg::choose_solver(result.prediction);
   return result;
 }
 

@@ -65,25 +65,16 @@ int Circuit::allocate_branch(const std::string& label) {
   return index;
 }
 
-linalg::LinearSolver& Circuit::acquire_solver(linalg::SolverKind kind) {
+linalg::LinearSolver& Circuit::acquire_solver() {
   const std::size_t n = num_unknowns();
-  // The static-analysis hint refines kAuto only; explicit requests win.
-  if (kind == linalg::SolverKind::kAuto && solver_hint_ != linalg::SolverKind::kAuto) {
-    kind = solver_hint_;
-  }
-  const linalg::SolverKind resolved = linalg::resolve_solver_kind(kind, n);
-  if (!solver_ || solver_->size() != n || solver_->kind() != resolved) {
-    solver_ = linalg::make_solver(resolved, n);
-  }
+  if (!solver_ || solver_->size() != n) solver_ = linalg::make_solver(n);
   return *solver_;
 }
 
-linalg::ComplexLinearSolver& Circuit::acquire_complex_solver(linalg::SolverKind kind) {
+linalg::ComplexLinearSolver& Circuit::acquire_complex_solver() {
   const std::size_t n = num_unknowns();
-  const linalg::SolverKind resolved = linalg::resolve_solver_kind(kind, n);
-  if (!complex_solver_ || complex_solver_->size() != n ||
-      complex_solver_->kind() != resolved) {
-    complex_solver_ = linalg::make_complex_solver(resolved, n);
+  if (!complex_solver_ || complex_solver_->size() != n) {
+    complex_solver_ = linalg::make_complex_solver(n);
   }
   return *complex_solver_;
 }

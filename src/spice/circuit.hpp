@@ -72,24 +72,17 @@ class Circuit {
   // Circuit-owned linear solvers, so the cached stamp slots, sparsity
   // pattern, and symbolic factorization survive across Newton iterations,
   // time steps, and whole runs (a checkpoint-resumed transient re-uses
-  // the pattern its capturing run built). `kind` is resolved against the
-  // current number of unknowns; the solver is re-created when the size or
-  // the resolved backend changed, and topology growth at a constant size
+  // the pattern its capturing run built). The solver is re-created when
+  // the number of unknowns changed; topology growth at a constant size
   // is absorbed by the solver's own pattern merging. Call after
   // finalize().
-  linalg::LinearSolver& acquire_solver(linalg::SolverKind kind);
-  linalg::ComplexLinearSolver& acquire_complex_solver(linalg::SolverKind kind);
+  linalg::LinearSolver& acquire_solver();
+  linalg::ComplexLinearSolver& acquire_complex_solver();
 
   // --- static-analysis hints ---------------------------------------------
   // Monotonic topology revision: bumped whenever a node or device is
   // added. Analysis passes key their caches on it.
   std::uint64_t revision() const { return revision_; }
-
-  // Backend recommendation from the static sparsity/cost-model pass.
-  // Consulted by acquire_solver only when the caller asked for kAuto;
-  // an explicit kDense/kSparse request always wins. kAuto = no hint.
-  void set_solver_hint(linalg::SolverKind hint) { solver_hint_ = hint; }
-  linalg::SolverKind solver_hint() const { return solver_hint_; }
 
   // Recommended max transient step from the timescale pass; <= 0 = none.
   // Honored by run_transient when the caller leaves dt_max at auto (0).
@@ -107,7 +100,6 @@ class Circuit {
   bool finalized_ = false;
   int internal_counter_ = 0;
   std::uint64_t revision_ = 0;
-  linalg::SolverKind solver_hint_ = linalg::SolverKind::kAuto;
   double dt_hint_ = 0.0;
   std::unique_ptr<linalg::LinearSolver> solver_;
   std::unique_ptr<linalg::ComplexLinearSolver> complex_solver_;

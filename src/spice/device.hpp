@@ -107,11 +107,10 @@ struct DeviceInfo {
 };
 
 // Everything a device needs to stamp one Newton iteration. Matrix
-// entries accumulate into the pluggable solver (dense or sparse); the
-// sparse backend caches the stamp-call sequence, so devices should go
-// through the add_a/stamp_* helpers and need not — must not — try to
-// write structure themselves (see DESIGN.md §11 for the slot-cache
-// contract).
+// entries accumulate into the sparse solver, which caches the
+// stamp-call sequence, so devices should go through the add_a/stamp_*
+// helpers and need not — must not — try to write structure themselves
+// (see DESIGN.md §11 for the slot-cache contract).
 struct StampContext {
   linalg::LinearSolver& a;
   std::vector<double>& rhs;

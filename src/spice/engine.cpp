@@ -1,7 +1,6 @@
 #include "src/spice/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -18,8 +17,6 @@
 namespace ironic::spice {
 namespace {
 
-std::atomic<linalg::SolverKind> g_default_solver_kind{linalg::SolverKind::kAuto};
-
 // Fallback nominal step when the caller leaves dt_max at auto (0) and the
 // circuit carries no timescale-analysis hint. Matches the historical
 // TransientOptions default.
@@ -30,7 +27,6 @@ struct NewtonOutcome {
   int iterations = 0;                     // Newton iterations attempted
   std::uint64_t factorizations = 0;       // numeric LU factorizations performed
   std::uint64_t solves = 0;               // triangular solves (== iterations)
-  std::uint64_t lu_ns = 0;                // wall time spent factoring + solving
 };
 
 // Cached handles into the metrics registry for the engine's hot paths;
@@ -51,8 +47,6 @@ struct EngineMetrics {
   obs::Counter& tr_breakpoint_hits;
   obs::Counter& tr_checkpoints;
   obs::Counter& tr_resumes;
-  obs::Counter& tr_lu_ns;       // time inside LU factor+solve (transient)
-  obs::Counter& dc_lu_ns;
   // Solver-layer counters, fed with per-run deltas of the backend's
   // SolverStats (the backend outlives runs via the circuit cache).
   obs::Counter& sv_factorizations;
@@ -85,8 +79,6 @@ struct EngineMetrics {
           r.counter("spice.transient.breakpoint_hits"),
           r.counter("spice.transient.checkpoints"),
           r.counter("spice.transient.resumes"),
-          r.counter("spice.transient.lu_ns"),
-          r.counter("spice.dc.lu_ns"),
           r.counter("spice.solver.factorizations"),
           r.counter("spice.solver.refactorizations"),
           r.counter("spice.solver.factor_skips"),
@@ -144,9 +136,6 @@ NewtonOutcome newton_solve(Circuit& circuit, linalg::LinearSolver& solver,
       }
     }
 
-    std::chrono::steady_clock::time_point lu_start;
-    if constexpr (obs::kEnabled) lu_start = std::chrono::steady_clock::now();
-    bool singular = false;
     try {
       {
         PROF_ZONE("spice.lu_factor");
@@ -158,15 +147,8 @@ NewtonOutcome newton_solve(Circuit& circuit, linalg::LinearSolver& solver,
         solver.solve_in_place(x_new);
       }
     } catch (const linalg::SingularMatrixError&) {
-      singular = true;
+      break;  // not converged
     }
-    if constexpr (obs::kEnabled) {
-      outcome.lu_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - lu_start)
-              .count());
-    }
-    if (singular) break;  // not converged
 
     // Convergence check on the update.
     bool converged = true;
@@ -228,18 +210,6 @@ void reset_devices_for_point(Circuit& circuit, double time, double dt) {
 
 }  // namespace
 
-void set_default_solver_kind(linalg::SolverKind kind) {
-  g_default_solver_kind.store(kind, std::memory_order_relaxed);
-}
-
-linalg::SolverKind default_solver_kind() {
-  return g_default_solver_kind.load(std::memory_order_relaxed);
-}
-
-linalg::SolverKind effective_solver_kind(linalg::SolverKind from_options) {
-  return from_options != linalg::SolverKind::kAuto ? from_options : default_solver_kind();
-}
-
 DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
   if (options.validate) {
     LintOptions lint_opts;
@@ -248,20 +218,17 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
   }
   circuit.finalize();
   const std::size_t n = circuit.num_unknowns();
-  linalg::LinearSolver& solver =
-      circuit.acquire_solver(effective_solver_kind(options.solver));
+  linalg::LinearSolver& solver = circuit.acquire_solver();
   const linalg::SolverStats solver_before = solver.stats();
   DcResult result;
   result.x.assign(n, 0.0);
 
   obs::Span span("solve_dc", "spice");
-  std::uint64_t lu_ns = 0;
   const auto finish = [&](DcResult&& done) {
     if constexpr (obs::kEnabled) {
       auto& m = EngineMetrics::get();
       m.dc_solves.add();
       m.dc_newton_iterations.add(static_cast<std::uint64_t>(done.total_iterations));
-      m.dc_lu_ns.add(lu_ns);
       if (!done.converged) m.dc_failures.add();
       add_solver_metrics(solver_before, solver.stats());
       span.arg("strategy", done.converged ? done.strategy : "failed");
@@ -278,7 +245,6 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
     const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
                                       /*dc=*/true, options.newton, 1.0, 0.0);
     result.total_iterations += outcome.iterations;
-    lu_ns += outcome.lu_ns;
     if (outcome.converged) {
       result.x = std::move(x);
       result.converged = true;
@@ -297,7 +263,6 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
       const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
                                         true, options.newton, 1.0, g);
       result.total_iterations += outcome.iterations;
-      lu_ns += outcome.lu_ns;
       if (!outcome.converged) {
         ladder_ok = false;
         break;
@@ -308,7 +273,6 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
       const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
                                         true, options.newton, 1.0, 0.0);
       result.total_iterations += outcome.iterations;
-      lu_ns += outcome.lu_ns;
       if (outcome.converged) {
         result.x = std::move(x);
         result.converged = true;
@@ -328,7 +292,6 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
       const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
                                         true, options.newton, std::min(scale, 1.0), 0.0);
       result.total_iterations += outcome.iterations;
-      lu_ns += outcome.lu_ns;
       if (!outcome.converged) {
         ladder_ok = false;
         break;
@@ -376,14 +339,12 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
   TransientStats run;
   const auto wall_start = std::chrono::steady_clock::now();
   obs::Span span("run_transient", "spice");
-  std::uint64_t lu_ns = 0;
   // Folds the per-run tallies into the caller's stats and the metrics
   // registry on every exit path, including the throwing ones.
   struct Finalize {
     TransientStats& run;
     TransientStats* out;
     std::chrono::steady_clock::time_point start;
-    std::uint64_t& lu_ns;
     obs::Span& span;
     // Set once the circuit's solver is acquired (after validation).
     const linalg::LinearSolver* solver = nullptr;
@@ -414,7 +375,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         m.tr_factorizations.add(run.factorizations);
         m.tr_solves.add(run.solves);
         m.tr_breakpoint_hits.add(run.breakpoint_hits);
-        m.tr_lu_ns.add(lu_ns);
         if (run.wall_seconds > 0.0) {
           m.tr_last_steps_per_sec.set(static_cast<double>(run.accepted_steps) /
                                       run.wall_seconds);
@@ -428,11 +388,10 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         span.arg("newton_iterations", std::to_string(run.newton_iterations));
       }
     }
-  } finalize{run, stats, wall_start, lu_ns, span};
+  } finalize{run, stats, wall_start, span};
   circuit.finalize();
   const std::size_t n = circuit.num_unknowns();
-  linalg::LinearSolver& solver =
-      circuit.acquire_solver(effective_solver_kind(options.solver));
+  linalg::LinearSolver& solver = circuit.acquire_solver();
   finalize.solver = &solver;
   finalize.solver_before = solver.stats();
   const double dt_min =
@@ -461,10 +420,9 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     DcOptions dc_opts;
     dc_opts.newton = options.newton;
     dc_opts.validate = false;  // validated above (with dc_context) already
-    dc_opts.solver = options.solver;
     const DcResult dc = solve_dc(circuit, dc_opts);
     if (!dc.converged) {
-      throw std::runtime_error("run_transient: DC operating point failed to converge");
+      throw ConvergenceError("run_transient: DC operating point failed to converge");
     }
     x = dc.x;
     circuit.finalize();  // re-run setup in case solve_dc's finalize reordered branches
@@ -555,7 +513,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
 
   while (t < options.t_stop - 1e-15 * options.t_stop) {
     if (run.accepted_steps + run.rejected_steps > kMaxSteps) {
-      throw std::runtime_error("run_transient: step-count safety limit exceeded");
+      throw ConvergenceError("run_transient: step-count safety limit exceeded");
     }
     // Advance the breakpoint cursor past points at/behind t. The slack
     // tolerates accumulated summation error in t relative to the exact
@@ -592,7 +550,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     run.solves += static_cast<std::size_t>(outcome.solves);
     run.max_newton_iterations =
         std::max(run.max_newton_iterations, static_cast<std::size_t>(outcome.iterations));
-    lu_ns += outcome.lu_ns;
     if (newton_hist != nullptr) {
       newton_hist->observe(static_cast<double>(outcome.iterations));
     }
@@ -602,7 +559,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       success_streak = 0;
       dt = dt_step / 2.0;
       if (dt < dt_min) {
-        throw std::runtime_error("run_transient: Newton failed below minimum step at t=" +
+        throw ConvergenceError("run_transient: Newton failed below minimum step at t=" +
                                  std::to_string(t_next));
       }
       continue;

@@ -8,25 +8,22 @@
 // step halving/recovery when Newton fails to converge.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/linalg/matrix.hpp"
-#include "src/linalg/solver.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/trace.hpp"
 
 namespace ironic::spice {
 
-// Process-wide default linear-solver backend, consulted when per-analysis
-// options leave `solver` at kAuto. Lets CLI layers (sweep_runner and
-// fault_runner's --solver flag) steer every solve in the process without
-// threading a kind through each config struct. Defaults to kAuto (size
-// heuristic, see linalg::resolve_solver_kind).
-void set_default_solver_kind(linalg::SolverKind kind);
-linalg::SolverKind default_solver_kind();
-// options-level kind if explicit, else the process default.
-linalg::SolverKind effective_solver_kind(linalg::SolverKind from_options);
+// An analysis gave up without a solution: the DC operating point behind
+// a transient or AC run failed to converge, Newton failed below the
+// minimum transient step, or the step-count safety limit was hit.
+struct ConvergenceError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 struct NewtonOptions {
   int max_iterations = 150;
@@ -42,9 +39,6 @@ struct DcOptions {
   NewtonOptions newton;
   bool gmin_stepping = true;
   bool source_stepping = true;
-  // Linear-solver backend; kAuto defers to the process default, then the
-  // size heuristic.
-  linalg::SolverKind solver = linalg::SolverKind::kAuto;
   // Run the netlist linter (see src/spice/lint.hpp) before solving and
   // throw CircuitValidationError on error diagnostics, so misconfigured
   // circuits fail with a named rule instead of a Newton non-convergence.
@@ -109,8 +103,6 @@ struct TransientOptions {
   // amps). dt never exceeds dt_max, so breakpoint snapping still works.
   bool adaptive = false;
   double lte_tol = 1e-3;
-  // Linear-solver backend, as in DcOptions::solver.
-  linalg::SolverKind solver = linalg::SolverKind::kAuto;
   // Pre-run static validation, as in DcOptions::validate (transient
   // context: DC-only hazards like inductor loops stay warnings).
   bool validate = true;
@@ -146,7 +138,7 @@ struct TransientStats {
   double wall_seconds = 0.0;            // wall time of the whole run
 };
 
-// Run a transient analysis. Throws std::runtime_error if the step size
+// Run a transient analysis. Throws ConvergenceError if the step size
 // underflows dt_min without convergence.
 TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
                               TransientStats* stats = nullptr);

@@ -157,11 +157,17 @@ TEST(FaultPlan, CampaignRejectedWhenEventsOutliveRun) {
   config.name = "ask_burst_coupling_drop";
   config.exchanges = 2;  // horizon 0.5 s < the 1.3 s coupling drop
   EXPECT_THROW(run_campaign(config), std::invalid_argument);
+  // The horizon follows the link's cadence: five inductive exchanges run
+  // 1.25 s and still miss the drop, five ME exchanges run 2.5 s.
+  config.exchanges = 5;
+  EXPECT_THROW(run_campaign(config), std::invalid_argument);
+  config.link = "me";
+  config.scenarios = 1;
+  EXPECT_NO_THROW(run_campaign(config));
 }
 
-// Hints on vs off must be invisible to the campaign fingerprint: the
-// static solver choice agrees with the engine's own auto pick on the
-// ~12-unknown plant, and the dt hint only fills options left at auto.
+// Hints on vs off must be invisible to the campaign fingerprint: the dt
+// hint only fills a dt_max left at auto, and the plant sets its own.
 TEST(FaultPlan, AnalysisHintsPreserveFingerprint) {
   CampaignConfig config;
   config.name = "ask_burst_coupling_drop";

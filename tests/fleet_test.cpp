@@ -29,6 +29,8 @@
 #include "src/fleet/fleet.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
+#include "src/linalg/solver.hpp"
+#include "src/spice/engine.hpp"
 
 namespace {
 
@@ -399,18 +401,36 @@ std::size_t doomed_count(const fleet::FleetConfig& config) {
 
 TEST(FleetSupervisor, ClassifiesKnownFailureMessages) {
   using fleet::FailureCode;
-  EXPECT_EQ(fleet::classify_failure(std::runtime_error(
-                "linalg: matrix is singular at row 3")),
-            FailureCode::kSolverSingular);
-  EXPECT_EQ(fleet::classify_failure(std::runtime_error(
+  // The solver's own singular-pivot error, with its own text.
+  const auto solver = linalg::make_solver(2);
+  solver->begin_assembly();
+  solver->add(0, 0, 1.0);
+  solver->add(0, 1, 1.0);
+  solver->add(1, 0, 0.0);
+  solver->add(1, 1, 0.0);
+  try {
+    solver->factor();
+    FAIL() << "singular matrix factored";
+  } catch (const linalg::SingularMatrixError& error) {
+    EXPECT_EQ(fleet::classify_failure(error), FailureCode::kSolverSingular)
+        << error.what();
+  }
+  EXPECT_EQ(fleet::classify_failure(spice::ConvergenceError(
                 "run_transient: DC operating point failed to converge")),
             FailureCode::kNewtonNonconverge);
+  EXPECT_EQ(fleet::classify_failure(spice::ConvergenceError(
+                "run_transient: step-count safety limit exceeded")),
+            FailureCode::kNewtonNonconverge);
+  // Classification is by type: the message text is never consulted.
+  EXPECT_EQ(fleet::classify_failure(std::runtime_error(
+                "linalg: matrix is singular at row 3")),
+            FailureCode::kUnknown);
   EXPECT_EQ(fleet::classify_failure(std::runtime_error(
                 "run_transient: Newton failed below minimum step")),
-            FailureCode::kNewtonNonconverge);
+            FailureCode::kUnknown);
   EXPECT_EQ(fleet::classify_failure(
                 std::runtime_error("transactor: retry budget exhausted")),
-            FailureCode::kCommsExhausted);
+            FailureCode::kUnknown);
   EXPECT_EQ(fleet::classify_failure(std::invalid_argument("bad spec")),
             FailureCode::kValidation);
   EXPECT_EQ(fleet::classify_failure(exec::TaskCancelled()),

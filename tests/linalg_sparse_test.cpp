@@ -1,7 +1,8 @@
-// Unit tests for the sparse MNA backend (src/linalg/sparse.hpp): dense
-// parity on random systems, slot-cache behaviour under pattern growth and
-// stamp reordering, the factor-skip / refactorization ladder, and the
-// NaN-aware singular diagnostics shared with the dense backend.
+// Unit tests for the sparse MNA backend (src/linalg/sparse.hpp): parity
+// with the dense reference LU (LuFactorization, solve_complex) on random
+// systems, slot-cache behaviour under pattern growth and stamp
+// reordering, the factor-skip / refactorization ladder, and the NaN-aware
+// singular diagnostics shared with the reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +11,8 @@
 #include <random>
 #include <vector>
 
+#include "src/linalg/complex_matrix.hpp"
 #include "src/linalg/lu.hpp"
-#include "src/linalg/solver.hpp"
 #include "src/linalg/sparse.hpp"
 
 using namespace ironic::linalg;
@@ -56,6 +57,21 @@ std::vector<double> solve_with(LinearSolver& s, const std::vector<Entry>& entrie
   return x;
 }
 
+// The same triplets summed into a dense matrix for the reference LU.
+Matrix dense_matrix(std::size_t n, const std::vector<Entry>& entries) {
+  Matrix a(n, n);
+  for (const auto& e : entries) {
+    a(static_cast<std::size_t>(e.row), static_cast<std::size_t>(e.col)) += e.value;
+  }
+  return a;
+}
+
+// Reference solution from the dense partial-pivot LU.
+std::vector<double> reference_solve(std::size_t n, const std::vector<Entry>& entries,
+                                    const std::vector<double>& rhs) {
+  return LuFactorization(dense_matrix(n, entries)).solve(rhs);
+}
+
 }  // namespace
 
 TEST(SparseSolver, MatchesDenseOnRandomSystems) {
@@ -64,10 +80,9 @@ TEST(SparseSolver, MatchesDenseOnRandomSystems) {
       const auto entries = random_system(n, seed);
       std::vector<double> rhs(n);
       for (std::size_t i = 0; i < n; ++i) rhs[i] = std::sin(1.0 + double(i));
-      auto dense = make_solver(SolverKind::kDense, n);
-      auto sparse = make_solver(SolverKind::kSparse, n);
-      const auto xd = solve_with(*dense, entries, rhs);
-      const auto xs = solve_with(*sparse, entries, rhs);
+      SparseSolver<double> sparse(n);
+      const auto xd = reference_solve(n, entries, rhs);
+      const auto xs = solve_with(sparse, entries, rhs);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(xs[i], xd[i], 1e-9 * (1.0 + std::abs(xd[i])))
             << "n=" << n << " seed=" << seed << " i=" << i;
@@ -103,31 +118,39 @@ TEST(SparseSolver, AddRejectsOutOfRangeIndices) {
 }
 
 TEST(SparseSolver, SingularMatrixDiagnosticsMatchDense) {
-  // Structurally present but numerically empty column: both backends must
-  // throw SingularMatrixError with the same diagnostic wording.
+  // Structurally present but numerically empty column: the sparse backend
+  // and the dense reference must throw SingularMatrixError with the same
+  // diagnostic wording.
   const std::vector<Entry> singular{{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 0.0}, {1, 1, 0.0}};
-  for (const SolverKind kind : {SolverKind::kDense, SolverKind::kSparse}) {
-    auto s = make_solver(kind, 2);
-    assemble(*s, singular);
-    try {
-      s->factor();
-      FAIL() << solver_kind_name(kind) << " backend accepted a singular matrix";
-    } catch (const SingularMatrixError& err) {
-      EXPECT_NE(std::string(err.what()).find("below tolerance"), std::string::npos)
-          << err.what();
-      EXPECT_NE(std::string(err.what()).find("floating node"), std::string::npos)
-          << err.what();
-    }
+  const auto expect_diagnostic = [](const SingularMatrixError& err) {
+    EXPECT_NE(std::string(err.what()).find("below tolerance"), std::string::npos)
+        << err.what();
+    EXPECT_NE(std::string(err.what()).find("floating node"), std::string::npos)
+        << err.what();
+  };
+  auto s = make_solver(2);
+  assemble(*s, singular);
+  try {
+    s->factor();
+    FAIL() << "sparse backend accepted a singular matrix";
+  } catch (const SingularMatrixError& err) {
+    expect_diagnostic(err);
+  }
+  try {
+    LuFactorization reference(dense_matrix(2, singular));
+    FAIL() << "reference LU accepted a singular matrix";
+  } catch (const SingularMatrixError& err) {
+    expect_diagnostic(err);
   }
 }
 
 TEST(SparseSolver, NaNPoisonedAssemblyIsRejectedNotPropagated) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const SolverKind kind : {SolverKind::kDense, SolverKind::kSparse}) {
-    auto s = make_solver(kind, 2);
-    assemble(*s, {{0, 0, nan}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}});
-    EXPECT_THROW(s->factor(), SingularMatrixError) << solver_kind_name(kind);
-  }
+  const std::vector<Entry> poisoned{{0, 0, nan}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
+  auto s = make_solver(2);
+  assemble(*s, poisoned);
+  EXPECT_THROW(s->factor(), SingularMatrixError);
+  EXPECT_THROW(LuFactorization(dense_matrix(2, poisoned)), SingularMatrixError);
 }
 
 TEST(SparseSolver, NaNDefeatsTheFactorSkipAndTheRefactorPath) {
@@ -150,7 +173,7 @@ TEST(SparseSolver, NaNDefeatsTheFactorSkipAndTheRefactorPath) {
 TEST(SparseSolver, OverflowEntriesGrowThePatternOnce) {
   // DC-then-transient shape: the first assembly misses the capacitor
   // coupling entries, the second introduces them. The pattern must grow
-  // exactly once and the grown system must still match dense.
+  // exactly once and the grown system must still match the reference.
   const std::size_t n = 4;
   std::vector<Entry> dc;
   for (int i = 0; i < 4; ++i) dc.push_back({i, i, 2.0});
@@ -164,8 +187,7 @@ TEST(SparseSolver, OverflowEntriesGrowThePatternOnce) {
   std::vector<Entry> tran = dc;
   tran.push_back({0, 1, -0.5});
   tran.push_back({1, 0, -0.5});
-  auto dense = make_solver(SolverKind::kDense, n);
-  const auto xd = solve_with(*dense, tran, rhs);
+  const auto xd = reference_solve(n, tran, rhs);
   const auto xs = solve_with(s, tran, rhs);
   EXPECT_EQ(s.stats().pattern_builds, 2u);
   EXPECT_EQ(s.pattern_nnz(), 6u);
@@ -241,9 +263,8 @@ TEST(SparseSolver, FactorLadderSkipsRefactorsAndRepivots) {
   // factorization that still solves correctly.
   const std::vector<Entry> flipped{
       {0, 0, 1e-9}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1e-9}};
-  auto dense = make_solver(SolverKind::kDense, 2);
   const std::vector<double> rhs{1.0, 2.0};
-  const auto xd = solve_with(*dense, flipped, rhs);
+  const auto xd = reference_solve(2, flipped, rhs);
   const auto xs = solve_with(s, flipped, rhs);
   EXPECT_EQ(s.stats().factorizations, 3u);
   EXPECT_EQ(s.stats().refactorizations, 1u);  // unchanged: fallback path
@@ -286,7 +307,8 @@ TEST(SparseSolver, DiagonalRatioReportsConditioning) {
 
 TEST(SparseSolver, BandedSystemFillStaysLinear) {
   // 200-unknown tridiagonal ladder: the factorization must stay O(n) in
-  // stored entries (the point of the sparse backend) and match dense.
+  // stored entries (the point of the sparse backend) and match the dense
+  // reference.
   const std::size_t n = 200;
   std::vector<Entry> entries;
   for (int i = 0; i < static_cast<int>(n); ++i) {
@@ -298,63 +320,36 @@ TEST(SparseSolver, BandedSystemFillStaysLinear) {
   }
   std::vector<double> rhs(n);
   for (std::size_t i = 0; i < n; ++i) rhs[i] = std::cos(double(i));
-  auto dense = make_solver(SolverKind::kDense, n);
-  const auto xd = solve_with(*dense, entries, rhs);
+  const auto xd = reference_solve(n, entries, rhs);
   SparseSolver<double> s(n);
   const auto xs = solve_with(s, entries, rhs);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-10);
   EXPECT_LT(s.stats().factor_nnz, 10 * n) << "tridiagonal factor filled in";
-  EXPECT_LT(s.stats().factor_nnz, dense->stats().factor_nnz);
 }
 
 TEST(SparseSolver, ComplexBackendMatchesComplexDense) {
   const std::size_t n = 12;
-  auto dense = make_complex_solver(SolverKind::kDense, n);
-  auto sparse = make_complex_solver(SolverKind::kSparse, n);
-  for (auto* s : {dense.get(), sparse.get()}) s->begin_assembly();
-  std::mt19937 rng_d(3), rng_s(3);
-  auto stamp = [&](ComplexLinearSolver& s, std::mt19937& r) {
-    std::uniform_real_distribution<double> v(-1.0, 1.0);
-    for (int i = 0; i < static_cast<int>(n); ++i) {
-      s.add(i, i, {5.0 + v(r), v(r)});
-      s.add(i, (i + 3) % static_cast<int>(n), {v(r), v(r)});
-      s.add((i + 5) % static_cast<int>(n), i, {v(r), v(r)});
-    }
+  auto sparse = make_complex_solver(n);
+  sparse->begin_assembly();
+  CMatrix dense(n, n);
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> v(-1.0, 1.0);
+  const auto add = [&](int r, int c, Complex value) {
+    sparse->add(r, c, value);
+    dense(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += value;
   };
-  stamp(*dense, rng_d);
-  stamp(*sparse, rng_s);
-  dense->factor();
-  sparse->factor();
-  std::vector<Complex> bd(n), bs(n);
-  for (std::size_t i = 0; i < n; ++i) bd[i] = bs[i] = Complex{1.0, double(i)};
-  dense->solve_in_place(bd);
-  sparse->solve_in_place(bs);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(bs[i].real(), bd[i].real(), 1e-9);
-    EXPECT_NEAR(bs[i].imag(), bd[i].imag(), 1e-9);
+  for (int i = 0; i < static_cast<int>(n); ++i) {
+    add(i, i, {5.0 + v(rng), v(rng)});
+    add(i, (i + 3) % static_cast<int>(n), {v(rng), v(rng)});
+    add((i + 5) % static_cast<int>(n), i, {v(rng), v(rng)});
   }
-}
-
-TEST(SparseSolver, KindParsingAndAutoResolution) {
-  SolverKind k = SolverKind::kAuto;
-  EXPECT_TRUE(parse_solver_kind("dense", k));
-  EXPECT_EQ(k, SolverKind::kDense);
-  EXPECT_TRUE(parse_solver_kind("sparse", k));
-  EXPECT_EQ(k, SolverKind::kSparse);
-  EXPECT_TRUE(parse_solver_kind("auto", k));
-  EXPECT_EQ(k, SolverKind::kAuto);
-  EXPECT_FALSE(parse_solver_kind("cholesky", k));
-  EXPECT_EQ(k, SolverKind::kAuto);
-
-  EXPECT_EQ(resolve_solver_kind(SolverKind::kAuto, kSparseAutoThreshold - 1),
-            SolverKind::kDense);
-  EXPECT_EQ(resolve_solver_kind(SolverKind::kAuto, kSparseAutoThreshold),
-            SolverKind::kSparse);
-  EXPECT_EQ(resolve_solver_kind(SolverKind::kDense, 1000), SolverKind::kDense);
-  EXPECT_EQ(resolve_solver_kind(SolverKind::kSparse, 2), SolverKind::kSparse);
-
-  EXPECT_STREQ(solver_kind_name(SolverKind::kAuto), "auto");
-  EXPECT_STREQ(make_solver(SolverKind::kAuto, 4)->name(), "dense");
-  EXPECT_STREQ(make_solver(SolverKind::kAuto, 64)->name(), "sparse");
-  EXPECT_STREQ(make_complex_solver(SolverKind::kSparse, 4)->name(), "sparse");
+  sparse->factor();
+  std::vector<Complex> b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = Complex{1.0, double(i)};
+  const CVector bd = solve_complex(dense, b);
+  sparse->solve_in_place(b);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(b[i].real(), bd[i].real(), 1e-9);
+    EXPECT_NEAR(b[i].imag(), bd[i].imag(), 1e-9);
+  }
 }

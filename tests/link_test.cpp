@@ -245,10 +245,11 @@ TEST(LinkBudget, DefaultIsTheInductiveBackend) {
   fault::LinkBudget named("inductive");
   EXPECT_STREQ(def.phy->name(), "inductive");
   EXPECT_DOUBLE_EQ(def.p_nominal, named.p_nominal);
-  EXPECT_DOUBLE_EQ(def.nominal().rate_bps, fault::kNominalRate);
-  EXPECT_DOUBLE_EQ(def.nominal().cadence_s, fault::kCadence);
-  EXPECT_DOUBLE_EQ(def.nominal().drive_v, fault::kNominalDrive);
-  EXPECT_DOUBLE_EQ(def.nominal().load_ohms, fault::kLoadOhms);
+  EXPECT_DOUBLE_EQ(def.nominal().rate_bps, link::kInductiveNominal.rate_bps);
+  EXPECT_DOUBLE_EQ(def.nominal().cadence_s, link::kInductiveNominal.cadence_s);
+  EXPECT_DOUBLE_EQ(def.nominal().drive_v, link::kInductiveNominal.drive_v);
+  EXPECT_DOUBLE_EQ(def.nominal().load_ohms, link::kInductiveNominal.load_ohms);
+  EXPECT_DOUBLE_EQ(def.nominal().carrier_hz, link::kInductiveNominal.carrier_hz);
 }
 
 TEST(LinkBudget, PowerMemoIsBitExactAndCountsHits) {
@@ -303,18 +304,6 @@ TEST(LinkBudget, PowerMemoIsBitExactAndCountsHits) {
 
 TEST(LinkBudget, UnknownBackendThrows) {
   EXPECT_THROW(fault::LinkBudget bogus("bogus"), std::invalid_argument);
-}
-
-TEST(LinkBudget, DeprecatedFreeBerMatchesBackendOne) {
-  link::InductiveAskLsk phy;
-  const double p_nominal = phy.nominal_power();
-  const double sensitivity = p_nominal / 8.0;
-  for (const double power : {0.2 * p_nominal, 0.6 * p_nominal, p_nominal}) {
-    for (const double rate : {100e3, 50e3, 12.5e3}) {
-      EXPECT_DOUBLE_EQ(fault::bit_error_rate_for(power, sensitivity, rate),
-                       phy.bit_error_rate(power, sensitivity, rate));
-    }
-  }
 }
 
 }  // namespace

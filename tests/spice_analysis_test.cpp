@@ -4,16 +4,13 @@
 //   - the symbolic fill prediction matches SparseSolver's runtime
 //     stats().factor_nnz EXACTLY on every shipped example netlist
 //     (same merge, same column order, same pivot rule)
-//   - the cost-model dense/sparse choice agrees with the measured
-//     crossover: every small example stays dense, the 122-unknown
-//     tissue ladder goes sparse
 //   - the dt recommendation never exceeds the smallest stimulus
 //     breakpoint interval, over the shipped + broken corpus
 //   - the static envelope always contains the actual DC operating
 //     point wherever solve_dc converges
 //   - run_transient validates once (the internal DC solve must not
-//     re-lint), and the engine honors the solver/dt hints only where
-//     the caller left the options at auto.
+//     re-lint), and the engine honors the dt hint only where the caller
+//     left dt_max at auto.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -77,33 +74,11 @@ TEST(Analysis, PredictedFillMatchesSparseRuntimeExactly) {
     ASSERT_GT(report.sparsity.unknowns, 0u);
     EXPECT_FALSE(report.sparsity.prediction.singular);
 
-    DcOptions options;
-    options.solver = linalg::SolverKind::kSparse;
-    const auto dc = solve_dc(circuit, options);
+    const auto dc = solve_dc(circuit);
     ASSERT_TRUE(dc.converged);
-    const auto& stats =
-        circuit.acquire_solver(linalg::SolverKind::kSparse).stats();
+    const auto& stats = circuit.acquire_solver().stats();
     EXPECT_EQ(report.sparsity.prediction.factor_nnz, stats.factor_nnz);
     EXPECT_EQ(report.sparsity.prediction.pattern_nnz, stats.nnz);
-  }
-}
-
-// The static choice must agree with the measured crossover on this
-// corpus: everything under the historical 32-unknown threshold is
-// faster dense; the tissue ladder (122 unknowns) is faster sparse.
-TEST(Analysis, SolverChoiceMatchesMeasuredCrossover) {
-  for (const auto& path : netlists_in("examples/netlists")) {
-    SCOPED_TRACE(path.filename().string());
-    Circuit circuit;
-    parse_netlist(circuit, read_file(path));
-    const auto report = analysis::analyze(circuit);
-    if (path.filename() == "tissue_ladder.cir") {
-      EXPECT_EQ(report.sparsity.unknowns, 122u);
-      EXPECT_STREQ(report.sparsity.choice(), "sparse");
-    } else {
-      EXPECT_LT(report.sparsity.unknowns, 32u);
-      EXPECT_STREQ(report.sparsity.choice(), "dense");
-    }
   }
 }
 
@@ -208,12 +183,6 @@ TEST(Analysis, ApplyHintsInstallsSolverAndDtRecommendations) {
   const auto& report = manager.apply_hints(circuit);
   ASSERT_GT(report.timescale.dt_recommend, 0.0);
   EXPECT_EQ(circuit.dt_hint(), report.timescale.dt_recommend);
-  EXPECT_EQ(circuit.solver_hint(), report.sparsity.cost.recommendation);
-  // kAuto now resolves to the recommendation; explicit kinds still win.
-  EXPECT_EQ(circuit.acquire_solver(linalg::SolverKind::kAuto).kind(),
-            report.sparsity.cost.recommendation);
-  EXPECT_EQ(circuit.acquire_solver(linalg::SolverKind::kSparse).kind(),
-            linalg::SolverKind::kSparse);
 }
 
 // The engine's dt_max=0 default defers to the circuit's hint; an
@@ -337,9 +306,9 @@ TEST(Analysis, JsonReportCarriesSchema) {
   const std::string json = report.to_json();
   for (const char* key :
        {"\"unknowns\"", "\"envelope\"", "\"sparsity\"", "\"factor_nnz\"",
-        "\"solver_choice\"", "\"timescale\"", "\"dt_recommend\"",
-        "\"passes\"", "\"lint\"", "\"diagnostics\""}) {
+        "\"timescale\"", "\"dt_recommend\"", "\"passes\"", "\"lint\"",
+        "\"diagnostics\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
-  EXPECT_NE(json.find("\"solver_choice\": \"sparse\""), std::string::npos);
+  EXPECT_NE(json.find("\"unknowns\": 122"), std::string::npos);
 }

@@ -1,12 +1,9 @@
-// Backend-equivalence sweep (DESIGN.md §11): every shipped example
-// netlist must produce the same DC operating point and the same transient
-// waveforms under the dense and sparse linear-solver backends, and the
-// sparse backend's caching ladder (pattern reuse, numeric-only
-// refactorization, bit-identical factor skip) must actually engage on
-// engine-shaped workloads.
+// The sparse backend on engine-shaped workloads (DESIGN.md §11): its
+// caching ladder (pattern reuse, numeric-only refactorization,
+// bit-identical factor skip) must actually engage on real transient and
+// AC runs, and a checkpoint-resumed run must stay bit-exact.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -35,115 +32,18 @@ std::string read_file(const std::filesystem::path& p) {
   return os.str();
 }
 
-std::vector<std::filesystem::path> example_netlists() {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry :
-       std::filesystem::directory_iterator(kSourceDir / "examples" / "netlists")) {
-    if (entry.path().extension() == ".cir") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-// Uniform comparison grid inside [t0, t1].
-std::vector<double> grid(double t0, double t1, std::size_t points) {
-  std::vector<double> t(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    t[i] = t0 + (t1 - t0) * static_cast<double>(i) / static_cast<double>(points - 1);
-  }
-  return t;
-}
-
-// Waveform agreement: at least 98% of samples within atol + rtol * range.
-// The slack fraction absorbs single-sample jitter where a comparator or
-// switch crosses its threshold a rounding error apart between backends;
-// a wrong factorization diverges everywhere, not at isolated edges.
-void expect_signals_close(const TransientResult& a, const TransientResult& b,
-                          const std::vector<double>& times,
-                          const std::string& context) {
-  ASSERT_EQ(a.names().size(), b.names().size()) << context;
-  for (const auto& name : a.names()) {
-    ASSERT_TRUE(b.has_signal(name)) << context << " signal " << name;
-    const auto sa = a.sample(name, times);
-    const auto sb = b.sample(name, times);
-    const auto [lo, hi] = std::minmax_element(sa.begin(), sa.end());
-    const double range = *hi - *lo;
-    const double tol = 1e-6 + 2e-2 * range;
-    std::size_t bad = 0;
-    double worst = 0.0;
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      const double err = std::abs(sa[i] - sb[i]);
-      worst = std::max(worst, err);
-      if (err > tol) ++bad;
-    }
-    EXPECT_LE(bad, times.size() / 50)
-        << context << " signal " << name << ": " << bad << "/" << times.size()
-        << " samples beyond tol " << tol << " (worst " << worst << ")";
-  }
-}
-
 }  // namespace
 
-TEST(SolverEquiv, DcOperatingPointsAgreeOnEveryExampleNetlist) {
-  const auto files = example_netlists();
-  ASSERT_GE(files.size(), 7u);
-  for (const auto& file : files) {
-    Circuit dense_ckt, sparse_ckt;
-    const std::string text = read_file(file);
-    ASSERT_NO_THROW(parse_netlist(dense_ckt, text)) << file;
-    parse_netlist(sparse_ckt, text);
-
-    DcOptions dense_opts, sparse_opts;
-    dense_opts.solver = ironic::linalg::SolverKind::kDense;
-    sparse_opts.solver = ironic::linalg::SolverKind::kSparse;
-    const DcResult xd = solve_dc(dense_ckt, dense_opts);
-    const DcResult xs = solve_dc(sparse_ckt, sparse_opts);
-    ASSERT_TRUE(xd.converged) << file;
-    ASSERT_TRUE(xs.converged) << file;
-    ASSERT_EQ(xd.x.size(), xs.x.size()) << file;
-    for (std::size_t i = 0; i < xd.x.size(); ++i) {
-      EXPECT_NEAR(xs.x[i], xd.x[i], 1e-3 * (1.0 + std::abs(xd.x[i])))
-          << file << " unknown " << i;
-    }
-  }
-}
-
-TEST(SolverEquiv, TransientWaveformsAgreeOnEveryExampleNetlist) {
-  for (const auto& file : example_netlists()) {
-    const std::string text = read_file(file);
-    TransientOptions opts;
-    opts.t_stop = 1.5e-6;
-    opts.dt_max = 2e-9;
-    opts.record_every = 4;
-
-    TransientResult results[2];
-    const ironic::linalg::SolverKind kinds[2] = {
-        ironic::linalg::SolverKind::kDense, ironic::linalg::SolverKind::kSparse};
-    for (int k = 0; k < 2; ++k) {
-      Circuit ckt;
-      parse_netlist(ckt, text);
-      TransientOptions o = opts;
-      o.solver = kinds[k];
-      ASSERT_NO_THROW(results[k] = run_transient(ckt, o)) << file;
-      ASSERT_GT(results[k].num_points(), 10u) << file;
-    }
-    expect_signals_close(results[0], results[1], grid(0.0, 1.4e-6, 200),
-                         file.filename().string());
-  }
-}
-
 TEST(SolverEquiv, TissueLadderAutoSelectsSparseAndCachesFactorizations) {
-  // The 60-segment Fricke ladder is the largest shipped netlist: well
-  // past kSparseAutoThreshold, so kAuto must resolve to the sparse
-  // backend — and the circuit is linear, so the bit-identical factor skip
-  // must make numeric factorizations lag triangular solves.
+  // The 60-segment Fricke ladder is the largest shipped netlist. The
+  // circuit is linear, so the bit-identical factor skip must make
+  // numeric factorizations lag triangular solves.
   Circuit ckt;
   parse_netlist(ckt, read_file(kSourceDir / "examples" / "netlists" /
                                "tissue_ladder.cir"));
   ckt.finalize();
   ASSERT_GE(ckt.num_unknowns(), 100u);
-  auto& solver = ckt.acquire_solver(ironic::linalg::SolverKind::kAuto);
-  EXPECT_STREQ(solver.name(), "sparse");
+  EXPECT_STREQ(ckt.acquire_solver().name(), "sparse");
 
   TransientOptions opts;
   opts.t_stop = 5e-6;
@@ -159,7 +59,7 @@ TEST(SolverEquiv, TissueLadderAutoSelectsSparseAndCachesFactorizations) {
 
   // The engine re-acquires the circuit-owned solver, so its lifetime
   // stats reflect the run: one pattern build, reuse ever after.
-  const auto& st = ckt.acquire_solver(ironic::linalg::SolverKind::kAuto).stats();
+  const auto& st = ckt.acquire_solver().stats();
   EXPECT_EQ(st.pattern_builds, 1u);
   EXPECT_GT(st.pattern_reuses, 0u);
   EXPECT_LT(st.factor_nnz, ckt.num_unknowns() * ckt.num_unknowns() / 10)
@@ -167,10 +67,10 @@ TEST(SolverEquiv, TissueLadderAutoSelectsSparseAndCachesFactorizations) {
 }
 
 TEST(SolverEquiv, AcSweepAgreesAndRefactorizesAcrossFrequencies) {
-  // 40-section RC ladder, built twice: the complex sparse backend must
-  // match complex dense across the sweep, and because the AC pattern is
-  // frequency-invariant every frequency after the first must be a
-  // numeric-only refactorization.
+  // 40-section RC ladder: the AC pattern is frequency-invariant, so
+  // every frequency after the first must be a numeric-only
+  // refactorization of the complex sparse backend. (spice_ac_test checks
+  // the AC physics.)
   const auto build = [](Circuit& ckt) {
     NodeId prev = ckt.node("in");
     auto& vs = ckt.add<VoltageSource>("V1", prev, kGround, Waveform::dc(0.0));
@@ -190,32 +90,21 @@ TEST(SolverEquiv, AcSweepAgreesAndRefactorizesAcrossFrequencies) {
   opts.points_per_decade = 5;
   opts.use_operating_point = false;
 
-  Circuit dense_ckt, sparse_ckt;
-  build(dense_ckt);
-  build(sparse_ckt);
-  AcOptions dense_opts = opts, sparse_opts = opts;
-  dense_opts.solver = ironic::linalg::SolverKind::kDense;
-  sparse_opts.solver = ironic::linalg::SolverKind::kSparse;
-  const AcResult rd = run_ac(dense_ckt, dense_opts);
-  const AcResult rs = run_ac(sparse_ckt, sparse_opts);
-  ASSERT_EQ(rd.num_points(), rs.num_points());
-  const auto md = rd.magnitude("v(n39)");
-  const auto ms = rs.magnitude("v(n39)");
-  for (std::size_t i = 0; i < md.size(); ++i) {
-    EXPECT_NEAR(ms[i], md[i], 1e-9 + 1e-6 * md[i]) << "frequency index " << i;
-  }
+  Circuit ckt;
+  build(ckt);
+  const AcResult rs = run_ac(ckt, opts);
+  ASSERT_GT(rs.num_points(), 1u);
 
-  const auto& st =
-      sparse_ckt.acquire_complex_solver(ironic::linalg::SolverKind::kSparse).stats();
+  const auto& st = ckt.acquire_complex_solver().stats();
   EXPECT_EQ(st.pattern_builds, 1u);
   EXPECT_EQ(st.factorizations, rs.num_points());
   EXPECT_EQ(st.refactorizations, rs.num_points() - 1);
 }
 
 TEST(SolverEquiv, CheckpointResumeIsBitExactUnderTheSparseBackend) {
-  // The checkpoint contract (DESIGN.md §10) is backend-independent: a
-  // resumed sparse run must reproduce the uninterrupted sparse run sample
-  // for sample, even though the resumed solver starts with a cold cache.
+  // The checkpoint contract (DESIGN.md §10): a resumed run must
+  // reproduce the uninterrupted run sample for sample, even though the
+  // resumed solver starts with a cold cache.
   // Power-of-two step and split: t accumulates k * 2^-28 s exactly, so
   // the uninterrupted run passes through the split time bit-exactly at
   // the same accepted-step ordinal the capturing run stops at (no
@@ -233,7 +122,6 @@ TEST(SolverEquiv, CheckpointResumeIsBitExactUnderTheSparseBackend) {
     o.t_stop = t_stop;
     o.dt_max = kDt;
     o.record_every = 3;  // decimation phase must survive the splice
-    o.solver = ironic::linalg::SolverKind::kSparse;
     return o;
   };
   const auto tail_rows = [](const TransientResult& res, double after) {

@@ -5,7 +5,7 @@
 #   1. release   Release-mode build with -Werror, full ctest suite
 #   2. sanitize  ASan+UBSan build (halt-on-error), full ctest suite
 #   3. tsan      ThreadSanitizer build, exec/sweep/rng/obs/fault subset
-#                plus the solver-backend suites (campaign workers solve
+#                plus the sparse-solver suites (campaign workers solve
 #                circuits concurrently; the rest of the numeric suite
 #                stays on ASan), the telemetry drainer / sharded-merge
 #                races (TelemetrySink, Profiler, MetricsShard) and the
@@ -15,18 +15,16 @@
 #                and the broken fixtures must FAIL
 #   6. analyze   netlist_analyze --strict over every shipped netlist
 #                (clean envelopes, fill prediction, dt planning), the
-#                static solver choice pinned against what the engine
-#                engages (tissue ladder -> sparse, small examples ->
-#                dense), the spice.analysis.* telemetry schema pinned
-#                via trace_validate, and fault campaign fingerprints
+#                tissue ladder's 122 unknowns pinned in the JSON report,
+#                the spice.analysis.* telemetry schema pinned via
+#                trace_validate, and fault campaign fingerprints
 #                bit-identical with --analysis-hints on vs off
 #   7. fault     fault_runner over every registered campaign, plus the
 #                exit-code contract (unwritable --out and --telemetry must
-#                exit 2), the sparse-backend acceptance campaign
-#                (fingerprints must be thread-count invariant per
-#                backend), and the trace_validate pins on the
-#                spice.solver.*, obs.telemetry.*, prof.<zone>.* and
-#                cohort.* telemetry
+#                exit 2), every campaign again at 1 and 4 threads
+#                (fingerprints must be thread-count invariant), and the
+#                trace_validate pins on the spice.solver.*,
+#                obs.telemetry.*, prof.<zone>.* and cohort.* telemetry
 #   8. fleet     fleet_runner 1000-session smoke with solo-parity spot
 #                checks (--verify-solo exits 1 on any fingerprint
 #                mismatch), checkpoint forking pinned to exactly one
@@ -97,7 +95,7 @@ run_tsan() {
     --target exec_test sweep_test rng_stream_test obs_test \
              obs_telemetry_test fault_session_test fault_campaign_test \
              linalg_sparse_test spice_solver_equiv_test magnetics_test \
-             fleet_test
+             fleet_test sweep_runner
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
       -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo)'
@@ -136,15 +134,12 @@ run_analyze() {
   # Shipped netlists: the whole pipeline (lint + envelope + sparsity +
   # timescale) must come back clean, warnings included.
   "$analyzer" --strict --quiet "$ROOT"/examples/netlists/*.cir
-  # The static dense/sparse choice must match what the engine engages:
-  # the 122-unknown tissue ladder goes sparse (the small examples are
-  # pinned dense by the Analysis.* ctest gate). The JSON sweep also
-  # leaves behind the BENCH report whose spice.analysis.* schema is
-  # pinned below.
+  # The JSON report must carry the 122-unknown tissue ladder. The JSON
+  # sweep also leaves behind the BENCH report whose spice.analysis.*
+  # schema is pinned below.
   local ladder="$ROOT/build-ci-release/analyze_ladder.json"
   IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
     "$analyzer" --json "$ROOT/examples/netlists/tissue_ladder.cir" > "$ladder"
-  grep -q '"solver_choice": "sparse"' "$ladder"
   grep -q '"unknowns": 122' "$ladder"
   "$validator" --require-obs \
     --require spice.analysis.runs \
@@ -157,8 +152,8 @@ run_analyze() {
     --require spice.analysis.last_dt_recommend \
     "$ROOT/build-ci-release/BENCH_netlist_analyze.json"
   # Analysis hints must be invisible to the campaign fingerprints: the
-  # static solver choice agrees with the engine's auto pick and the dt
-  # hint only fills options left at auto.
+  # dt hint only fills a dt_max left at auto, and the plants set their
+  # own.
   local plain="$ROOT/build-ci-release/fault_hints_off.json"
   local hinted="$ROOT/build-ci-release/fault_hints_on.json"
   "$runner" --out "$plain" all
@@ -167,7 +162,7 @@ run_analyze() {
     echo "ci: FAIL -- fingerprints changed under --analysis-hints" >&2
     exit 1
   fi
-  echo "ci: analyzer sweep clean; ladder goes sparse; analysis schema" \
+  echo "ci: analyzer sweep clean; ladder size and analysis schema" \
        "pinned; hint fingerprints bit-identical"
 }
 
@@ -199,25 +194,24 @@ run_fault() {
     echo "ci: FAIL -- unwritable --telemetry exited $rc, want 2" >&2
     exit 1
   fi
-  # Sparse-backend acceptance campaign: every campaign again under
-  # --solver sparse, at two thread counts — the per-scenario fingerprints
-  # must be bit-identical, or the backend leaks state across scenarios.
-  # The wide leg streams JSONL telemetry while it runs, so the report it
-  # leaves behind carries live obs.telemetry.* counters.
-  local sp1="$ROOT/build-ci-release/fault_sparse_t1.json"
-  local sp4="$ROOT/build-ci-release/fault_sparse_t4.json"
-  local stream="$ROOT/build-ci-release/fault_sparse_t4.telemetry.jsonl"
+  # Thread-count invariance: every campaign again at two thread counts —
+  # the per-scenario fingerprints must be bit-identical, or the solver
+  # leaks state across scenarios. The wide leg streams JSONL telemetry
+  # while it runs, so the report it leaves behind carries live
+  # obs.telemetry.* counters.
+  local t1="$ROOT/build-ci-release/fault_threads_t1.json"
+  local t4="$ROOT/build-ci-release/fault_threads_t4.json"
+  local stream="$ROOT/build-ci-release/fault_threads_t4.telemetry.jsonl"
   IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --solver sparse --threads 1 --out "$sp1" all
+    "$runner" --threads 1 --out "$t1" all
   IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --solver sparse --threads 4 --telemetry "$stream" \
-    --out "$sp4" all
-  if ! diff <(grep '"fingerprint"' "$sp1") <(grep '"fingerprint"' "$sp4"); then
-    echo "ci: FAIL -- sparse fault fingerprints differ across thread counts" >&2
+    "$runner" --threads 4 --telemetry "$stream" --out "$t4" all
+  if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t4"); then
+    echo "ci: FAIL -- fault fingerprints differ across thread counts" >&2
     exit 1
   fi
   test -s "$stream"
-  # The run report the sparse campaign emits must carry the solver-layer
+  # The run report the 4-thread campaign emits must carry the solver-layer
   # telemetry (DESIGN.md §11), the streaming-sink counters, the profiler
   # zone totals, and the cohort percentile aggregates (DESIGN.md §12) —
   # pin the names so a registry rename or a silently-dead counter fails
@@ -240,7 +234,7 @@ run_fault() {
     --require cohort.ask_burst_coupling_drop.fault.scenario.retries.p50 \
     --require cohort.brownout_shedding.fault.scenario.brownouts.max \
     "$ROOT/build-ci-release/BENCH_fault_resilience.json"
-  echo "ci: campaigns wrote $out; sparse fingerprints thread-count" \
+  echo "ci: campaigns wrote $out; fingerprints thread-count" \
        "invariant; exit-code and telemetry contracts hold"
 }
 

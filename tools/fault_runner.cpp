@@ -85,7 +85,6 @@ int usage(int code) {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
   os << "usage: fault_runner [--seed S] [--scenarios N] [--exchanges N]\n"
         "                    [--threads N] [--link inductive|me]\n"
-        "                    [--solver auto|dense|sparse]\n"
         "                    [--out FILE] <campaign|all>\n"
         "       fault_runner --list\n"
      << ironic::tools::CommonArgs::usage_lines()
@@ -93,8 +92,8 @@ int usage(int code) {
         "  --exchanges N  measurement exchanges per scenario (default 10)\n"
         "  --analysis-hints\n"
         "                 run the static-analysis passes on each plant\n"
-        "                 circuit and install solver/dt hints; fingerprints\n"
-        "                 must not change (the hints agree with the engine)\n";
+        "                 circuit and install the dt hint; fingerprints\n"
+        "                 must not change (the plant sets its own step)\n";
   return code;
 }
 

@@ -1,10 +1,10 @@
 // netlist_analyze: whole-netlist static analysis from the command line.
 // Parses each .cir file into a Circuit and runs the full analysis
 // pipeline (src/spice/analysis/analysis.hpp): lint, interval operating
-// envelopes, symbolic sparsity/fill prediction with the dense/sparse
-// cost-model choice, and timescale/stiffness planning. Parse failures
-// are reported as lint.parse-error diagnostics rather than crashes, so
-// a CI sweep over a directory of netlists always completes.
+// envelopes, symbolic sparsity/fill prediction, and timescale/stiffness
+// planning. Parse failures are reported as lint.parse-error diagnostics
+// rather than crashes, so a CI sweep over a directory of netlists always
+// completes.
 //
 // Usage:
 //   netlist_analyze [options] <netlist.cir> [more.cir ...]

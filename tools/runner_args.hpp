@@ -1,6 +1,6 @@
 // Shared command-line plumbing for the runner family (fault_runner,
 // sweep_runner, fleet_runner): the flags every runner repeats
-// (--seed/--threads/--solver/--out/--telemetry), the exit-2 contract
+// (--seed/--threads/--link/--out/--telemetry), the exit-2 contract
 // for unwritable artifact and telemetry paths, and the canonical help
 // text for the shared flags — one implementation instead of three
 // drifting copies.
@@ -12,10 +12,8 @@
 #include <iostream>
 #include <string>
 
-#include "src/linalg/solver.hpp"
 #include "src/link/phy.hpp"
 #include "src/obs/telemetry.hpp"
-#include "src/spice/engine.hpp"
 
 namespace ironic::tools {
 
@@ -66,16 +64,6 @@ struct CommonArgs {
       }
       return Parse::kConsumed;
     }
-    if (arg == "--solver" && i + 1 < argc) {
-      linalg::SolverKind kind;
-      if (!linalg::parse_solver_kind(argv[++i], kind)) {
-        std::cerr << program << ": unknown solver '" << argv[i]
-                  << "' (want auto, dense, or sparse)\n";
-        return Parse::kError;
-      }
-      spice::set_default_solver_kind(kind);
-      return Parse::kConsumed;
-    }
     return Parse::kNotMine;
   }
 
@@ -89,8 +77,6 @@ struct CommonArgs {
            "                 inductive (default; ASK/LSK coil link) or me\n"
            "                 (magnetoelectric, PWM backscatter); exits 2 on\n"
            "                 an unknown backend name\n"
-           "  --solver S     linear-solver backend for embedded circuit\n"
-           "                 solves: auto (default), dense, sparse\n"
            "  --out FILE     write the JSON results to FILE instead of stdout\n"
            "  --telemetry F  stream JSONL telemetry events to F ('-' =\n"
            "                 stdout); exits 2 when F cannot be opened\n";

@@ -165,7 +165,7 @@ obs::json::Value to_json(const exec::SweepResult& result,
 int usage(int code) {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
   os << "usage: sweep_runner [--threads N] [--format table|csv|json]\n"
-        "                    [--solver auto|dense|sparse] [--out FILE] <sweep>\n"
+        "                    [--out FILE] <sweep>\n"
         "       sweep_runner --list\n"
      << ironic::tools::CommonArgs::usage_lines()
      << "  --format F     table (default), csv, or json\n";
