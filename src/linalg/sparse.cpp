@@ -339,12 +339,17 @@ void SparseSolver<T>::factor(double pivot_tol) {
     return;
   }
   if (factored_ && values_ == last_factored_) {
-    // Bit-identical to the factored matrix (linear circuits at a fixed
-    // step hit this on the second Newton iteration and beyond): the
-    // cached L/U is exact, skip the numeric work entirely.
+    // Bit-identical to the factored matrix: the cached L/U is exact, skip
+    // the numeric work entirely. The transient engine solves a linear
+    // circuit with the factors it holds while the matrix's key is
+    // unchanged, so skips only count re-assemblies of the same values (a
+    // backward-Euler linear circuit's second step, for one).
     ++stats_.factor_skips;
     return;
   }
+  // Both rungs below overwrite the factors in place; one that throws
+  // leaves none usable, so the next factor() must not skip to them.
+  factored_ = false;
   if (symbolic_valid_ && refactor_numeric(pivot_tol)) {
     ++stats_.factorizations;
     ++stats_.refactorizations;

@@ -21,7 +21,11 @@
 // order, L/U patterns) is cached and later factorizations only redo the
 // numbers along it. If a cached pivot degrades (falls below tolerance or
 // loses too much ground to its column), the solver silently falls back to
-// a fresh full factorization before reporting SingularMatrixError.
+// a fresh full factorization before reporting SingularMatrixError. A
+// factor() on values bit-identical to the last factored ones reuses the
+// factors outright (factor_skips); a caller that knows its matrix did not
+// change, like the transient engine on a linear circuit, skips assembly
+// and factor() altogether and only solves.
 #pragma once
 
 #include <cstddef>

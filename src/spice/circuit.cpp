@@ -55,7 +55,11 @@ Device* Circuit::find_device(const std::string& name) {
 
 void Circuit::finalize() {
   branch_labels_.clear();
-  for (const auto& device : devices_) device->setup(*this);
+  linear_ = true;
+  for (const auto& device : devices_) {
+    device->setup(*this);
+    linear_ = linear_ && !device->nonlinear();
+  }
   finalized_ = true;
 }
 

@@ -57,6 +57,9 @@ class Circuit {
   // Assign branch indices; called by the engine before every analysis.
   void finalize();
   bool finalized() const { return finalized_; }
+  // No device reports nonlinear() (see its linear-matrix contract), as
+  // of the last finalize().
+  bool linear() const { return linear_; }
 
   // Allocate a branch unknown during Device::setup. `label` names the
   // current trace ("i(<label>)").
@@ -98,6 +101,7 @@ class Circuit {
   std::unordered_map<std::string, Device*> device_index_;
   std::vector<std::string> branch_labels_;
   bool finalized_ = false;
+  bool linear_ = false;
   int internal_counter_ = 0;
   std::uint64_t revision_ = 0;
   double dt_hint_ = 0.0;

@@ -125,6 +125,10 @@ struct StampContext {
   // voltage; the Newton loop refuses to declare convergence while any
   // device is still walking its limited variables toward the iterate.
   bool limited = false;
+  // False when the solver still holds this point's factored matrix (a
+  // linear circuit at an unchanged step, see Device::nonlinear): add_a
+  // does nothing and only the right-hand side is stamped.
+  bool matrix = true;
 
   // Voltage of `node` in the current iterate (0 for ground).
   double v(NodeId node) const { return node == kGround ? 0.0 : x[static_cast<std::size_t>(node)]; }
@@ -179,6 +183,14 @@ class Device {
                                    std::vector<double>& /*out*/) const {}
 
   // True if the device's stamp depends on the iterate (forces Newton).
+  // Returning false is a stronger promise, the linear-matrix contract:
+  // the device's matrix entries (everything it passes to add_a) depend
+  // only on dt, integrator, dc, gmin and whether it has accepted a step
+  // since initialize()/restore_state() -- never on time, the iterate or
+  // other state. A circuit of such devices is solved once per point, and
+  // its transient re-assembles and re-factors the matrix only when that
+  // key changes (DESIGN.md §5). R, C, L, K, V, I, VCVS and VCCS meet it;
+  // a device whose conductance varies with time must return true.
   virtual bool nonlinear() const { return false; }
 
   // --- checkpoint/restart ---------------------------------------------------
@@ -211,7 +223,7 @@ class Device {
  protected:
   // --- ground-aware stamping helpers -------------------------------------
   static void add_a(StampContext& ctx, int row, int col, double value) {
-    if (row < 0 || col < 0) return;
+    if (row < 0 || col < 0 || !ctx.matrix) return;
     ctx.a.add(row, col, value);
   }
   static void add_rhs(StampContext& ctx, int row, double value) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -24,9 +25,7 @@ constexpr double kDefaultDtMax = 1e-6;
 
 struct NewtonOutcome {
   bool converged = false;
-  int iterations = 0;                     // Newton iterations attempted
-  std::uint64_t factorizations = 0;       // numeric LU factorizations performed
-  std::uint64_t solves = 0;               // triangular solves (== iterations)
+  int iterations = 0;  // Newton iterations attempted (1 on the linear path)
 };
 
 // Cached handles into the metrics registry for the engine's hot paths;
@@ -96,59 +95,99 @@ struct EngineMetrics {
   }
 };
 
-// One Newton solve of the (possibly nonlinear) MNA system at a fixed
-// time point. `x` is both the initial guess and the result. The solver
-// persists across calls (circuit-owned), so its cached stamp slots and
-// symbolic factorization carry over between iterations and time steps.
+// Everything a stamp reads at one solve besides the iterate.
+struct SolvePoint {
+  double time = 0.0;
+  double dt = 0.0;  // <= 0 in DC analysis
+  Integrator integrator = Integrator::kBackwardEuler;
+  bool dc = false;
+  double source_scale = 1.0;
+  double extra_gshunt = 0.0;  // gmin-stepping leak on top of NewtonOptions::gshunt
+};
+
+// Right-hand side and Newton update scratch, held by an analysis for its
+// whole run instead of allocated per solve.
+struct SolveWorkspace {
+  explicit SolveWorkspace(std::size_t n) : rhs(n, 0.0), x_new(n, 0.0) {}
+  std::vector<double> rhs;
+  std::vector<double> x_new;
+};
+
+// Stamps every device at `point`, plus the node-to-ground leak, into
+// `solver` and `rhs`. With `matrix` false only `rhs` is rebuilt and the
+// solver keeps the matrix it holds. Returns whether a device limited its
+// evaluation voltages.
+bool stamp_system(Circuit& circuit, linalg::LinearSolver& solver, std::vector<double>& rhs,
+                  std::span<const double> x, const SolvePoint& point,
+                  const NewtonOptions& opts, bool matrix) {
+  PROF_ZONE("spice.stamp");
+  if (matrix) solver.begin_assembly();
+  std::fill(rhs.begin(), rhs.end(), 0.0);
+  StampContext ctx{solver, rhs, x, point.time, point.dt, point.integrator, point.dc,
+                   opts.gmin, point.source_scale, false, matrix};
+  for (const auto& dev : circuit.devices()) dev->stamp(ctx);
+  if (matrix) {
+    // Node-to-ground leak. Stamped even when it is 0.0 so the node
+    // diagonals belong to the sparse pattern unconditionally: the gmin
+    // ladder reaching zero then changes values, never structure.
+    const double gshunt = opts.gshunt + point.extra_gshunt;
+    for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
+      solver.add(static_cast<int>(i), static_cast<int>(i), gshunt);
+    }
+  }
+  return ctx.limited;
+}
+
+// out = A^-1 rhs, factoring the assembled matrix first unless the solver
+// already holds its factors. False when the matrix is singular.
+bool factor_and_solve(linalg::LinearSolver& solver, const std::vector<double>& rhs,
+                      std::vector<double>& out, bool factor) {
+  try {
+    if (factor) {
+      PROF_ZONE("spice.lu_factor");
+      solver.factor();
+    }
+    out = rhs;
+    PROF_ZONE("spice.lu_solve");
+    solver.solve_in_place(out);
+  } catch (const linalg::SingularMatrixError&) {
+    return false;
+  }
+  return true;
+}
+
+// The solve of a linear circuit (Circuit::linear) at one point: its
+// stamps never read the iterate, so one undamped solve is the exact
+// answer and there is nothing to converge. With `assemble` false the
+// solver already holds this point's factored matrix (the linear-matrix
+// contract on Device::nonlinear) and only the right-hand side is stamped.
+NewtonOutcome linear_solve(Circuit& circuit, linalg::LinearSolver& solver,
+                           SolveWorkspace& ws, std::vector<double>& x,
+                           const SolvePoint& point, const NewtonOptions& opts,
+                           bool assemble) {
+  PROF_ZONE("spice.linear_solve");
+  stamp_system(circuit, solver, ws.rhs, x, point, opts, assemble);
+  return {factor_and_solve(solver, ws.rhs, x, assemble), 1};
+}
+
+// One Newton solve of the nonlinear MNA system at a fixed time point.
+// `x` is both the initial guess and the result. The solver persists
+// across calls (circuit-owned), so its cached stamp slots and symbolic
+// factorization carry over between iterations and time steps.
 NewtonOutcome newton_solve(Circuit& circuit, linalg::LinearSolver& solver,
-                           std::vector<double>& x, double time, double dt,
-                           Integrator integrator, bool dc, const NewtonOptions& opts,
-                           double source_scale, double extra_gshunt) {
+                           SolveWorkspace& ws, std::vector<double>& x,
+                           const SolvePoint& point, const NewtonOptions& opts) {
   PROF_ZONE("spice.newton");
   const std::size_t n = circuit.num_unknowns();
   const std::size_t num_nodes = circuit.num_nodes();
-  std::vector<double> rhs(n, 0.0);
-  std::vector<double> x_new(n, 0.0);
+  std::vector<double>& x_new = ws.x_new;
   NewtonOutcome outcome;
-  const linalg::SolverStats entry_stats = solver.stats();
-
-  bool any_nonlinear = false;
-  for (const auto& dev : circuit.devices()) any_nonlinear |= dev->nonlinear();
 
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     ++outcome.iterations;
-    bool limiting_active = false;
-    {
-      PROF_ZONE("spice.stamp");
-      solver.begin_assembly();
-      std::fill(rhs.begin(), rhs.end(), 0.0);
-
-      StampContext ctx{solver, rhs, x, time, dt, integrator, dc, opts.gmin, source_scale, false};
-      for (const auto& dev : circuit.devices()) dev->stamp(ctx);
-      limiting_active = ctx.limited;
-
-      // Node-to-ground leak. Stamped even when it is 0.0 so the node
-      // diagonals belong to the sparse pattern unconditionally: the gmin
-      // ladder reaching zero then changes values, never structure.
-      const double gshunt = opts.gshunt + extra_gshunt;
-      for (std::size_t i = 0; i < num_nodes; ++i) {
-        solver.add(static_cast<int>(i), static_cast<int>(i), gshunt);
-      }
-    }
-
-    try {
-      {
-        PROF_ZONE("spice.lu_factor");
-        solver.factor();
-      }
-      x_new = rhs;
-      {
-        PROF_ZONE("spice.lu_solve");
-        solver.solve_in_place(x_new);
-      }
-    } catch (const linalg::SingularMatrixError&) {
-      break;  // not converged
-    }
+    const bool limiting_active =
+        stamp_system(circuit, solver, ws.rhs, x, point, opts, /*matrix=*/true);
+    if (!factor_and_solve(solver, ws.rhs, x_new, /*factor=*/true)) break;
 
     // Convergence check on the update.
     bool converged = true;
@@ -171,20 +210,12 @@ NewtonOutcome newton_solve(Circuit& circuit, linalg::LinearSolver& solver,
     }
 
     if (limiting_active) converged = false;
-    x = x_new;
-    if (converged && (iter >= 1 || !any_nonlinear)) {
-      outcome.converged = true;
-      break;
-    }
-    if (!any_nonlinear && iter >= 1) {
-      // Linear circuit: second solve is identical; accept.
+    x.swap(x_new);
+    if (converged && iter >= 1) {
       outcome.converged = true;
       break;
     }
   }
-  const linalg::SolverStats& exit_stats = solver.stats();
-  outcome.factorizations = exit_stats.factorizations - entry_stats.factorizations;
-  outcome.solves = exit_stats.solves - entry_stats.solves;
   return outcome;
 }
 
@@ -238,14 +269,25 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
     return std::move(done);
   };
 
+  SolveWorkspace ws(n);
+  // One DC solve from the guess in `x`: the single exact solve for a
+  // linear circuit, Newton otherwise.
+  const auto solve = [&](std::vector<double>& x, double source_scale, double extra_gshunt) {
+    reset_devices_for_point(circuit, 0.0, 0.0);
+    const SolvePoint point{0.0, 0.0, Integrator::kBackwardEuler, /*dc=*/true, source_scale,
+                           extra_gshunt};
+    const auto outcome =
+        circuit.linear()
+            ? linear_solve(circuit, solver, ws, x, point, options.newton, /*assemble=*/true)
+            : newton_solve(circuit, solver, ws, x, point, options.newton);
+    result.total_iterations += outcome.iterations;
+    return outcome.converged;
+  };
+
   // 1. Plain Newton.
   {
     std::vector<double> x(n, 0.0);
-    reset_devices_for_point(circuit, 0.0, 0.0);
-    const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
-                                      /*dc=*/true, options.newton, 1.0, 0.0);
-    result.total_iterations += outcome.iterations;
-    if (outcome.converged) {
+    if (solve(x, 1.0, 0.0)) {
       result.x = std::move(x);
       result.converged = true;
       result.strategy = "newton";
@@ -259,26 +301,16 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
     std::vector<double> x(n, 0.0);
     bool ladder_ok = true;
     for (double g = 1e-2; g >= 1e-12; g /= 10.0) {
-      reset_devices_for_point(circuit, 0.0, 0.0);
-      const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
-                                        true, options.newton, 1.0, g);
-      result.total_iterations += outcome.iterations;
-      if (!outcome.converged) {
+      if (!solve(x, 1.0, g)) {
         ladder_ok = false;
         break;
       }
     }
-    if (ladder_ok) {
-      reset_devices_for_point(circuit, 0.0, 0.0);
-      const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
-                                        true, options.newton, 1.0, 0.0);
-      result.total_iterations += outcome.iterations;
-      if (outcome.converged) {
-        result.x = std::move(x);
-        result.converged = true;
-        result.strategy = "gmin-stepping";
-        return finish(std::move(result));
-      }
+    if (ladder_ok && solve(x, 1.0, 0.0)) {
+      result.x = std::move(x);
+      result.converged = true;
+      result.strategy = "gmin-stepping";
+      return finish(std::move(result));
     }
   }
 
@@ -288,11 +320,7 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
     std::vector<double> x(n, 0.0);
     bool ladder_ok = true;
     for (double scale = 0.05; scale <= 1.0 + 1e-12; scale += 0.05) {
-      reset_devices_for_point(circuit, 0.0, 0.0);
-      const auto outcome = newton_solve(circuit, solver, x, 0.0, 0.0, Integrator::kBackwardEuler,
-                                        true, options.newton, std::min(scale, 1.0), 0.0);
-      result.total_iterations += outcome.iterations;
-      if (!outcome.converged) {
+      if (!solve(x, std::min(scale, 1.0), 0.0)) {
         ladder_ok = false;
         break;
       }
@@ -325,14 +353,19 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
           : (circuit.dt_hint() > 0.0 ? circuit.dt_hint() : kDefaultDtMax);
   const bool will_resume =
       options.resume_from != nullptr && options.resume_from->valid();
-  if (options.validate) {
-    // Validate exactly once per run. When the internal DC solve will run,
-    // lint with dc_context escalation here and tell solve_dc the circuit
-    // is already validated — previously lint ran twice per transient.
-    LintOptions lint_options;
-    lint_options.dc_context = options.start_from_dc && !will_resume;
-    validate(circuit, lint_options);  // throws CircuitValidationError on errors
-  }
+  linalg::LinearSolver& solver = [&]() -> linalg::LinearSolver& {
+    PROF_ZONE("spice.transient.setup");
+    if (options.validate) {
+      // Validate exactly once per run. When the internal DC solve will run,
+      // lint with dc_context escalation here and tell solve_dc the circuit
+      // is already validated — previously lint ran twice per transient.
+      LintOptions lint_options;
+      lint_options.dc_context = options.start_from_dc && !will_resume;
+      validate(circuit, lint_options);  // throws CircuitValidationError on errors
+    }
+    circuit.finalize();
+    return circuit.acquire_solver();
+  }();
   // Per-run tallies, kept even when the caller passes no stats: the
   // metrics registry is fed from the same numbers. Folded into the
   // caller's struct (accumulating, as before) on every exit path.
@@ -346,9 +379,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     TransientStats* out;
     std::chrono::steady_clock::time_point start;
     obs::Span& span;
-    // Set once the circuit's solver is acquired (after validation).
-    const linalg::LinearSolver* solver = nullptr;
-    linalg::SolverStats solver_before{};
+    const linalg::LinearSolver& solver;
+    linalg::SolverStats solver_before;
     ~Finalize() {
       run.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -379,21 +411,15 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
           m.tr_last_steps_per_sec.set(static_cast<double>(run.accepted_steps) /
                                       run.wall_seconds);
         }
-        if (solver != nullptr) {
-          add_solver_metrics(solver_before, solver->stats());
-          span.arg("solver", solver->name());
-        }
+        add_solver_metrics(solver_before, solver.stats());
+        span.arg("solver", solver.name());
         span.arg("accepted_steps", std::to_string(run.accepted_steps));
         span.arg("rejected_steps", std::to_string(run.rejected_steps));
         span.arg("newton_iterations", std::to_string(run.newton_iterations));
       }
     }
-  } finalize{run, stats, wall_start, span};
-  circuit.finalize();
+  } finalize{run, stats, wall_start, span, solver, solver.stats()};
   const std::size_t n = circuit.num_unknowns();
-  linalg::LinearSolver& solver = circuit.acquire_solver();
-  finalize.solver = &solver;
-  finalize.solver_before = solver.stats();
   const double dt_min =
       options.dt_min > 0.0 ? options.dt_min : dt_max / 65536.0;
 
@@ -511,6 +537,19 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     newton_hist = &EngineMetrics::get().tr_newton_iters_per_step;
   }
 
+  SolveWorkspace ws(n);
+  // A linear circuit's matrix is a function of this key (the
+  // linear-matrix contract on Device::nonlinear; integrator and gmin are
+  // fixed per run), so while the key matches the one of the last factored
+  // assembly a step only restamps the right-hand side and solves.
+  const bool linear = circuit.linear();
+  struct LinearKey {
+    double dt;
+    bool stepped;  // a step was accepted since initialize()/restore_state()
+    bool operator==(const LinearKey&) const = default;
+  };
+  std::optional<LinearKey> factored_key;
+
   while (t < options.t_stop - 1e-15 * options.t_stop) {
     if (run.accepted_steps + run.rejected_steps > kMaxSteps) {
       throw ConvergenceError("run_transient: step-count safety limit exceeded");
@@ -542,12 +581,20 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     const double t_next = t + dt_step;
     reset_devices_for_point(circuit, t_next, dt_step);
     x_try = x;
-    const auto outcome = newton_solve(circuit, solver, x_try, t_next, dt_step,
-                                      options.integrator,
-                                      /*dc=*/false, options.newton, 1.0, 0.0);
+    const SolvePoint point{t_next, dt_step, options.integrator, /*dc=*/false, 1.0, 0.0};
+    const linalg::SolverStats solver_entry = solver.stats();
+    NewtonOutcome outcome;
+    if (linear) {
+      const LinearKey key{dt_step, run.accepted_steps > 0};
+      outcome = linear_solve(circuit, solver, ws, x_try, point, options.newton,
+                             /*assemble=*/factored_key != key);
+      factored_key = outcome.converged ? std::optional<LinearKey>(key) : std::nullopt;
+    } else {
+      outcome = newton_solve(circuit, solver, ws, x_try, point, options.newton);
+    }
     run.newton_iterations += static_cast<std::size_t>(outcome.iterations);
-    run.factorizations += static_cast<std::size_t>(outcome.factorizations);
-    run.solves += static_cast<std::size_t>(outcome.solves);
+    run.factorizations += solver.stats().factorizations - solver_entry.factorizations;
+    run.solves += solver.stats().solves - solver_entry.solves;
     run.max_newton_iterations =
         std::max(run.max_newton_iterations, static_cast<std::size_t>(outcome.iterations));
     if (newton_hist != nullptr) {

@@ -6,6 +6,11 @@
 // Transient: fixed nominal step with breakpoint snapping (clock edges and
 // envelope corners are hit exactly), Newton at each point, and automatic
 // step halving/recovery when Newton fails to converge.
+//
+// A linear circuit (Circuit::linear) skips Newton: one undamped solve
+// per point is exact, and a transient re-assembles and re-factors its
+// matrix only when the step size changes or after its first accepted
+// step (Device::nonlinear states the contract this rests on).
 #pragma once
 
 #include <stdexcept>
@@ -126,16 +131,18 @@ struct TransientStats {
   std::size_t rejected_steps = 0;       // Newton failures + LTE rejections
   std::size_t newton_iterations = 0;
   // Numeric LU factorizations actually performed, and triangular solves.
-  // Every Newton iteration solves once, but the solver layer skips
-  // factoring when the assembled values are bit-identical to the matrix
-  // it just factored (linear circuits at a fixed step), so
+  // Every Newton iteration solves once. A linear circuit takes exactly
+  // one iteration per step attempt and factors only when its matrix
+  // changes (a new step size, or its first accepted step), so
   // factorizations <= solves == newton_iterations.
   std::size_t factorizations = 0;
   std::size_t solves = 0;
   std::size_t breakpoint_hits = 0;      // accepted steps snapped to a breakpoint
   std::size_t lte_rejections = 0;       // subset of rejected_steps (adaptive mode)
   std::size_t max_newton_iterations = 0;  // worst single step attempt
-  double wall_seconds = 0.0;            // wall time of the whole run
+  // Wall time of the run after setup (validation, finalize() and solver
+  // acquisition, the spice.transient.setup zone).
+  double wall_seconds = 0.0;
 };
 
 // Run a transient analysis. Throws ConvergenceError if the step size

@@ -281,6 +281,27 @@ TEST(SparseSolver, SingularityIsDetectedOnTheRefactorPathToo) {
   EXPECT_THROW(s.factor(), SingularMatrixError);
 }
 
+TEST(SparseSolver, ThrowingFactorizationLeavesNoFactorsToSkipTo) {
+  // A factorization that throws has already overwritten the cached
+  // factors in place. Re-assembling the last good matrix must factor it
+  // again, not skip to the half-written factors, and a solve in between
+  // must refuse to run.
+  const std::vector<Entry> good{{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
+  const std::vector<double> rhs{1.0, 2.0};
+  SparseSolver<double> s(2);
+  solve_with(s, good, rhs);
+  assemble(s, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+  EXPECT_THROW(s.factor(), SingularMatrixError);
+  std::vector<double> unsolved = rhs;
+  EXPECT_THROW(s.solve_in_place(unsolved), std::logic_error);
+
+  const auto x = solve_with(s, good, rhs);
+  EXPECT_EQ(s.stats().factor_skips, 0u);
+  EXPECT_EQ(s.stats().factorizations, 2u);
+  const auto xd = reference_solve(2, good, rhs);
+  for (std::size_t i = 0; i < 2; ++i) EXPECT_NEAR(x[i], xd[i], 1e-12);
+}
+
 TEST(SparseSolver, InvalidateStructureReturnsToColdStateCorrectly) {
   const std::size_t n = 8;
   const auto entries = random_system(n, 7);

@@ -84,4 +84,24 @@ TEST(LinkNeutrality, BioZTissueDriftIsPinnedAndThreadInvariant) {
   EXPECT_EQ(campaign_fp("bioz_tissue_drift", 4), kBioZPin);
 }
 
+// The bio-impedance fleet on the magnetoelectric link, what
+// `fleet_runner --link me --workload bioz --sessions 60 --exchanges 2`
+// runs: every measurement is a linear tissue-ladder transient, so this
+// pins the engine's linear path end to end.
+TEST(LinkNeutrality, MeBioZFleetIsPinnedAndThreadInvariant) {
+  constexpr std::uint64_t kMeBioZPin = 0xa70b3d838406db0bULL;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    fleet::FleetConfig config;
+    config.sessions = 60;
+    config.exchanges = 2;
+    config.threads = threads;
+    for (auto& cohort : config.cohorts) {
+      cohort.link = "me";
+      cohort.workload = fault::Workload::kBioZ;
+    }
+    EXPECT_EQ(fleet::run_fleet(config).fingerprint, kMeBioZPin)
+        << "threads=" << threads;
+  }
+}
+
 }  // namespace

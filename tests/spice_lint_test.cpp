@@ -312,16 +312,15 @@ TEST(EngineValidate, DcCurrentCutsetCaughtBeforeDivergence) {
   ckt.add<CurrentSource>("I1", kGround, n1, Waveform::dc(1e-3));
   ckt.add<Capacitor>("C1", n1, kGround, 1e-9);
 
-  // Previously this "converged": the true operating point is the
-  // meaningless v(n1) = I/gshunt (~1e9 V), and Newton damping walks
-  // toward it until the escalation ladder happens to declare success at
-  // whatever voltage it reached -- a silently wrong answer. Now it is a
-  // pre-run diagnostic.
+  // Unvalidated, this "converges": the circuit is linear, so one solve
+  // lands on the exact operating point of the regularized system, the
+  // meaningless v(n1) = I/gshunt (1e9 V) -- a silently useless answer.
+  // Now it is a pre-run diagnostic.
   DcOptions no_validate;
   no_validate.validate = false;
   const auto dc = solve_dc(ckt, no_validate);
   EXPECT_TRUE(dc.converged);
-  EXPECT_NE(dc.x[static_cast<std::size_t>(n1)], 0.0);
+  EXPECT_DOUBLE_EQ(dc.x[static_cast<std::size_t>(n1)], 1e-3 / no_validate.newton.gshunt);
 
   EXPECT_THROW(solve_dc(ckt), CircuitValidationError);
 }

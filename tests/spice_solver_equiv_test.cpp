@@ -36,8 +36,9 @@ std::string read_file(const std::filesystem::path& p) {
 
 TEST(SolverEquiv, TissueLadderAutoSelectsSparseAndCachesFactorizations) {
   // The 60-segment Fricke ladder is the largest shipped netlist. The
-  // circuit is linear, so the bit-identical factor skip must make
-  // numeric factorizations lag triangular solves.
+  // circuit is linear: one solve per step, and the matrix is factored
+  // only when the step size changes, so numeric factorizations lag
+  // triangular solves.
   Circuit ckt;
   parse_netlist(ckt, read_file(kSourceDir / "examples" / "netlists" /
                                "tissue_ladder.cir"));
@@ -53,9 +54,10 @@ TEST(SolverEquiv, TissueLadderAutoSelectsSparseAndCachesFactorizations) {
   const auto result = run_transient(ckt, opts, &stats);
   EXPECT_GT(result.num_points(), 10u);
   EXPECT_EQ(stats.solves, stats.newton_iterations);
+  EXPECT_EQ(stats.newton_iterations, stats.accepted_steps);
   EXPECT_GT(stats.factorizations, 0u);
   EXPECT_LT(stats.factorizations, stats.solves)
-      << "linear circuit: identical matrices must skip refactoring";
+      << "linear circuit: an unchanged matrix must not be refactored";
 
   // The engine re-acquires the circuit-owned solver, so its lifetime
   // stats reflect the run: one pattern build, reuse ever after.

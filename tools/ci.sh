@@ -47,7 +47,8 @@
 #                link_neutrality_test), the magnetoelectric campaign
 #                fingerprint pinned across three thread counts, the
 #                bio-impedance campaign and fleet smoke (stateless
-#                workload -> zero charge-ups, zero forks), the --link
+#                workload -> zero charge-ups, zero forks; the fleet
+#                fingerprint equal at 1 and 4 threads), the --link
 #                exit-2 contract on all three runners, and the link.*
 #                telemetry schema pinned via trace_validate
 #  11. obs       bench_obs_overhead in-process budget gate (instrumented
@@ -225,7 +226,9 @@ run_fault() {
     --require obs.telemetry.emitted \
     --require obs.telemetry.written \
     --require obs.telemetry.flushes \
+    --require prof.spice.transient.setup.inclusive_ns \
     --require prof.spice.newton.inclusive_ns \
+    --require prof.spice.linear_solve.inclusive_ns \
     --require prof.spice.stamp.inclusive_ns \
     --require prof.spice.lu_factor.inclusive_ns \
     --require prof.spice.lu_solve.inclusive_ns \
@@ -479,13 +482,22 @@ run_linkphy() {
 
   # Bio-impedance smoke: the campaign must deliver every measurement,
   # and a bioz fleet must run with zero charge-up captures and zero
-  # checkpoint forks (the workload is stateless).
+  # checkpoint forks (the workload is stateless) and fingerprint the
+  # same at 1 and 4 threads (every measure is a linear ladder transient
+  # on the engine's one-solve-per-step path).
   local bioz="$ROOT/build-ci-release/linkphy_bioz.json"
   "$fault" --out "$bioz" bioz_tissue_drift
   grep -q '"lost_measurements": 0' "$bioz"
+  local bfleet1="$ROOT/build-ci-release/linkphy_bioz_fleet_t1.json"
   local bfleet="$ROOT/build-ci-release/linkphy_bioz_fleet.json"
+  "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 1 \
+    --out "$bfleet1"
   "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
     --out "$bfleet"
+  if ! diff <(grep '"fingerprint"' "$bfleet1") <(grep '"fingerprint"' "$bfleet"); then
+    echo "ci: FAIL -- bioz fleet fingerprints differ across thread counts" >&2
+    exit 1
+  fi
   grep -q '"charge_captures": 0' "$bfleet"
   grep -q '"checkpoint_forks": 0' "$bfleet"
 
@@ -526,7 +538,8 @@ run_linkphy() {
     exit 1
   fi
   echo "ci: linkphy neutrality diff clean; me pinned at 3 thread counts;" \
-       "bioz campaign+fleet smoke pass; --link exit-2 contract holds"
+       "bioz campaign+fleet smoke pass, bioz fleet thread-invariant;" \
+       "--link exit-2 contract holds"
 }
 
 run_obs() {
