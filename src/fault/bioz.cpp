@@ -1,6 +1,9 @@
 #include "src/fault/bioz.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "src/spice/devices_passive.hpp"
@@ -11,6 +14,13 @@ namespace ironic::fault {
 std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
                                                     double tissue_scale,
                                                     int segments) {
+  if (!std::isfinite(amplitude)) {
+    throw std::invalid_argument("build_tissue_ladder: amplitude must be finite");
+  }
+  if (!std::isfinite(tissue_scale) || tissue_scale <= 0.0) {
+    throw std::invalid_argument(
+        "build_tissue_ladder: tissue scale must be finite and positive");
+  }
   // Mirrors examples/netlists/tissue_ladder.cir: per segment a 47 ohm
   // access resistance into a Fricke cell (Re 820 shunted by Ri 390 +
   // Cm 33n), terminated in 1 kohm, driven by the biphasic-style pulse.
@@ -36,7 +46,7 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
   return ckt;
 }
 
-double BioZPlant::measure(double amplitude, double tissue_scale) {
+double BioZPlant::simulate(double amplitude, double tissue_scale) {
   auto ckt = build_tissue_ladder(amplitude, tissue_scale, segments);
   if (analysis_hints) analyzer.apply_hints(*ckt);
   const std::string sense = "v(t" + std::to_string(sense_tap) + ")";
@@ -46,9 +56,21 @@ double BioZPlant::measure(double amplitude, double tissue_scale) {
   opts.record_every = 4;
   opts.record_signals = {sense};
   const auto res = spice::run_transient(*ckt, opts);
-  ++measurements;
   // The pulse is high from ~1.1 us; average the settled back half.
   return res.mean_between(sense, 10e-6, 20e-6);
+}
+
+double BioZPlant::measure(double amplitude, double tissue_scale) {
+  const double vo =
+      memo == nullptr
+          ? simulate(amplitude, tissue_scale)
+          : memo->lookup({std::bit_cast<std::uint64_t>(amplitude),
+                          std::bit_cast<std::uint64_t>(tissue_scale), segments,
+                          sense_tap, analysis_hints},
+                         nullptr,
+                         [&] { return simulate(amplitude, tissue_scale); });
+  ++measurements;
+  return vo;
 }
 
 double bioz_tissue_scale(const std::optional<double>& thickness) {

@@ -16,12 +16,16 @@
 // Unlike RectifierPlant there is no analog state carried between
 // measurements: each sample is its own short stimulation transient
 // (the electrodes are re-energized per measurement), so fleet sessions
-// on this workload skip the charge-up checkpoint entirely.
+// on this workload skip the charge-up checkpoint entirely, and a
+// measure is a pure function of its inputs that BioZMemo can share.
 #pragma once
 
+#include <compare>
+#include <cstdint>
 #include <memory>
 #include <optional>
 
+#include "src/fault/memo.hpp"
 #include "src/spice/analysis/analysis.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/engine.hpp"
@@ -31,10 +35,29 @@ namespace ironic::fault {
 // The tissue-ladder stimulation circuit: `amplitude` is the pulse high
 // level (the implant's compensated drive rail), `tissue_scale`
 // multiplies every segment's Re/Ri (1.0 = the shipped netlist's
-// sirloin numbers), `segments` cascaded cells.
+// sirloin numbers), `segments` cascaded cells. Throws
+// std::invalid_argument on a non-finite amplitude or a tissue scale that
+// is not finite and positive: the linear transient would otherwise
+// carry the NaN through to the sensed voltage without complaint.
 std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
                                                     double tissue_scale,
                                                     int segments = 60);
+
+// Every input BioZPlant::measure reads: the drive and tissue scale as
+// their bit patterns, plus the plant fields that shape the circuit.
+struct BioZKey {
+  std::uint64_t amplitude = 0;
+  std::uint64_t tissue_scale = 0;
+  int segments = 0;
+  int sense_tap = 0;
+  bool analysis_hints = false;
+
+  auto operator<=>(const BioZKey&) const = default;
+};
+
+// An exact memo of BioZPlant::measure; the value is the sensed voltage.
+// No entry pins anything: the key holds the whole input.
+using BioZMemo = ExactMemo<BioZKey, double>;
 
 struct BioZPlant {
   int segments = 60;
@@ -42,16 +65,24 @@ struct BioZPlant {
   // deep enough that tissue drift moves the divider, shallow enough
   // that the level stays in the ADC's [0, 4] V window.
   int sense_tap = 5;
+  // Measures served, memoized or not (the `checkpoints` column).
   int measurements = 0;
   // When set, the static-analysis passes run over each measurement
   // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
   spice::analysis::AnalysisManager analyzer;
+  // When set, measure consults this memo before simulating (not owned).
+  BioZMemo* memo = nullptr;
 
   // One measurement: a 20 us stimulation pulse into the ladder, the
   // sense voltage averaged over the settled back half of the pulse.
-  // Deterministic: pure function of (amplitude, tissue_scale).
+  // Deterministic: pure function of (amplitude, tissue_scale) and the
+  // plant fields in BioZKey.
   double measure(double amplitude, double tissue_scale);
+
+ private:
+  // The one physics path behind measure, memoized or not.
+  double simulate(double amplitude, double tissue_scale);
 };
 
 // Maps an injected tissue-thickness fault onto the ladder's Re/Ri

@@ -63,12 +63,14 @@ std::uint64_t fingerprint_scenarios(const std::vector<ScenarioResult>& scenarios
 // backend's modulation hooks, each executed measurement drives the
 // scenario's workload (rectifier transient segment, behavioural front
 // end, or the bio-impedance ladder), and the LDO regulation invariant
-// is checked under the injected rail scale.
+// is checked under the injected rail scale. Both plants consult the
+// call's shared memos.
 ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
                                  const FaultSchedule& schedule,
                                  const SessionOptions& session_options,
                                  Workload workload,
-                                 obs::MetricsRegistry& scoped) {
+                                 obs::MetricsRegistry& scoped,
+                                 PlantMemos& memos) {
   ScenarioResult result;
   result.index = index;
 
@@ -82,8 +84,10 @@ ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
   RectifierPlant plant;
   plant.carrier_hz = budget.nominal().carrier_hz;
   plant.analysis_hints = config.analysis_hints;
+  plant.memo = &memos.segments;
   BioZPlant bioz;
   bioz.analysis_hints = config.analysis_hints;
+  bioz.memo = &memos.bioz;
   const pm::LdoModel ldo;
 
   const auto make_factory = [&](LinkDirection direction) -> ChannelFactory {
@@ -218,7 +222,8 @@ FaultSchedule make_ask_burst_schedule(int index) {
 }
 
 ScenarioResult run_ask_burst_scenario(const CampaignConfig& config, int index,
-                                      obs::MetricsRegistry& scoped) {
+                                      obs::MetricsRegistry& scoped,
+                                      PlantMemos& memos) {
   const FaultSchedule schedule = make_ask_burst_schedule(index);
 
   SessionOptions options;
@@ -226,7 +231,7 @@ ScenarioResult run_ask_burst_scenario(const CampaignConfig& config, int index,
   options.exchange_timeout = 30.0;
   options.rate_ladder = {100e3, 50e3, 25e3, 12.5e3, 6.25e3};
   return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped);
+                           Workload::kLactateSpice, scoped, memos);
 }
 
 // The stochastic generator's horizon [s], shared by the schedule and
@@ -247,14 +252,15 @@ FaultSchedule make_stochastic_schedule(const CampaignConfig& config, int index) 
 }
 
 ScenarioResult run_stochastic_scenario(const CampaignConfig& config, int index,
-                                       obs::MetricsRegistry& scoped) {
+                                       obs::MetricsRegistry& scoped,
+                                       PlantMemos& memos) {
   const FaultSchedule schedule = make_stochastic_schedule(config, index);
 
   SessionOptions options;
   options.max_attempts = 10;
   options.exchange_timeout = 10.0;
   return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateBehavioural, scoped);
+                           Workload::kLactateBehavioural, scoped, memos);
 }
 
 // The magnetoelectric acceptance scenario: a chip-level burst strikes
@@ -279,7 +285,8 @@ FaultSchedule make_me_schedule(const CampaignConfig& config, int index) {
 }
 
 ScenarioResult run_me_scenario(const CampaignConfig& config, int index,
-                               obs::MetricsRegistry& scoped) {
+                               obs::MetricsRegistry& scoped,
+                               PlantMemos& memos) {
   const FaultSchedule schedule = make_me_schedule(config, index);
 
   SessionOptions options;
@@ -287,7 +294,7 @@ ScenarioResult run_me_scenario(const CampaignConfig& config, int index,
   options.exchange_timeout = 30.0;
   options.rate_ladder = {4e3, 2e3, 1e3};
   return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped);
+                           Workload::kLactateSpice, scoped, memos);
 }
 
 // Bio-impedance under drift: a permanent Re/Ri drift (oedema onset)
@@ -307,14 +314,15 @@ FaultSchedule make_bioz_schedule(const CampaignConfig& config, int index) {
 }
 
 ScenarioResult run_bioz_scenario(const CampaignConfig& config, int index,
-                                 obs::MetricsRegistry& scoped) {
+                                 obs::MetricsRegistry& scoped,
+                                 PlantMemos& memos) {
   const FaultSchedule schedule = make_bioz_schedule(config, index);
 
   SessionOptions options;
   options.max_attempts = 12;
   options.exchange_timeout = 10.0;
   return run_link_scenario(config, index, schedule, options, Workload::kBioZ,
-                           scoped);
+                           scoped, memos);
 }
 
 // Brownouts against the degradation ladder: injected charge dips strike
@@ -336,7 +344,8 @@ patch::DegradedMissionOptions make_brownout_options(const CampaignConfig& config
 }
 
 ScenarioResult run_brownout_scenario(const CampaignConfig& config, int index,
-                                     obs::MetricsRegistry& scoped) {
+                                     obs::MetricsRegistry& scoped,
+                                     PlantMemos& /*memos*/) {
   const patch::DegradedMissionOptions options = make_brownout_options(config, index);
   patch::BatterySpec battery;
   battery.capacity_mah = 100.0;
@@ -435,7 +444,7 @@ void validate_brownout_plan(const CampaignConfig& config, int index) {
 }
 
 using ScenarioRunner = ScenarioResult (*)(const CampaignConfig&, int,
-                                          obs::MetricsRegistry&);
+                                          obs::MetricsRegistry&, PlantMemos&);
 using PlanValidator = void (*)(const CampaignConfig&, int);
 
 struct NamedCampaign {
@@ -514,7 +523,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   }
 
   // Scenario j writes slot j and draws only from streams keyed by
-  // (seed, j): bit-identical output for any thread count.
+  // (seed, j): bit-identical output for any thread count. The scenarios
+  // share one memo bundle that lives for this call only; a hit returns
+  // exactly what the simulation would have.
+  PlantMemos memos;
   exec::ThreadPool pool(config.threads);
   exec::ParallelForOptions options;
   options.grain = 1;
@@ -522,9 +534,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       pool, 0, static_cast<std::size_t>(config.scenarios),
       [&](std::size_t j) {
         result.scenarios[j] =
-            chosen->run(effective, static_cast<int>(j), *scoped[j]);
+            chosen->run(effective, static_cast<int>(j), *scoped[j], memos);
       },
       options);
+  result.segment_hits = memos.segments.hits();
+  result.segment_misses = memos.segments.misses();
+  result.bioz_hits = memos.bioz.hits();
+  result.bioz_misses = memos.bioz.misses();
 
   int disturbed = 0;
   for (const auto& s : result.scenarios) {
@@ -569,6 +585,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     registry.gauge("link." + effective.link + ".cadence_s")
         .set(profile.cadence_s);
     registry.counter("fault.campaign.runs").add();
+    // Plant memo totals, summed over the campaign calls of a run.
+    registry.counter("fault.campaign.segment_hits").add(result.segment_hits);
+    registry.counter("fault.campaign.segment_misses")
+        .add(result.segment_misses);
+    registry.counter("fault.campaign.bioz_hits").add(result.bioz_hits);
+    registry.counter("fault.campaign.bioz_misses").add(result.bioz_misses);
     registry.gauge("fault.campaign.recovery_rate").set(result.recovery_rate);
     registry.gauge("fault.campaign.lost_measurements")
         .set(static_cast<double>(result.lost_measurements));

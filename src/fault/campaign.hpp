@@ -8,7 +8,10 @@
 // SimClock and util::Rng streams keyed by (seed, scenario), results land
 // in slot-indexed storage, so `run_campaign` is bit-identical for any
 // `threads` value and any two same-seed runs (the fingerprint in the
-// result is the contract the ctest gate checks).
+// result is the contract the ctest gate checks). The scenarios of one
+// call share exact plant memos (fault::PlantMemos), so a rectifier
+// segment or bio-impedance measure that two scenarios repeat runs once
+// without changing a bit.
 #pragma once
 
 #include <cstddef>
@@ -79,6 +82,14 @@ struct CampaignResult {
   // FNV-1a over every deterministic scenario field, in index order; equal
   // fingerprints mean bit-identical campaigns.
   std::uint64_t fingerprint = 0;
+  // Plant memo traffic of this call, shared by all its scenarios: the
+  // rectifier segment memo and the bio-impedance memo. Totals only, and
+  // never fingerprinted; misses equal distinct inputs, so the totals do
+  // not depend on the thread count.
+  std::uint64_t segment_hits = 0;
+  std::uint64_t segment_misses = 0;
+  std::uint64_t bioz_hits = 0;
+  std::uint64_t bioz_misses = 0;
 };
 
 // The registered campaign names:

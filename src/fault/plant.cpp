@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/obs/profiler.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 
@@ -82,7 +83,10 @@ double LinkBudget::power_now(const FaultInjector& injector) {
     ++power_hits;
     return last_power_;
   }
-  last_power_ = phy->power_delivered(condition);
+  {
+    PROF_ZONE("link.power");
+    last_power_ = phy->power_delivered(condition);
+  }
   last_condition_ = condition;
   return last_power_;
 }
@@ -124,46 +128,6 @@ std::unique_ptr<spice::Circuit> RectifierPlant::build(double amplitude,
   return ckt;
 }
 
-SegmentMemo::Segment SegmentMemo::lookup(
-    const Key& key, std::shared_ptr<const spice::TransientCheckpoint> parent,
-    const std::function<Segment()>& simulate) {
-  std::optional<std::promise<Segment>> computing;  // engaged on a miss
-  std::shared_future<Segment> segment;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted) {
-      ++misses_;
-      computing.emplace();
-      it->second.parent = std::move(parent);
-      it->second.segment = computing->get_future().share();
-    } else {
-      ++hits_;
-    }
-    segment = it->second.segment;
-  }
-  if (computing.has_value()) {
-    try {
-      computing->set_value(simulate());
-    } catch (...) {
-      computing->set_exception(std::current_exception());
-    }
-  }
-  // Waits while another session is still simulating this key; rethrows
-  // a stored failure.
-  return segment.get();
-}
-
-std::uint64_t SegmentMemo::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SegmentMemo::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
 void RectifierPlant::fork_from(
     std::shared_ptr<const spice::TransientCheckpoint> base,
     double base_amplitude) {
@@ -194,8 +158,8 @@ spice::TransientResult RectifierPlant::run_segment(
   return spice::run_transient(*ckt, opts);
 }
 
-SegmentMemo::Segment RectifierPlant::simulate(double amplitude) {
-  SegmentMemo::Segment segment;
+Segment RectifierPlant::simulate(double amplitude) {
+  Segment segment;
   if (committed() != nullptr && committed_amplitude_ >= 0.0 &&
       amplitude != committed_amplitude_) {
     // The fault hit while a segment at the old drive was in flight:
@@ -218,7 +182,7 @@ SegmentMemo::Segment RectifierPlant::simulate(double amplitude) {
 }
 
 double RectifierPlant::measure(double amplitude) {
-  const SegmentMemo::Segment segment =
+  const Segment segment =
       memo == nullptr
           ? simulate(amplitude)
           : memo->lookup({reinterpret_cast<std::uintptr_t>(committed_.get()),

@@ -12,7 +12,8 @@
 // `capture_charged_checkpoint` produces the shared blob by running the
 // ~270 us charge-up transient once. `SegmentMemo` then lets plants that
 // sit on the same node and see the same drive share the next segment
-// too.
+// too, and `PlantMemos` bundles it with the bio-impedance memo for one
+// fleet run or one campaign call.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
@@ -21,16 +22,15 @@
 // lives in the backend's link::NominalProfile instead of free constants.
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <functional>
-#include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
+#include "src/fault/bioz.hpp"
 #include "src/fault/injector.hpp"
+#include "src/fault/memo.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/link/inductive.hpp"
 #include "src/link/phy.hpp"
@@ -103,65 +103,37 @@ struct LinkBudget {
 void tally_active(FaultInjector& injector, const FaultSchedule& schedule,
                   double t);
 
-// An exact memo of RectifierPlant::measure, shared by the plants of one
-// fleet run. Sessions whose plants sit on the same committed node and
-// are measured at the same drive simulate that segment once.
-//
-// The key is the committed node's *address* plus the plant fields
-// measure reads (committed and requested amplitude, segment length,
-// carrier, analysis hints), doubles compared bit for bit. Identity
-// keying is exact because every entry holds a shared_ptr to its parent
-// node: the address cannot be reused while the key exists, and a node
-// never changes after it is committed. Inputs outside the key (the
-// process default solver, Newton options, the circuit recipe) are
-// constant within one run, which is why a memo is scoped to one run.
-//
-// Each key is simulated once. The mutex is never held while a transient
-// runs; a second request for a key still in flight waits for that
-// result. Hits and misses are therefore exact and independent of thread
-// count (misses == distinct keys). A simulation that throws stores its
-// exception, and every requester of that key sees the same failure.
-class SegmentMemo {
- public:
-  // What one measure computes from a committed state: the node it
-  // commits, the settled Vo, and whether a drive change threw away a
-  // half segment first (the plant's `restarts` tally).
-  struct Segment {
-    std::shared_ptr<const spice::TransientCheckpoint> committed;
-    double vo = 0.0;
-    bool restarted = false;
-  };
-
-  struct Key {
-    std::uintptr_t parent = 0;  // committed node address (0 = none)
-    std::uint64_t committed_amplitude = 0;
-    std::uint64_t amplitude = 0;
-    std::uint64_t segment_length = 0;
-    std::uint64_t carrier_hz = 0;
-    bool analysis_hints = false;
-
-    auto operator<=>(const Key&) const = default;
-  };
-
-  // The segment for `key`, calling `simulate` only on the first request.
-  // `parent` is the node the key's address names.
-  Segment lookup(const Key& key,
-                 std::shared_ptr<const spice::TransientCheckpoint> parent,
-                 const std::function<Segment()>& simulate);
-
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const spice::TransientCheckpoint> parent;  // pins the key
-    std::shared_future<Segment> segment;
-  };
-  mutable std::mutex mutex_;
-  std::map<Key, Entry> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
+// What one RectifierPlant::measure computes from a committed state: the
+// node it commits, the settled Vo, and whether a drive change threw away
+// a half segment first (the plant's `restarts` tally).
+struct Segment {
+  std::shared_ptr<const spice::TransientCheckpoint> committed;
+  double vo = 0.0;
+  bool restarted = false;
 };
+
+// The committed node's *address* plus the plant fields measure reads
+// (committed and requested amplitude, segment length, carrier, analysis
+// hints), doubles as their bit patterns.
+struct SegmentKey {
+  std::uintptr_t parent = 0;  // committed node address (0 = none)
+  std::uint64_t committed_amplitude = 0;
+  std::uint64_t amplitude = 0;
+  std::uint64_t segment_length = 0;
+  std::uint64_t carrier_hz = 0;
+  bool analysis_hints = false;
+
+  auto operator<=>(const SegmentKey&) const = default;
+};
+
+// An exact memo of RectifierPlant::measure. Plants that sit on the same
+// committed node and are measured at the same drive simulate that
+// segment once. Identity keying is exact because every entry pins its
+// parent node: the address cannot be reused while the key exists, and a
+// node never changes after it is committed. Inputs outside the key (the
+// Newton options, the circuit recipe) are constant within one memo's
+// scope.
+using SegmentMemo = ExactMemo<SegmentKey, Segment>;
 
 // Rectifier transient segments spliced at committed checkpoints: the
 // implant's analog state persists between measurements, and a drive
@@ -204,7 +176,7 @@ struct RectifierPlant {
 
  private:
   // The one physics path behind measure, memoized or not.
-  SegmentMemo::Segment simulate(double amplitude);
+  Segment simulate(double amplitude);
 
   std::shared_ptr<const spice::TransientCheckpoint> committed_;
   double committed_amplitude_ = -1.0;
@@ -227,5 +199,14 @@ struct ChargeUpSpec {
 
 spice::TransientCheckpoint capture_charged_checkpoint(
     const ChargeUpSpec& spec = {}, spice::TransientStats* stats = nullptr);
+
+// Both plants' exact memos, shared by every session of one fleet run or
+// every scenario of one campaign call (plants point into it; they do
+// not own it). Never process-wide, so memory stays bounded by one run
+// or one campaign call.
+struct PlantMemos {
+  SegmentMemo segments;
+  BioZMemo bioz;
+};
 
 }  // namespace ironic::fault

@@ -141,16 +141,17 @@ FleetResult FleetService::run(const FleetConfig& config) {
   // One capture per distinct spec, shared by every session in the
   // cohorts that need it (the bio-impedance workload is stateless and
   // skips charge-up entirely). cache_.charged dedupes by spec value, so
-  // same-backend cohorts resolve to the same blob. The segment memo then
-  // shares every later segment of sessions with the same drive history;
-  // it lives for this run only. When sharing is off each session pays
-  // its own charge-up and segments inside run_patient_session — same
-  // results, different wall clock.
+  // same-backend cohorts resolve to the same blob. The plant memos then
+  // share every later rectifier segment of sessions with the same drive
+  // history, and every repeated bio-impedance measure; they live for
+  // this run only. When sharing is off each session pays its own
+  // charge-up and measures inside run_patient_session — same results,
+  // different wall clock.
   std::vector<std::shared_ptr<const spice::TransientCheckpoint>> blobs(
       n_cohorts);
-  std::optional<fault::SegmentMemo> memo;
+  std::optional<fault::PlantMemos> memos;
   if (config.share_checkpoint) {
-    memo.emplace();
+    memos.emplace();
     for (std::size_t c = 0; c < n_cohorts; ++c) {
       if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
         blobs[c] = cache_.charged(charge_for(config, config.cohorts[c]));
@@ -210,7 +211,7 @@ FleetResult FleetService::run(const FleetConfig& config) {
         // as a recorded SessionHealth, never an unwound parallel_for.
         SupervisedSession sup =
             run_supervised_session(spec, blobs[i % n_cohorts], scoped, policy,
-                                   memo.has_value() ? &*memo : nullptr);
+                                   memos.has_value() ? &*memos : nullptr);
         if (journal.is_open()) journal.record(sup.health, sup.result);
         result.sessions[i] = std::move(sup.result);
         result.health[i] = std::move(sup.health);
@@ -330,9 +331,11 @@ FleetResult FleetService::run(const FleetConfig& config) {
   result.session_wall_mean_s =
       fresh_sessions > 0 ? wall_sum / static_cast<double>(fresh_sessions)
                          : 0.0;
-  if (memo.has_value()) {
-    result.segment_hits = memo->hits();
-    result.segment_misses = memo->misses();
+  if (memos.has_value()) {
+    result.segment_hits = memos->segments.hits();
+    result.segment_misses = memos->segments.misses();
+    result.bioz_hits = memos->bioz.hits();
+    result.bioz_misses = memos->bioz.misses();
   }
 
   // Solo-path captures were booked per session above; add the cache's
@@ -372,6 +375,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
     root.counter("link.power_hits").add(result.power_hits);
     root.counter("fleet.segment_hits").add(result.segment_hits);
     root.counter("fleet.segment_misses").add(result.segment_misses);
+    root.counter("fleet.bioz_hits").add(result.bioz_hits);
+    root.counter("fleet.bioz_misses").add(result.bioz_misses);
     // Supervision roll-ups: always published (zero on a clean run) so
     // trace_validate --require can pin them either way.
     root.gauge("fleet.failed").set(static_cast<double>(result.failed));

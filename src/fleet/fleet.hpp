@@ -5,14 +5,15 @@
 // The scaling lever is shared analog state. One charge-up transient is
 // captured per distinct ChargeUpSpec (CheckpointCache) and every
 // session forks the immutable blob instead of re-simulating the ~270 us
-// charge-up. Then one fault::SegmentMemo per run lets sessions with the
-// same drive history share every later rectifier segment too: a segment
-// two sessions would simulate from the same committed node at the same
-// drive runs once. The hard contract: every session's deterministic
-// results are bit-identical to running that session solo with the same
-// seed, for any thread count and whether or not analog state was shared
-// — slot-indexed results, per-session hashed RNG streams, a
-// deterministic capture and an exact memo make that structural.
+// charge-up. Then one fault::PlantMemos per run lets sessions share
+// every later simulation too: a rectifier segment two sessions would
+// simulate from the same committed node at the same drive, or a
+// bio-impedance measure at the same input, runs once. The hard
+// contract: every session's deterministic results are bit-identical to
+// running that session solo with the same seed, for any thread count
+// and whether or not analog state was shared — slot-indexed results,
+// per-session hashed RNG streams, a deterministic capture and exact
+// memos make that structural.
 //
 // Observability: each session records into a scoped registry parented
 // on its cohort's registry; after the run the service aggregates each
@@ -46,8 +47,8 @@ struct FleetConfig {
   // int (run() rejects others).
   double soak_seconds = 0.0;
   // Whether sessions share analog state: the charge-up checkpoint and
-  // the run's segment memo. false = every session captures its own
-  // charge-up and simulates every segment itself (the solo path,
+  // the run's plant memos. false = every session captures its own
+  // charge-up and simulates every measure itself (the solo path,
   // fleet-wide). Results are bit-identical either way; only wall clock
   // moves. The A/B lever behind BENCH_fleet_soak's fork-speedup row.
   bool share_checkpoint = true;
@@ -127,11 +128,14 @@ struct FleetResult {
   double session_wall_mean_s = 0.0;       // mean session body wall clock
   std::uint64_t power_queries = 0;        // link power queries, fresh sessions
   std::uint64_t power_hits = 0;           // ... of which the memo answered
-  // Rectifier segment memo traffic over the whole run (0/0 without
-  // sharing). Totals only: which session reaches a key first depends on
-  // scheduling, but the totals do not (misses == distinct segments).
+  // Plant memo traffic over the whole run (0/0 without sharing): the
+  // rectifier segment memo and the bio-impedance memo. Totals only:
+  // which session reaches a key first depends on scheduling, but the
+  // totals do not (misses == distinct inputs).
   std::uint64_t segment_hits = 0;
   std::uint64_t segment_misses = 0;
+  std::uint64_t bioz_hits = 0;
+  std::uint64_t bioz_misses = 0;
 };
 
 // Exact percentile (p in [0, 100]) of a sorted sample set by linear
@@ -139,9 +143,9 @@ struct FleetResult {
 double exact_percentile(const std::vector<double>& sorted, double p);
 
 // Long-lived service: owns the worker pool and the checkpoint cache, so
-// successive runs (a soak driver, a growing fleet) reuse both. The
-// segment memo is per run: run() creates it and drops it on return, so
-// a long-lived service never grows with the segments it has simulated.
+// successive runs (a soak driver, a growing fleet) reuse both. The plant
+// memos are per run: run() creates them and drops them on return, so a
+// long-lived service never grows with what it has simulated.
 class FleetService {
  public:
   explicit FleetService(std::size_t threads = 1);

@@ -11,6 +11,7 @@
 #include "src/fault/injector.hpp"
 #include "src/fault/session.hpp"
 #include "src/link/phy.hpp"
+#include "src/obs/profiler.hpp"
 #include "src/pm/regulator.hpp"
 #include "src/util/fingerprint.hpp"
 #include "src/util/rng.hpp"
@@ -115,7 +116,8 @@ SessionResult run_patient_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
     obs::MetricsRegistry* scoped, const SessionControls& controls,
-    fault::SegmentMemo* memo) {
+    fault::PlantMemos* memos) {
+  PROF_ZONE("fleet.session");
   SessionResult result;
   result.index = spec.index;
   result.cohort = spec.cohort.name;
@@ -154,10 +156,13 @@ SessionResult run_patient_session(
   fault::RectifierPlant plant;
   plant.carrier_hz = budget.nominal().carrier_hz;
   plant.analysis_hints = spec.analysis_hints;
-  plant.memo = memo;
   if (spice_plant) plant.fork_from(charged, spec.charge.amplitude);
   fault::BioZPlant bioz;
   bioz.analysis_hints = spec.analysis_hints;
+  if (memos != nullptr) {
+    plant.memo = &memos->segments;
+    bioz.memo = &memos->bioz;
+  }
   const pm::LdoModel ldo;
 
   const auto make_factory =

@@ -120,14 +120,15 @@ fault::FaultSchedule make_session_schedule(const SessionSpec& spec);
 // never touch the session's RNG lanes or SimClock, so any attempt that
 // runs to completion is bit-identical to an uncontrolled run.
 //
-// `memo` (optional) is the run's shared rectifier-segment memo: a
+// `memos` (optional) are the run's shared plant memos: a rectifier
 // segment another session already simulated from the same committed
-// node at the same drive is read back instead of re-run. A hit returns
-// exactly what the simulation would have, so results are unchanged.
+// node at the same drive, or a bio-impedance measure at the same input,
+// is read back instead of re-run. A hit returns exactly what the
+// simulation would have, so results are unchanged.
 SessionResult run_patient_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
     obs::MetricsRegistry* scoped, const SessionControls& controls = {},
-    fault::SegmentMemo* memo = nullptr);
+    fault::PlantMemos* memos = nullptr);
 
 }  // namespace ironic::fleet

@@ -102,7 +102,7 @@ SupervisedSession run_supervised_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
     obs::MetricsRegistry* scoped, const SupervisorPolicy& policy,
-    fault::SegmentMemo* memo) {
+    fault::PlantMemos* memos) {
   SupervisedSession out;
   out.health.index = spec.index;
   out.health.cohort = spec.cohort.name;
@@ -127,7 +127,7 @@ SupervisedSession run_supervised_session(
       // Each attempt rebuilds the session from (seed, index) alone —
       // fresh RNG lanes, fresh SimClock, fresh plant fork — so a retry
       // that succeeds is bit-identical to a clean first-attempt run.
-      out.result = run_patient_session(spec, charged, scoped, controls, memo);
+      out.result = run_patient_session(spec, charged, scoped, controls, memos);
       out.health.ok = true;
       out.health.code = FailureCode::kNone;
       out.health.message.clear();

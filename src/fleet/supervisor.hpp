@@ -73,12 +73,12 @@ struct SupervisedSession {
 // Run one session under the policy: watchdog deadline per attempt,
 // chaos injection per the spec, containment + classification of any
 // exception, retry with the original seed, quarantine on exhaustion.
-// `memo` is handed to every attempt (see run_patient_session).
+// `memos` are handed to every attempt (see run_patient_session).
 SupervisedSession run_supervised_session(
     const SessionSpec& spec,
     std::shared_ptr<const spice::TransientCheckpoint> charged,
     obs::MetricsRegistry* scoped, const SupervisorPolicy& policy,
-    fault::SegmentMemo* memo = nullptr);
+    fault::PlantMemos* memos = nullptr);
 
 // Append-only JSONL run journal. Every line is a self-contained JSON
 // object on stream "fleet.journal": one "begin" header (config

@@ -674,6 +674,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     // Capture after the step-control update so a resume continues with
     // exactly the dt/streak the uninterrupted run would have used next.
     if (take_checkpoint) {
+      PROF_ZONE("spice.checkpoint");
       TransientCheckpoint& cp = *options.checkpoint;
       cp.time = t;
       cp.dt = dt;

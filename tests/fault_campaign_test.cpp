@@ -84,6 +84,30 @@ TEST(FaultCampaign, ScriptedCampaignIsThreadCountInvariant) {
     EXPECT_EQ(a.scenarios[i].retries, b.scenarios[i].retries);
     EXPECT_EQ(a.scenarios[i].sim_time, b.scenarios[i].sim_time);
   }
+
+  // The scenarios share the call's plant memos. Misses are the distinct
+  // inputs, so the totals are thread-count invariant too; every
+  // committed segment is a hit or a miss.
+  EXPECT_GT(a.segment_hits, 0u);
+  EXPECT_EQ(a.segment_hits + a.segment_misses,
+            static_cast<std::uint64_t>(a.checkpoints));
+  EXPECT_EQ(a.segment_hits, b.segment_hits);
+  EXPECT_EQ(a.segment_misses, b.segment_misses);
+  EXPECT_EQ(a.bioz_hits + a.bioz_misses, 0u);  // no bio-impedance plant
+
+  CampaignConfig bioz_serial = serial;
+  bioz_serial.name = "bioz_tissue_drift";
+  CampaignConfig bioz_wide = bioz_serial;
+  bioz_wide.threads = 4;
+  const auto d = run_campaign(bioz_serial);
+  const auto e = run_campaign(bioz_wide);
+  EXPECT_EQ(d.fingerprint, e.fingerprint);
+  EXPECT_GT(d.bioz_hits, 0u);
+  EXPECT_EQ(d.bioz_hits + d.bioz_misses,
+            static_cast<std::uint64_t>(d.checkpoints));
+  EXPECT_EQ(d.bioz_hits, e.bioz_hits);
+  EXPECT_EQ(d.bioz_misses, e.bioz_misses);
+  EXPECT_EQ(d.segment_hits + d.segment_misses, 0u);  // no rectifier plant
 }
 
 #if IRONIC_OBS_ENABLED

@@ -24,12 +24,14 @@
 #include <gtest/gtest.h>
 
 #include "src/exec/cancellation.hpp"
+#include "src/fault/bioz.hpp"
 #include "src/fault/plant.hpp"
 #include "src/fleet/checkpoint.hpp"
 #include "src/fleet/fleet.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
 #include "src/linalg/solver.hpp"
+#include "src/link/magnetoelectric.hpp"
 #include "src/spice/engine.hpp"
 
 namespace {
@@ -108,6 +110,53 @@ TEST(Fleet, FingerprintInvariantToCheckpointSharing) {
   EXPECT_EQ(isolated.checkpoint_forks, 0u);
   EXPECT_EQ(isolated.segment_hits, 0u);
   EXPECT_EQ(isolated.segment_misses, 0u);
+
+  // The bio-impedance workload on the magnetoelectric link shares no
+  // charge-up; sharing means the run's bioz memo, and it must not change
+  // a bit either.
+  auto bioz = small_config();
+  for (auto& cohort : bioz.cohorts) {
+    cohort.link = "me";
+    cohort.workload = fault::Workload::kBioZ;
+  }
+  bioz.threads = 1;
+  const auto bioz_serial = fleet::run_fleet(bioz);
+  bioz.threads = 3;
+  const auto bioz_pooled = fleet::run_fleet(bioz);
+  bioz.share_checkpoint = false;
+  const auto bioz_isolated = fleet::run_fleet(bioz);
+  EXPECT_EQ(bioz_serial.fingerprint, bioz_isolated.fingerprint);
+  EXPECT_EQ(bioz_pooled.fingerprint, bioz_isolated.fingerprint);
+  EXPECT_EQ(bioz_isolated.bioz_hits, 0u);
+  EXPECT_EQ(bioz_isolated.bioz_misses, 0u);
+  EXPECT_EQ(bioz_serial.segment_misses, 0u);  // no rectifier plant ran
+  // Every measure is a hit or a miss, and the totals do not depend on
+  // the thread count.
+  std::uint64_t measures = 0;
+  for (const auto& session : bioz_isolated.sessions) {
+    measures += static_cast<std::uint64_t>(session.checkpoints);
+  }
+  EXPECT_EQ(bioz_serial.bioz_hits + bioz_serial.bioz_misses, measures);
+  EXPECT_GT(bioz_serial.bioz_hits, 0u);
+  EXPECT_EQ(bioz_serial.bioz_hits, bioz_pooled.bioz_hits);
+  EXPECT_EQ(bioz_serial.bioz_misses, bioz_pooled.bioz_misses);
+  // Misses are the distinct inputs: replaying the sessions in reverse
+  // order through one fresh memo meets the same set of inputs.
+  fault::PlantMemos replay;
+  for (std::size_t i = bioz.sessions; i-- > 0;) {
+    fleet::SessionSpec spec;
+    spec.seed = bioz.seed;
+    spec.index = i;
+    spec.exchanges = bioz.exchanges;
+    spec.cohort = bioz.cohorts[i % bioz.cohorts.size()];
+    const auto session =
+        fleet::run_patient_session(spec, nullptr, nullptr, {}, &replay);
+    EXPECT_EQ(fleet::fingerprint_session(session),
+              fleet::fingerprint_session(bioz_isolated.sessions[i]))
+        << "session " << i;
+  }
+  EXPECT_EQ(replay.bioz.misses(), bioz_serial.bioz_misses);
+  EXPECT_EQ(replay.bioz.hits(), bioz_serial.bioz_hits);
 }
 
 TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
@@ -287,6 +336,127 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
     // A measure that throws commits nothing.
     EXPECT_EQ(plants[t].committed(), blob.get());
     EXPECT_EQ(plants[t].checkpoints, 0);
+  }
+}
+
+// --------------------------------------------------------------- bioz memo
+
+// The magnetoelectric nominal drive at the shipped tissue (scale 1.0):
+// the input most bio-impedance measures repeat.
+constexpr double kBioZDrive = link::kMagnetoelectricNominal.drive_v;
+
+TEST(BioZMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
+  // Nominal twice, a drifted tissue twice, then nominal again: two
+  // distinct inputs over five measures.
+  const std::vector<double> scales = {1.0, 1.0, 1.4, 1.4, 1.0};
+  fault::BioZMemo memo;
+  fault::BioZPlant cached;
+  fault::BioZPlant reference;
+  cached.memo = &memo;
+
+  std::vector<double> vos;
+  for (const double scale : scales) {
+    const double vo = cached.measure(kBioZDrive, scale);
+    EXPECT_TRUE(same_bits(vo, reference.measure(kBioZDrive, scale)))
+        << "scale " << scale;
+    EXPECT_EQ(cached.measurements, reference.measurements);
+    vos.push_back(vo);
+  }
+  EXPECT_EQ(reference.measurements, 5);
+  EXPECT_FALSE(same_bits(vos[0], vos[2]));  // drift moves the sense tap
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.hits(), 3u);
+
+  // A plant replaying the same inputs is served entirely from the memo,
+  // and still counts every measure.
+  fault::BioZPlant replay;
+  replay.memo = &memo;
+  for (std::size_t k = 0; k < scales.size(); ++k) {
+    EXPECT_TRUE(same_bits(replay.measure(kBioZDrive, scales[k]), vos[k]))
+        << "step " << k;
+  }
+  EXPECT_EQ(replay.measurements, 5);
+  EXPECT_EQ(memo.misses(), 2u);
+  EXPECT_EQ(memo.hits(), 8u);
+
+  // Every plant field measure reads is in the key: a different tap on
+  // the same input is a miss, and reads what an uncached plant reads.
+  fault::BioZPlant deeper;
+  deeper.memo = &memo;
+  deeper.sense_tap = 9;
+  fault::BioZPlant deeper_reference;
+  deeper_reference.sense_tap = 9;
+  EXPECT_TRUE(same_bits(deeper.measure(kBioZDrive, 1.0),
+                        deeper_reference.measure(kBioZDrive, 1.0)));
+  EXPECT_EQ(memo.misses(), 3u);
+}
+
+TEST(BioZMemo, ConcurrentRequestsForOneKeySimulateOnce) {
+  fault::BioZMemo memo;
+  constexpr int kThreads = 4;
+  std::vector<fault::BioZPlant> plants(kThreads);
+  std::vector<double> vos(kThreads, 0.0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    plants[t].memo = &memo;
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      vos[t] = plants[t].measure(kBioZDrive, 1.4);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  fault::BioZPlant reference;
+  const double expected = reference.measure(kBioZDrive, 1.4);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(vos[t], expected)) << "thread " << t;
+    EXPECT_EQ(plants[t].measurements, 1);
+  }
+}
+
+TEST(BioZMemo, FailureReachesEveryRequester) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // The uncached plant's failure is the one every requester must see.
+  std::string expected;
+  {
+    fault::BioZPlant reference;
+    try {
+      reference.measure(nan, 1.0);
+    } catch (const std::exception& error) {
+      expected = error.what();
+    }
+    EXPECT_EQ(reference.measurements, 0);
+  }
+  EXPECT_NE(expected.find("build_tissue_ladder: amplitude must be finite"),
+            std::string::npos)
+      << expected;
+
+  fault::BioZMemo memo;
+  constexpr int kThreads = 3;
+  std::vector<std::string> messages(kThreads);
+  std::vector<fault::BioZPlant> plants(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    plants[t].memo = &memo;
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      try {
+        plants[t].measure(nan, 1.0);
+      } catch (const std::exception& error) {
+        messages[t] = error.what();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(messages[t], expected) << "thread " << t;
+    // A measure that throws is not counted.
+    EXPECT_EQ(plants[t].measurements, 0);
   }
 }
 

@@ -9,7 +9,7 @@
 #                circuits concurrently; the rest of the numeric suite
 #                stays on ASan), the telemetry drainer / sharded-merge
 #                races (TelemetrySink, Profiler, MetricsShard) and the
-#                fleet's shared segment memo (SegmentMemo)
+#                shared plant memos (SegmentMemo, BioZMemo)
 #   4. tidy      clang-tidy over src/ and tools/ (skips if not installed)
 #   5. lint      netlist_lint --strict over every shipped .cir netlist,
 #                and the broken fixtures must FAIL
@@ -22,17 +22,18 @@
 #   7. fault     fault_runner over every registered campaign, plus the
 #                exit-code contract (unwritable --out and --telemetry must
 #                exit 2), every campaign again at 1 and 4 threads
-#                (fingerprints must be thread-count invariant), and the
-#                trace_validate pins on the spice.solver.*,
-#                obs.telemetry.*, prof.<zone>.* and cohort.* telemetry
+#                (fingerprints and plant-memo totals must be thread-count
+#                invariant), and the trace_validate pins on the
+#                spice.solver.*, obs.telemetry.*, prof.<zone>.*,
+#                fault.campaign.* memo and cohort.* telemetry
 #   8. fleet     fleet_runner 1000-session smoke with solo-parity spot
 #                checks (--verify-solo exits 1 on any fingerprint
 #                mismatch), checkpoint forking pinned to exactly one
 #                charge-up capture, the fleet fingerprint and segment-memo
 #                hit/miss totals identical across two thread counts, a
 #                --no-share leg reproducing the shared fingerprint, and
-#                the fleet.* / cohort.fleet.* telemetry schema pinned via
-#                trace_validate
+#                the fleet.* / cohort.fleet.* / prof.fleet.session
+#                telemetry schema pinned via trace_validate
 #   9. chaos     fleet supervision: injected chaos is contained (exact
 #                fleet.failed/quarantined pins, exit code 1), a
 #                retried-to-health chaos run is bit-identical to a
@@ -48,9 +49,11 @@
 #                fingerprint pinned across three thread counts, the
 #                bio-impedance campaign and fleet smoke (stateless
 #                workload -> zero charge-ups, zero forks; the fleet
-#                fingerprint equal at 1 and 4 threads), the --link
-#                exit-2 contract on all three runners, and the link.*
-#                telemetry schema pinned via trace_validate
+#                fingerprint and bioz-memo totals equal at 1 and 4
+#                threads, and a --no-share leg reproducing the
+#                fingerprint without the memo), the --link exit-2
+#                contract on all three runners, and the link.* telemetry
+#                schema pinned via trace_validate
 #  11. obs       bench_obs_overhead in-process budget gate (instrumented
 #                fault campaign must stay within 5% of the obs-off run),
 #                and every *committed* BENCH_*.json must have been
@@ -87,7 +90,7 @@ run_sanitize() {
 }
 
 run_tsan() {
-  log "TSan build + exec/sweep/rng/obs/fault/magnetics-kernel/segment-memo tests"
+  log "TSan build + exec/sweep/rng/obs/fault/magnetics-kernel/plant-memo tests"
   cmake -B "$ROOT/build-ci-tsan" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DIRONIC_WARNINGS_AS_ERRORS=ON \
@@ -99,7 +102,7 @@ run_tsan() {
              fleet_test sweep_runner
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo)'
+      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo)'
 }
 
 run_tidy() {
@@ -197,9 +200,10 @@ run_fault() {
   fi
   # Thread-count invariance: every campaign again at two thread counts —
   # the per-scenario fingerprints must be bit-identical, or the solver
-  # leaks state across scenarios. The wide leg streams JSONL telemetry
-  # while it runs, so the report it leaves behind carries live
-  # obs.telemetry.* counters.
+  # leaks state across scenarios, and so must each call's plant-memo
+  # totals (misses are the distinct inputs, however the scenarios
+  # interleave). The wide leg streams JSONL telemetry while it runs, so
+  # the report it leaves behind carries live obs.telemetry.* counters.
   local t1="$ROOT/build-ci-release/fault_threads_t1.json"
   local t4="$ROOT/build-ci-release/fault_threads_t4.json"
   local stream="$ROOT/build-ci-release/fault_threads_t4.telemetry.jsonl"
@@ -209,6 +213,11 @@ run_fault() {
     "$runner" --threads 4 --telemetry "$stream" --out "$t4" all
   if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t4"); then
     echo "ci: FAIL -- fault fingerprints differ across thread counts" >&2
+    exit 1
+  fi
+  local memo_pins='"(segment|bioz)_(hits|misses)"'
+  if ! diff <(grep -E "$memo_pins" "$t1") <(grep -E "$memo_pins" "$t4"); then
+    echo "ci: FAIL -- campaign memo totals differ across thread counts" >&2
     exit 1
   fi
   test -s "$stream"
@@ -227,18 +236,24 @@ run_fault() {
     --require obs.telemetry.written \
     --require obs.telemetry.flushes \
     --require prof.spice.transient.setup.inclusive_ns \
+    --require prof.spice.checkpoint.inclusive_ns \
     --require prof.spice.newton.inclusive_ns \
     --require prof.spice.linear_solve.inclusive_ns \
     --require prof.spice.stamp.inclusive_ns \
     --require prof.spice.lu_factor.inclusive_ns \
     --require prof.spice.lu_solve.inclusive_ns \
     --require prof.comms.exchange.inclusive_ns \
+    --require prof.link.power.inclusive_ns \
+    --require fault.campaign.segment_hits \
+    --require fault.campaign.segment_misses \
+    --require fault.campaign.bioz_hits \
+    --require fault.campaign.bioz_misses \
     --require cohort.ask_burst_coupling_drop.fault.scenario.exchange_latency_s.p99 \
     --require cohort.ask_burst_coupling_drop.fault.scenario.retries.p50 \
     --require cohort.brownout_shedding.fault.scenario.brownouts.max \
     "$ROOT/build-ci-release/BENCH_fault_resilience.json"
-  echo "ci: campaigns wrote $out; fingerprints thread-count" \
-       "invariant; exit-code and telemetry contracts hold"
+  echo "ci: campaigns wrote $out; fingerprints and memo totals" \
+       "thread-count invariant; exit-code and telemetry contracts hold"
 }
 
 run_fleet() {
@@ -306,7 +321,10 @@ run_fleet() {
     --require fleet.checkpoint_forks \
     --require fleet.segment_hits \
     --require fleet.segment_misses \
+    --require fleet.bioz_hits \
+    --require fleet.bioz_misses \
     --require fleet.sessions_per_second \
+    --require prof.fleet.session.inclusive_ns \
     --require cohort.fleet.nominal.fleet.session.retries.sum \
     --require cohort.fleet.noisy_link.fleet.session.exchange_latency_s.p95 \
     --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
@@ -484,7 +502,9 @@ run_linkphy() {
   # and a bioz fleet must run with zero charge-up captures and zero
   # checkpoint forks (the workload is stateless) and fingerprint the
   # same at 1 and 4 threads (every measure is a linear ladder transient
-  # on the engine's one-solve-per-step path).
+  # on the engine's one-solve-per-step path). The run's bioz memo totals
+  # must match across thread counts too, and a --no-share leg, which
+  # simulates every measure itself, must reproduce the fingerprint.
   local bioz="$ROOT/build-ci-release/linkphy_bioz.json"
   "$fault" --out "$bioz" bioz_tissue_drift
   grep -q '"lost_measurements": 0' "$bioz"
@@ -494,12 +514,22 @@ run_linkphy() {
     --out "$bfleet1"
   "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
     --out "$bfleet"
-  if ! diff <(grep '"fingerprint"' "$bfleet1") <(grep '"fingerprint"' "$bfleet"); then
-    echo "ci: FAIL -- bioz fleet fingerprints differ across thread counts" >&2
+  local bpins='"(fingerprint|bioz_hits|bioz_misses)"'
+  if ! diff <(grep -E "$bpins" "$bfleet1") <(grep -E "$bpins" "$bfleet"); then
+    echo "ci: FAIL -- bioz fleet fingerprints or memo totals differ across" \
+         "thread counts" >&2
     exit 1
   fi
   grep -q '"charge_captures": 0' "$bfleet"
   grep -q '"checkpoint_forks": 0' "$bfleet"
+  local bnoshare="$ROOT/build-ci-release/linkphy_bioz_fleet_noshare.json"
+  "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
+    --no-share --out "$bnoshare"
+  if ! diff <(grep '"fingerprint"' "$bfleet") <(grep '"fingerprint"' "$bnoshare"); then
+    echo "ci: FAIL -- bioz --no-share fingerprint differs from the shared run" >&2
+    exit 1
+  fi
+  grep -q '"bioz_misses": 0' "$bnoshare"
 
   # A magnetoelectric fleet must be thread-count invariant like the
   # inductive one (per-cohort charge-up blobs, PWM chips through the
@@ -538,8 +568,9 @@ run_linkphy() {
     exit 1
   fi
   echo "ci: linkphy neutrality diff clean; me pinned at 3 thread counts;" \
-       "bioz campaign+fleet smoke pass, bioz fleet thread-invariant;" \
-       "--link exit-2 contract holds"
+       "bioz campaign+fleet smoke pass, bioz fleet and memo totals" \
+       "thread-invariant, --no-share reproduces it; --link exit-2" \
+       "contract holds"
 }
 
 run_obs() {

@@ -52,6 +52,11 @@ obs::json::Value to_json(const fault::CampaignResult& result,
   fingerprint << "0x" << std::hex << std::setw(16) << std::setfill('0')
               << result.fingerprint;
   doc["fingerprint"] = fingerprint.str();
+  // Plant memo totals of the call (never fingerprinted).
+  doc["segment_hits"] = result.segment_hits;
+  doc["segment_misses"] = result.segment_misses;
+  doc["bioz_hits"] = result.bioz_hits;
+  doc["bioz_misses"] = result.bioz_misses;
   obs::json::Value::Object faults;
   for (int k = 0; k < fault::kFaultKindCount; ++k) {
     faults[fault::fault_kind_name(static_cast<fault::FaultKind>(k))] =
@@ -157,6 +162,7 @@ int main(int argc, char** argv) {
   }
 
   obs::RunReport run_report("fault_resilience");
+  run_report.metric("threads", static_cast<double>(config.threads));
   try {
     obs::json::Value::Array campaigns;
     for (const auto& campaign_name : names) {
@@ -178,7 +184,10 @@ int main(int argc, char** argv) {
       std::cerr << "fault_runner: " << campaign_name << " recovery_rate="
                 << result.recovery_rate << " lost=" << result.lost_measurements
                 << " retries=" << result.retries << " restarts="
-                << result.restarts << "\n";
+                << result.restarts << " segment_hits=" << result.segment_hits
+                << " segment_misses=" << result.segment_misses
+                << " bioz_hits=" << result.bioz_hits
+                << " bioz_misses=" << result.bioz_misses << "\n";
     }
     obs::json::Value::Object doc;
     doc["campaigns"] = std::move(campaigns);

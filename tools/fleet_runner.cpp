@@ -3,7 +3,8 @@
 // + fault pipeline each), sharded across the exec pool, forking one
 // shared charged-up checkpoint per session instead of re-simulating the
 // charge-up per patient, and sharing every later rectifier segment
-// between sessions with the same drive history (the run's segment memo).
+// between sessions with the same drive history and every repeated
+// bio-impedance measure (the run's plant memos).
 //
 //   fleet_runner [--sessions N] [--threads N] [--seed S]
 //                [--exchanges N | --soak SECONDS] [--no-share]
@@ -18,7 +19,7 @@
 // (--verify-solo re-runs a sample of sessions solo, with their own
 // charge-up, and exits 1 on any fingerprint mismatch). The obs run
 // report lands in BENCH_fleet_soak.json: per-cohort percentile recovery
-// time, lost-measurement rate, the checkpoint-fork and segment-memo
+// time, lost-measurement rate, the checkpoint-fork and plant-memo
 // accounting, and the supervision health roll-ups (fleet.failed /
 // retried / quarantined and per-code failure counters).
 //
@@ -124,6 +125,8 @@ obs::json::Value to_json(const fleet::FleetResult& result,
       static_cast<std::uint64_t>(result.checkpoint_forks);
   doc["segment_hits"] = result.segment_hits;
   doc["segment_misses"] = result.segment_misses;
+  doc["bioz_hits"] = result.bioz_hits;
+  doc["bioz_misses"] = result.bioz_misses;
   obs::json::Value::Array cohorts;
   for (const auto& c : result.cohorts) {
     obs::json::Value::Object row;
@@ -167,8 +170,9 @@ int usage(int code) {
         "  --no-share     sessions share no analog state: each captures its\n"
         "                 own charge-up instead of forking the shared\n"
         "                 checkpoint, and simulates every rectifier segment\n"
-        "                 itself instead of reading the run's segment memo\n"
-        "                 (same results; the A/B lever for the fork speedup)\n"
+        "                 and bio-impedance measure itself instead of\n"
+        "                 reading the run's plant memos (same results; the\n"
+        "                 A/B lever for the fork speedup)\n"
         "  --workload W   sensing front end every cohort drives per\n"
         "                 measurement: lactate (default; spice rectifier +\n"
         "                 potentiostat), lactate-behavioural, or bioz (the\n"
@@ -306,7 +310,9 @@ int main(int argc, char** argv) {
               << " charge_captures=" << result.charge_captures
               << " forks=" << result.checkpoint_forks
               << " segment_hits=" << result.segment_hits
-              << " segment_misses=" << result.segment_misses << " wall="
+              << " segment_misses=" << result.segment_misses
+              << " bioz_hits=" << result.bioz_hits
+              << " bioz_misses=" << result.bioz_misses << " wall="
               << result.wall_seconds << "s\n";
     std::cerr << "fleet_runner: health: failed=" << result.failed
               << " retried=" << result.retried
@@ -404,6 +410,8 @@ int main(int argc, char** argv) {
                       static_cast<double>(result.segment_hits));
     run_report.metric("segment_misses",
                       static_cast<double>(result.segment_misses));
+    run_report.metric("bioz_hits", static_cast<double>(result.bioz_hits));
+    run_report.metric("bioz_misses", static_cast<double>(result.bioz_misses));
     run_report.metric("lost_rate", result.lost_rate);
     run_report.metric("recovery_p50_s", result.recovery_p50_s);
     run_report.metric("recovery_p95_s", result.recovery_p95_s);
