@@ -19,7 +19,9 @@
 // constants across images.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "src/fault/campaign.hpp"
 #include "src/fleet/fleet.hpp"
@@ -28,10 +30,12 @@ namespace {
 
 using namespace ironic;
 
-std::uint64_t campaign_fp(const std::string& name, std::size_t threads) {
+std::uint64_t campaign_fp(const std::string& name, std::size_t threads,
+                          const std::string& link = "inductive") {
   fault::CampaignConfig config;
   config.name = name;
   config.threads = threads;
+  config.link = link;
   return fault::run_campaign(config).fingerprint;
 }
 
@@ -84,23 +88,64 @@ TEST(LinkNeutrality, BioZTissueDriftIsPinnedAndThreadInvariant) {
   EXPECT_EQ(campaign_fp("bioz_tissue_drift", 4), kBioZPin);
 }
 
-// The bio-impedance fleet on the magnetoelectric link, what
-// `fleet_runner --link me --workload bioz --sessions 60 --exchanges 2`
-// runs: every measurement is a linear tissue-ladder transient, so this
-// pins the engine's linear path end to end.
-TEST(LinkNeutrality, MeBioZFleetIsPinnedAndThreadInvariant) {
-  constexpr std::uint64_t kMeBioZPin = 0xa70b3d838406db0bULL;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    fleet::FleetConfig config;
-    config.sessions = 60;
-    config.exchanges = 2;
-    config.threads = threads;
-    for (auto& cohort : config.cohorts) {
-      cohort.link = "me";
-      cohort.workload = fault::Workload::kBioZ;
+// Campaigns that run on config.link, on the magnetoelectric link: what
+// `fault_runner --link me C` runs. Each row drives the shared patient
+// pipeline through a different front end (rectifier transient,
+// behavioural soak, bio-impedance ladder) over the PWM backscatter
+// uplink.
+TEST(LinkNeutrality, MeLinkCampaignsArePinnedAndThreadInvariant) {
+  struct Row {
+    const char* campaign;
+    const char* link;
+    std::uint64_t pin;
+  };
+  constexpr Row kRows[] = {
+      {"ask_burst_coupling_drop", "me", 0x5946cb8314863f09ULL},
+      {"stochastic_soak", "me", 0xbba87accf11eb250ULL},
+      {"bioz_tissue_drift", "me", 0x879ef9bc1f02e229ULL},
+  };
+  for (const auto& row : kRows) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      EXPECT_EQ(campaign_fp(row.campaign, threads, row.link), row.pin)
+          << row.campaign << " on " << row.link << ", threads=" << threads;
     }
-    EXPECT_EQ(fleet::run_fleet(config).fingerprint, kMeBioZPin)
-        << "threads=" << threads;
+  }
+}
+
+// Fleets with every cohort on one link and workload, what
+// `fleet_runner --link L --workload W --sessions 60 --exchanges 2`
+// runs. The first row, the bio-impedance fleet on the magnetoelectric
+// link, makes every measurement a linear tissue-ladder transient, so it
+// pins the engine's linear path end to end; the others pin each
+// remaining link and front-end pairing of the fleet pipeline.
+TEST(LinkNeutrality, MeBioZFleetIsPinnedAndThreadInvariant) {
+  struct Row {
+    const char* link;
+    fault::Workload workload;
+    std::uint64_t pin;
+  };
+  constexpr Row kRows[] = {
+      {"me", fault::Workload::kBioZ, 0xa70b3d838406db0bULL},
+      {"inductive", fault::Workload::kLactateBehavioural,
+       0x37cdb8a3d770e554ULL},
+      {"inductive", fault::Workload::kBioZ, 0x0bc79c92d01d1fedULL},
+      {"me", fault::Workload::kLactateSpice, 0xb2c4e1c8d39921bcULL},
+      {"me", fault::Workload::kLactateBehavioural, 0xb1d050a802db672dULL},
+  };
+  for (const auto& row : kRows) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      fleet::FleetConfig config;
+      config.sessions = 60;
+      config.exchanges = 2;
+      config.threads = threads;
+      for (auto& cohort : config.cohorts) {
+        cohort.link = row.link;
+        cohort.workload = row.workload;
+      }
+      EXPECT_EQ(fleet::run_fleet(config).fingerprint, row.pin)
+          << row.link << "/" << fault::workload_name(row.workload)
+          << ", threads=" << threads;
+    }
   }
 }
 
