@@ -6,23 +6,17 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/comms/protocol.hpp"
 #include "src/exec/thread_pool.hpp"
-#include "src/fault/bioz.hpp"
-#include "src/fault/injector.hpp"
+#include "src/fault/pipeline.hpp"
 #include "src/fault/plant.hpp"
-#include "src/link/phy.hpp"
 #include "src/fault/session.hpp"
 #include "src/fault/validate.hpp"
-#include "src/magnetics/link.hpp"
+#include "src/link/phy.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/telemetry.hpp"
 #include "src/patch/scheduler.hpp"
-#include "src/pm/rectifier.hpp"
 #include "src/pm/regulator.hpp"
 #include "src/spice/analysis/analysis.hpp"
-#include "src/spice/circuit.hpp"
-#include "src/spice/engine.hpp"
 #include "src/util/fingerprint.hpp"
 #include "src/util/rng.hpp"
 
@@ -58,149 +52,33 @@ std::uint64_t fingerprint_scenarios(const std::vector<ScenarioResult>& scenarios
 
 // --- scenario runners -------------------------------------------------------
 
-// One end-to-end scenario against `schedule`: measurements flow through
-// the session layer over BER channels wrapped by the injector and the
-// backend's modulation hooks, each executed measurement drives the
-// scenario's workload (rectifier transient segment, behavioural front
-// end, or the bio-impedance ladder), and the LDO regulation invariant
-// is checked under the injected rail scale. Both plants consult the
+// One scenario on the patient pipeline (pipeline.hpp): RNG lanes
+// Rng::stream(seed, 3 * index + k), a cold rectifier plant, and the
 // call's shared memos.
 ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
-                                 const FaultSchedule& schedule,
-                                 const SessionOptions& session_options,
+                                 FaultSchedule schedule,
+                                 SessionOptions session_options,
                                  Workload workload,
                                  obs::MetricsRegistry& scoped,
                                  PlantMemos& memos) {
-  ScenarioResult result;
-  result.index = index;
-
-  SimClock clock;
-  FaultInjector injector(&schedule, &clock,
-                         util::Rng::stream(config.seed, 3u * index + 0));
-  util::Rng channel_rng = util::Rng::stream(config.seed, 3u * index + 1);
-  LinkBudget budget(config.link);
-  const double sensitivity = budget.p_nominal / 8.0;  // snr 8 when nominal
-  const double cadence = budget.nominal().cadence_s;
-  RectifierPlant plant;
-  plant.carrier_hz = budget.nominal().carrier_hz;
-  plant.analysis_hints = config.analysis_hints;
-  plant.memo = &memos.segments;
-  BioZPlant bioz;
-  bioz.analysis_hints = config.analysis_hints;
-  bioz.memo = &memos.bioz;
-  const pm::LdoModel ldo;
-
-  const auto make_factory = [&](LinkDirection direction) -> ChannelFactory {
-    return [&, direction](double rate) -> comms::Channel {
-      comms::Channel physical = [&, rate](const comms::Bits& bits) {
-        const double ber = budget.bit_error_rate(budget.power_now(injector),
-                                                 sensitivity, rate);
-        comms::Bits out = bits;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          if (channel_rng.bernoulli(ber)) out[i] = !out[i];
-        }
-        return out;
-      };
-      // Fault wrapper inside, backend modulation outside: burst faults
-      // corrupt the backend's channel symbols (PWM chips on the ME
-      // uplink), and the codec gets to absorb what it can.
-      comms::Channel faulted = injector.wrap(std::move(physical), direction);
-      return direction == LinkDirection::kUplink
-                 ? budget.phy->wrap_uplink(std::move(faulted))
-                 : budget.phy->wrap_downlink(std::move(faulted));
-    };
-  };
-
-  const auto handler = [&](const comms::Request& request) -> comms::Response {
-    comms::Response response;
-    response.ok = true;
-    if (request.command == comms::Command::kMeasure) {
-      tally_active(injector, schedule, clock.now());
-      const double power = budget.power_now(injector);
-      const double amplitude = budget.drive_amplitude(power, injector);
-      double vo = 0.0;    // what the ADC digitizes
-      double rail = 0.0;  // what the LDO regulates
-      switch (workload) {
-        case Workload::kLactateSpice:
-          vo = plant.measure(amplitude);
-          rail = vo;
-          break;
-        case Workload::kLactateBehavioural:
-          // Behavioural front end for the soak: peak minus a diode
-          // drop, clamped at the four-diode chain voltage.
-          vo = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          rail = vo;
-          break;
-        case Workload::kBioZ:
-          // The sense tap is a tissue voltage, not the supply: the rail
-          // the LDO sees is the behavioural rectifier output.
-          vo = bioz.measure(amplitude,
-                            bioz_tissue_scale(injector.tissue_thickness()));
-          rail = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          break;
-      }
-      if (!ldo.in_regulation(rail * injector.rail_scale())) {
-        ++result.ldo_violations;
-      }
-      const std::uint16_t code = adc_code(vo);
-      response.payload = {static_cast<std::uint8_t>(code >> 8),
-                          static_cast<std::uint8_t>(code & 0xff)};
-    }
-    return response;
-  };
-
-  Session session(make_factory(LinkDirection::kDownlink),
-                  make_factory(LinkDirection::kUplink), handler, &clock,
-                  util::Rng::stream(config.seed, 3u * index + 2),
-                  session_options);
-
+  PatientInputs inputs;
+  inputs.link = config.link;
+  inputs.workload = workload;
+  inputs.analysis_hints = config.analysis_hints;
+  inputs.schedule = std::move(schedule);
+  inputs.options = std::move(session_options);
+  inputs.exchanges = config.exchanges;
+  inputs.injector_rng = util::Rng::stream(config.seed, 3u * index + 0);
+  inputs.channel_rng = util::Rng::stream(config.seed, 3u * index + 1);
+  inputs.session_rng = util::Rng::stream(config.seed, 3u * index + 2);
+  inputs.memos = &memos;
   // Per-scenario (cohort) telemetry lands in the scoped child registry;
   // run_campaign aggregates the children into cohort.* percentiles.
-  obs::Histogram* latency = nullptr;
-  if constexpr (obs::kEnabled) {
-    latency = &scoped.histogram("fault.scenario.exchange_latency_s");
-  }
-
-  for (int i = 0; i < config.exchanges; ++i) {
-    const auto outcome = session.exchange(comms::Command::kMeasure);
-    ++result.exchanges;
-    if constexpr (obs::kEnabled) latency->observe(outcome.elapsed);
-    if (outcome.ok && outcome.response->payload.size() >= 2) {
-      ++result.completed;
-      result.adc_codes.push_back(static_cast<std::uint16_t>(
-          (outcome.response->payload[0] << 8) | outcome.response->payload[1]));
-    } else {
-      ++result.lost;
-    }
-    clock.advance(cadence);
-  }
-
-  const auto& stats = session.stats();
-  result.retries = stats.retries;
-  result.recovered = stats.recovered;
-  result.recover_seconds = stats.recover_seconds;
-  result.backoff_seconds = stats.backoff_seconds;
-  result.rate_fallbacks = stats.rate_fallbacks;
-  result.rate_recoveries = stats.rate_recoveries;
-  result.restarts = plant.restarts;
-  // The bio-impedance plant is stateless; its committed work is the
-  // measurement count, reported in the same column.
-  result.checkpoints =
-      workload == Workload::kBioZ ? bioz.measurements : plant.checkpoints;
-  result.power_queries = budget.power_queries;
-  result.power_hits = budget.power_hits;
-  result.final_rate = session.current_rate();
-  result.sim_time = clock.now();
-  for (int k = 0; k < kFaultKindCount; ++k) {
-    result.faults_injected[k] = injector.injected(static_cast<FaultKind>(k));
-  }
-  if constexpr (obs::kEnabled) {
-    scoped.counter("fault.scenario.retries")
-        .add(static_cast<std::uint64_t>(result.retries));
-    scoped.counter("fault.scenario.lost")
-        .add(static_cast<std::uint64_t>(result.lost));
-    scoped.gauge("fault.scenario.final_rate_bps").set(result.final_rate);
-  }
+  inputs.scoped = &scoped;
+  inputs.metric_prefix = "fault.scenario";
+  ScenarioResult result;
+  static_cast<PatientOutcome&>(result) = run_patient(inputs);
+  result.index = index;
   return result;
 }
 
@@ -224,14 +102,12 @@ FaultSchedule make_ask_burst_schedule(int index) {
 ScenarioResult run_ask_burst_scenario(const CampaignConfig& config, int index,
                                       obs::MetricsRegistry& scoped,
                                       PlantMemos& memos) {
-  const FaultSchedule schedule = make_ask_burst_schedule(index);
-
   SessionOptions options;
   options.max_attempts = 20;
   options.exchange_timeout = 30.0;
   options.rate_ladder = {100e3, 50e3, 25e3, 12.5e3, 6.25e3};
-  return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped, memos);
+  return run_link_scenario(config, index, make_ask_burst_schedule(index),
+                           options, Workload::kLactateSpice, scoped, memos);
 }
 
 // The stochastic generator's horizon [s], shared by the schedule and
@@ -254,12 +130,11 @@ FaultSchedule make_stochastic_schedule(const CampaignConfig& config, int index) 
 ScenarioResult run_stochastic_scenario(const CampaignConfig& config, int index,
                                        obs::MetricsRegistry& scoped,
                                        PlantMemos& memos) {
-  const FaultSchedule schedule = make_stochastic_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 10;
   options.exchange_timeout = 10.0;
-  return run_link_scenario(config, index, schedule, options,
+  return run_link_scenario(config, index,
+                           make_stochastic_schedule(config, index), options,
                            Workload::kLactateBehavioural, scoped, memos);
 }
 
@@ -287,14 +162,12 @@ FaultSchedule make_me_schedule(const CampaignConfig& config, int index) {
 ScenarioResult run_me_scenario(const CampaignConfig& config, int index,
                                obs::MetricsRegistry& scoped,
                                PlantMemos& memos) {
-  const FaultSchedule schedule = make_me_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 20;
   options.exchange_timeout = 30.0;
   options.rate_ladder = {4e3, 2e3, 1e3};
-  return run_link_scenario(config, index, schedule, options,
-                           Workload::kLactateSpice, scoped, memos);
+  return run_link_scenario(config, index, make_me_schedule(config, index),
+                           options, Workload::kLactateSpice, scoped, memos);
 }
 
 // Bio-impedance under drift: a permanent Re/Ri drift (oedema onset)
@@ -316,13 +189,11 @@ FaultSchedule make_bioz_schedule(const CampaignConfig& config, int index) {
 ScenarioResult run_bioz_scenario(const CampaignConfig& config, int index,
                                  obs::MetricsRegistry& scoped,
                                  PlantMemos& memos) {
-  const FaultSchedule schedule = make_bioz_schedule(config, index);
-
   SessionOptions options;
   options.max_attempts = 12;
   options.exchange_timeout = 10.0;
-  return run_link_scenario(config, index, schedule, options, Workload::kBioZ,
-                           scoped, memos);
+  return run_link_scenario(config, index, make_bioz_schedule(config, index),
+                           options, Workload::kBioZ, scoped, memos);
 }
 
 // Brownouts against the degradation ladder: injected charge dips strike
@@ -577,9 +448,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     const auto& profile = link::nominal_profile(effective.link);
     registry.counter("link.power_queries").add(power_queries);
     registry.counter("link.power_hits").add(power_hits);
-    LinkBudget probe(effective.link);
     registry.gauge("link." + effective.link + ".p_nominal_w")
-        .set(probe.p_nominal);
+        .set(link::make_backend(effective.link)->nominal_power());
     registry.gauge("link." + effective.link + ".nominal_rate_bps")
         .set(profile.rate_bps);
     registry.gauge("link." + effective.link + ".cadence_s")

@@ -1,8 +1,10 @@
 // Named fault-resilience campaigns: end-to-end scenarios that drive the
-// whole stack — magnetics link budget, ASK/LSK comms with the session
-// layer, pm rectifier transients with checkpoint/restart, patch
-// degradation — through scripted or stochastic fault schedules, and
-// report recovery statistics.
+// whole stack through scripted or stochastic fault schedules and report
+// recovery statistics. Every link scenario runs the patient pipeline
+// (pipeline.hpp) that fleet sessions run too: magnetics link budget,
+// ASK/LSK comms with the session layer, pm rectifier transients with
+// checkpoint/restart. brownout_shedding drives the patch degradation
+// ladder instead.
 //
 // Campaigns are deterministic by construction: every scenario owns a
 // SimClock and util::Rng streams keyed by (seed, scenario), results land
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "src/fault/pipeline.hpp"
 #include "src/fault/schedule.hpp"
 
 namespace ironic::fault {
@@ -41,29 +44,11 @@ struct CampaignConfig {
   bool analysis_hints = false;
 };
 
-struct ScenarioResult {
+// One scenario: the patient pipeline's outcome (brownout_shedding, a
+// patch mission with no link, fills the fields it has).
+struct ScenarioResult : PatientOutcome {
   int index = 0;
-  int exchanges = 0;   // measurement exchanges attempted
-  int completed = 0;   // exchanges that delivered data
-  int lost = 0;        // exchanges abandoned -> lost measurements
-  int retries = 0;
-  int recovered = 0;   // exchanges that needed >= 1 retry yet completed
-  double recover_seconds = 0.0;  // elapsed summed over recovered exchanges
-  double backoff_seconds = 0.0;
-  int rate_fallbacks = 0;
-  int rate_recoveries = 0;
-  int restarts = 0;     // spice segments re-run from a committed checkpoint
-  int checkpoints = 0;  // committed transient checkpoints
-  int ldo_violations = 0;
   int brownouts = 0;
-  double final_rate = 0.0;  // [bit/s] session rate at scenario end
-  double sim_time = 0.0;    // scenario SimClock at the end [s]
-  std::uint64_t faults_injected[kFaultKindCount] = {};
-  std::vector<std::uint16_t> adc_codes;  // one per completed measurement
-  // LinkPhy power queries served, and those the LinkBudget memo
-  // answered (telemetry only, never fingerprinted).
-  std::uint64_t power_queries = 0;
-  std::uint64_t power_hits = 0;
 };
 
 struct CampaignResult {

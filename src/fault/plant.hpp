@@ -3,9 +3,9 @@
 // ladder plays against, and the rectifier transient plant whose analog
 // state persists between measurements through spice checkpoints.
 //
-// Extracted from the campaign runner so the fleet service can run the
-// same pipeline per patient session. The plant adds the fleet's scaling
-// levers. Its committed operating point is an immutable, shared
+// The patient pipeline (pipeline.hpp) assembles these parts for every
+// campaign scenario and fleet session. The plant carries the fleet's
+// scaling levers. Its committed operating point is an immutable, shared
 // TransientCheckpoint node: `fork_from` adopts a charged-up node
 // *without copying it*, so thousands of sessions reference one blob,
 // and every measure commits a fresh node instead of overwriting one.

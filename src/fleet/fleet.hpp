@@ -40,11 +40,13 @@ struct FleetConfig {
   std::size_t threads = 1;  // pool size for run_fleet (0 = hardware)
   std::uint64_t seed = 0xf1ee70001ull;
   int exchanges = 4;  // per session; overridden when soak_seconds > 0
-  // Simulated per-session horizon [s]: > 0 runs ceil(soak / 0.25 s)
-  // exchanges, 0.25 s being the inductive cadence. Simulated time, not
-  // wall time, so a soak is exactly as deterministic as a fixed exchange
-  // count. Must be finite, >= 0, and give an exchange count that fits an
-  // int (run() rejects others).
+  // Exchange budget given in seconds: > 0 runs ceil(soak / 0.25 s)
+  // exchanges per session, 0.25 s being the inductive cadence, whatever
+  // the cohort's link, so an ME cohort (0.5 s cadence) simulates twice
+  // the seconds given. Simulated time, not wall time, so a soak is
+  // exactly as deterministic as a fixed exchange count. Must be finite,
+  // >= 0, and give an exchange count that fits an int (run() rejects
+  // others).
   double soak_seconds = 0.0;
   // Whether sessions share analog state: the charge-up checkpoint and
   // the run's plant memos. false = every session captures its own

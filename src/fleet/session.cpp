@@ -1,18 +1,12 @@
 #include "src/fleet/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "src/comms/protocol.hpp"
-#include "src/fault/bioz.hpp"
-#include "src/fault/injector.hpp"
-#include "src/fault/session.hpp"
 #include "src/link/phy.hpp"
 #include "src/obs/profiler.hpp"
-#include "src/pm/regulator.hpp"
 #include "src/util/fingerprint.hpp"
 #include "src/util/rng.hpp"
 
@@ -143,99 +137,25 @@ SessionResult run_patient_session(
   }
   const auto body_t0 = std::chrono::steady_clock::now();
 
-  const fault::FaultSchedule schedule = make_session_schedule(spec);
-  auto lanes = session_lanes(spec);
-
-  fault::SimClock clock;
-  fault::FaultInjector injector(&schedule, &clock, lanes[kLaneInjector]);
-  util::Rng channel_rng = lanes[kLaneChannel];
-  fault::LinkBudget budget(spec.cohort.link);
-  const double sensitivity = budget.p_nominal / 8.0;  // snr 8 when nominal
-  const double cadence = budget.nominal().cadence_s;
-
-  fault::RectifierPlant plant;
-  plant.carrier_hz = budget.nominal().carrier_hz;
-  plant.analysis_hints = spec.analysis_hints;
-  if (spice_plant) plant.fork_from(charged, spec.charge.amplitude);
-  fault::BioZPlant bioz;
-  bioz.analysis_hints = spec.analysis_hints;
-  if (memos != nullptr) {
-    plant.memo = &memos->segments;
-    bioz.memo = &memos->bioz;
+  fault::PatientInputs inputs;
+  inputs.link = spec.cohort.link;
+  inputs.workload = spec.cohort.workload;
+  inputs.analysis_hints = spec.analysis_hints;
+  inputs.schedule = make_session_schedule(spec);
+  inputs.options = session_options(spec.cohort);
+  inputs.exchanges = spec.exchanges;
+  const auto lanes = session_lanes(spec);
+  inputs.injector_rng = lanes[kLaneInjector];
+  inputs.channel_rng = lanes[kLaneChannel];
+  inputs.session_rng = lanes[kLaneSession];
+  if (spice_plant) {
+    inputs.charged = std::move(charged);
+    inputs.charged_amplitude = spec.charge.amplitude;
   }
-  const pm::LdoModel ldo;
-
-  const auto make_factory =
-      [&](fault::LinkDirection direction) -> fault::ChannelFactory {
-    return [&, direction](double rate) -> comms::Channel {
-      comms::Channel physical = [&, rate](const comms::Bits& bits) {
-        const double ber = budget.bit_error_rate(budget.power_now(injector),
-                                                 sensitivity, rate);
-        comms::Bits out = bits;
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          if (channel_rng.bernoulli(ber)) out[i] = !out[i];
-        }
-        return out;
-      };
-      // Fault wrapper inside, backend modulation outside — same layering
-      // as the campaign runner, so cohort sessions and campaign
-      // scenarios see identical channel symbol streams.
-      comms::Channel faulted = injector.wrap(std::move(physical), direction);
-      return direction == fault::LinkDirection::kUplink
-                 ? budget.phy->wrap_uplink(std::move(faulted))
-                 : budget.phy->wrap_downlink(std::move(faulted));
-    };
-  };
-
-  const auto handler = [&](const comms::Request& request) -> comms::Response {
-    comms::Response response;
-    response.ok = true;
-    if (request.command == comms::Command::kMeasure) {
-      fault::tally_active(injector, schedule, clock.now());
-      const double power = budget.power_now(injector);
-      const double amplitude = budget.drive_amplitude(power, injector);
-      double vo = 0.0;    // what the ADC digitizes
-      double rail = 0.0;  // what the LDO regulates
-      switch (spec.cohort.workload) {
-        case fault::Workload::kLactateSpice:
-          vo = plant.measure(amplitude);
-          rail = vo;
-          break;
-        case fault::Workload::kLactateBehavioural:
-          vo = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          rail = vo;
-          break;
-        case fault::Workload::kBioZ:
-          // The sense tap is a tissue voltage, not the supply: the rail
-          // the LDO sees is the behavioural rectifier output.
-          vo = bioz.measure(amplitude,
-                            fault::bioz_tissue_scale(injector.tissue_thickness()));
-          rail = std::clamp(amplitude - 0.75, 0.0, 3.0);
-          break;
-      }
-      if (!ldo.in_regulation(rail * injector.rail_scale())) {
-        ++result.ldo_violations;
-      }
-      const std::uint16_t code = fault::adc_code(vo);
-      response.payload = {static_cast<std::uint8_t>(code >> 8),
-                          static_cast<std::uint8_t>(code & 0xff)};
-    }
-    return response;
-  };
-
-  fault::Session session(make_factory(fault::LinkDirection::kDownlink),
-                         make_factory(fault::LinkDirection::kUplink), handler,
-                         &clock, lanes[kLaneSession],
-                         session_options(spec.cohort));
-
-  obs::Histogram* latency = nullptr;
-  if constexpr (obs::kEnabled) {
-    if (scoped != nullptr) {
-      latency = &scoped->histogram("fleet.session.exchange_latency_s");
-    }
-  }
-
-  for (int i = 0; i < spec.exchanges; ++i) {
+  inputs.memos = memos;
+  inputs.scoped = scoped;
+  inputs.metric_prefix = "fleet.session";
+  inputs.before_exchange = [&controls](int i) {
     // Watchdog: cooperative cancellation between exchanges, so a
     // runaway session surfaces as a `deadline` failure instead of
     // holding its pool worker hostage.
@@ -243,56 +163,11 @@ SessionResult run_patient_session(
     if (controls.action != ChaosAction::kNone && i == controls.at_exchange) {
       apply_chaos(controls);
     }
-    const auto outcome = session.exchange(comms::Command::kMeasure);
-    ++result.exchanges;
-    if (latency != nullptr) latency->observe(outcome.elapsed);
-    if (outcome.ok && outcome.response->payload.size() >= 2) {
-      ++result.completed;
-      result.adc_codes.push_back(static_cast<std::uint16_t>(
-          (outcome.response->payload[0] << 8) | outcome.response->payload[1]));
-    } else {
-      ++result.lost;
-    }
-    clock.advance(cadence);
-  }
-
-  const auto& stats = session.stats();
-  result.retries = stats.retries;
-  result.recovered = stats.recovered;
-  result.recover_seconds = stats.recover_seconds;
-  result.backoff_seconds = stats.backoff_seconds;
-  result.rate_fallbacks = stats.rate_fallbacks;
-  result.rate_recoveries = stats.rate_recoveries;
-  result.restarts = plant.restarts;
-  // The bio-impedance plant is stateless; its committed work is the
-  // measurement count, reported in the same column.
-  result.checkpoints = spec.cohort.workload == fault::Workload::kBioZ
-                           ? bioz.measurements
-                           : plant.checkpoints;
-  result.power_queries = budget.power_queries;
-  result.power_hits = budget.power_hits;
-  result.final_rate = session.current_rate();
-  result.sim_time = clock.now();
-  for (int k = 0; k < fault::kFaultKindCount; ++k) {
-    result.faults_injected[static_cast<std::size_t>(k)] =
-        injector.injected(static_cast<fault::FaultKind>(k));
-  }
+  };
+  static_cast<fault::PatientOutcome&>(result) = fault::run_patient(inputs);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - body_t0)
           .count();
-
-  if constexpr (obs::kEnabled) {
-    if (scoped != nullptr) {
-      scoped->counter("fleet.session.retries")
-          .add(static_cast<std::uint64_t>(result.retries));
-      scoped->counter("fleet.session.lost")
-          .add(static_cast<std::uint64_t>(result.lost));
-      scoped->counter("fleet.session.restarts")
-          .add(static_cast<std::uint64_t>(result.restarts));
-      scoped->gauge("fleet.session.recover_s").set(result.recover_seconds);
-      scoped->gauge("fleet.session.final_rate_bps").set(result.final_rate);
-    }
-  }
   return result;
 }
 

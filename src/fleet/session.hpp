@@ -1,7 +1,7 @@
-// One patient session: the full spice + magnetics + comms + fault
-// pipeline (the campaign's link scenario with the rectifier transient
-// plant) run against a per-session stochastic fault schedule, with its
-// own SimClock and private RNG lanes.
+// One patient session: the patient pipeline (fault/pipeline.hpp) run
+// against a per-session stochastic fault schedule, with its own
+// SimClock and private RNG lanes. A session on the rectifier plant
+// forks the fleet's shared charged-up checkpoint.
 //
 // Determinism contract (the fleet's hard guarantee): every value in
 // SessionResult that feeds fingerprint_session is a pure function of
@@ -13,12 +13,12 @@
 // bitwise, is enforced by tests and CI on this property.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/fault/pipeline.hpp"
 #include "src/fault/plant.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/fleet/failure.hpp"
@@ -68,36 +68,18 @@ struct SessionSpec {
   bool analysis_hints = false;
 };
 
-struct SessionResult {
+// The patient pipeline's outcome plus the session's identity. The
+// fingerprint covers the index and every deterministic outcome field;
+// the wall-clock accounting is excluded from it and not journaled.
+struct SessionResult : fault::PatientOutcome {
   std::uint64_t index = 0;
   std::string cohort;
-  // Deterministic outcome fields (all of these feed the fingerprint).
-  int exchanges = 0;
-  int completed = 0;
-  int lost = 0;
-  int retries = 0;
-  int recovered = 0;
-  double recover_seconds = 0.0;
-  double backoff_seconds = 0.0;
-  int rate_fallbacks = 0;
-  int rate_recoveries = 0;
-  int restarts = 0;
-  int checkpoints = 0;
-  int ldo_violations = 0;
-  double final_rate = 0.0;
-  double sim_time = 0.0;
-  std::array<std::uint64_t, fault::kFaultKindCount> faults_injected{};
-  std::vector<std::uint16_t> adc_codes;
-  // Wall-clock and telemetry accounting, excluded from the fingerprint
-  // and not journaled.
   bool forked = false;               // ran from a shared checkpoint
   double wall_seconds = 0.0;         // session body (charge-up excluded)
   double charge_wall_seconds = 0.0;  // private charge-up cost (0 if forked)
-  std::uint64_t power_queries = 0;   // LinkBudget power queries served
-  std::uint64_t power_hits = 0;      // ... of which the memo answered
 };
 
-// FNV-1a over the deterministic fields in declaration order; equal
+// FNV-1a over the index and the deterministic outcome fields; equal
 // fingerprints mean bit-identical sessions.
 std::uint64_t fingerprint_session(const SessionResult& result);
 
@@ -109,7 +91,8 @@ fault::FaultSchedule make_session_schedule(const SessionSpec& spec);
 // operating point the plant forks without copying; pass nullptr and the
 // session captures its own (the solo path — bit-identical results by
 // the contract above, just slower). `scoped` (optional) receives the
-// session's fleet.session.* metrics for cohort aggregation.
+// session's fleet.session.* metrics for cohort aggregation, once the
+// session completes: an attempt that throws leaves nothing there.
 //
 // `controls` is the supervision surface: the watchdog token is polled
 // at the top of every exchange (a tripped deadline throws

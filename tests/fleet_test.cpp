@@ -32,6 +32,7 @@
 #include "src/fleet/supervisor.hpp"
 #include "src/linalg/solver.hpp"
 #include "src/link/magnetoelectric.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/spice/engine.hpp"
 
 namespace {
@@ -725,6 +726,39 @@ TEST(FleetSupervisor, RetriedSessionBitIdenticalToCleanRun) {
                 fleet::fingerprint_session(solo));
     }
   }
+}
+
+TEST(FleetSupervisor, RetriedSessionPublishesOnlyTheCompletedAttempt) {
+  // The supervisor hands one scoped registry to every attempt. An
+  // attempt that chaos abandons mid-session must leave no telemetry
+  // behind: the registry shows only the attempt that completed.
+  if constexpr (!obs::kEnabled) {
+    GTEST_SKIP() << "observability compiled out";
+  }
+  fleet::SupervisorPolicy policy;
+  policy.chaos.throw_rate = 1.0;
+  policy.chaos.fail_attempts = 1;
+  policy.max_retries = 1;
+
+  fleet::SessionSpec spec;
+  spec.seed = 0x5eedf1ee7ull;
+  spec.exchanges = 4;
+  spec.cohort.workload = fault::Workload::kLactateBehavioural;
+  // The first session whose doomed attempt runs at least one exchange
+  // before it throws.
+  while (fleet::chaos_plan(policy.chaos, spec.seed, spec.index,
+                           spec.exchanges)
+             .at_exchange < 1) {
+    ++spec.index;
+  }
+
+  obs::MetricsRegistry scoped;
+  const auto supervised =
+      fleet::run_supervised_session(spec, nullptr, &scoped, policy);
+  EXPECT_TRUE(supervised.health.ok) << supervised.health.message;
+  EXPECT_EQ(supervised.health.attempts, 2);
+  EXPECT_EQ(scoped.histogram("fleet.session.exchange_latency_s").count(),
+            static_cast<std::uint64_t>(spec.exchanges));
 }
 
 TEST(FleetSupervisor, WatchdogDeadlineContainsStalledSession) {

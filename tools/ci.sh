@@ -63,6 +63,10 @@
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+# Every runner writes its BENCH_*.json run report here rather than into
+# the working directory, so a run from the checkout root never rewrites
+# the committed reports; the stages read the reports back from here.
+export IRONIC_REPORT_DIR="$ROOT/build-ci-release"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 STAGE="${1:-all}"
 
@@ -142,8 +146,7 @@ run_analyze() {
   # sweep also leaves behind the BENCH report whose spice.analysis.*
   # schema is pinned below.
   local ladder="$ROOT/build-ci-release/analyze_ladder.json"
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$analyzer" --json "$ROOT/examples/netlists/tissue_ladder.cir" > "$ladder"
+  "$analyzer" --json "$ROOT/examples/netlists/tissue_ladder.cir" > "$ladder"
   grep -q '"unknowns": 122' "$ladder"
   "$validator" --require-obs \
     --require spice.analysis.runs \
@@ -207,10 +210,8 @@ run_fault() {
   local t1="$ROOT/build-ci-release/fault_threads_t1.json"
   local t4="$ROOT/build-ci-release/fault_threads_t4.json"
   local stream="$ROOT/build-ci-release/fault_threads_t4.telemetry.jsonl"
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --threads 1 --out "$t1" all
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --threads 4 --telemetry "$stream" --out "$t4" all
+  "$runner" --threads 1 --out "$t1" all
+  "$runner" --threads 4 --telemetry "$stream" --out "$t4" all
   if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t4"); then
     echo "ci: FAIL -- fault fingerprints differ across thread counts" >&2
     exit 1
@@ -250,6 +251,8 @@ run_fault() {
     --require fault.campaign.bioz_misses \
     --require cohort.ask_burst_coupling_drop.fault.scenario.exchange_latency_s.p99 \
     --require cohort.ask_burst_coupling_drop.fault.scenario.retries.p50 \
+    --require cohort.ask_burst_coupling_drop.fault.scenario.restarts.sum \
+    --require cohort.ask_burst_coupling_drop.fault.scenario.recover_s.max \
     --require cohort.brownout_shedding.fault.scenario.brownouts.max \
     "$ROOT/build-ci-release/BENCH_fault_resilience.json"
   echo "ci: campaigns wrote $out; fingerprints and memo totals" \
@@ -270,13 +273,34 @@ run_fleet() {
   # run leaves behind the BENCH report whose schema is pinned below.
   local smoke="$ROOT/build-ci-release/fleet_smoke.json"
   local stream="$ROOT/build-ci-release/fleet_smoke.telemetry.jsonl"
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --sessions 1000 --threads 4 --exchanges 1 \
+  "$runner" --sessions 1000 --threads 4 --exchanges 1 \
     --verify-solo 2 --telemetry "$stream" --out "$smoke"
   test -s "$stream"
   # Forking must have amortized the charge-up: one capture, 1000 forks.
   grep -q '"charge_captures": 1' "$smoke"
   grep -q '"checkpoint_forks": 1000' "$smoke"
+  # Pin the fleet roll-ups and the per-cohort aggregates (DESIGN.md §14)
+  # so a metric rename or a silently-dead gauge fails CI. Checked here,
+  # before the later legs replace the smoke run's report.
+  "$validator" --require-obs \
+    --require fleet.sessions \
+    --require fleet.total_exchanges \
+    --require fleet.lost_rate \
+    --require fleet.recovery_p50_s \
+    --require fleet.recovery_p95_s \
+    --require fleet.recovery_p99_s \
+    --require fleet.charge_captures \
+    --require fleet.checkpoint_forks \
+    --require fleet.segment_hits \
+    --require fleet.segment_misses \
+    --require fleet.bioz_hits \
+    --require fleet.bioz_misses \
+    --require fleet.sessions_per_second \
+    --require prof.fleet.session.inclusive_ns \
+    --require cohort.fleet.nominal.fleet.session.retries.sum \
+    --require cohort.fleet.noisy_link.fleet.session.exchange_latency_s.p95 \
+    --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
+    "$ROOT/build-ci-release/BENCH_fleet_soak.json"
   # The fleet fingerprint must be bit-identical across thread counts,
   # and so must the segment memo's hit/miss totals (misses are the
   # distinct segments, however the sessions interleave).
@@ -308,27 +332,6 @@ run_fleet() {
     echo "ci: FAIL -- unwritable --out exited $rc, want 2" >&2
     exit 1
   fi
-  # Pin the fleet roll-ups and the per-cohort aggregates (DESIGN.md §14)
-  # so a metric rename or a silently-dead gauge fails CI.
-  "$validator" --require-obs \
-    --require fleet.sessions \
-    --require fleet.total_exchanges \
-    --require fleet.lost_rate \
-    --require fleet.recovery_p50_s \
-    --require fleet.recovery_p95_s \
-    --require fleet.recovery_p99_s \
-    --require fleet.charge_captures \
-    --require fleet.checkpoint_forks \
-    --require fleet.segment_hits \
-    --require fleet.segment_misses \
-    --require fleet.bioz_hits \
-    --require fleet.bioz_misses \
-    --require fleet.sessions_per_second \
-    --require prof.fleet.session.inclusive_ns \
-    --require cohort.fleet.nominal.fleet.session.retries.sum \
-    --require cohort.fleet.noisy_link.fleet.session.exchange_latency_s.p95 \
-    --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
-    "$ROOT/build-ci-release/BENCH_fleet_soak.json"
   echo "ci: 1000-session fleet smoke parity-clean; fingerprints and memo" \
        "totals thread-count invariant; --no-share reproduces the" \
        "fingerprint; fleet telemetry schema pinned"
@@ -350,8 +353,7 @@ run_chaos() {
   # exit 1 (failures present), never abort.
   local chaos_out="$ROOT/build-ci-release/fleet_chaos.json"
   local rc=0
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$runner" --sessions 24 --threads 4 --exchanges 2 \
+  "$runner" --sessions 24 --threads 4 --exchanges 2 \
     --chaos 0.2 --chaos-attempts 9 --retries 1 --out "$chaos_out" \
     >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 1 ]; then
@@ -464,14 +466,28 @@ run_linkphy() {
   local t1="$ROOT/build-ci-release/linkphy_t1.json"
   local t4="$ROOT/build-ci-release/linkphy_t4.json"
   "$fault" --threads 1 --out "$t1" all
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$fault" --threads 4 --out "$t4" all
+  "$fault" --threads 4 --out "$t4" all
   if ! diff <(grep '"fingerprint"' "$t1") <(grep '"fingerprint"' "$t4"); then
     echo "ci: FAIL -- campaign fingerprints differ across thread counts" >&2
     exit 1
   fi
   grep -q '"campaign": "me_backscatter_soak"' "$t1"
   grep -q '"campaign": "bioz_tissue_drift"' "$t1"
+
+  # The link.* telemetry published by run_campaign must land in the run
+  # report: the query and memo-hit counters plus both backends'
+  # operating points. Checked on the wide leg's report, before the
+  # single-campaign leg below replaces it.
+  "$validator" --require-obs \
+    --require link.power_queries \
+    --require link.power_hits \
+    --require link.inductive.p_nominal_w \
+    --require link.inductive.nominal_rate_bps \
+    --require link.inductive.cadence_s \
+    --require link.me.p_nominal_w \
+    --require link.me.nominal_rate_bps \
+    --require link.me.cadence_s \
+    "$ROOT/build-ci-release/BENCH_fault_resilience.json"
 
   # The magnetoelectric campaign again at a third thread count: its
   # fingerprint must match the wide leg exactly.
@@ -483,20 +499,6 @@ run_linkphy() {
     echo "ci: FAIL -- me_backscatter_soak fingerprint differs at 3 threads" >&2
     exit 1
   fi
-
-  # The link.* telemetry published by run_campaign must land in the run
-  # report: the query and memo-hit counters plus both backends'
-  # operating points.
-  "$validator" --require-obs \
-    --require link.power_queries \
-    --require link.power_hits \
-    --require link.inductive.p_nominal_w \
-    --require link.inductive.nominal_rate_bps \
-    --require link.inductive.cadence_s \
-    --require link.me.p_nominal_w \
-    --require link.me.nominal_rate_bps \
-    --require link.me.cadence_s \
-    "$ROOT/build-ci-release/BENCH_fault_resilience.json"
 
   # Bio-impedance smoke: the campaign must deliver every measurement,
   # and a bioz fleet must run with zero charge-up captures and zero
@@ -580,8 +582,7 @@ run_obs() {
     --target bench_obs_overhead trace_validate
   # The bench enforces its own <=5% budget in-process (exit 1 on breach)
   # and cross-checks fingerprint invariance with telemetry on/off.
-  IRONIC_REPORT_DIR="$ROOT/build-ci-release" \
-    "$ROOT/build-ci-release/bench/bench_obs_overhead"
+  "$ROOT/build-ci-release/bench/bench_obs_overhead"
   # Every benchmark report checked into the tree must have been produced
   # with observability compiled in — a BENCH_*.json regenerated from a
   # stripped build silently loses the profiler/cohort sections.

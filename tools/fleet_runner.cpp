@@ -165,8 +165,10 @@ int usage(int code) {
      << ironic::tools::CommonArgs::usage_lines()
      << "  --sessions N   concurrent patient sessions (default 64)\n"
         "  --exchanges N  measurement exchanges per session (default 4)\n"
-        "  --soak SECS    simulated per-session horizon; overrides\n"
-        "                 --exchanges with ceil(SECS / 0.25) exchanges\n"
+        "  --soak SECS    exchange budget in seconds; overrides --exchanges\n"
+        "                 with ceil(SECS / 0.25) exchanges, the inductive\n"
+        "                 cadence, for every cohort, so an ME cohort (0.5 s\n"
+        "                 cadence) simulates twice SECS\n"
         "  --no-share     sessions share no analog state: each captures its\n"
         "                 own charge-up instead of forking the shared\n"
         "                 checkpoint, and simulates every rectifier segment\n"
