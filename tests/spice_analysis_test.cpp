@@ -82,6 +82,61 @@ TEST(Analysis, PredictedFillMatchesSparseRuntimeExactly) {
   }
 }
 
+// Every corpus netlist that parses has its whole sparsity report pinned:
+// unknowns, pattern and factor nnz, the flop counts of one factorization
+// and one solve, and the singular flag. The voltage loop is the one
+// singular row. A change to the stamp stream, the pattern merge, the
+// column order or the pivot rule moves a number here.
+TEST(Analysis, SparsityReportIsPinnedOnTheCorpus) {
+  struct Pin {
+    const char* netlist;
+    std::size_t unknowns;
+    std::size_t pattern_nnz;
+    std::size_t factor_nnz;
+    double factor_flops;
+    double solve_flops;
+    bool singular;
+  };
+  const std::vector<Pin> pins{
+      {"ask_demodulator", 6, 14, 14, 4, 22, false},
+      {"class_e_pa", 9, 20, 22, 16, 35, false},
+      {"full_bridge_rectifier", 6, 17, 18, 19, 30, false},
+      {"halfwave_rectifier", 3, 6, 6, 0, 9, false},
+      {"inductive_link_lsk", 11, 25, 26, 16, 41, false},
+      {"rc_lowpass", 3, 6, 6, 0, 9, false},
+      {"tissue_ladder", 122, 363, 363, 358, 604, false},
+      {"voltage_doubler", 4, 7, 7, 3, 10, false},
+      {"broken_bad_magnitude", 3, 6, 6, 0, 9, false},
+      {"broken_current_cutset", 3, 4, 4, 0, 5, false},
+      {"broken_dangling_terminal", 4, 9, 9, 4, 14, false},
+      {"broken_floating_node", 4, 7, 7, 3, 10, false},
+      {"broken_voltage_loop", 3, 5, 3, 0, 3, true},
+  };
+  std::size_t parsed = 0;
+  for (const auto& path : all_corpus()) {
+    Circuit circuit;
+    try {
+      parse_netlist(circuit, read_file(path));
+    } catch (const std::exception&) {
+      continue;  // parse-error fixtures have no circuit to analyze
+    }
+    ++parsed;
+    const std::string name = path.stem().string();
+    SCOPED_TRACE(name);
+    const auto pin = std::find_if(pins.begin(), pins.end(),
+                                  [&](const Pin& p) { return name == p.netlist; });
+    ASSERT_NE(pin, pins.end()) << "corpus netlist without a pinned report";
+    const auto sparsity = analysis::analyze(circuit).sparsity;
+    EXPECT_EQ(sparsity.unknowns, pin->unknowns);
+    EXPECT_EQ(sparsity.prediction.pattern_nnz, pin->pattern_nnz);
+    EXPECT_EQ(sparsity.prediction.factor_nnz, pin->factor_nnz);
+    EXPECT_EQ(sparsity.prediction.factor_flops, pin->factor_flops);
+    EXPECT_EQ(sparsity.prediction.solve_flops, pin->solve_flops);
+    EXPECT_EQ(sparsity.prediction.singular, pin->singular);
+  }
+  EXPECT_EQ(parsed, pins.size());
+}
+
 // Property: the recommended step never exceeds the smallest breakpoint
 // interval — a recommendation that steps over a stimulus edge is wrong
 // no matter what the time constants say.
