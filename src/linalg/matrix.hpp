@@ -1,7 +1,7 @@
 // Dense row-major matrix.
 //
-// The MNA engines assemble through the sparse solver layer
-// (src/linalg/solver.hpp) and never use dense storage. This type backs
+// The MNA engines assemble into the sparse solver
+// (src/linalg/sparse.hpp) and never use dense storage. This type backs
 // the dense reference LU (lu.hpp) that the tests check the sparse
 // backend against.
 #pragma once

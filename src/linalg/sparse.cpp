@@ -212,7 +212,7 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
   row_pos_.assign(n_, -1);
   upiv_.assign(n_, T{});
   clear_column_workspace();
-  std::size_t factor_nnz = n_;
+  stats_.factor_nnz = n_;
 
   for (std::size_t jj = 0; jj < n_; ++jj) {
     const int j = col_order_[jj];
@@ -273,10 +273,9 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
       if (row_pos_[static_cast<std::size_t>(r)] >= 0) continue;
       lcol.push_back({r, work_[static_cast<std::size_t>(r)] / piv});
     }
-    factor_nnz += ucol.size() + lcol.size();
+    stats_.factor_nnz += ucol.size() + lcol.size();
     clear_column_workspace();
   }
-  stats_.factor_nnz = factor_nnz;
   symbolic_valid_ = true;
 }
 
@@ -398,32 +397,17 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
 }
 
 template <typename T>
-double SparseSolver<T>::diagonal_ratio() const {
-  double max_d = 0.0;
-  double min_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n_; ++i) {
-    const double d = magnitude(upiv_[i]);
-    max_d = std::max(max_d, d);
-    min_d = std::min(min_d, d);
+double SparseSolver<T>::factor_flops() const {
+  // Each U entry applies its pivot's L column (a multiply and a subtract
+  // per entry); each L entry is one divide by the pivot.
+  double flops = 0.0;
+  for (std::size_t jj = 0; jj < lcols_.size(); ++jj) {
+    for (const auto& ue : ucols_[jj]) {
+      flops += 2.0 * static_cast<double>(lcols_[static_cast<std::size_t>(ue.k)].size());
+    }
+    flops += static_cast<double>(lcols_[jj].size());
   }
-  return (min_d == 0.0) ? std::numeric_limits<double>::infinity() : max_d / min_d;
-}
-
-template <typename T>
-void SparseSolver<T>::invalidate_structure() {
-  row_ptr_.assign(n_ + 1, 0);
-  cols_.clear();
-  values_.clear();
-  pattern_valid_ = false;
-  seq_rc_.clear();
-  seq_slot_.clear();
-  seq_valid_ = false;
-  assembling_ = false;
-  extra_.clear();
-  csc_valid_ = false;
-  symbolic_valid_ = false;
-  factored_ = false;
-  last_factored_.clear();
+  return flops;
 }
 
 template class SparseSolver<double>;

@@ -1,5 +1,10 @@
-// Sparse MNA backend: CSR assembly with a call-sequence slot cache and a
-// left-looking partial-pivot LU with symbolic caching (DESIGN.md §11).
+// The linear solver behind every MNA solve (DESIGN.md §11): CSR assembly
+// with a call-sequence slot cache and a left-looking partial-pivot LU
+// with symbolic caching. The engines call it directly, and the static
+// sparsity pass factors a circuit's first DC assembly with it once to
+// report the pattern, the fill and the flop counts. The dense
+// LuFactorization (lu.hpp) and solve_complex (complex_matrix.hpp) stay
+// as the reference oracles the tests compare it against.
 //
 // Assembly. Devices call add(r, c, v) in whatever order their stamps
 // produce. The first assembly records that call sequence; subsequent
@@ -33,29 +38,59 @@
 #include <span>
 #include <vector>
 
-#include "src/linalg/solver.hpp"
+#include "src/linalg/complex_matrix.hpp"
+#include "src/linalg/lu.hpp"
 
 namespace ironic::linalg {
 
+inline constexpr double kDefaultPivotTol = 1e-30;
+
+// Counters a solver maintains across its lifetime. Callers that want
+// per-run numbers snapshot stats() before and after and subtract.
+struct SolverStats {
+  std::uint64_t factorizations = 0;   // numeric factorizations performed
+  std::uint64_t refactorizations = 0; // ... of which reused cached symbolic structure
+  std::uint64_t factor_skips = 0;     // factor() calls with bit-identical values
+  std::uint64_t solves = 0;           // triangular solve_in_place calls
+  std::uint64_t pattern_builds = 0;   // sparsity-pattern (re)constructions
+  std::uint64_t pattern_reuses = 0;   // assemblies that fit the cached pattern
+  std::size_t nnz = 0;                // structural nonzeros of A
+  std::size_t factor_nnz = 0;         // nonzeros of L+U incl. fill
+};
+
+// One linear system A x = b of fixed size n, reusable across solves.
+// Assembly protocol per Newton iteration:
+//
+//   solver.begin_assembly();          // zero A, arm the slot cache
+//   solver.add(r, c, v); ...          // accumulate stamps (any order)
+//   solver.factor();                  // throws SingularMatrixError
+//   solver.solve_in_place(b);         // b := A^-1 b
+//
+// add() ignores nothing: callers filter ground (negative) indices first,
+// as the Device stamping helpers already do.
 template <typename T>
-class SparseSolver final : public LinearSolverT<T> {
+class SparseSolver {
  public:
   explicit SparseSolver(std::size_t n);
 
-  const char* name() const override { return "sparse"; }
-  std::size_t size() const override { return n_; }
+  std::size_t size() const { return n_; }
 
-  void begin_assembly() override;
-  void add(int row, int col, T value) override;
-  using LinearSolverT<T>::factor;  // the argless default-tolerance overload
-  void factor(double pivot_tol) override;
-  void solve_in_place(std::span<T> b) override;
-  double diagonal_ratio() const override;
-  void invalidate_structure() override;
-  const SolverStats& stats() const override { return stats_; }
+  void begin_assembly();
+  void add(int row, int col, T value);
+  // Factor the assembled matrix. Throws SingularMatrixError when a pivot
+  // falls below `pivot_tol` (NaN-aware: poisoned stamps are rejected here
+  // rather than propagated through the solve).
+  void factor(double pivot_tol = kDefaultPivotTol);
+  void solve_in_place(std::span<T> b);
+  const SolverStats& stats() const { return stats_; }
 
-  // Structural nonzeros of the cached pattern (test hook).
+  // Structural nonzeros of the cached pattern.
   std::size_t pattern_nnz() const { return cols_.size(); }
+  // Multiply-add and divide count of the last full factorization, read
+  // off the L/U columns it left. A factorization that threw counts the
+  // columns it eliminated, the failing one's updates included; its
+  // stats().factor_nnz likewise counts the columns that got a pivot.
+  double factor_flops() const;
 
  private:
   static std::int64_t pack(int row, int col) {

@@ -1,6 +1,6 @@
 // Umbrella header for the observability subsystem:
 //   - MetricsRegistry / Counter / Gauge / Histogram  (metrics.hpp)
-//   - TraceRecorder / Span / ScopedTimer             (trace.hpp)
+//   - TraceRecorder / Span                           (trace.hpp)
 //   - PROF_ZONE wall-time profiler                   (profiler.hpp)
 //   - TelemetrySink streaming JSONL sink             (telemetry.hpp)
 //   - RunReport                                      (report.hpp)

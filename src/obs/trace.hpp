@@ -121,26 +121,7 @@ class Span {
   std::vector<std::pair<std::string, std::string>> args_;
 };
 
-// RAII timer accumulating elapsed nanoseconds into a Counter — the
-// cheap always-on primitive for hot paths (two steady_clock reads).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Counter& sink_ns)
-      : sink_(&sink_ns), start_(std::chrono::steady_clock::now()) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    sink_->add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-  }
-
- private:
-  Counter* sink_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-#else  // !IRONIC_OBS_ENABLED — zero-cost stand-ins
+#else  // !IRONIC_OBS_ENABLED — zero-cost stand-in
 
 class Span {
  public:
@@ -149,13 +130,6 @@ class Span {
   Span& operator=(const Span&) = delete;
   void arg(std::string, std::string) {}
   void end() {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Counter&) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
 };
 
 #endif  // IRONIC_OBS_ENABLED

@@ -129,7 +129,7 @@ AcResult run_ac(Circuit& circuit, const AcOptions& options) {
   AcResult result(circuit.signal_names(), freqs);
   // The AC pattern is frequency-invariant, so every frequency after the
   // first is a numeric-only refactorization.
-  linalg::ComplexLinearSolver& solver = circuit.acquire_complex_solver();
+  linalg::SparseSolver<linalg::Complex>& solver = circuit.acquire_complex_solver();
   linalg::CVector rhs(n);
   linalg::CVector x(n);
 

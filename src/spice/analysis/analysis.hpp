@@ -1,7 +1,7 @@
 // Netlist static-analysis framework (DESIGN.md §13).
 //
 // `AnalysisManager` runs an ordered sequence of passes over a Circuit's
-// reflection data (Device::info) and the MNA stamp stream, without ever
+// reflection data (Device::info) and its first DC assembly, without ever
 // solving the system:
 //
 //   lint       the existing rule-based linter (src/spice/lint.hpp)
@@ -9,10 +9,9 @@
 //              value ranges through the DC-conductivity graph with
 //              interval arithmetic, bounding worst-case node voltages
 //              and branch currents
-//   sparsity   symbolic fill prediction: replay the sparse backend's
-//              pattern merge and left-looking LU on the captured stamp
-//              stream (src/linalg/costmodel.hpp), predicting factor nnz
-//              and flop count
+//   sparsity   fill and flop counts: factor the first DC assembly once
+//              with the sparse backend (src/linalg/sparse.hpp) and
+//              report its pattern, fill and work; nothing is solved
 //   timescale  RC / L-over-R time constants, LC periods, and stimulus
 //              breakpoint density, distilled into an initial/max-dt
 //              recommendation and a stiffness warning
@@ -36,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/linalg/costmodel.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/lint.hpp"
 
@@ -76,9 +74,20 @@ struct EnvelopeResult {
   std::vector<DeviceCurrentBound> currents;  // device registration order
 };
 
+// The sparse backend's own counts for the first DC assembly. When a
+// pivot falls below tolerance, `singular` is set and the counts cover
+// the columns eliminated before it.
+struct FactorPrediction {
+  std::size_t pattern_nnz = 0;  // structural nonzeros of A after merge
+  std::size_t factor_nnz = 0;   // nonzeros of L+U incl. fill
+  double factor_flops = 0.0;    // multiply-add + divide count of one factorization
+  double solve_flops = 0.0;     // one forward+back substitution
+  bool singular = false;        // a pivot fell below tolerance
+};
+
 struct SparsityResult {
   std::size_t unknowns = 0;
-  linalg::FactorPrediction prediction;
+  FactorPrediction prediction;
 };
 
 // All timescale fields use 0 for "no such term found".

@@ -1,55 +1,18 @@
-// Symbolic sparsity / fill-prediction pass.
+// Sparsity / fill pass.
 //
-// Captures the exact stamp stream the engine's first DC Newton assembly
-// would produce — same device order, same start_step(0, 0) reset, same
-// zero iterate, gmin, source scale, and unconditional gshunt diagonals —
-// and replays it through linalg::predict_sparse_factor, which mirrors
-// SparseSolver's pattern merge and left-looking LU bit for bit. The
-// predicted factor nnz therefore matches the runtime
-// SparseSolver::stats().factor_nnz exactly (pinned by
-// tests/spice_analysis_test.cpp on every example netlist).
-#include <stdexcept>
+// Stamps the exact assembly the engine's first DC Newton iteration would
+// produce — same device order, same start_step(0, 0) reset, same zero
+// iterate, gmin, source scale, and unconditional gshunt diagonals — into
+// a fresh linalg::SparseSolver and factors it once. The counts reported
+// are the backend's own: its merged pattern, its L+U fill and a walk over
+// the factor it holds. Nothing is solved.
 #include <vector>
 
-#include "src/linalg/costmodel.hpp"
+#include "src/linalg/sparse.hpp"
 #include "src/spice/analysis/passes.hpp"
 #include "src/spice/engine.hpp"
 
 namespace ironic::spice::analysis::detail {
-namespace {
-
-// LinearSolver facade that records add() calls in order instead of
-// assembling a matrix. factor/solve are never reached by stamping.
-class CaptureSolver final : public linalg::LinearSolver {
- public:
-  explicit CaptureSolver(std::size_t n) : n_(n) {}
-
-  const char* name() const override { return "capture"; }
-  std::size_t size() const override { return n_; }
-
-  void begin_assembly() override { entries_.clear(); }
-  void add(int row, int col, double value) override {
-    entries_.push_back({row, col, value});
-  }
-  void factor(double /*pivot_tol*/) override {
-    throw std::logic_error("CaptureSolver records stamps; it cannot factor");
-  }
-  void solve_in_place(std::span<double> /*b*/) override {
-    throw std::logic_error("CaptureSolver records stamps; it cannot solve");
-  }
-  double diagonal_ratio() const override { return 0.0; }
-  void invalidate_structure() override {}
-  const linalg::SolverStats& stats() const override { return stats_; }
-
-  const std::vector<linalg::MatrixEntry>& entries() const { return entries_; }
-
- private:
-  std::size_t n_;
-  std::vector<linalg::MatrixEntry> entries_;
-  linalg::SolverStats stats_;
-};
-
-}  // namespace
 
 SparsityResult run_sparsity(Circuit& circuit) {
   SparsityResult result;
@@ -58,17 +21,17 @@ SparsityResult run_sparsity(Circuit& circuit) {
   result.unknowns = n;
   if (n == 0) return result;
 
-  CaptureSolver capture(n);
+  linalg::SparseSolver<double> solver(n);
   std::vector<double> rhs(n, 0.0);
   std::vector<double> x(n, 0.0);
   const NewtonOptions defaults;
 
   // Replicate solve_dc's first assembly: reset per-point device state so
-  // the capture neither sees nor leaves junction-limiting history, then
+  // the pass neither sees nor leaves junction-limiting history, then
   // stamp the zero iterate in DC context.
-  capture.begin_assembly();
+  solver.begin_assembly();
   for (const auto& dev : circuit.devices()) dev->start_step(0.0, 0.0);
-  StampContext ctx{capture,
+  StampContext ctx{solver,
                    rhs,
                    x,
                    /*time=*/0.0,
@@ -80,10 +43,21 @@ SparsityResult run_sparsity(Circuit& circuit) {
                    /*limited=*/false};
   for (const auto& dev : circuit.devices()) dev->stamp(ctx);
   for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
-    capture.add(static_cast<int>(i), static_cast<int>(i), defaults.gshunt);
+    solver.add(static_cast<int>(i), static_cast<int>(i), defaults.gshunt);
   }
 
-  result.prediction = linalg::predict_sparse_factor(n, capture.entries());
+  FactorPrediction& p = result.prediction;
+  try {
+    solver.factor();
+  } catch (const linalg::SingularMatrixError&) {
+    p.singular = true;
+  }
+  p.pattern_nnz = solver.pattern_nnz();
+  p.factor_nnz = solver.stats().factor_nnz;
+  p.factor_flops = solver.factor_flops();
+  // Forward and back substitution: a multiply-add per off-diagonal L+U
+  // entry and a divide per pivot.
+  p.solve_flops = 2.0 * static_cast<double>(p.factor_nnz) - static_cast<double>(n);
   return result;
 }
 

@@ -69,16 +69,18 @@ int Circuit::allocate_branch(const std::string& label) {
   return index;
 }
 
-linalg::LinearSolver& Circuit::acquire_solver() {
+linalg::SparseSolver<double>& Circuit::acquire_solver() {
   const std::size_t n = num_unknowns();
-  if (!solver_ || solver_->size() != n) solver_ = linalg::make_solver(n);
+  if (!solver_ || solver_->size() != n) {
+    solver_ = std::make_unique<linalg::SparseSolver<double>>(n);
+  }
   return *solver_;
 }
 
-linalg::ComplexLinearSolver& Circuit::acquire_complex_solver() {
+linalg::SparseSolver<linalg::Complex>& Circuit::acquire_complex_solver() {
   const std::size_t n = num_unknowns();
   if (!complex_solver_ || complex_solver_->size() != n) {
-    complex_solver_ = linalg::make_complex_solver(n);
+    complex_solver_ = std::make_unique<linalg::SparseSolver<linalg::Complex>>(n);
   }
   return *complex_solver_;
 }

@@ -79,8 +79,8 @@ class Circuit {
   // the number of unknowns changed; topology growth at a constant size
   // is absorbed by the solver's own pattern merging. Call after
   // finalize().
-  linalg::LinearSolver& acquire_solver();
-  linalg::ComplexLinearSolver& acquire_complex_solver();
+  linalg::SparseSolver<double>& acquire_solver();
+  linalg::SparseSolver<linalg::Complex>& acquire_complex_solver();
 
   // --- static-analysis hints ---------------------------------------------
   // Monotonic topology revision: bumped whenever a node or device is
@@ -105,8 +105,8 @@ class Circuit {
   int internal_counter_ = 0;
   std::uint64_t revision_ = 0;
   double dt_hint_ = 0.0;
-  std::unique_ptr<linalg::LinearSolver> solver_;
-  std::unique_ptr<linalg::ComplexLinearSolver> complex_solver_;
+  std::unique_ptr<linalg::SparseSolver<double>> solver_;
+  std::unique_ptr<linalg::SparseSolver<linalg::Complex>> complex_solver_;
 };
 
 }  // namespace ironic::spice

@@ -14,7 +14,7 @@
 
 #include "src/linalg/complex_matrix.hpp"
 #include "src/linalg/matrix.hpp"
-#include "src/linalg/solver.hpp"
+#include "src/linalg/sparse.hpp"
 
 namespace ironic::spice {
 
@@ -112,7 +112,7 @@ struct DeviceInfo {
 // helpers and need not — must not — try to write structure themselves
 // (see DESIGN.md §11 for the slot-cache contract).
 struct StampContext {
-  linalg::LinearSolver& a;
+  linalg::SparseSolver<double>& a;
   std::vector<double>& rhs;
   std::span<const double> x;  // current Newton iterate (full unknown vector)
   double time = 0.0;          // time point being solved
@@ -139,7 +139,7 @@ struct StampContext {
 // Small-signal (AC) stamping context: the complex MNA system at one
 // angular frequency, linearized around the DC operating point `op`.
 struct AcStampContext {
-  linalg::ComplexLinearSolver& a;
+  linalg::SparseSolver<linalg::Complex>& a;
   linalg::CVector& rhs;
   std::span<const double> op;  // DC operating point (full unknown vector)
   double omega = 0.0;

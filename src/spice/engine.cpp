@@ -8,7 +8,7 @@
 #include <span>
 #include <stdexcept>
 
-#include "src/linalg/solver.hpp"
+#include "src/linalg/sparse.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/spice/lint.hpp"
@@ -117,7 +117,7 @@ struct SolveWorkspace {
 // `solver` and `rhs`. With `matrix` false only `rhs` is rebuilt and the
 // solver keeps the matrix it holds. Returns whether a device limited its
 // evaluation voltages.
-bool stamp_system(Circuit& circuit, linalg::LinearSolver& solver, std::vector<double>& rhs,
+bool stamp_system(Circuit& circuit, linalg::SparseSolver<double>& solver, std::vector<double>& rhs,
                   std::span<const double> x, const SolvePoint& point,
                   const NewtonOptions& opts, bool matrix) {
   PROF_ZONE("spice.stamp");
@@ -140,7 +140,7 @@ bool stamp_system(Circuit& circuit, linalg::LinearSolver& solver, std::vector<do
 
 // out = A^-1 rhs, factoring the assembled matrix first unless the solver
 // already holds its factors. False when the matrix is singular.
-bool factor_and_solve(linalg::LinearSolver& solver, const std::vector<double>& rhs,
+bool factor_and_solve(linalg::SparseSolver<double>& solver, const std::vector<double>& rhs,
                       std::vector<double>& out, bool factor) {
   try {
     if (factor) {
@@ -161,7 +161,7 @@ bool factor_and_solve(linalg::LinearSolver& solver, const std::vector<double>& r
 // answer and there is nothing to converge. With `assemble` false the
 // solver already holds this point's factored matrix (the linear-matrix
 // contract on Device::nonlinear) and only the right-hand side is stamped.
-NewtonOutcome linear_solve(Circuit& circuit, linalg::LinearSolver& solver,
+NewtonOutcome linear_solve(Circuit& circuit, linalg::SparseSolver<double>& solver,
                            SolveWorkspace& ws, std::vector<double>& x,
                            const SolvePoint& point, const NewtonOptions& opts,
                            bool assemble) {
@@ -174,7 +174,7 @@ NewtonOutcome linear_solve(Circuit& circuit, linalg::LinearSolver& solver,
 // `x` is both the initial guess and the result. The solver persists
 // across calls (circuit-owned), so its cached stamp slots and symbolic
 // factorization carry over between iterations and time steps.
-NewtonOutcome newton_solve(Circuit& circuit, linalg::LinearSolver& solver,
+NewtonOutcome newton_solve(Circuit& circuit, linalg::SparseSolver<double>& solver,
                            SolveWorkspace& ws, std::vector<double>& x,
                            const SolvePoint& point, const NewtonOptions& opts) {
   PROF_ZONE("spice.newton");
@@ -249,7 +249,7 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
   }
   circuit.finalize();
   const std::size_t n = circuit.num_unknowns();
-  linalg::LinearSolver& solver = circuit.acquire_solver();
+  linalg::SparseSolver<double>& solver = circuit.acquire_solver();
   const linalg::SolverStats solver_before = solver.stats();
   DcResult result;
   result.x.assign(n, 0.0);
@@ -264,7 +264,6 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
       add_solver_metrics(solver_before, solver.stats());
       span.arg("strategy", done.converged ? done.strategy : "failed");
       span.arg("iterations", std::to_string(done.total_iterations));
-      span.arg("solver", solver.name());
     }
     return std::move(done);
   };
@@ -353,7 +352,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
           : (circuit.dt_hint() > 0.0 ? circuit.dt_hint() : kDefaultDtMax);
   const bool will_resume =
       options.resume_from != nullptr && options.resume_from->valid();
-  linalg::LinearSolver& solver = [&]() -> linalg::LinearSolver& {
+  linalg::SparseSolver<double>& solver = [&]() -> linalg::SparseSolver<double>& {
     PROF_ZONE("spice.transient.setup");
     if (options.validate) {
       // Validate exactly once per run. When the internal DC solve will run,
@@ -379,7 +378,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     TransientStats* out;
     std::chrono::steady_clock::time_point start;
     obs::Span& span;
-    const linalg::LinearSolver& solver;
+    const linalg::SparseSolver<double>& solver;
     linalg::SolverStats solver_before;
     ~Finalize() {
       run.wall_seconds =
@@ -412,7 +411,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
                                       run.wall_seconds);
         }
         add_solver_metrics(solver_before, solver.stats());
-        span.arg("solver", solver.name());
         span.arg("accepted_steps", std::to_string(run.accepted_steps));
         span.arg("rejected_steps", std::to_string(run.rejected_steps));
         span.arg("newton_iterations", std::to_string(run.newton_iterations));

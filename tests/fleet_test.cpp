@@ -30,7 +30,7 @@
 #include "src/fleet/fleet.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
-#include "src/linalg/solver.hpp"
+#include "src/linalg/sparse.hpp"
 #include "src/link/magnetoelectric.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/spice/engine.hpp"
@@ -573,14 +573,14 @@ std::size_t doomed_count(const fleet::FleetConfig& config) {
 TEST(FleetSupervisor, ClassifiesKnownFailureMessages) {
   using fleet::FailureCode;
   // The solver's own singular-pivot error, with its own text.
-  const auto solver = linalg::make_solver(2);
-  solver->begin_assembly();
-  solver->add(0, 0, 1.0);
-  solver->add(0, 1, 1.0);
-  solver->add(1, 0, 0.0);
-  solver->add(1, 1, 0.0);
+  linalg::SparseSolver<double> solver(2);
+  solver.begin_assembly();
+  solver.add(0, 0, 1.0);
+  solver.add(0, 1, 1.0);
+  solver.add(1, 0, 0.0);
+  solver.add(1, 1, 0.0);
   try {
-    solver->factor();
+    solver.factor();
     FAIL() << "singular matrix factored";
   } catch (const linalg::SingularMatrixError& error) {
     EXPECT_EQ(fleet::classify_failure(error), FailureCode::kSolverSingular)

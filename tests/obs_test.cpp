@@ -510,17 +510,6 @@ TEST(Trace, ChromeTraceJsonIsWellFormed) {
   recorder.clear();
 }
 
-TEST(Trace, ScopedTimerAccumulatesNanoseconds) {
-  obs::Counter sink;
-  {
-    obs::ScopedTimer timer(sink);
-    // Do a little work so the elapsed time is nonzero even on coarse clocks.
-    volatile double x = 0.0;
-    for (int i = 0; i < 10000; ++i) x = x + 1.0;
-  }
-  EXPECT_GT(sink.value(), 0u);
-}
-
 TEST(Trace, LogBridgeCountsStructuredEvents) {
   obs::install_log_bridge();
   auto& counter =
@@ -704,10 +693,6 @@ TEST(Disabled, SpanAndTimerAreNoOps) {
   obs::Span span("noop", "test");
   span.arg("k", "v");
   span.end();
-  obs::Counter sink;
-  {
-    obs::ScopedTimer timer(sink);
-  }
   SUCCEED();
 }
 

@@ -1,9 +1,9 @@
 // Static-analysis framework gates (DESIGN.md §13).
 //
 // The load-bearing contracts pinned here:
-//   - the symbolic fill prediction matches SparseSolver's runtime
-//     stats().factor_nnz EXACTLY on every shipped example netlist
-//     (same merge, same column order, same pivot rule)
+//   - the sparsity pass's counts match the SparseSolver stats() of a
+//     real DC solve EXACTLY on every shipped example netlist, and the
+//     whole sparsity report is pinned on every corpus netlist
 //   - the dt recommendation never exceeds the smallest stimulus
 //     breakpoint interval, over the shipped + broken corpus
 //   - the static envelope always contains the actual DC operating

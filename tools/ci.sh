@@ -14,8 +14,9 @@
 #   5. lint      netlist_lint --strict over every shipped .cir netlist,
 #                and the broken fixtures must FAIL
 #   6. analyze   netlist_analyze --strict over every shipped netlist
-#                (clean envelopes, fill prediction, dt planning), the
-#                tissue ladder's 122 unknowns pinned in the JSON report,
+#                (clean envelopes, the backend's fill and flop counts, dt
+#                planning), the tissue ladder's 122 unknowns, 363 factor
+#                nonzeros and 604 solve flops pinned in the JSON report,
 #                the spice.analysis.* telemetry schema pinned via
 #                trace_validate, and fault campaign fingerprints
 #                bit-identical with --analysis-hints on vs off
@@ -142,12 +143,15 @@ run_analyze() {
   # Shipped netlists: the whole pipeline (lint + envelope + sparsity +
   # timescale) must come back clean, warnings included.
   "$analyzer" --strict --quiet "$ROOT"/examples/netlists/*.cir
-  # The JSON report must carry the 122-unknown tissue ladder. The JSON
-  # sweep also leaves behind the BENCH report whose spice.analysis.*
-  # schema is pinned below.
+  # The JSON report must carry the tissue ladder's 122 unknowns and the
+  # sparse backend's fill and solve cost for it. The JSON sweep also
+  # leaves behind the BENCH report whose spice.analysis.* schema is
+  # pinned below.
   local ladder="$ROOT/build-ci-release/analyze_ladder.json"
   "$analyzer" --json "$ROOT/examples/netlists/tissue_ladder.cir" > "$ladder"
   grep -q '"unknowns": 122' "$ladder"
+  grep -q '"factor_nnz": 363' "$ladder"
+  grep -q '"solve_flops": 604' "$ladder"
   "$validator" --require-obs \
     --require spice.analysis.runs \
     --require spice.analysis.lint_ns \
@@ -169,7 +173,7 @@ run_analyze() {
     echo "ci: FAIL -- fingerprints changed under --analysis-hints" >&2
     exit 1
   fi
-  echo "ci: analyzer sweep clean; ladder size and analysis schema" \
+  echo "ci: analyzer sweep clean; ladder size, fill and analysis schema" \
        "pinned; hint fingerprints bit-identical"
 }
 

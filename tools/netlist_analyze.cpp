@@ -1,8 +1,8 @@
 // netlist_analyze: whole-netlist static analysis from the command line.
 // Parses each .cir file into a Circuit and runs the full analysis
 // pipeline (src/spice/analysis/analysis.hpp): lint, interval operating
-// envelopes, symbolic sparsity/fill prediction, and timescale/stiffness
-// planning. Parse failures are reported as lint.parse-error diagnostics
+// envelopes, the sparse backend's fill and flop counts, and
+// timescale/stiffness planning. Parse failures are reported as lint.parse-error diagnostics
 // rather than crashes, so a CI sweep over a directory of netlists always
 // completes.
 //
