@@ -14,8 +14,10 @@
 #include "src/linalg/complex_matrix.hpp"
 #include "src/linalg/lu.hpp"
 #include "src/linalg/sparse.hpp"
+#include "src/util/fingerprint.hpp"
 
 using namespace ironic::linalg;
+using ironic::util::Fingerprint;
 
 namespace {
 
@@ -298,6 +300,107 @@ TEST(SparseSolver, ThrowingFactorizationLeavesNoFactorsToSkipTo) {
   EXPECT_EQ(s.stats().factorizations, 2u);
   const auto xd = reference_solve(2, good, rhs);
   for (std::size_t i = 0; i < 2; ++i) EXPECT_NEAR(x[i], xd[i], 1e-12);
+}
+
+TEST(SparseSolver, FactorRungsArePinnedBitForBit) {
+  // The tests above check the solver to a tolerance; this one pins the
+  // exact bits each rung of the factor ladder leaves in the solution, so
+  // a rewrite of the factor or solve loops that reorders a single
+  // floating-point operation fails here, not only in the end-to-end
+  // fingerprints.
+  const auto bits = [](const std::vector<double>& x) {
+    Fingerprint fp;
+    for (const double v : x) fp.feed(v);
+    return fp.value();
+  };
+  constexpr std::size_t n = 13;
+  std::vector<double> rhs(n);
+  for (std::size_t i = 0; i < n; ++i) rhs[i] = std::sin(1.0 + double(i));
+  struct Pin {
+    unsigned seed;
+    std::uint64_t cold, refactor, repivot, reversed;
+  };
+  const Pin pins[] = {
+      {1, 0xb87d10db7076154f, 0x4e53b960654744ea, 0x4c2864665c3f7af5, 0xfe4f4965f450b44e},
+      {2, 0x571885a6d4ea9232, 0x6cfb0b5f7e6e8970, 0x76b5e21c9831bfac, 0x19edd83bc6d9a2e2},
+      {3, 0x192a467f8f61772e, 0x91636d35285a5f2e, 0xfd2e16d87fc5d7d0, 0xc5c9062c1053fbfa},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.seed);
+    const auto entries = random_system(n, pin.seed);
+    SparseSolver<double> s(n);
+    // Cold: pattern build and a full, pivot-choosing factorization.
+    EXPECT_EQ(bits(solve_with(s, entries, rhs)), pin.cold);
+    EXPECT_EQ(s.stats().refactorizations, 0u);
+
+    // New values on the same pattern, same call order: the numeric
+    // refactorization along the cached structure.
+    auto perturbed = entries;
+    for (std::size_t i = 0; i < perturbed.size(); ++i) {
+      perturbed[i].value *= 1.0 + 0.25 * std::cos(double(i));
+    }
+    EXPECT_EQ(bits(solve_with(s, perturbed, rhs)), pin.refactor);
+    EXPECT_EQ(s.stats().refactorizations, 1u);
+
+    // The same values again: the factor skip reuses the factors outright.
+    EXPECT_EQ(bits(solve_with(s, perturbed, rhs)), pin.refactor);
+    EXPECT_EQ(s.stats().factor_skips, 1u);
+    EXPECT_EQ(s.stats().factorizations, 2u);
+
+    // Shrink every dominant diagonal entry: the cached pivots lose the
+    // slack test and the solver re-pivots with a full factorization.
+    auto degraded = entries;
+    for (std::size_t i = 0; i < degraded.size(); i += 7) degraded[i].value *= 1e-6;
+    EXPECT_EQ(bits(solve_with(s, degraded, rhs)), pin.repivot);
+    EXPECT_EQ(s.stats().factorizations, 3u);
+    EXPECT_EQ(s.stats().refactorizations, 1u);
+
+    // The original stamps in reverse call order: the slot cache diverges
+    // at the first call and re-records, and duplicate entries sum in the
+    // reverse order.
+    const std::vector<Entry> reversed(entries.rbegin(), entries.rend());
+    EXPECT_EQ(bits(solve_with(s, reversed, rhs)), pin.reversed);
+    EXPECT_EQ(s.stats().pattern_builds, 1u);
+  }
+
+  // Complex values: a cold factorization, then a refactorization.
+  {
+    SparseSolver<Complex> s(n);
+    std::vector<Complex> x;
+    Fingerprint fp;
+    for (const double scale : {1.0, 0.75}) {
+      std::mt19937 rng(3);
+      std::uniform_real_distribution<double> v(-1.0, 1.0);
+      s.begin_assembly();
+      for (int i = 0; i < static_cast<int>(n); ++i) {
+        s.add(i, i, Complex{5.0 + v(rng), v(rng)} * scale);
+        s.add(i, (i + 3) % static_cast<int>(n), Complex{v(rng), v(rng)});
+        s.add((i + 5) % static_cast<int>(n), i, Complex{v(rng), v(rng)} * scale);
+      }
+      s.factor();
+      x.assign(n, Complex{});
+      for (std::size_t i = 0; i < n; ++i) x[i] = Complex{1.0, double(i)};
+      s.solve_in_place(x);
+      for (const auto& v : x) {
+        fp.feed(v.real());
+        fp.feed(v.imag());
+      }
+    }
+    EXPECT_EQ(s.stats().refactorizations, 1u);
+    EXPECT_EQ(fp.value(), 0x56f68b65195e4510u);
+  }
+
+  // The counts a throwing factorization leaves behind (the fixture of
+  // ThrowingFactorizationLeavesNoFactorsToSkipTo): the failing column's
+  // updates count as flops, its entries not as factor nonzeros.
+  {
+    SparseSolver<double> s(2);
+    solve_with(s, {{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}}, {1.0, 2.0});
+    assemble(s, {{0, 0, 1.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 1.0}});
+    EXPECT_THROW(s.factor(), SingularMatrixError);
+    EXPECT_EQ(s.factor_flops(), 3.0);
+    EXPECT_EQ(s.stats().factor_nnz, 3u);
+  }
 }
 
 TEST(SparseSolver, BandedSystemFillStaysLinear) {

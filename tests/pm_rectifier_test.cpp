@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/pm/rectifier.hpp"
 #include "src/spice/devices_passive.hpp"
@@ -165,6 +167,48 @@ TEST(Rectifier, HeavierLoadLowersInputImpedance) {
                                                      fast_options());
   EXPECT_LT(heavy.resistance, light.resistance);
   EXPECT_GT(heavy.average_power, light.average_power);
+}
+
+TEST(Rectifier, BenchCircuitEngineCountersArePinned) {
+  // The BM_TransientRectifier circuit (bench/bench_engine_perf.cpp), run
+  // once: its exact engine and solver counters and the bits of the final
+  // output voltage. A solver or device change that claims to move no bit
+  // must leave every one of them alone.
+  Circuit ckt;
+  const auto src = ckt.node("src");
+  const auto vi = ckt.node("vi");
+  ckt.add<VoltageSource>("Vs", src, kGround, Waveform::sine(3.5, 5e6));
+  ckt.add<Resistor>("Rs", src, vi, 150.0);
+  RectifierOptions opt;
+  opt.storage_capacitance = 10e-9;
+  build_rectifier(ckt, "r", vi, Waveform::dc(0.0), Waveform::dc(1.8), opt);
+  TransientOptions opts;
+  opts.t_stop = 4e-6;
+  opts.dt_max = 5e-9;
+  opts.record_every = 16;
+  TransientStats stats;
+  const auto res = run_transient(ckt, opts, &stats);
+
+  EXPECT_EQ(stats.accepted_steps, 801u);
+  EXPECT_EQ(stats.rejected_steps, 0u);
+  EXPECT_EQ(stats.lte_rejections, 0u);
+  EXPECT_EQ(stats.breakpoint_hits, 0u);
+  EXPECT_EQ(stats.newton_iterations, 2760u);
+  EXPECT_EQ(stats.factorizations, 2760u);
+  EXPECT_EQ(stats.solves, 2760u);
+  EXPECT_EQ(stats.max_newton_iterations, 12u);
+
+  const auto& solver = ckt.acquire_solver().stats();
+  EXPECT_EQ(solver.factorizations, 2760u);
+  EXPECT_EQ(solver.refactorizations, 2759u);
+  EXPECT_EQ(solver.factor_skips, 0u);
+  EXPECT_EQ(solver.solves, 2760u);
+  EXPECT_EQ(solver.pattern_builds, 1u);
+  EXPECT_EQ(solver.pattern_reuses, 2759u);
+  EXPECT_EQ(solver.nnz, 32u);
+  EXPECT_EQ(solver.factor_nnz, 39u);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(res.voltage("r.vo").back()), 0x3ff3b57176ad2e81u);
 }
 
 TEST(Rectifier, RejectsBadOptions) {
