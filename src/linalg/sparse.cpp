@@ -51,7 +51,7 @@ void SparseSolver<T>::begin_assembly() {
 }
 
 template <typename T>
-void SparseSolver<T>::add(int row, int col, T value) {
+void SparseSolver<T>::add_slow(int row, int col, T value) {
   if (row < 0 || col < 0 || static_cast<std::size_t>(row) >= n_ ||
       static_cast<std::size_t>(col) >= n_) {
     throw std::out_of_range("SparseSolver::add: index out of range");
@@ -66,6 +66,7 @@ void SparseSolver<T>::add(int row, int col, T value) {
     }
     // The stamp order diverged from the recorded sequence. Keep the
     // matched prefix and re-record the remainder through the slow path.
+    ++stats_.sequence_divergences;
     fast_ = false;
     recording_ = true;
     new_rc_.assign(seq_rc_.begin(), seq_rc_.begin() + static_cast<std::ptrdiff_t>(cursor_));
@@ -206,11 +207,18 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
   symbolic_valid_ = false;
   if (!csc_valid_) build_csc();
   build_col_order();
-  lcols_.assign(n_, {});
-  ucols_.assign(n_, {});
+  l_ptr_.assign(1, 0);
+  l_row_.clear();
+  l_val_.clear();
+  u_ptr_.assign(1, 0);
+  u_k_.clear();
+  u_val_.clear();
   pivot_row_.assign(n_, -1);
   row_pos_.assign(n_, -1);
   upiv_.assign(n_, T{});
+  // refactor_numeric leaves values behind in work_; the marking below
+  // needs a zero accumulator.
+  std::fill(work_.begin(), work_.end(), T{});
   clear_column_workspace();
   stats_.factor_nnz = n_;
 
@@ -227,20 +235,22 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     // Eliminate with every earlier pivot whose row appears structurally.
     // The scan is O(jj) but each hit does real work; at MNA sizes the
     // scan is noise next to a dense O(n^3) elimination.
-    auto& ucol = ucols_[jj];
     for (std::size_t kk = 0; kk < jj; ++kk) {
       const int pr = pivot_row_[kk];
       if (!mark_[static_cast<std::size_t>(pr)]) continue;
       const T ukj = work_[static_cast<std::size_t>(pr)];
-      ucol.push_back({static_cast<int>(kk), ukj});
-      for (const auto& e : lcols_[kk]) {
-        if (!mark_[static_cast<std::size_t>(e.row)]) {
-          mark_[static_cast<std::size_t>(e.row)] = 1;
-          touched_.push_back(e.row);
+      u_k_.push_back(static_cast<int>(kk));
+      u_val_.push_back(ukj);
+      for (int q = l_ptr_[kk]; q < l_ptr_[kk + 1]; ++q) {
+        const int r = l_row_[static_cast<std::size_t>(q)];
+        if (!mark_[static_cast<std::size_t>(r)]) {
+          mark_[static_cast<std::size_t>(r)] = 1;
+          touched_.push_back(r);
         }
-        work_[static_cast<std::size_t>(e.row)] -= e.value * ukj;
+        work_[static_cast<std::size_t>(r)] -= l_val_[static_cast<std::size_t>(q)] * ukj;
       }
     }
+    u_ptr_.push_back(static_cast<int>(u_k_.size()));
     // Partial pivot among the not-yet-pivoted structural rows. A NaN
     // anywhere in the candidates poisons the column: reject it (negated
     // comparison below), mirroring LuFactorization's NaN-aware check.
@@ -259,6 +269,10 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     if (poisoned || best < 0 || !(best_mag >= pivot_tol)) {
       const double reported = poisoned ? std::numeric_limits<double>::quiet_NaN()
                                        : (best < 0 ? 0.0 : best_mag);
+      // Close the arrays after this column, so factor_flops() counts the
+      // updates it made.
+      u_ptr_.resize(n_ + 1, u_ptr_.back());
+      l_ptr_.resize(n_ + 1, l_ptr_.back());
       clear_column_workspace();
       throw SingularMatrixError("LU pivot " + std::to_string(jj) + " below tolerance (" +
                                 std::to_string(reported) + ") — floating node or " +
@@ -268,13 +282,20 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     row_pos_[static_cast<std::size_t>(best)] = static_cast<int>(jj);
     const T piv = work_[static_cast<std::size_t>(best)];
     upiv_[jj] = piv;
-    auto& lcol = lcols_[jj];
     for (const int r : touched_) {
       if (row_pos_[static_cast<std::size_t>(r)] >= 0) continue;
-      lcol.push_back({r, work_[static_cast<std::size_t>(r)] / piv});
+      l_row_.push_back(r);
+      l_val_.push_back(work_[static_cast<std::size_t>(r)] / piv);
     }
-    stats_.factor_nnz += ucol.size() + lcol.size();
+    l_ptr_.push_back(static_cast<int>(l_row_.size()));
+    stats_.factor_nnz += static_cast<std::size_t>(u_ptr_[jj + 1] - u_ptr_[jj]) +
+                         static_cast<std::size_t>(l_ptr_[jj + 1] - l_ptr_[jj]);
     clear_column_workspace();
+  }
+  // Every row has its pivot now: the solve indexes L by elimination step.
+  l_step_.resize(l_row_.size());
+  for (std::size_t q = 0; q < l_row_.size(); ++q) {
+    l_step_[q] = row_pos_[static_cast<std::size_t>(l_row_[q])];
   }
   symbolic_valid_ = true;
 }
@@ -282,50 +303,56 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
 template <typename T>
 bool SparseSolver<T>::refactor_numeric(double pivot_tol) {
   // Recompute the numbers along the cached elimination structure: same
-  // pivot order, same L/U patterns, no structural work. Fails (returns
-  // false) when a cached pivot degrades, and the caller falls back to a
-  // full factorization.
-  clear_column_workspace();
+  // pivot order, same L/U patterns, no structural work. Column jj's rows
+  // are known — its U rows (earlier pivots), its pivot row and its L rows
+  // — so they are zeroed up front rather than marked as they are touched.
+  // Fails (returns false) when a cached pivot degrades, and the caller
+  // falls back to a full factorization.
   for (std::size_t jj = 0; jj < n_; ++jj) {
+    const int u_lo = u_ptr_[jj], u_hi = u_ptr_[jj + 1];
+    const int l_lo = l_ptr_[jj], l_hi = l_ptr_[jj + 1];
+    const auto prow = static_cast<std::size_t>(pivot_row_[jj]);
+    for (int p = u_lo; p < u_hi; ++p) {
+      const int k = u_k_[static_cast<std::size_t>(p)];
+      work_[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = T{};
+    }
+    work_[prow] = T{};
+    for (int q = l_lo; q < l_hi; ++q) {
+      work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] = T{};
+    }
     const int j = col_order_[jj];
     for (int p = csc_ptr_[static_cast<std::size_t>(j)];
          p < csc_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      const int r = csc_rows_[static_cast<std::size_t>(p)];
-      mark_[static_cast<std::size_t>(r)] = 1;
-      touched_.push_back(r);
-      work_[static_cast<std::size_t>(r)] = values_[static_cast<std::size_t>(csc_slots_[static_cast<std::size_t>(p)])];
+      work_[static_cast<std::size_t>(csc_rows_[static_cast<std::size_t>(p)])] =
+          values_[static_cast<std::size_t>(csc_slots_[static_cast<std::size_t>(p)])];
     }
-    auto& ucol = ucols_[jj];
-    for (auto& ue : ucol) {
-      const T ukj = work_[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(ue.k)])];
-      ue.value = ukj;
-      for (const auto& e : lcols_[static_cast<std::size_t>(ue.k)]) {
-        if (!mark_[static_cast<std::size_t>(e.row)]) {
-          mark_[static_cast<std::size_t>(e.row)] = 1;
-          touched_.push_back(e.row);
-        }
-        work_[static_cast<std::size_t>(e.row)] -= e.value * ukj;
+    for (int p = u_lo; p < u_hi; ++p) {
+      const auto k = static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)]);
+      const T ukj = work_[static_cast<std::size_t>(pivot_row_[k])];
+      u_val_[static_cast<std::size_t>(p)] = ukj;
+      for (int q = l_ptr_[k]; q < l_ptr_[k + 1]; ++q) {
+        work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] -=
+            l_val_[static_cast<std::size_t>(q)] * ukj;
       }
     }
-    const T piv = work_[static_cast<std::size_t>(pivot_row_[jj])];
+    const T piv = work_[prow];
     const double piv_mag = magnitude(piv);
-    // Largest not-yet-eliminated magnitude in the column, for the
-    // stability check (NaN candidates fall to the tolerance test).
+    // Largest not-yet-eliminated magnitude in the column (the pivot row
+    // and the L rows), for the stability check; NaN candidates fall to
+    // the tolerance test.
     double col_max = 0.0;
-    for (const int r : touched_) {
-      if (row_pos_[static_cast<std::size_t>(r)] < static_cast<int>(jj)) continue;
-      const double mag = magnitude(work_[static_cast<std::size_t>(r)]);
+    if (piv_mag > col_max) col_max = piv_mag;
+    for (int q = l_lo; q < l_hi; ++q) {
+      const double mag =
+          magnitude(work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])]);
       if (mag > col_max) col_max = mag;
     }
-    if (!(piv_mag >= pivot_tol) || !(piv_mag >= kRefactorPivotSlack * col_max)) {
-      clear_column_workspace();
-      return false;
-    }
+    if (!(piv_mag >= pivot_tol) || !(piv_mag >= kRefactorPivotSlack * col_max)) return false;
     upiv_[jj] = piv;
-    for (auto& le : lcols_[jj]) {
-      le.value = work_[static_cast<std::size_t>(le.row)] / piv;
+    for (int q = l_lo; q < l_hi; ++q) {
+      l_val_[static_cast<std::size_t>(q)] =
+          work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] / piv;
     }
-    clear_column_workspace();
   }
   return true;
 }
@@ -378,8 +405,9 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
   for (std::size_t kk = 0; kk < n_; ++kk) {
     const T yk = fwd_[kk];
     if (yk == T{}) continue;
-    for (const auto& e : lcols_[kk]) {
-      fwd_[static_cast<std::size_t>(row_pos_[static_cast<std::size_t>(e.row)])] -= e.value * yk;
+    for (int q = l_ptr_[kk]; q < l_ptr_[kk + 1]; ++q) {
+      fwd_[static_cast<std::size_t>(l_step_[static_cast<std::size_t>(q)])] -=
+          l_val_[static_cast<std::size_t>(q)] * yk;
     }
   }
   // Column-oriented back substitution over U, right to left.
@@ -387,8 +415,9 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
     const T zj = fwd_[jj] / upiv_[jj];
     fwd_[jj] = zj;
     if (zj == T{}) continue;
-    for (const auto& ue : ucols_[jj]) {
-      fwd_[static_cast<std::size_t>(ue.k)] -= ue.value * zj;
+    for (int p = u_ptr_[jj]; p < u_ptr_[jj + 1]; ++p) {
+      fwd_[static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)])] -=
+          u_val_[static_cast<std::size_t>(p)] * zj;
     }
   }
   for (std::size_t jj = 0; jj < n_; ++jj) {
@@ -401,11 +430,12 @@ double SparseSolver<T>::factor_flops() const {
   // Each U entry applies its pivot's L column (a multiply and a subtract
   // per entry); each L entry is one divide by the pivot.
   double flops = 0.0;
-  for (std::size_t jj = 0; jj < lcols_.size(); ++jj) {
-    for (const auto& ue : ucols_[jj]) {
-      flops += 2.0 * static_cast<double>(lcols_[static_cast<std::size_t>(ue.k)].size());
+  for (std::size_t jj = 0; jj + 1 < u_ptr_.size(); ++jj) {
+    for (int p = u_ptr_[jj]; p < u_ptr_[jj + 1]; ++p) {
+      const auto k = static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)]);
+      flops += 2.0 * static_cast<double>(l_ptr_[k + 1] - l_ptr_[k]);
     }
-    flops += static_cast<double>(lcols_[jj].size());
+    flops += static_cast<double>(l_ptr_[jj + 1] - l_ptr_[jj]);
   }
   return flops;
 }

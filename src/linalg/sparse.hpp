@@ -9,11 +9,14 @@
 // Assembly. Devices call add(r, c, v) in whatever order their stamps
 // produce. The first assembly records that call sequence; subsequent
 // assemblies replay it with a cursor, so the steady state is one compare
-// plus one indexed accumulate per stamp — no hashing, no searches. When
-// the order diverges (a MOSFET swapping source/drain roles between
+// plus one indexed accumulate per stamp — no hashing, no searches — and
+// that replay is inline here; every other call (the range check, the
+// first call of an assembly, recording) goes out of line. When the
+// order diverges (a MOSFET swapping source/drain roles between
 // operating regions reorders its stamp calls), the matched prefix is
 // kept, the rest falls back to a binary search per entry, and the
-// sequence is re-recorded — a speed blip, never a correctness issue.
+// sequence is re-recorded — a speed blip, never a correctness issue
+// (counted in sequence_divergences).
 // Entries the pattern has never seen land in an overflow triplet list and
 // are merged at factor() time (capacitors stamp nothing at DC, so a DC
 // solve followed by a transient grows the pattern once).
@@ -24,13 +27,17 @@
 // decisions are symbolic — an entry that is numerically zero this
 // iteration still occupies its slot — so the elimination structure (pivot
 // order, L/U patterns) is cached and later factorizations only redo the
-// numbers along it. If a cached pivot degrades (falls below tolerance or
-// loses too much ground to its column), the solver silently falls back to
-// a fresh full factorization before reporting SingularMatrixError. A
-// factor() on values bit-identical to the last factored ones reuses the
-// factors outright (factor_skips); a caller that knows its matrix did not
-// change, like the transient engine on a linear circuit, skips assembly
-// and factor() altogether and only solves.
+// numbers along it. L and U are stored as flat column arrays, and a
+// refactorization knows each column's rows up front (its U rows, its
+// pivot row, its L rows), so it zeroes exactly those in the accumulator
+// instead of marking the rows it touches. If a cached pivot degrades
+// (falls below tolerance or loses too much ground to its column), the
+// solver silently falls back to a fresh full factorization before
+// reporting SingularMatrixError. A factor() on values bit-identical to
+// the last factored ones reuses the factors outright (factor_skips); a
+// caller that knows its matrix did not change, like the transient engine
+// on a linear circuit, skips assembly and factor() altogether and only
+// solves.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +61,7 @@ struct SolverStats {
   std::uint64_t solves = 0;           // triangular solve_in_place calls
   std::uint64_t pattern_builds = 0;   // sparsity-pattern (re)constructions
   std::uint64_t pattern_reuses = 0;   // assemblies that fit the cached pattern
+  std::uint64_t sequence_divergences = 0;  // assemblies that left the recorded call order
   std::size_t nnz = 0;                // structural nonzeros of A
   std::size_t factor_nnz = 0;         // nonzeros of L+U incl. fill
 };
@@ -76,7 +84,16 @@ class SparseSolver {
   std::size_t size() const { return n_; }
 
   void begin_assembly();
-  void add(int row, int col, T value);
+  void add(int row, int col, T value) {
+    // Replay: the call the recorded sequence expects next. A match implies
+    // the indices are in range, since only checked calls are recorded.
+    if (fast_ && cursor_ < seq_rc_.size() && seq_rc_[cursor_] == pack(row, col)) {
+      values_[static_cast<std::size_t>(seq_slot_[cursor_])] += value;
+      ++cursor_;
+      return;
+    }
+    add_slow(row, col, value);
+  }
   // Factor the assembled matrix. Throws SingularMatrixError when a pivot
   // falls below `pivot_tol` (NaN-aware: poisoned stamps are rejected here
   // rather than propagated through the solve).
@@ -98,6 +115,7 @@ class SparseSolver {
            static_cast<std::int64_t>(static_cast<std::uint32_t>(col));
   }
 
+  void add_slow(int row, int col, T value);
   int find_slot(int row, int col) const;
   void finalize_assembly();
   void merge_pattern();
@@ -139,16 +157,15 @@ class SparseSolver {
   bool csc_valid_ = false;
 
   // --- cached factorization -----------------------------------------------
-  struct LEntry {
-    int row;  // original row id
-    T value;
-  };
-  struct UEntry {
-    int k;  // elimination step of the pivot this entry multiplies
-    T value;
-  };
-  std::vector<std::vector<LEntry>> lcols_;
-  std::vector<std::vector<UEntry>> ucols_;
+  // Flat column arrays, indexed by elimination step jj. L column jj (unit
+  // diagonal implied) is entries l_ptr_[jj] .. l_ptr_[jj + 1]: original
+  // row, that row's elimination step (what the solve indexes by), and the
+  // multiplier. U column jj is u_ptr_[jj] .. u_ptr_[jj + 1]: the step k of
+  // the pivot each entry multiplies, and the value.
+  std::vector<int> l_ptr_, l_row_, l_step_;
+  std::vector<T> l_val_;
+  std::vector<int> u_ptr_, u_k_;
+  std::vector<T> u_val_;
   std::vector<int> pivot_row_;  // elimination step -> original row
   std::vector<int> row_pos_;    // original row -> elimination step
   std::vector<int> col_order_;  // elimination step -> original column
@@ -158,9 +175,9 @@ class SparseSolver {
   std::vector<T> last_factored_;  // values_ snapshot behind the factor skip
 
   // --- scratch -------------------------------------------------------------
-  std::vector<T> work_;
-  std::vector<unsigned char> mark_;
-  std::vector<int> touched_;
+  std::vector<T> work_;              // dense column accumulator
+  std::vector<unsigned char> mark_;  // full_factor: rows in the column so far
+  std::vector<int> touched_;         // ... in the order they entered it
   std::vector<T> fwd_;
 
   SolverStats stats_;

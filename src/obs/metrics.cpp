@@ -113,18 +113,26 @@ void Gauge::set_max(double v) {
 }
 
 // One thread's slice of a histogram, allocated on first observation so
-// idle metrics cost one pointer array. The bucket vector never resizes
-// after construction, so element addresses are stable for readers.
+// idle metrics cost one pointer array. A spin lock guards the fields:
+// observe() holds it for one observation, merged() and reset() hold every
+// shard's at once, so no reader sees part of an observation or part of a
+// reset. Uncontended, that is one atomic exchange per observation.
 struct Histogram::Shard {
-  explicit Shard(std::size_t n_buckets)
-      : buckets(n_buckets),
-        min(std::numeric_limits<double>::infinity()),
-        max(-std::numeric_limits<double>::infinity()) {}
-  std::vector<std::atomic<std::uint64_t>> buckets;
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min;
-  std::atomic<double> max;
+  explicit Shard(std::size_t n_buckets) : buckets(n_buckets, 0) {}
+
+  void lock() {
+    while (busy.exchange(true, std::memory_order_acquire)) {
+      while (busy.load(std::memory_order_relaxed)) std::this_thread::yield();
+    }
+  }
+  void unlock() { busy.store(false, std::memory_order_release); }
+
+  std::atomic<bool> busy{false};
+  std::vector<std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
 };
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -158,45 +166,59 @@ void Histogram::observe(double v) {
   Shard& s = shard();
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  s.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_apply(s.sum, v, [](double a, double b) { return a + b; });
-  atomic_apply(s.min, v, [](double a, double b) { return a < b ? a : b; });
-  atomic_apply(s.max, v, [](double a, double b) { return a > b ? a : b; });
+  const std::lock_guard<Shard> guard(s);
+  ++s.buckets[idx];
+  ++s.count;
+  s.sum += v;
+  s.min = s.min < v ? s.min : v;
+  s.max = s.max > v ? s.max : v;
 }
 
-Histogram::Merged Histogram::merged() const {
-  const std::size_t n_buckets = bounds_.size() + 1;
-  for (;;) {
-    const std::uint64_t before = epoch_.load(std::memory_order_acquire);
-    if (before & 1) {
-      // A reset is zeroing the shards; wait for the even epoch.
-      std::this_thread::yield();
-      continue;
+// Every installed shard of a histogram, locked until the holder goes out
+// of scope. Slots lock in index order, the same in every holder, so two
+// holders never deadlock. A shard installed after its slot was read is
+// left out; it holds only observations that started after that read.
+class Histogram::LockedShards {
+ public:
+  explicit LockedShards(const Histogram& h) {
+    for (std::size_t i = 0; i < kMetricShards; ++i) {
+      held_[i] = h.shards_[i].load(std::memory_order_acquire);
+      if (held_[i]) held_[i]->lock();
     }
-    Merged m;
-    m.buckets.assign(n_buckets, 0);
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const auto& slot : shards_) {
-      const Shard* s = slot.load(std::memory_order_acquire);
-      if (!s) continue;
-      for (std::size_t i = 0; i < n_buckets; ++i) {
-        m.buckets[i] += s->buckets[i].load(std::memory_order_relaxed);
-      }
-      m.count += s->count.load(std::memory_order_relaxed);
-      m.sum += s->sum.load(std::memory_order_relaxed);
-      lo = std::min(lo, s->min.load(std::memory_order_relaxed));
-      hi = std::max(hi, s->max.load(std::memory_order_relaxed));
-    }
-    // Re-check via a dummy RMW: its release half keeps the shard loads
-    // above from sinking past this point (a plain atomic_thread_fence
-    // is not instrumented by -fsanitize=thread).
-    if (epoch_.fetch_add(0, std::memory_order_acq_rel) != before) continue;
-    m.min = (m.count == 0 || std::isinf(lo)) ? 0.0 : lo;
-    m.max = (m.count == 0 || std::isinf(hi)) ? 0.0 : hi;
-    return m;
   }
+  ~LockedShards() {
+    for (Shard* s : held_) {
+      if (s) s->unlock();
+    }
+  }
+  LockedShards(const LockedShards&) = delete;
+  LockedShards& operator=(const LockedShards&) = delete;
+
+  const std::array<Shard*, kMetricShards>& shards() const { return held_; }
+
+ private:
+  std::array<Shard*, kMetricShards> held_{};
+};
+
+Histogram::Merged Histogram::merged() const {
+  Merged m;
+  m.buckets.assign(bounds_.size() + 1, 0);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  {
+    const LockedShards locked(*this);
+    for (const Shard* s : locked.shards()) {
+      if (!s) continue;
+      for (std::size_t i = 0; i < m.buckets.size(); ++i) m.buckets[i] += s->buckets[i];
+      m.count += s->count;
+      m.sum += s->sum;
+      lo = std::min(lo, s->min);
+      hi = std::max(hi, s->max);
+    }
+  }
+  m.min = (m.count == 0 || std::isinf(lo)) ? 0.0 : lo;
+  m.max = (m.count == 0 || std::isinf(hi)) ? 0.0 : hi;
+  return m;
 }
 
 double Histogram::mean() const {
@@ -210,25 +232,15 @@ double Histogram::percentile(double p) const {
 }
 
 void Histogram::reset() {
-  const std::lock_guard<std::mutex> lock(reset_mutex_);
-  // Odd epoch: merges that started earlier retry; merges that start now
-  // spin until the zeroing below is complete, so nobody observes a
-  // half-zeroed histogram.
-  epoch_.fetch_add(1, std::memory_order_release);
-  for (auto& slot : shards_) {
-    Shard* s = slot.load(std::memory_order_acquire);
+  const LockedShards locked(*this);
+  for (Shard* s : locked.shards()) {
     if (!s) continue;
-    for (auto& bucket : s->buckets) {
-      bucket.store(0, std::memory_order_relaxed);
-    }
-    s->count.store(0, std::memory_order_relaxed);
-    s->sum.store(0.0, std::memory_order_relaxed);
-    s->min.store(std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
-    s->max.store(-std::numeric_limits<double>::infinity(),
-                 std::memory_order_relaxed);
+    std::fill(s->buckets.begin(), s->buckets.end(), 0);
+    s->count = 0;
+    s->sum = 0.0;
+    s->min = std::numeric_limits<double>::infinity();
+    s->max = -std::numeric_limits<double>::infinity();
   }
-  epoch_.fetch_add(1, std::memory_order_release);
 }
 
 MetricsRegistry& MetricsRegistry::instance() {

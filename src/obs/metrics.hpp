@@ -2,8 +2,9 @@
 // histograms, sharded per thread so recording under the exec
 // work-stealing pool is a relaxed store into a thread-private cache line
 // with no cross-core CAS traffic. Shards are merged on snapshot.
-// Registration takes a mutex; recording into an already obtained metric
-// is lock-free.
+// Registration takes a mutex; recording into an already obtained counter
+// or gauge is lock-free, and a histogram observation takes its own
+// shard's spin lock, uncontended unless a snapshot or reset holds it.
 //
 // Registries can be forked per scenario/session with labels
 // (`registry.scoped({{"scenario", "ask_burst"}})`) and aggregated back
@@ -151,17 +152,16 @@ class Gauge {
 
 // Fixed-boundary histogram: `bounds` are the inclusive upper edges of the
 // buckets; one overflow bucket catches everything above the last edge.
-// Observation updates the calling thread's lazily allocated shard
-// (bucket increment plus CAS-maintained sum/min/max, all thread-private
-// when ordinals do not collide).
+// Observation updates the calling thread's lazily allocated shard (bucket,
+// count, sum, min and max under the shard's spin lock, which is
+// uncontended when ordinals do not collide).
 //
 // Snapshot coherence contract: merge-style readers (count/sum/min/max/
-// percentile/bucket_counts/merged) are seqlock-protected against
-// reset(): a reader never observes a half-zeroed histogram — it sees the
-// state either entirely before or entirely after a concurrent reset.
-// Individual observe() calls are NOT transactional: a reader overlapping
-// an in-flight observe may see its bucket increment before its
-// count/sum update (bounded by the number of in-flight observers).
+// percentile/bucket_counts/merged) and reset() hold every shard's lock
+// at once, and observe() holds its shard's for the whole observation. A
+// reader therefore sees each observation entirely or not at all (the
+// bucket total always equals the count), and the state entirely before
+// or entirely after a concurrent reset.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -193,22 +193,16 @@ class Histogram {
 
   const std::vector<double>& bounds() const { return bounds_; }
   std::vector<std::uint64_t> bucket_counts() const { return merged().buckets; }
-  // Zero all shards. Guarded by the seqlock epoch: concurrent snapshots
-  // retry instead of reading a torn (half-zeroed) state. Concurrent
-  // resets serialize on an internal mutex.
+  // Zero all shards, indivisibly for concurrent readers and observers.
   void reset();
 
  private:
   struct Shard;
+  class LockedShards;
   Shard& shard();
 
   std::vector<double> bounds_;
   std::array<std::atomic<Shard*>, kMetricShards> shards_{};
-  // Seqlock epoch: odd while a reset is zeroing shards; readers retry
-  // until they bracket a stable even epoch (mutable: the const read
-  // side re-checks it with a dummy RMW, see merged()).
-  mutable std::atomic<std::uint64_t> epoch_{0};
-  std::mutex reset_mutex_;
 };
 
 // A flat snapshot row, used for the JSONL dump and the run reports.

@@ -54,6 +54,10 @@ JunctionEval eval_junction_with_breakdown(double v, const DiodeParams& p, double
   return out;
 }
 
+// Thermal voltage of the MOSFET bulk junctions, which have no temperature
+// parameter.
+constexpr double kBulkJunctionVt = constants::thermal_voltage(300.15);
+
 }  // namespace
 
 // -------------------------------------------------------------------- Diode
@@ -104,7 +108,9 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source, NodeI
       s_(source),
       b_(bulk),
       params_(params),
-      polarity_(params.type == MosType::kNmos ? 1.0 : -1.0) {
+      polarity_(params.type == MosType::kNmos ? 1.0 : -1.0),
+      junction_vcrit_(kBulkJunctionVt *
+                      std::log(kBulkJunctionVt / (std::sqrt(2.0) * params_.junction_is))) {
   if (params_.w <= 0.0 || params_.l <= 0.0) {
     throw std::invalid_argument("Mosfet: W and L must be > 0");
   }
@@ -160,15 +166,13 @@ double Mosfet::drain_current(double vd, double vg, double vs, double vb) const {
 
 void Mosfet::stamp_bulk_junction(StampContext& ctx, NodeId anode, NodeId cathode,
                                  double& v_prev, bool& have_prev) {
-  const double vt = constants::thermal_voltage(300.15);
-  const double vcrit = vt * std::log(vt / (std::sqrt(2.0) * params_.junction_is));
   const double v_raw = ctx.v(anode) - ctx.v(cathode);
   double v = v_raw;
-  if (have_prev) v = pnjlim(v, v_prev, vt, vcrit);
+  if (have_prev) v = pnjlim(v, v_prev, kBulkJunctionVt, junction_vcrit_);
   if (std::abs(v - v_raw) > 1e-9) ctx.limited = true;
   v_prev = v;
   have_prev = true;
-  const JunctionEval j = eval_junction(v, params_.junction_is, vt);
+  const JunctionEval j = eval_junction(v, params_.junction_is, kBulkJunctionVt);
   stamp_conductance(ctx, anode, cathode, j.g + ctx.gmin);
   stamp_current(ctx, anode, cathode, j.i - j.g * v);
 }
@@ -267,10 +271,9 @@ void Mosfet::stamp_ac(AcStampContext& ctx) const {
   ac_add(ctx, ns, ns, {gsum, 0.0});
   ac_admittance(ctx, d_, s_, {1e-12, 0.0});
   if (params_.bulk_diodes) {
-    const double vt = constants::thermal_voltage(300.15);
     const auto stamp_junction = [&](NodeId anode, NodeId cathode) {
       const double v = ctx.v_op(anode) - ctx.v_op(cathode);
-      const JunctionEval j = eval_junction(v, params_.junction_is, vt);
+      const JunctionEval j = eval_junction(v, params_.junction_is, kBulkJunctionVt);
       ac_admittance(ctx, anode, cathode, {j.g + 1e-12, 0.0});
     };
     if (params_.type == MosType::kNmos) {

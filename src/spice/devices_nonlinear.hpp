@@ -92,6 +92,7 @@ class Mosfet final : public Device {
   NodeId d_, g_, s_, b_;
   MosParams params_;
   double polarity_;  // +1 NMOS, -1 PMOS
+  double junction_vcrit_;  // bulk-junction critical voltage for pnjlim
   // Per-iteration limiting state.
   double vgs_prev_ = 0.0, vds_prev_ = 0.0;
   bool have_prev_ = false;

@@ -54,6 +54,7 @@ struct EngineMetrics {
   obs::Counter& sv_solves;
   obs::Counter& sv_pattern_builds;
   obs::Counter& sv_pattern_reuses;
+  obs::Counter& sv_sequence_divergences;
   obs::Gauge& sv_nnz;
   obs::Gauge& sv_factor_nnz;
   obs::Gauge& tr_last_steps_per_sec;
@@ -84,6 +85,7 @@ struct EngineMetrics {
           r.counter("spice.solver.solves"),
           r.counter("spice.solver.pattern_builds"),
           r.counter("spice.solver.pattern_reuses"),
+          r.counter("spice.solver.sequence_divergences"),
           r.gauge("spice.solver.nnz"),
           r.gauge("spice.solver.factor_nnz"),
           r.gauge("spice.transient.last_steps_per_sec"),
@@ -230,6 +232,7 @@ void add_solver_metrics(const linalg::SolverStats& before, const linalg::SolverS
     m.sv_solves.add(after.solves - before.solves);
     m.sv_pattern_builds.add(after.pattern_builds - before.pattern_builds);
     m.sv_pattern_reuses.add(after.pattern_reuses - before.pattern_reuses);
+    m.sv_sequence_divergences.add(after.sequence_divergences - before.sequence_divergences);
     m.sv_nnz.set(static_cast<double>(after.nnz));
     m.sv_factor_nnz.set(static_cast<double>(after.factor_nnz));
   }

@@ -236,6 +236,11 @@ TEST(SparseSolver, StampOrderReorderingIsCorrectnessNeutral) {
   // Same entry set: the pattern survived the reorder untouched.
   EXPECT_EQ(warm.stats().pattern_builds, 1u);
   EXPECT_EQ(warm.pattern_nnz(), cold.pattern_nnz());
+  // One divergence, then the re-recorded order replays cleanly.
+  EXPECT_EQ(warm.stats().sequence_divergences, 1u);
+  (void)solve_with(warm, reordered, rhs);
+  EXPECT_EQ(warm.stats().sequence_divergences, 1u);
+  EXPECT_EQ(cold.stats().sequence_divergences, 0u);
 }
 
 TEST(SparseSolver, FactorLadderSkipsRefactorsAndRepivots) {

@@ -235,31 +235,45 @@ TEST(MetricsShard, ThreadIndicesAreStableAndDistinct) {
 }
 
 TEST(MetricsShard, HistogramResetNeverTearsTheMergedView) {
-  // The documented reset contract: a merge that overlaps reset() retries
-  // (seqlock) and never returns a half-zeroed mixture. With one writer
-  // in flight, the bucket total may lead the count by at most the one
-  // in-progress observation.
+  // The documented contract: an observation is indivisible for merged()
+  // and reset(), so a merge overlapping both a reset and an in-flight
+  // observation holds whole observations only: as many in the buckets as
+  // in the count, and a real min and max whenever the count is nonzero.
   auto& h = obs::MetricsRegistry::instance().histogram(
       "test.obs.shard_reset_hist", {1.0, 2.0, 5.0});
   std::atomic<bool> stop{false};
+  std::atomic<bool> started{false};
   std::thread writer([&] {
     const obs::ThreadRegistration registration;
-    while (!stop.load(std::memory_order_relaxed)) h.observe(1.5);
-  });
-  for (int round = 0; round < 200; ++round) {
-    h.reset();
-    const auto m = h.merged();
-    std::uint64_t in_buckets = 0;
-    for (const auto b : m.buckets) in_buckets += b;
-    ASSERT_GE(in_buckets, m.count);
-    ASSERT_LE(in_buckets - m.count, 1u);
-    if (m.count > 0) {
-      ASSERT_DOUBLE_EQ(m.min, 1.5);
-      ASSERT_DOUBLE_EQ(m.max, 1.5);
+    while (!stop.load(std::memory_order_relaxed)) {
+      h.observe(1.5);
+      started.store(true, std::memory_order_relaxed);
     }
+  });
+  // Race against a writer that is already observing, not one still
+  // starting up.
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+  std::vector<obs::Histogram::Merged> views;
+  views.reserve(2000);
+  for (int round = 0; round < 2000; ++round) {
+    h.reset();
+    views.push_back(h.merged());
   }
+  // Join before asserting: a fatal assertion returning with the writer
+  // still joinable would terminate the whole test binary.
   stop.store(true, std::memory_order_relaxed);
   writer.join();
+  for (std::size_t round = 0; round < views.size(); ++round) {
+    SCOPED_TRACE(round);
+    const auto& m = views[round];
+    std::uint64_t in_buckets = 0;
+    for (const auto b : m.buckets) in_buckets += b;
+    EXPECT_EQ(in_buckets, m.count);
+    if (m.count > 0) {
+      EXPECT_DOUBLE_EQ(m.min, 1.5);
+      EXPECT_DOUBLE_EQ(m.max, 1.5);
+    }
+  }
 }
 
 TEST(ScopedRegistry, ChildLabelsExtendTheParent) {

@@ -237,6 +237,7 @@ run_fault() {
     --require spice.solver.factor_skips \
     --require spice.solver.pattern_builds \
     --require spice.solver.pattern_reuses \
+    --require spice.solver.sequence_divergences \
     --require obs.telemetry.emitted \
     --require obs.telemetry.written \
     --require obs.telemetry.flushes \
