@@ -1,8 +1,9 @@
 // Unit tests for the sparse MNA backend (src/linalg/sparse.hpp): parity
 // with the dense reference LU (LuFactorization, solve_complex) on random
 // systems, slot-cache behaviour under pattern growth and stamp
-// reordering, the factor-skip / refactorization ladder, and the NaN-aware
-// singular diagnostics shared with the reference.
+// reordering, the factor-skip / refactorization ladder (with bit-exact
+// pins of every rung), and the NaN-aware singular diagnostics shared with
+// the reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
