@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -228,6 +230,49 @@ TEST(BioZ, MeasurementRisesWithTissueScaleAndStaysDeterministic) {
   EXPECT_LT(hi, 4.0);
   fault::BioZPlant again;
   EXPECT_DOUBLE_EQ(again.measure(2.4, 1.0), mid);
+}
+
+TEST(BioZ, TissueLadderEngineCountersArePinned) {
+  // One BioZPlant::measure transient at the ME nominal drive, run the
+  // way the plant runs it (build_tissue_ladder, the same options): its
+  // exact engine and solver counters and the bits of the measured value.
+  // A device or engine change that claims to move no bit must leave
+  // every one of them alone.
+  const double drive = link::kMagnetoelectricNominal.drive_v;
+  auto ckt = fault::build_tissue_ladder(drive, 1.0, 60);
+  spice::TransientOptions opts;
+  opts.t_stop = 20e-6;
+  opts.dt_max = 50e-9;
+  opts.record_every = 4;
+  opts.record_signals = {"v(t5)"};
+  spice::TransientStats stats;
+  const auto res = spice::run_transient(*ckt, opts, &stats);
+  const double measured = res.mean_between("v(t5)", 10e-6, 20e-6);
+
+  EXPECT_EQ(stats.accepted_steps, 400u);
+  EXPECT_EQ(stats.rejected_steps, 0u);
+  EXPECT_EQ(stats.lte_rejections, 0u);
+  EXPECT_EQ(stats.breakpoint_hits, 2u);
+  EXPECT_EQ(stats.newton_iterations, 400u);
+  EXPECT_EQ(stats.factorizations, 7u);
+  EXPECT_EQ(stats.solves, 400u);
+  EXPECT_EQ(stats.max_newton_iterations, 1u);
+
+  const auto& solver = ckt->acquire_solver().stats();
+  EXPECT_EQ(solver.factorizations, 7u);
+  EXPECT_EQ(solver.refactorizations, 6u);
+  EXPECT_EQ(solver.factor_skips, 0u);
+  EXPECT_EQ(solver.solves, 400u);
+  EXPECT_EQ(solver.pattern_builds, 1u);
+  EXPECT_EQ(solver.pattern_reuses, 6u);
+  EXPECT_EQ(solver.nnz, 363u);
+  EXPECT_EQ(solver.factor_nnz, 363u);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(measured), 0x3fe407974217d7c6u);
+  // The plant's own measure is this run.
+  fault::BioZPlant plant;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plant.measure(drive, 1.0)),
+            std::bit_cast<std::uint64_t>(measured));
 }
 
 TEST(BioZ, TissueScaleMapsThicknessFaultsIntoTheClampedBand) {
