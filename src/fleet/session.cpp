@@ -18,9 +18,9 @@ namespace {
 enum Lane : std::size_t { kLaneSchedule = 0, kLaneInjector, kLaneChannel, kLaneSession, kLaneCount };
 
 std::vector<util::Rng> session_lanes(const SessionSpec& spec) {
-  // hashed_stream is O(1) per session (stream() would cost `index`
-  // jumps — quadratic across a fleet); split() then hands the session
-  // provably non-overlapping lanes for schedule/injector/channel/backoff.
+  // hashed_stream is O(1) per session (stream() costs O(log index)
+  // jump-matrix products); split() then hands the session provably
+  // non-overlapping lanes for schedule/injector/channel/backoff.
   return util::Rng::hashed_stream(spec.seed, spec.index).split(kLaneCount);
 }
 

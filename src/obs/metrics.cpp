@@ -264,8 +264,22 @@ std::shared_ptr<MetricsRegistry> MetricsRegistry::scoped(Labels extra) {
   for (auto& kv : extra) combined.push_back(std::move(kv));
   auto child = std::make_shared<MetricsRegistry>(std::move(combined));
   const std::lock_guard<std::mutex> lock(children_mutex_);
+  // make_shared puts a child and its control block in one allocation, so
+  // every expired reference keeps the dead child's bytes alive. Prune
+  // them once the list has doubled since the last prune: amortized O(1)
+  // per call, and at most twice the live children (or the floor) held.
+  if (children_.size() >= prune_at_) {
+    std::erase_if(children_, [](const auto& weak) { return weak.expired(); });
+    constexpr std::size_t kPruneFloor = 32;
+    prune_at_ = std::max(kPruneFloor, 2 * children_.size());
+  }
   children_.push_back(child);
   return child;
+}
+
+std::size_t MetricsRegistry::tracked_children() const {
+  const std::lock_guard<std::mutex> lock(children_mutex_);
+  return children_.size();
 }
 
 std::vector<CohortAggregate> MetricsRegistry::aggregate_cohorts() const {

@@ -261,8 +261,12 @@ class MetricsRegistry {
   // The child is independent storage (its metrics do not feed the
   // parent's); the parent keeps a weak reference so aggregate_cohorts()
   // can fold live children into cohort views. Children may outlive the
-  // parent's interest and expire naturally.
+  // parent's interest and expire naturally; scoped() drops the expired
+  // references whenever the list has doubled since it last did, so a
+  // parent that never aggregates holds O(live children) of them.
   std::shared_ptr<MetricsRegistry> scoped(Labels extra);
+  // Child references held, live or expired (bounded, see scoped()).
+  std::size_t tracked_children() const;
 
   // Aggregate every metric across the live scoped children (expired
   // children are pruned). Ordered by metric name.
@@ -303,6 +307,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   mutable std::mutex children_mutex_;
   mutable std::vector<std::weak_ptr<MetricsRegistry>> children_;
+  std::size_t prune_at_ = 0;  // scoped() prunes when children_ reaches this
 };
 
 // Default histogram bucket edges: 1-2-5 ladder spanning 1e-9 .. 1e9.

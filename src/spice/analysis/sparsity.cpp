@@ -30,7 +30,7 @@ SparsityResult run_sparsity(Circuit& circuit) {
   // the pass neither sees nor leaves junction-limiting history, then
   // stamp the zero iterate in DC context.
   solver.begin_assembly();
-  for (const auto& dev : circuit.devices()) dev->start_step(0.0, 0.0);
+  for (Device* dev : circuit.start_step_devices()) dev->start_step(0.0, 0.0);
   StampContext ctx{solver,
                    rhs,
                    x,

@@ -56,9 +56,16 @@ Device* Circuit::find_device(const std::string& name) {
 void Circuit::finalize() {
   branch_labels_.clear();
   linear_ = true;
+  start_step_devices_.clear();
+  accept_step_devices_.clear();
+  rhs_stamp_devices_.clear();
   for (const auto& device : devices_) {
     device->setup(*this);
     linear_ = linear_ && !device->nonlinear();
+    const StepHooks hooks = device->step_hooks();
+    if (hooks.start_step) start_step_devices_.push_back(device.get());
+    if (hooks.accept_step) accept_step_devices_.push_back(device.get());
+    if (hooks.rhs_stamp) rhs_stamp_devices_.push_back(device.get());
   }
   finalized_ = true;
 }

@@ -54,12 +54,19 @@ class Circuit {
 
   // --- engine interface ---------------------------------------------------
 
-  // Assign branch indices; called by the engine before every analysis.
+  // Assign branch indices and cache the per-hook device lists; called by
+  // the engine before every analysis.
   void finalize();
   bool finalized() const { return finalized_; }
   // No device reports nonlinear() (see its linear-matrix contract), as
   // of the last finalize().
   bool linear() const { return linear_; }
+  // The devices that declare each per-step hook (Device::step_hooks), in
+  // device order, as of the last finalize(). The engine calls start_step,
+  // accept_step and the held-matrix restamp through these lists only.
+  const std::vector<Device*>& start_step_devices() const { return start_step_devices_; }
+  const std::vector<Device*>& accept_step_devices() const { return accept_step_devices_; }
+  const std::vector<Device*>& rhs_stamp_devices() const { return rhs_stamp_devices_; }
 
   // Allocate a branch unknown during Device::setup. `label` names the
   // current trace ("i(<label>)").
@@ -99,6 +106,9 @@ class Circuit {
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::unordered_map<std::string, Device*> device_index_;
+  std::vector<Device*> start_step_devices_;
+  std::vector<Device*> accept_step_devices_;
+  std::vector<Device*> rhs_stamp_devices_;
   std::vector<std::string> branch_labels_;
   bool finalized_ = false;
   bool linear_ = false;

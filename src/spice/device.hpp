@@ -149,6 +149,24 @@ struct AcStampContext {
   }
 };
 
+// The per-step hooks a device does real work in. The engine calls a hook
+// only on the devices that declare it: Circuit::finalize() caches one
+// device list per hook, in device order, and run_transient and solve_dc
+// walk those lists instead of every device. An undeclared hook must
+// therefore be a no-op on that device: start_step must not change its
+// next stamp, accept_step must change neither its state nor its next
+// stamp, and stamp with ctx.matrix false must leave rhs and ctx.limited
+// alone. Every matrix assembly still stamps every device in device order,
+// and the held-matrix restamp visits a subsequence of that order, so
+// skipping an undeclared hook changes no floating-point operation.
+struct StepHooks {
+  bool start_step = true;   // resets per-point Newton limiting state
+  bool accept_step = true;  // updates integration history
+  bool rhs_stamp = true;    // stamp writes rhs when ctx.matrix is false
+
+  bool operator==(const StepHooks&) const = default;
+};
+
 class Device {
  public:
   explicit Device(std::string name) : name_(std::move(name)) {}
@@ -167,7 +185,8 @@ class Device {
   virtual void stamp(StampContext& ctx) = 0;
 
   // Called when the engine begins a new time point (before Newton);
-  // devices reset per-iteration limiting state here.
+  // devices reset per-iteration limiting state here. Like accept_step,
+  // called only when step_hooks() declares it.
   virtual void start_step(double /*time*/, double /*dt*/) {}
 
   // Called when a time point is accepted; devices update integration state.
@@ -192,6 +211,11 @@ class Device {
   // key changes (DESIGN.md §5). R, C, L, K, V, I, VCVS and VCCS meet it;
   // a device whose conductance varies with time must return true.
   virtual bool nonlinear() const { return false; }
+
+  // Which per-step hooks this device does work in (see StepHooks). The
+  // default declares all three, so a device that does not override this
+  // is called exactly as if the engine visited every device every time.
+  virtual StepHooks step_hooks() const { return {}; }
 
   // --- checkpoint/restart ---------------------------------------------------
   // Serialize the device's cross-step integration state (companion-model

@@ -28,6 +28,10 @@ class Diode final : public Device {
   void stamp_ac(AcStampContext& ctx) const override;
   void start_step(double time, double dt) override;
   bool nonlinear() const override { return true; }
+  // Limiting state reset per point; companion current on rhs.
+  StepHooks step_hooks() const override {
+    return {.start_step = true, .accept_step = false, .rhs_stamp = true};
+  }
 
   // Junction current at voltage v (exposed for tests and model fitting).
   double current(double v) const;
@@ -72,6 +76,10 @@ class Mosfet final : public Device {
   void stamp_ac(AcStampContext& ctx) const override;
   void start_step(double time, double dt) override;
   bool nonlinear() const override { return true; }
+  // Limiting state reset per point; companion current on rhs.
+  StepHooks step_hooks() const override {
+    return {.start_step = true, .accept_step = false, .rhs_stamp = true};
+  }
   const MosParams& params() const { return params_; }
 
   // Static drain current for given terminal voltages (exposed for tests).
@@ -118,6 +126,10 @@ class SmoothSwitch final : public Device {
   void stamp_ac(AcStampContext& ctx) const override;
   void start_step(double time, double dt) override;
   bool nonlinear() const override { return true; }
+  // Limiting state reset per point; companion current on rhs.
+  StepHooks step_hooks() const override {
+    return {.start_step = true, .accept_step = false, .rhs_stamp = true};
+  }
 
   // Conductance as a function of control voltage (exposed for tests).
   double conductance(double vc) const;
@@ -151,6 +163,10 @@ class OpAmp final : public Device {
   void stamp_ac(AcStampContext& ctx) const override;
   void start_step(double time, double dt) override;
   bool nonlinear() const override { return true; }
+  // Limiting state reset per point; companion current on rhs.
+  StepHooks step_hooks() const override {
+    return {.start_step = true, .accept_step = false, .rhs_stamp = true};
+  }
 
   // Transfer function (exposed for tests).
   double transfer(double v_diff) const;

@@ -14,6 +14,10 @@ class Resistor final : public Device {
  public:
   Resistor(std::string name, NodeId a, NodeId b, double resistance);
   void stamp(StampContext& ctx) override;
+  // Matrix only, no state.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = false, .rhs_stamp = false};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   double resistance() const { return resistance_; }
   void set_resistance(double r);
@@ -33,6 +37,10 @@ class Capacitor final : public Device {
   Capacitor(std::string name, NodeId a, NodeId b, double capacitance,
             double initial_voltage = 0.0);
   void stamp(StampContext& ctx) override;
+  // History current on rhs, updated on acceptance.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = true, .rhs_stamp = true};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   void initialize(std::span<const double> x0) override;
   void accept_step(std::span<const double> x, double time, double dt,
@@ -61,6 +69,10 @@ class Inductor final : public Device {
            double series_resistance = 0.0, double initial_current = 0.0);
   void setup(Circuit& ckt) override;
   void stamp(StampContext& ctx) override;
+  // History voltage on rhs, updated on acceptance.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = true, .rhs_stamp = true};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   void initialize(std::span<const double> x0) override;
   void accept_step(std::span<const double> x, double time, double dt,
@@ -99,6 +111,10 @@ class CoupledInductors final : public Device {
                    double r_primary = 0.0, double r_secondary = 0.0);
   void setup(Circuit& ckt) override;
   void stamp(StampContext& ctx) override;
+  // History voltages on rhs, updated on acceptance.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = true, .rhs_stamp = true};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   void initialize(std::span<const double> x0) override;
   void accept_step(std::span<const double> x, double time, double dt,

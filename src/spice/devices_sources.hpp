@@ -15,6 +15,10 @@ class VoltageSource final : public Device {
   VoltageSource(std::string name, NodeId a, NodeId b, Waveform waveform);
   void setup(Circuit& ckt) override;
   void stamp(StampContext& ctx) override;
+  // The stimulus is on rhs; no state.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = false, .rhs_stamp = true};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   // AC analysis stimulus: phasor magnitude/phase (0 -> AC short).
   void set_ac(double magnitude, double phase_rad = 0.0) {
@@ -40,6 +44,10 @@ class CurrentSource final : public Device {
  public:
   CurrentSource(std::string name, NodeId a, NodeId b, Waveform waveform);
   void stamp(StampContext& ctx) override;
+  // The stimulus is on rhs; no state.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = false, .rhs_stamp = true};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   void set_ac(double magnitude, double phase_rad = 0.0) {
     ac_magnitude_ = magnitude;
@@ -63,6 +71,10 @@ class Vcvs final : public Device {
   Vcvs(std::string name, NodeId a, NodeId b, NodeId cp, NodeId cn, double gain);
   void setup(Circuit& ckt) override;
   void stamp(StampContext& ctx) override;
+  // Matrix only, no state.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = false, .rhs_stamp = false};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   DeviceInfo info() const override;
 
@@ -78,6 +90,10 @@ class Vccs final : public Device {
   Vccs(std::string name, NodeId a, NodeId b, NodeId cp, NodeId cn,
        double transconductance);
   void stamp(StampContext& ctx) override;
+  // Matrix only, no state.
+  StepHooks step_hooks() const override {
+    return {.start_step = false, .accept_step = false, .rhs_stamp = false};
+  }
   void stamp_ac(AcStampContext& ctx) const override;
   DeviceInfo info() const override;
 

@@ -116,26 +116,29 @@ struct SolveWorkspace {
 };
 
 // Stamps every device at `point`, plus the node-to-ground leak, into
-// `solver` and `rhs`. With `matrix` false only `rhs` is rebuilt and the
-// solver keeps the matrix it holds. Returns whether a device limited its
-// evaluation voltages.
+// `solver` and `rhs`. With `matrix` false only `rhs` is rebuilt, by the
+// devices that declare a right-hand-side stamp (Device::step_hooks), and
+// the solver keeps the matrix it holds. Returns whether a device limited
+// its evaluation voltages.
 bool stamp_system(Circuit& circuit, linalg::SparseSolver<double>& solver, std::vector<double>& rhs,
                   std::span<const double> x, const SolvePoint& point,
                   const NewtonOptions& opts, bool matrix) {
   PROF_ZONE("spice.stamp");
-  if (matrix) solver.begin_assembly();
   std::fill(rhs.begin(), rhs.end(), 0.0);
   StampContext ctx{solver, rhs, x, point.time, point.dt, point.integrator, point.dc,
                    opts.gmin, point.source_scale, false, matrix};
+  if (!matrix) {
+    for (Device* dev : circuit.rhs_stamp_devices()) dev->stamp(ctx);
+    return ctx.limited;
+  }
+  solver.begin_assembly();
   for (const auto& dev : circuit.devices()) dev->stamp(ctx);
-  if (matrix) {
-    // Node-to-ground leak. Stamped even when it is 0.0 so the node
-    // diagonals belong to the sparse pattern unconditionally: the gmin
-    // ladder reaching zero then changes values, never structure.
-    const double gshunt = opts.gshunt + point.extra_gshunt;
-    for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
-      solver.add(static_cast<int>(i), static_cast<int>(i), gshunt);
-    }
+  // Node-to-ground leak. Stamped even when it is 0.0 so the node
+  // diagonals belong to the sparse pattern unconditionally: the gmin
+  // ladder reaching zero then changes values, never structure.
+  const double gshunt = opts.gshunt + point.extra_gshunt;
+  for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
+    solver.add(static_cast<int>(i), static_cast<int>(i), gshunt);
   }
   return ctx.limited;
 }
@@ -239,7 +242,7 @@ void add_solver_metrics(const linalg::SolverStats& before, const linalg::SolverS
 }
 
 void reset_devices_for_point(Circuit& circuit, double time, double dt) {
-  for (const auto& dev : circuit.devices()) dev->start_step(time, dt);
+  for (Device* dev : circuit.start_step_devices()) dev->start_step(time, dt);
 }
 
 }  // namespace
@@ -641,7 +644,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       have_prev_point = true;
     }
 
-    for (const auto& dev : circuit.devices()) {
+    for (Device* dev : circuit.accept_step_devices()) {
       dev->accept_step(x_try, t_next, dt_step, options.integrator);
     }
     x.swap(x_try);

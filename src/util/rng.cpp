@@ -1,6 +1,10 @@
 #include "src/util/rng.hpp"
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <mutex>
 
 #include "src/util/constants.hpp"
 
@@ -19,6 +23,38 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   return z ^ (z >> 31);
 }
+
+// xoshiro256's state transition is linear over GF(2), and so is a jump:
+// a 256x256 bit matrix whose column j is the image of state bit j (word
+// j / 64, bit j % 64).
+using StateWords = std::array<std::uint64_t, 4>;
+using StateMatrix = std::array<StateWords, 256>;
+
+StateWords multiply(const StateMatrix& m, const StateWords& s) {
+  StateWords out{};
+  for (std::size_t w = 0; w < 4; ++w) {
+    for (std::uint64_t bits = s[w]; bits != 0; bits &= bits - 1) {
+      const StateWords& column = m[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      for (std::size_t k = 0; k < 4; ++k) out[k] ^= column[k];
+    }
+  }
+  return out;
+}
+
+StateMatrix square(const StateMatrix& m) {
+  StateMatrix out{};
+  for (std::size_t j = 0; j < out.size(); ++j) out[j] = multiply(m, m[j]);
+  return out;
+}
+
+// J^(2^k) for k = 0, 1, ..., where J is the jump matrix: built on the
+// first stream() call, never at static initialization, and extended only
+// as far as the largest count asked for so far. A deque keeps every
+// built power at a stable address while later calls extend the table.
+struct JumpPowers {
+  std::mutex mutex;
+  std::deque<StateMatrix> table;
+};
 
 }  // namespace
 
@@ -137,9 +173,38 @@ std::vector<Rng> Rng::split(std::size_t n) const {
   return streams;
 }
 
+void Rng::jump_by(std::uint64_t count) {
+  static JumpPowers powers;
+  const auto needed = static_cast<std::size_t>(std::bit_width(count));
+  std::array<const StateMatrix*, 64> power{};
+  {
+    const std::lock_guard<std::mutex> lock(powers.mutex);
+    if (powers.table.empty() && needed > 0) {
+      StateMatrix& jump_matrix = powers.table.emplace_back();
+      for (std::size_t j = 0; j < jump_matrix.size(); ++j) {
+        Rng basis;
+        for (auto& word : basis.state_) word = 0;
+        basis.state_[j / 64] = 1ull << (j % 64);
+        basis.jump();
+        for (std::size_t w = 0; w < 4; ++w) jump_matrix[j][w] = basis.state_[w];
+      }
+    }
+    while (powers.table.size() < needed) powers.table.push_back(square(powers.table.back()));
+    for (std::size_t k = 0; k < needed; ++k) power[k] = &powers.table[k];
+  }
+  StateWords s{state_[0], state_[1], state_[2], state_[3]};
+  for (std::size_t k = 0; k < needed; ++k) {
+    if ((count >> k) & 1u) s = multiply(*power[k], s);
+  }
+  for (std::size_t w = 0; w < 4; ++w) state_[w] = s[w];
+  // As in apply_jump: the stream after a jump depends on the state alone.
+  has_cached_normal_ = false;
+  cached_normal_ = 0.0;
+}
+
 Rng Rng::stream(std::uint64_t seed, std::uint64_t index) {
   Rng rng(seed);
-  for (std::uint64_t i = 0; i <= index; ++i) rng.jump();
+  rng.jump_by(index + 1);
   return rng;
 }
 

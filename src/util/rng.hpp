@@ -52,11 +52,13 @@ class Rng {
   // drawing — it stays at least 2^128 draws clear of every child.
   std::vector<Rng> split(std::size_t n) const;
   // Convenience for task fan-out: the generator for stream `index` of the
-  // family seeded by `seed` (== Rng(seed).split(index + 1).back()).
+  // family seeded by `seed` (== Rng(seed).split(index + 1).back()). It
+  // applies the index + 1 jumps as O(log index) products with powers of
+  // the jump matrix, bit for bit equal to jumping that many times.
   static Rng stream(std::uint64_t seed, std::uint64_t index);
   // O(1) keyed stream derivation for fleet-scale fan-out: stream() costs
-  // `index` jumps, which turns quadratic when thousands of sessions each
-  // ask for their own stream. hashed_stream mixes (seed, index) through
+  // O(log index) 256x256 bit-matrix products plus, on first use, the
+  // matrix powers themselves. hashed_stream mixes (seed, index) through
   // splitmix64 into a fresh generator state instead — constant cost per
   // stream, still bit-reproducible and thread-count independent. The
   // streams are statistically independent rather than provably
@@ -66,6 +68,8 @@ class Rng {
 
  private:
   void apply_jump(const std::uint64_t (&polynomial)[4]);
+  // Advance by `count` jumps at once (see stream()).
+  void jump_by(std::uint64_t count);
 
   std::uint64_t state_[4];
   double cached_normal_ = 0.0;

@@ -333,6 +333,36 @@ TEST(ScopedRegistry, CohortAggregatesAcrossSessions) {
   }
 }
 
+TEST(ScopedRegistry, DroppedChildrenArePrunedWithoutAggregating) {
+  // A parent that forks many short-lived children and never aggregates
+  // (FleetService forks its cohort registries from the root) must not
+  // keep a reference per child ever forked.
+  obs::MetricsRegistry parent;
+  std::vector<std::shared_ptr<obs::MetricsRegistry>> live;
+  constexpr int kForks = 10000;
+  for (int j = 0; j < kForks; ++j) {
+    auto child = parent.scoped({{"session", std::to_string(j)}});
+    child->gauge("session.index").set(static_cast<double>(j));
+    if (j % 100 == 0) live.push_back(std::move(child));
+  }
+  ASSERT_EQ(live.size(), 100u);
+  EXPECT_LE(parent.tracked_children(), 2 * live.size());
+
+  // Pruning never drops a live child: the cohort view sees all of them.
+  const auto cohorts = parent.aggregate_cohorts();
+  ASSERT_EQ(cohorts.size(), 1u);
+  EXPECT_EQ(cohorts[0].name, "session.index");
+  EXPECT_EQ(cohorts[0].sessions, live.size());
+  EXPECT_DOUBLE_EQ(cohorts[0].min, 0.0);
+  EXPECT_DOUBLE_EQ(cohorts[0].max, static_cast<double>(kForks - 100));
+
+  // With every child dropped the list stays at the prune floor's scale.
+  live.clear();
+  for (int j = 0; j < kForks; ++j) (void)parent.scoped({{"session", "x"}});
+  EXPECT_LE(parent.tracked_children(), 64u);
+  EXPECT_TRUE(parent.aggregate_cohorts().empty());
+}
+
 TEST(ScopedRegistry, PublishCohortsWritesPrefixedGauges) {
   obs::MetricsRegistry parent;
   const auto child = parent.scoped({{"scenario", "0"}});

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 using ironic::util::Rng;
@@ -140,6 +142,65 @@ TEST(RngStream, StreamFactoryMatchesSplit) {
   }
 }
 
+// Indices around the powers of two the jump-matrix table is built from,
+// and the stream offsets the fault campaigns derive (1000 + i, 2000 + i).
+constexpr std::uint64_t kStreamIndices[] = {0, 1, 2, 63, 64, 999, 1000, 2000, 4097};
+
+TEST(RngStream, StreamEqualsSequentialJumpsBitForBit) {
+  // stream() applies its index + 1 jumps as products with powers of the
+  // jump matrix; every draw must equal jumping one at a time.
+  for (const auto& v : kVectors) {
+    Rng cursor(v.seed);
+    std::uint64_t jumps = 0;
+    for (const std::uint64_t index : kStreamIndices) {
+      for (; jumps <= index; ++jumps) cursor.jump();
+      Rng expected = cursor;
+      Rng got = Rng::stream(v.seed, index);
+      for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(got.next_u64(), expected.next_u64())
+            << "seed " << v.seed << " index " << index << " draw " << k;
+    }
+  }
+}
+
+TEST(RngStream, ConcurrentFirstStreamCallsAgree) {
+  // The jump-matrix powers are built on the first stream() call (run
+  // alone, as ctest runs each test, this is that call). Threads that make
+  // it at once, asking for different table depths, must all get the
+  // sequential answer.
+  const std::uint64_t seed = kVectors[1].seed;
+  std::vector<std::uint64_t> expected;
+  {
+    Rng cursor(seed);
+    std::uint64_t jumps = 0;
+    for (const std::uint64_t index : kStreamIndices) {
+      for (; jumps <= index; ++jumps) cursor.jump();
+      expected.push_back(Rng(cursor).next_u64());
+    }
+  }
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kIndices = std::size(kStreamIndices);
+  std::vector<std::vector<std::uint64_t>> got(kThreads, std::vector<std::uint64_t>(kIndices));
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      // Each thread starts at a different index, so the first calls race
+      // on tables of different depths.
+      for (std::size_t i = 0; i < kIndices; ++i) {
+        const std::size_t k = (kIndices - 1 - i + t) % kIndices;
+        got[t][k] = Rng::stream(seed, kStreamIndices[k]).next_u64();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], expected) << "thread " << t;
+  }
+}
+
 TEST(RngStream, JumpDiscardsCachedBoxMullerHalf) {
   // `dirty` draws ONE normal (two u64s consumed, the sine half cached);
   // `clean` draws TWO (same two u64s consumed, cache drained). Both sit
@@ -184,8 +245,8 @@ TEST(RngStream, SplitZeroIsEmpty) {
 
 TEST(RngStream, HashedStreamIsReproducibleAndKeyed) {
   // O(1) keyed derivation for fleet-scale session counts (stream(seed,
-  // index) costs `index` jumps — quadratic across thousands of
-  // sessions). Same (seed, index) must reproduce bitwise; any change to
+  // index) costs O(log index) jump-matrix products). Same (seed, index)
+  // must reproduce bitwise; any change to
   // either key must yield an unrelated stream.
   Rng a = Rng::hashed_stream(0xFEEDull, 12345);
   Rng b = Rng::hashed_stream(0xFEEDull, 12345);

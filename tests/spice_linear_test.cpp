@@ -3,6 +3,8 @@
 // transient re-factors the matrix only when the step size changes. It
 // must give the same bits as the full Newton path wherever that path
 // was right, and the exact solution where Newton's damping was not.
+// Also the per-step hook contract (Device::step_hooks): the engine skips
+// the hooks a device does not declare, so those must be no-ops.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,11 +12,13 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/spice/circuit.hpp"
+#include "src/spice/devices_nonlinear.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 #include "src/spice/engine.hpp"
@@ -189,6 +193,202 @@ TEST(LinearFastPath, SourceEdgeAboveMaxUpdateIsSolvedExactly) {
     EXPECT_NEAR(v_out[k], exact, 1e-3 * exact) << "t=" << t[k];
   }
   EXPECT_NEAR(v_out[edge + 1], 0.985, 0.001);
+}
+
+// --- per-step hooks (Device::step_hooks) ------------------------------------
+
+// One of every shipped device kind: the linear ones plus a diode, a
+// MOSFET, a switch and an op-amp follower.
+void build_every_device_kind(Circuit& ckt) {
+  build_every_linear_kind(ckt);
+  const auto in = ckt.find_node("in");
+  const auto a = ckt.find_node("a");
+  const auto d = ckt.node("d");
+  const auto drain = ckt.node("drain");
+  const auto sw = ckt.node("sw");
+  const auto out = ckt.node("out");
+  ckt.add<Diode>("D1", a, d);
+  ckt.add<Resistor>("RD", d, kGround, 1e3);
+  ckt.add<Mosfet>("M1", drain, a, kGround, kGround, MosParams{});
+  ckt.add<Resistor>("RM", in, drain, 1e3);
+  ckt.add<SmoothSwitch>("S1", a, sw, in, kGround);
+  ckt.add<Resistor>("RW", sw, kGround, 1e3);
+  ckt.add<OpAmp>("U1", out, a, out);
+  ckt.add<Resistor>("RU", out, kGround, 1e4);
+}
+
+constexpr StepHooks kNoHooks{.start_step = false, .accept_step = false, .rhs_stamp = false};
+
+TEST(StepHooks, ShippedDevicesDeclareTheirHooksAndFinalizeListsThemInOrder) {
+  Circuit ckt;
+  build_every_device_kind(ckt);
+  ckt.add<ForceNewton>("XDEFAULT");  // no declaration: every hook
+  ckt.finalize();
+
+  const StepHooks history{.start_step = false, .accept_step = true, .rhs_stamp = true};
+  const StepHooks stimulus{.start_step = false, .accept_step = false, .rhs_stamp = true};
+  const StepHooks limiting{.start_step = true, .accept_step = false, .rhs_stamp = true};
+  const std::vector<std::pair<std::string, StepHooks>> declared = {
+      {"R1", kNoHooks},   {"C1", history},    {"L1", history},       {"K1", history},
+      {"V1", stimulus},   {"I1", stimulus},   {"E1", kNoHooks},      {"G1", kNoHooks},
+      {"D1", limiting},   {"M1", limiting},   {"S1", limiting},      {"U1", limiting},
+      {"XDEFAULT", StepHooks{}},
+  };
+  for (const auto& [name, hooks] : declared) {
+    EXPECT_EQ(ckt.find_device(name)->step_hooks(), hooks) << name;
+  }
+
+  std::vector<Device*> start, accept, rhs;
+  for (const auto& dev : ckt.devices()) {
+    const StepHooks hooks = dev->step_hooks();
+    if (hooks.start_step) start.push_back(dev.get());
+    if (hooks.accept_step) accept.push_back(dev.get());
+    if (hooks.rhs_stamp) rhs.push_back(dev.get());
+  }
+  EXPECT_EQ(ckt.start_step_devices(), start);
+  EXPECT_EQ(ckt.accept_step_devices(), accept);
+  EXPECT_EQ(ckt.rhs_stamp_devices(), rhs);
+  EXPECT_EQ(start.size(), 5u);
+  EXPECT_EQ(accept.size(), 5u);
+  EXPECT_EQ(rhs.size(), 11u);
+}
+
+// A device's stamp alone: its rhs, whether it limited, and its matrix
+// entries held in `solver` (plus a diagonal that keeps the matrix
+// nonsingular), factored so a second identical assembly counts as a
+// factor skip.
+struct DeviceStamp {
+  std::vector<double> rhs;
+  bool limited = false;
+};
+
+DeviceStamp stamp_alone(Device& dev, ironic::linalg::SparseSolver<double>& solver,
+                        std::span<const double> x, bool matrix,
+                        std::vector<double> rhs) {
+  if (matrix) solver.begin_assembly();
+  StampContext ctx{solver, rhs, x, /*time=*/1e-6, /*dt=*/1e-9, Integrator::kTrapezoidal,
+                   /*dc=*/false, /*gmin=*/1e-12, /*source_scale=*/1.0, false, matrix};
+  dev.stamp(ctx);
+  if (matrix) {
+    for (std::size_t i = 0; i < solver.size(); ++i) {
+      solver.add(static_cast<int>(i), static_cast<int>(i), 3.0);
+    }
+    solver.factor();
+  }
+  return {std::move(rhs), ctx.limited};
+}
+
+TEST(StepHooks, UndeclaredHooksAreNoOps) {
+  // Two identical circuits; on the second, every hook a device does not
+  // declare is called anyway. Calling it must be indistinguishable from
+  // skipping it, which is what the engine does.
+  Circuit skipped;
+  Circuit called;
+  build_every_device_kind(skipped);
+  build_every_device_kind(called);
+  skipped.finalize();
+  called.finalize();
+  const std::size_t n = skipped.num_unknowns();
+  // From the zero iterate to x1 every nonlinear device limits (the diode
+  // forward past vcrit, the MOSFET's vgs by more than 1 V, the switch's
+  // and the op-amp's control voltage by more than their step bounds), so
+  // a limiting reset that was skipped would change the next stamp.
+  const std::vector<double> x0(n, 0.0);
+  std::vector<double> x1(n);
+  for (std::size_t i = 0; i < n; ++i) x1[i] = 0.25 + 0.01 * static_cast<double>(i);
+  const auto at = [&](const char* node) -> double& {
+    return x1[static_cast<std::size_t>(skipped.find_node(node))];
+  };
+  at("a") = 2.0;
+  at("d") = 1.0;
+  at("in") = -1.5;
+  at("out") = -0.5;
+  at("drain") = 1.0;
+  std::vector<double> filled(n);
+  for (std::size_t i = 0; i < n; ++i) filled[i] = 1.0 + 0.25 * static_cast<double>(i);
+
+  ASSERT_EQ(skipped.devices().size(), called.devices().size());
+  for (std::size_t k = 0; k < skipped.devices().size(); ++k) {
+    Device& quiet = *skipped.devices()[k];
+    Device& busy = *called.devices()[k];
+    const std::string& name = quiet.name();
+    const StepHooks hooks = busy.step_hooks();
+    ironic::linalg::SparseSolver<double> solver(n);
+
+    // Same history and limiting state on both: an accepted point x0 and
+    // one stamp there.
+    for (Device* dev : {&quiet, &busy}) {
+      dev->initialize(x0);
+      dev->accept_step(x0, 1e-6, 1e-9, Integrator::kTrapezoidal);
+      stamp_alone(*dev, solver, x0, /*matrix=*/true, std::vector<double>(n, 0.0));
+    }
+
+    if (!hooks.start_step) busy.start_step(1e-6, 1e-9);
+    if (!hooks.accept_step) {
+      std::vector<double> before, after;
+      busy.save_state(before);
+      busy.accept_step(x1, 1e-6, 1e-9, Integrator::kTrapezoidal);
+      busy.save_state(after);
+      EXPECT_EQ(before, after) << name << ": accept_step changed the saved state";
+    }
+
+    // The next stamp: rhs, limiting and matrix entries all unchanged (an
+    // assembly equal to the one factored last is a factor skip).
+    const DeviceStamp want = stamp_alone(quiet, solver, x1, true, std::vector<double>(n, 0.0));
+    const std::uint64_t skips = solver.stats().factor_skips;
+    const DeviceStamp got = stamp_alone(busy, solver, x1, true, std::vector<double>(n, 0.0));
+    EXPECT_EQ(std::memcmp(got.rhs.data(), want.rhs.data(), n * sizeof(double)), 0)
+        << name << ": next stamp's rhs moved";
+    EXPECT_EQ(got.limited, want.limited) << name;
+    EXPECT_EQ(want.limited, quiet.nonlinear()) << name << ": x1 must exercise limiting";
+    EXPECT_EQ(solver.stats().factor_skips, skips + 1) << name << ": next stamp's matrix moved";
+
+    if (!hooks.rhs_stamp) {
+      const DeviceStamp restamp = stamp_alone(busy, solver, x1, /*matrix=*/false, filled);
+      EXPECT_EQ(std::memcmp(restamp.rhs.data(), filled.data(), n * sizeof(double)), 0)
+          << name << ": a matrix-only stamp wrote rhs";
+      EXPECT_FALSE(restamp.limited) << name;
+    }
+  }
+}
+
+// A linear device that declares no per-step hook and counts the calls it
+// gets anyway.
+class CountingMatrixOnly final : public Device {
+ public:
+  using Device::Device;
+  void stamp(StampContext&) override { ++stamps; }
+  void start_step(double, double) override { ++start_steps; }
+  void accept_step(std::span<const double>, double, double, Integrator) override {
+    ++accept_steps;
+  }
+  StepHooks step_hooks() const override { return kNoHooks; }
+  std::uint64_t stamps = 0;
+  std::uint64_t start_steps = 0;
+  std::uint64_t accept_steps = 0;
+};
+
+TEST(StepHooks, MatrixOnlyDeviceIsStampedOncePerAssembly) {
+  for (const bool start_from_dc : {false, true}) {
+    Circuit ckt;
+    build_every_linear_kind(ckt);
+    auto& counter = ckt.add<CountingMatrixOnly>("XCOUNT");
+    TransientOptions opts;
+    opts.t_stop = 2e-6;
+    opts.dt_max = 2e-9;
+    opts.start_from_dc = start_from_dc;
+    TransientStats stats;
+    run_transient(ckt, opts, &stats);
+    ASSERT_TRUE(ckt.linear());
+
+    // Every assembly ends in one factor() call, counted as a
+    // factorization or a factor skip (the DC solve's included).
+    const auto& solver = ckt.acquire_solver().stats();
+    EXPECT_EQ(counter.stamps, solver.factorizations + solver.factor_skips) << start_from_dc;
+    EXPECT_LT(counter.stamps, stats.accepted_steps / 10) << start_from_dc;
+    EXPECT_EQ(counter.start_steps, 0u) << start_from_dc;
+    EXPECT_EQ(counter.accept_steps, 0u) << start_from_dc;
+  }
 }
 
 }  // namespace

@@ -59,8 +59,13 @@
 #                fault campaign must stay within 5% of the obs-off run),
 #                and every *committed* BENCH_*.json must have been
 #                produced with observability compiled in
+#  12. bench     regenerate every committed BENCH_*.json from a Release
+#                build into the checkout root: bench_engine_perf,
+#                fault_runner all at 1 thread, and fleet_runner 1000
+#                sessions x 2 exchanges at 4 threads. Not part of `all`,
+#                because it rewrites committed files.
 #
-# Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|all]   (default: all)
+# Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|bench|all]   (default: all)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -604,6 +609,27 @@ run_obs() {
   echo "ci: obs overhead within budget; committed reports carry obs"
 }
 
+run_bench() {
+  log "regenerate the committed BENCH_*.json reports (Release)"
+  cmake -B "$ROOT/build-ci-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ROOT/build-ci-release" -j "$JOBS" \
+    --target bench_engine_perf fault_runner fleet_runner trace_validate
+  local bin="$ROOT/build-ci-release"
+  # The one stage that writes its reports into the checkout root.
+  IRONIC_REPORT_DIR="$ROOT" "$bin/bench/bench_engine_perf"
+  IRONIC_REPORT_DIR="$ROOT" "$bin/tools/fault_runner" --threads 1 all
+  IRONIC_REPORT_DIR="$ROOT" "$bin/tools/fleet_runner" \
+    --sessions 1000 --exchanges 2 --threads 4
+  # bench_engine_perf also writes its sweep-scaling report, which is not
+  # committed.
+  rm -f "$ROOT/BENCH_sweep_scaling.json"
+  local report
+  for report in $(cd "$ROOT" && git ls-files 'BENCH_*.json'); do
+    "$bin/tools/trace_validate" --require-obs "$ROOT/$report"
+  done
+  echo "ci: committed reports regenerated; review with git diff"
+}
+
 case "$STAGE" in
   release)  run_release ;;
   sanitize) run_sanitize ;;
@@ -616,8 +642,9 @@ case "$STAGE" in
   chaos)    run_chaos ;;
   linkphy)  run_linkphy ;;
   obs)      run_obs ;;
+  bench)    run_bench ;;
   all)      run_release; run_sanitize; run_tsan; run_tidy; run_lint; run_analyze; run_fault; run_fleet; run_chaos; run_linkphy; run_obs ;;
-  *) echo "usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|all]" >&2; exit 2 ;;
+  *) echo "usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|bench|all]" >&2; exit 2 ;;
 esac
 
 log "OK ($STAGE)"
