@@ -461,6 +461,80 @@ TEST(BioZMemo, FailureReachesEveryRequester) {
   }
 }
 
+// ------------------------------------------------------- service memos
+
+// One unit of the ME bio-impedance fleet: every cohort on the
+// magnetoelectric link with the tissue-ladder front end.
+fleet::FleetConfig bioz_unit(std::uint64_t seed) {
+  fleet::FleetConfig config;
+  config.sessions = 3;
+  config.exchanges = 2;
+  config.seed = seed;
+  for (auto& cohort : config.cohorts) {
+    cohort.link = "me";
+    cohort.workload = fault::Workload::kBioZ;
+  }
+  return config;
+}
+
+// A run sequence over one service: three ME bio-impedance units, an
+// inductive lactate run, one with analysis hints, one that shares no
+// analog state, and the first unit again.
+std::vector<fleet::FleetConfig> service_run_sequence() {
+  std::vector<fleet::FleetConfig> configs;
+  for (const std::uint64_t seed : {0xb102ull, 0xb103ull, 0xb104ull}) {
+    configs.push_back(bioz_unit(seed));
+  }
+  auto lactate = small_config();
+  lactate.sessions = 3;
+  configs.push_back(lactate);
+  auto hinted = lactate;
+  hinted.seed += 1;
+  hinted.analysis_hints = true;
+  configs.push_back(hinted);
+  auto unshared = bioz_unit(0xb105ull);
+  unshared.share_checkpoint = false;
+  configs.push_back(unshared);
+  configs.push_back(configs.front());
+  return configs;
+}
+
+TEST(FleetServiceMemo, SuccessiveRunsMatchFreshServices) {
+  const auto configs = service_run_sequence();
+  // What each config gives on a fresh service, and solo.
+  std::vector<fleet::FleetResult> fresh;
+  std::vector<std::vector<std::uint64_t>> solo;
+  for (const auto& config : configs) {
+    fleet::FleetService service(1);
+    fresh.push_back(service.run(config));
+    const std::size_t n = config.sessions;
+    solo.push_back({fleet::fingerprint_session(
+                        fleet::run_solo_session(config, 0)),
+                    fleet::fingerprint_session(
+                        fleet::run_solo_session(config, n - 1))});
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    fleet::FleetService service(threads);
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      const auto result = service.run(configs[k]);
+      const std::size_t n = configs[k].sessions;
+      EXPECT_EQ(result.fingerprint, fresh[k].fingerprint)
+          << "run " << k << " at " << threads << " threads";
+      ASSERT_EQ(result.health.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(result.health[i].ok) << "run " << k << " session " << i;
+        EXPECT_EQ(result.health[i].fingerprint, fresh[k].health[i].fingerprint)
+            << "run " << k << " session " << i << " at " << threads
+            << " threads";
+      }
+      EXPECT_EQ(fleet::fingerprint_session(result.sessions[0]), solo[k][0])
+          << "run " << k << " at " << threads << " threads";
+      EXPECT_EQ(fleet::fingerprint_session(result.sessions[n - 1]), solo[k][1])
+          << "run " << k << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(Fleet, CheckpointCacheCapturesOncePerSpec) {
   fleet::CheckpointCache cache;
   const auto first = cache.charged();

@@ -8,8 +8,9 @@
 #                plus the sparse-solver suites (campaign workers solve
 #                circuits concurrently; the rest of the numeric suite
 #                stays on ASan), the telemetry drainer / sharded-merge
-#                races (TelemetrySink, Profiler, MetricsShard) and the
-#                shared plant memos (SegmentMemo, BioZMemo)
+#                races (TelemetrySink, Profiler, MetricsShard), the
+#                shared plant memos (SegmentMemo, BioZMemo) and a
+#                service's successive runs over them (FleetServiceMemo)
 #   4. tidy      clang-tidy over src/ and tools/ (skips if not installed)
 #   5. lint      netlist_lint --strict over every shipped .cir netlist,
 #                and the broken fixtures must FAIL
@@ -112,7 +113,7 @@ run_tsan() {
              fleet_test sweep_runner
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo)'
+      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo|FleetServiceMemo)'
 }
 
 run_tidy() {
