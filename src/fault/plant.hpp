@@ -12,8 +12,8 @@
 // `capture_charged_checkpoint` produces the shared blob by running the
 // ~270 us charge-up transient once. `SegmentMemo` then lets plants that
 // sit on the same node and see the same drive share the next segment
-// too, and `PlantMemos` bundles it with the bio-impedance memo for one
-// fleet run or one campaign call.
+// too, and `PlantMemos` bundles it with the bio-impedance memo for a
+// fleet service or one campaign call.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
@@ -131,8 +131,8 @@ struct SegmentKey {
 // segment once. Identity keying is exact because every entry pins its
 // parent node: the address cannot be reused while the key exists, and a
 // node never changes after it is committed. Inputs outside the key (the
-// Newton options, the circuit recipe) are constant within one memo's
-// scope.
+// Newton options, the circuit recipe) are fixed in the code, so an entry
+// stays exact for as long as a memo holds it.
 using SegmentMemo = ExactMemo<SegmentKey, Segment>;
 
 // Rectifier transient segments spliced at committed checkpoints: the
@@ -200,10 +200,12 @@ struct ChargeUpSpec {
 spice::TransientCheckpoint capture_charged_checkpoint(
     const ChargeUpSpec& spec = {}, spice::TransientStats* stats = nullptr);
 
-// Both plants' exact memos, shared by every session of one fleet run or
-// every scenario of one campaign call (plants point into it; they do
-// not own it). Never process-wide, so memory stays bounded by one run
-// or one campaign call.
+// Both plants' exact memos (plants point into them; they do not own
+// them). The keys are complete, so how long a bundle lives is a memory
+// choice, not a correctness one: each campaign call shares one across
+// its scenarios and drops it on return, and a fleet service keeps one
+// for its lifetime and rotates it at the start of every sharing run,
+// holding at most the distinct inputs of its last two runs.
 struct PlantMemos {
   SegmentMemo segments;
   BioZMemo bioz;

@@ -9,7 +9,9 @@
 // (fault::RectifierPlant::fork_from), so a thousand sessions cost one
 // capture plus a thousand pointer copies. The same idea continues past
 // the charge-up: fault::SegmentMemo shares every later committed node
-// between sessions with the same drive history, for one fleet run.
+// between sessions with the same drive history, within a fleet run and
+// from one run on the service to the next (FleetService rotates its
+// memos, keeping two generations).
 #pragma once
 
 #include <cstddef>

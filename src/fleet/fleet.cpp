@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -143,15 +142,18 @@ FleetResult FleetService::run(const FleetConfig& config) {
   // skips charge-up entirely). cache_.charged dedupes by spec value, so
   // same-backend cohorts resolve to the same blob. The plant memos then
   // share every later rectifier segment of sessions with the same drive
-  // history, and every repeated bio-impedance measure; they live for
-  // this run only. When sharing is off each session pays its own
-  // charge-up and measures inside run_patient_session — same results,
-  // different wall clock.
+  // history, and every repeated bio-impedance measure; rotating them
+  // keeps the previous sharing run's entries readable and releases the
+  // older ones. When sharing is off each session pays its own charge-up
+  // and measures inside run_patient_session — same results, different
+  // wall clock — and the memos are left as they are.
   std::vector<std::shared_ptr<const spice::TransientCheckpoint>> blobs(
       n_cohorts);
-  std::optional<fault::PlantMemos> memos;
+  fault::PlantMemos* memos = nullptr;
   if (config.share_checkpoint) {
-    memos.emplace();
+    memos = &memos_;
+    memos_.segments.rotate();
+    memos_.bioz.rotate();
     for (std::size_t c = 0; c < n_cohorts; ++c) {
       if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
         blobs[c] = cache_.charged(charge_for(config, config.cohorts[c]));
@@ -211,7 +213,7 @@ FleetResult FleetService::run(const FleetConfig& config) {
         // as a recorded SessionHealth, never an unwound parallel_for.
         SupervisedSession sup =
             run_supervised_session(spec, blobs[i % n_cohorts], scoped, policy,
-                                   memos.has_value() ? &*memos : nullptr);
+                                   memos);
         if (journal.is_open()) journal.record(sup.health, sup.result);
         result.sessions[i] = std::move(sup.result);
         result.health[i] = std::move(sup.health);
@@ -331,11 +333,13 @@ FleetResult FleetService::run(const FleetConfig& config) {
   result.session_wall_mean_s =
       fresh_sessions > 0 ? wall_sum / static_cast<double>(fresh_sessions)
                          : 0.0;
-  if (memos.has_value()) {
+  if (memos != nullptr) {
     result.segment_hits = memos->segments.hits();
     result.segment_misses = memos->segments.misses();
+    result.segment_carried = memos->segments.carried();
     result.bioz_hits = memos->bioz.hits();
     result.bioz_misses = memos->bioz.misses();
+    result.bioz_carried = memos->bioz.carried();
   }
 
   // Solo-path captures were booked per session above; add the cache's
@@ -375,8 +379,10 @@ FleetResult FleetService::run(const FleetConfig& config) {
     root.counter("link.power_hits").add(result.power_hits);
     root.counter("fleet.segment_hits").add(result.segment_hits);
     root.counter("fleet.segment_misses").add(result.segment_misses);
+    root.counter("fleet.segment_carried").add(result.segment_carried);
     root.counter("fleet.bioz_hits").add(result.bioz_hits);
     root.counter("fleet.bioz_misses").add(result.bioz_misses);
+    root.counter("fleet.bioz_carried").add(result.bioz_carried);
     // Supervision roll-ups: always published (zero on a clean run) so
     // trace_validate --require can pin them either way.
     root.gauge("fleet.failed").set(static_cast<double>(result.failed));

@@ -5,10 +5,13 @@
 // The scaling lever is shared analog state. One charge-up transient is
 // captured per distinct ChargeUpSpec (CheckpointCache) and every
 // session forks the immutable blob instead of re-simulating the ~270 us
-// charge-up. Then one fault::PlantMemos per run lets sessions share
+// charge-up. Then the service's fault::PlantMemos let sessions share
 // every later simulation too: a rectifier segment two sessions would
 // simulate from the same committed node at the same drive, or a
-// bio-impedance measure at the same input, runs once. The hard
+// bio-impedance measure at the same input, runs once in a run, and a
+// run reads back what the previous run on the service simulated. The
+// memo keys are complete, so how long entries live is a memory choice:
+// two generations, this run's and the previous run's. The hard
 // contract: every session's deterministic results are bit-identical to
 // running that session solo with the same seed, for any thread count
 // and whether or not analog state was shared — slot-indexed results,
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "src/exec/thread_pool.hpp"
+#include "src/fault/plant.hpp"
 #include "src/fleet/checkpoint.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
@@ -49,10 +53,11 @@ struct FleetConfig {
   // others).
   double soak_seconds = 0.0;
   // Whether sessions share analog state: the charge-up checkpoint and
-  // the run's plant memos. false = every session captures its own
+  // the service's plant memos. false = every session captures its own
   // charge-up and simulates every measure itself (the solo path,
-  // fleet-wide). Results are bit-identical either way; only wall clock
-  // moves. The A/B lever behind BENCH_fleet_soak's fork-speedup row.
+  // fleet-wide), and the run leaves the memos as they are. Results are
+  // bit-identical either way; only wall clock moves. The A/B lever
+  // behind BENCH_fleet_soak's fork-speedup row.
   bool share_checkpoint = true;
   bool analysis_hints = false;
   fault::ChargeUpSpec charge;
@@ -130,24 +135,31 @@ struct FleetResult {
   double session_wall_mean_s = 0.0;       // mean session body wall clock
   std::uint64_t power_queries = 0;        // link power queries, fresh sessions
   std::uint64_t power_hits = 0;           // ... of which the memo answered
-  // Plant memo traffic over the whole run (0/0 without sharing): the
-  // rectifier segment memo and the bio-impedance memo. Totals only:
-  // which session reaches a key first depends on scheduling, but the
-  // totals do not (misses == distinct inputs).
+  // Plant memo traffic over this run (all 0 without sharing): the
+  // rectifier segment memo and the bio-impedance memo. `*_carried` are
+  // the hits the previous run's generation answered (counted in
+  // `*_hits` too). Totals only: which session reaches a key first
+  // depends on scheduling, but the totals do not (misses + carried ==
+  // this run's distinct inputs).
   std::uint64_t segment_hits = 0;
   std::uint64_t segment_misses = 0;
+  std::uint64_t segment_carried = 0;
   std::uint64_t bioz_hits = 0;
   std::uint64_t bioz_misses = 0;
+  std::uint64_t bioz_carried = 0;
 };
 
 // Exact percentile (p in [0, 100]) of a sorted sample set by linear
 // interpolation; 0 on an empty set. Shared with the runner's reporting.
 double exact_percentile(const std::vector<double>& sorted, double p);
 
-// Long-lived service: owns the worker pool and the checkpoint cache, so
-// successive runs (a soak driver, a growing fleet) reuse both. The plant
-// memos are per run: run() creates them and drops them on return, so a
-// long-lived service never grows with what it has simulated.
+// Long-lived service: owns the worker pool, the checkpoint cache and the
+// plant memos, so successive runs (a soak driver, a growing fleet) reuse
+// all three. Every sharing run rotates the memos first: the previous
+// run's entries stay readable for this run and the older ones are
+// released, so a service holds at most the distinct inputs of its last
+// two sharing runs, however long it lives. Runs on one service are
+// meant to follow one another; the per-run memo counts assume it.
 class FleetService {
  public:
   explicit FleetService(std::size_t threads = 1);
@@ -160,6 +172,7 @@ class FleetService {
  private:
   exec::ThreadPool pool_;
   CheckpointCache cache_;
+  fault::PlantMemos memos_;
 };
 
 // One-shot convenience: a service sized config.threads, run once.

@@ -103,8 +103,9 @@ fault::FaultSchedule make_session_schedule(const SessionSpec& spec);
 // never touch the session's RNG lanes or SimClock, so any attempt that
 // runs to completion is bit-identical to an uncontrolled run.
 //
-// `memos` (optional) are the run's shared plant memos: a rectifier
-// segment another session already simulated from the same committed
+// `memos` (optional) are the shared plant memos of the fleet service or
+// campaign call: a rectifier segment another session (of this run or of
+// the service's previous run) already simulated from the same committed
 // node at the same drive, or a bio-impedance measure at the same input,
 // is read back instead of re-run. A hit returns exactly what the
 // simulation would have, so results are unchanged.

@@ -4,8 +4,9 @@
 // The load-bearing guarantees:
 //   - every session run inside a fleet is bit-identical to running that
 //     session solo with the same seed (fork == private charge-up);
-//   - the fleet fingerprint is invariant to the thread count and to
-//     whether analog state (charge-up blob, segment memo) was shared;
+//   - the fleet fingerprint is invariant to the thread count, to
+//     whether analog state (charge-up blob, plant memos) was shared, and
+//     to what earlier runs on the same service left in its memos;
 //   - mutating one forked plant never perturbs siblings forked from the
 //     same blob (committed nodes are immutable);
 //   - a memoized measure is bit-identical to the uncached one.
@@ -340,6 +341,116 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
   }
 }
 
+TEST(SegmentMemo, RotationCarriesAnEntryWithoutSimulating) {
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  const auto blob = charged_blob();
+  fault::SegmentMemo memo;
+  fault::RectifierPlant first;
+  first.memo = &memo;
+  first.fork_from(blob, nominal);
+  const double vo = first.measure(0.8 * nominal);
+  EXPECT_EQ(memo.misses(), 1u);
+  memo.rotate();
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_EQ(memo.carried(), 0u);
+
+  // The next generation reads the entry back: the same value, restart
+  // and committed node, no simulation.
+  fault::RectifierPlant second;
+  second.memo = &memo;
+  second.fork_from(blob, nominal);
+  EXPECT_TRUE(same_bits(second.measure(0.8 * nominal), vo));
+  EXPECT_EQ(second.committed(), first.committed());
+  EXPECT_EQ(second.restarts, first.restarts);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.carried(), 1u);
+  // Carried once: a later request is a plain hit of this generation.
+  fault::RectifierPlant third;
+  third.memo = &memo;
+  third.fork_from(blob, nominal);
+  EXPECT_TRUE(same_bits(third.measure(0.8 * nominal), vo));
+  EXPECT_EQ(memo.hits(), 2u);
+  EXPECT_EQ(memo.carried(), 1u);
+}
+
+TEST(SegmentMemo, EntryUnusedForAGenerationIsReleased) {
+  fault::SegmentMemo memo;
+  int simulations = 0;
+  const auto simulate = [&] {
+    ++simulations;
+    return fault::Segment{};
+  };
+  const auto key_of = [](const std::shared_ptr<const int>& parent) {
+    fault::SegmentKey key;
+    key.parent = reinterpret_cast<std::uintptr_t>(parent.get());
+    return key;
+  };
+  auto idle = std::make_shared<const int>(1);
+  auto used = std::make_shared<const int>(2);
+  const std::weak_ptr<const int> idle_pin = idle;
+  const std::weak_ptr<const int> used_pin = used;
+  const fault::SegmentKey idle_key = key_of(idle);
+  const fault::SegmentKey used_key = key_of(used);
+  memo.lookup(idle_key, std::move(idle), simulate);
+  memo.lookup(used_key, std::move(used), simulate);
+  EXPECT_EQ(simulations, 2);
+
+  memo.rotate();  // both entries are the previous generation now
+  EXPECT_FALSE(idle_pin.expired());
+  EXPECT_FALSE(used_pin.expired());
+  memo.lookup(used_key, nullptr, simulate);  // carried with its pin
+  EXPECT_EQ(memo.carried(), 1u);
+
+  memo.rotate();  // the idle key sat out a whole generation: released
+  EXPECT_TRUE(idle_pin.expired());
+  EXPECT_FALSE(used_pin.expired());
+  memo.rotate();  // and now the carried one, looked up no more
+  EXPECT_TRUE(used_pin.expired());
+  EXPECT_EQ(simulations, 2);
+
+  // A released key is simulated again.
+  auto again = std::make_shared<const int>(3);
+  memo.lookup(key_of(again), std::move(again), simulate);
+  EXPECT_EQ(simulations, 3);
+  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.carried(), 0u);
+}
+
+TEST(SegmentMemo, CarriedFailureIsRethrown) {
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  const auto blob = charged_blob();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  fault::SegmentMemo memo;
+  std::string expected;
+  fault::RectifierPlant first;
+  first.memo = &memo;
+  first.fork_from(blob, nominal);
+  try {
+    first.measure(nan);
+  } catch (const std::exception& error) {
+    expected = error.what();
+  }
+  EXPECT_FALSE(expected.empty());
+  memo.rotate();
+
+  fault::RectifierPlant second;
+  second.memo = &memo;
+  second.fork_from(blob, nominal);
+  std::string carried;
+  try {
+    second.measure(nan);
+  } catch (const std::exception& error) {
+    carried = error.what();
+  }
+  EXPECT_EQ(carried, expected);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_EQ(memo.carried(), 1u);
+  EXPECT_EQ(second.committed(), blob.get());  // a throw commits nothing
+  EXPECT_EQ(second.checkpoints, 0);
+}
+
 // --------------------------------------------------------------- bioz memo
 
 // The magnetoelectric nominal drive at the shipped tissue (scale 1.0):
@@ -461,6 +572,96 @@ TEST(BioZMemo, FailureReachesEveryRequester) {
   }
 }
 
+TEST(BioZMemo, RotationCarriesAnEntryWithoutSimulating) {
+  fault::BioZMemo memo;
+  const fault::BioZKey key{42, 7, 60, 5, false};
+  int simulations = 0;
+  const auto simulate = [&] {
+    ++simulations;
+    return 0.125;
+  };
+  EXPECT_EQ(memo.lookup(key, nullptr, simulate), 0.125);
+  memo.rotate();
+  EXPECT_EQ(memo.lookup(key, nullptr, simulate), 0.125);
+  EXPECT_EQ(simulations, 1);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.carried(), 1u);
+
+  // Through a real plant: the carried value is the simulated bits.
+  fault::BioZMemo plant_memo;
+  fault::BioZPlant before;
+  before.memo = &plant_memo;
+  const double vo = before.measure(kBioZDrive, 1.4);
+  plant_memo.rotate();
+  fault::BioZPlant after;
+  after.memo = &plant_memo;
+  EXPECT_TRUE(same_bits(after.measure(kBioZDrive, 1.4), vo));
+  EXPECT_EQ(after.measurements, 1);
+  EXPECT_EQ(plant_memo.misses(), 0u);
+  EXPECT_EQ(plant_memo.carried(), 1u);
+}
+
+TEST(BioZMemo, CarriedFailureIsRethrown) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  fault::BioZMemo memo;
+  fault::BioZPlant before;
+  before.memo = &memo;
+  std::string expected;
+  try {
+    before.measure(nan, 1.0);
+  } catch (const std::exception& error) {
+    expected = error.what();
+  }
+  EXPECT_FALSE(expected.empty());
+  memo.rotate();
+  fault::BioZPlant after;
+  after.memo = &memo;
+  std::string carried;
+  try {
+    after.measure(nan, 1.0);
+  } catch (const std::exception& error) {
+    carried = error.what();
+  }
+  EXPECT_EQ(carried, expected);
+  EXPECT_EQ(after.measurements, 0);
+  EXPECT_EQ(memo.misses(), 0u);
+  EXPECT_EQ(memo.carried(), 1u);
+}
+
+TEST(BioZMemo, ConcurrentRequestsForOneCarriedKeyCarryOnce) {
+  fault::BioZMemo memo;
+  {
+    fault::BioZPlant seed_plant;
+    seed_plant.memo = &memo;
+    seed_plant.measure(kBioZDrive, 1.4);
+  }
+  memo.rotate();
+  constexpr int kThreads = 4;
+  std::vector<fault::BioZPlant> plants(kThreads);
+  std::vector<double> vos(kThreads, 0.0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    plants[t].memo = &memo;
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      vos[t] = plants[t].measure(kBioZDrive, 1.4);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  // One request copies the entry over (a hit and a carry); the other
+  // three are plain hits of the new generation.
+  EXPECT_EQ(memo.carried(), 1u);
+  EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(memo.misses(), 0u);
+  fault::BioZPlant reference;
+  const double expected = reference.measure(kBioZDrive, 1.4);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(vos[t], expected)) << "thread " << t;
+  }
+}
+
 // ------------------------------------------------------- service memos
 
 // One unit of the ME bio-impedance fleet: every cohort on the
@@ -533,6 +734,81 @@ TEST(FleetServiceMemo, SuccessiveRunsMatchFreshServices) {
           << "run " << k << " at " << threads << " threads";
     }
   }
+}
+
+struct DistinctInputs {
+  std::uint64_t segments = 0;
+  std::uint64_t measures = 0;
+};
+
+// The distinct plant inputs of one run of `config` (inductive cohorts):
+// its sessions replayed through one fresh bundle of memos simulate each
+// input once, from a charge-up of their own.
+DistinctInputs distinct_inputs(const fleet::FleetConfig& config) {
+  fault::PlantMemos replay;
+  const auto blob = std::make_shared<const spice::TransientCheckpoint>(
+      fault::capture_charged_checkpoint(config.charge));
+  for (std::size_t i = 0; i < config.sessions; ++i) {
+    fleet::SessionSpec spec;
+    spec.seed = config.seed;
+    spec.index = i;
+    spec.exchanges = config.exchanges;
+    spec.cohort = config.cohorts[i % config.cohorts.size()];
+    spec.charge = config.charge;
+    spec.analysis_hints = config.analysis_hints;
+    const bool lactate = spec.cohort.workload == fault::Workload::kLactateSpice;
+    fleet::run_patient_session(spec, lactate ? blob : nullptr, nullptr, {},
+                               &replay);
+  }
+  return {replay.segments.misses(), replay.bioz.misses()};
+}
+
+TEST(FleetServiceMemo, MissesPlusCarriedAreEachRunsDistinctInputs) {
+  auto lactate = small_config();
+  lactate.sessions = 3;
+  auto lactate_next = lactate;
+  lactate_next.seed += 1;
+  auto unshared = bioz_unit(0xb105ull);
+  unshared.share_checkpoint = false;
+  const std::vector<fleet::FleetConfig> configs = {
+      bioz_unit(0xb102ull), bioz_unit(0xb103ull), lactate,
+      lactate_next,         unshared,             bioz_unit(0xb102ull)};
+  std::vector<fleet::FleetResult> serial;
+  {
+    fleet::FleetService service(1);
+    for (const auto& config : configs) serial.push_back(service.run(config));
+  }
+  fleet::FleetService service(4);
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    const auto pooled = service.run(configs[k]);
+    const auto& run = serial[k];
+    EXPECT_EQ(run.fingerprint, pooled.fingerprint) << "run " << k;
+    EXPECT_EQ(run.segment_hits, pooled.segment_hits) << "run " << k;
+    EXPECT_EQ(run.segment_misses, pooled.segment_misses) << "run " << k;
+    EXPECT_EQ(run.segment_carried, pooled.segment_carried) << "run " << k;
+    EXPECT_EQ(run.bioz_hits, pooled.bioz_hits) << "run " << k;
+    EXPECT_EQ(run.bioz_misses, pooled.bioz_misses) << "run " << k;
+    EXPECT_EQ(run.bioz_carried, pooled.bioz_carried) << "run " << k;
+    if (!configs[k].share_checkpoint) {
+      EXPECT_EQ(run.segment_hits + run.segment_misses + run.bioz_hits +
+                    run.bioz_misses,
+                0u);
+      continue;
+    }
+    const DistinctInputs distinct = distinct_inputs(configs[k]);
+    EXPECT_EQ(run.segment_misses + run.segment_carried, distinct.segments)
+        << "run " << k;
+    EXPECT_EQ(run.bioz_misses + run.bioz_carried, distinct.measures)
+        << "run " << k;
+    EXPECT_LE(run.segment_carried, run.segment_hits);
+    EXPECT_LE(run.bioz_carried, run.bioz_hits);
+  }
+  // The first run has nothing to carry from; a unit after a unit, or a
+  // lactate run after a lactate run, carries the inputs they share.
+  EXPECT_EQ(serial[0].bioz_carried, 0u);
+  EXPECT_GT(serial[1].bioz_carried, 0u);
+  EXPECT_EQ(serial[2].segment_carried, 0u);
+  EXPECT_GT(serial[3].segment_carried, 0u);
 }
 
 TEST(Fleet, CheckpointCacheCapturesOncePerSpec) {

@@ -63,8 +63,11 @@
 #  12. bench     regenerate every committed BENCH_*.json from a Release
 #                build into the checkout root: bench_engine_perf,
 #                fault_runner all at 1 thread, and fleet_runner 1000
-#                sessions x 2 exchanges at 4 threads. Not part of `all`,
-#                because it rewrites committed files.
+#                sessions x 2 exchanges at 4 threads; then
+#                trace_validate --compare the fault and fleet reports
+#                against their committed copies (any exact counter that
+#                moved fails). Not part of `all`, because it rewrites
+#                committed files.
 #
 # Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|bench|all]   (default: all)
 set -euo pipefail
@@ -306,6 +309,8 @@ run_fleet() {
     --require fleet.segment_misses \
     --require fleet.bioz_hits \
     --require fleet.bioz_misses \
+    --require fleet.segment_carried \
+    --require fleet.bioz_carried \
     --require fleet.sessions_per_second \
     --require prof.fleet.session.inclusive_ns \
     --require cohort.fleet.nominal.fleet.session.retries.sum \
@@ -313,11 +318,12 @@ run_fleet() {
     --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
     "$ROOT/build-ci-release/BENCH_fleet_soak.json"
   # The fleet fingerprint must be bit-identical across thread counts,
-  # and so must the segment memo's hit/miss totals (misses are the
-  # distinct segments, however the sessions interleave).
+  # and so must the plant memos' hit/miss/carry totals (misses plus
+  # carries are the distinct inputs, however the sessions interleave).
+  # A one-run fleet_runner has no previous run to carry from.
   local t1="$ROOT/build-ci-release/fleet_t1.json"
   local t3="$ROOT/build-ci-release/fleet_t3.json"
-  local pins='"(fingerprint|segment_hits|segment_misses)"'
+  local pins='"(fingerprint|segment_hits|segment_misses|segment_carried|bioz_hits|bioz_misses|bioz_carried)"'
   "$runner" --sessions 24 --threads 1 --exchanges 2 --out "$t1"
   "$runner" --sessions 24 --threads 3 --exchanges 2 --out "$t3"
   if ! diff <(grep -E "$pins" "$t1") <(grep -E "$pins" "$t3"); then
@@ -325,6 +331,8 @@ run_fleet() {
          "thread counts" >&2
     exit 1
   fi
+  grep -q '"segment_carried": 0' "$t3"
+  grep -q '"bioz_carried": 0' "$t3"
   # Sharing analog state (the charge-up blob and the segment memo) must
   # not change a bit: a --no-share run reproduces the shared fingerprint.
   local unshared="$ROOT/build-ci-release/fleet_noshare.json"
@@ -527,7 +535,7 @@ run_linkphy() {
     --out "$bfleet1"
   "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
     --out "$bfleet"
-  local bpins='"(fingerprint|bioz_hits|bioz_misses)"'
+  local bpins='"(fingerprint|bioz_hits|bioz_misses|bioz_carried)"'
   if ! diff <(grep -E "$bpins" "$bfleet1") <(grep -E "$bpins" "$bfleet"); then
     echo "ci: FAIL -- bioz fleet fingerprints or memo totals differ across" \
          "thread counts" >&2
@@ -627,6 +635,14 @@ run_bench() {
   local report
   for report in $(cd "$ROOT" && git ls-files 'BENCH_*.json'); do
     "$bin/tools/trace_validate" --require-obs "$ROOT/$report"
+  done
+  # Every exact counter must equal the committed copy's; timing only
+  # warns. The engine report is left out: google-benchmark picks its
+  # iteration counts, and with them its counters, anew on every run.
+  local committed_copy="$bin/BENCH_committed.json"
+  for report in BENCH_fault_resilience.json BENCH_fleet_soak.json; do
+    (cd "$ROOT" && git show "HEAD:$report") >"$committed_copy"
+    "$bin/tools/trace_validate" --compare "$committed_copy" "$ROOT/$report"
   done
   echo "ci: committed reports regenerated; review with git diff"
 }

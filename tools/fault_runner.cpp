@@ -13,7 +13,6 @@
 // lands in BENCH_fault_resilience.json (recovery rate, mean time to
 // recover, exchanges survived per fault class). Output is bit-identical
 // for any --threads value.
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -114,6 +113,12 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Read the flag's value whole; a malformed one is a usage error.
+    const auto count = [&](int& out) {
+      if (tools::parse_count(argv[++i], out)) return true;
+      tools::bad_value(args.program, arg, "a count", argv[i]);
+      return false;
+    };
     switch (args.consume(argc, argv, i)) {
       case tools::CommonArgs::Parse::kConsumed: continue;
       case tools::CommonArgs::Parse::kError: return usage(2);
@@ -126,9 +131,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       return usage(0);
     } else if (arg == "--scenarios" && i + 1 < argc) {
-      config.scenarios = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!count(config.scenarios)) return usage(2);
     } else if (arg == "--exchanges" && i + 1 < argc) {
-      config.exchanges = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!count(config.exchanges)) return usage(2);
     } else if (arg == "--analysis-hints") {
       config.analysis_hints = true;
     } else if (!arg.empty() && arg[0] == '-') {

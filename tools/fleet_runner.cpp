@@ -27,11 +27,8 @@
 // stage): 0 = every session healthy; 1 = at least one failed or
 // quarantined session, or a solo-parity mismatch; 2 = usage error or an
 // unwritable --out/--telemetry/--journal path.
-#include <cerrno>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,30 +42,6 @@
 using namespace ironic;
 
 namespace {
-
-// Whole-token numeric parsing: the entire argument must be the number
-// ("2x", "", and out-of-range values are rejected), so a typo is a usage
-// error rather than a silently different run.
-bool parse_count(const char* text, std::size_t& out) {
-  // Digits only: strtoull would skip blanks and wrap a negative count.
-  if (*text < '0' || *text > '9') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE) return false;
-  out = static_cast<std::size_t>(value);
-  return true;
-}
-
-// Any token strtod accepts in full, including inf/nan: the soak range
-// itself is fleet::validate's to enforce (exit 2 through run_fleet).
-bool parse_real(const char* text, double& out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  out = value;
-  return true;
-}
 
 std::string hex64(std::uint64_t value) {
   std::ostringstream os;
@@ -125,8 +98,10 @@ obs::json::Value to_json(const fleet::FleetResult& result,
       static_cast<std::uint64_t>(result.checkpoint_forks);
   doc["segment_hits"] = result.segment_hits;
   doc["segment_misses"] = result.segment_misses;
+  doc["segment_carried"] = result.segment_carried;
   doc["bioz_hits"] = result.bioz_hits;
   doc["bioz_misses"] = result.bioz_misses;
+  doc["bioz_carried"] = result.bioz_carried;
   obs::json::Value::Array cohorts;
   for (const auto& c : result.cohorts) {
     obs::json::Value::Object row;
@@ -224,6 +199,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // Read the flag's value whole; a malformed one is a usage error.
+    const auto count = [&](auto& out) {
+      if (tools::parse_count(argv[++i], out)) return true;
+      tools::bad_value(args.program, arg, "a count", argv[i]);
+      return false;
+    };
+    const auto real = [&](double& out) {
+      if (tools::parse_real(argv[++i], out)) return true;
+      tools::bad_value(args.program, arg, "a number", argv[i]);
+      return false;
+    };
     switch (args.consume(argc, argv, i)) {
       case tools::CommonArgs::Parse::kConsumed: continue;
       case tools::CommonArgs::Parse::kError: return usage(2);
@@ -232,47 +218,29 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       return usage(0);
     } else if (arg == "--sessions" && i + 1 < argc) {
-      if (!parse_count(argv[++i], config.sessions)) {
-        std::cerr << "fleet_runner: --sessions wants a count, got '"
-                  << argv[i] << "'\n";
-        return usage(2);
-      }
+      if (!count(config.sessions)) return usage(2);
     } else if (arg == "--exchanges" && i + 1 < argc) {
-      std::size_t exchanges = 0;
-      if (!parse_count(argv[++i], exchanges) ||
-          exchanges > static_cast<std::size_t>(std::numeric_limits<int>::max())) {
-        std::cerr << "fleet_runner: --exchanges wants a count, got '"
-                  << argv[i] << "'\n";
-        return usage(2);
-      }
-      config.exchanges = static_cast<int>(exchanges);
+      if (!count(config.exchanges)) return usage(2);
     } else if (arg == "--soak" && i + 1 < argc) {
-      if (!parse_real(argv[++i], config.soak_seconds)) {
-        std::cerr << "fleet_runner: --soak wants seconds, got '" << argv[i]
-                  << "'\n";
-        return usage(2);
-      }
+      if (!real(config.soak_seconds)) return usage(2);
     } else if (arg == "--no-share") {
       config.share_checkpoint = false;
     } else if (arg == "--retries" && i + 1 < argc) {
-      config.supervise.max_retries =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!count(config.supervise.max_retries)) return usage(2);
     } else if (arg == "--deadline" && i + 1 < argc) {
-      config.supervise.session_deadline_s = std::strtod(argv[++i], nullptr);
+      if (!real(config.supervise.session_deadline_s)) return usage(2);
     } else if (arg == "--chaos" && i + 1 < argc) {
-      config.supervise.chaos.throw_rate = std::strtod(argv[++i], nullptr);
+      if (!real(config.supervise.chaos.throw_rate)) return usage(2);
     } else if (arg == "--chaos-stall" && i + 1 < argc) {
-      config.supervise.chaos.stall_rate = std::strtod(argv[++i], nullptr);
+      if (!real(config.supervise.chaos.stall_rate)) return usage(2);
     } else if (arg == "--chaos-attempts" && i + 1 < argc) {
-      config.supervise.chaos.fail_attempts =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!count(config.supervise.chaos.fail_attempts)) return usage(2);
     } else if (arg == "--journal" && i + 1 < argc) {
       config.supervise.journal_path = argv[++i];
     } else if (arg == "--resume") {
       config.supervise.resume = true;
     } else if (arg == "--verify-solo" && i + 1 < argc) {
-      verify_solo =
-          static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!count(verify_solo)) return usage(2);
     } else if (arg == "--workload" && i + 1 < argc) {
       fault::Workload workload;
       if (!fault::parse_workload(argv[++i], workload)) {
@@ -313,8 +281,10 @@ int main(int argc, char** argv) {
               << " forks=" << result.checkpoint_forks
               << " segment_hits=" << result.segment_hits
               << " segment_misses=" << result.segment_misses
+              << " segment_carried=" << result.segment_carried
               << " bioz_hits=" << result.bioz_hits
-              << " bioz_misses=" << result.bioz_misses << " wall="
+              << " bioz_misses=" << result.bioz_misses
+              << " bioz_carried=" << result.bioz_carried << " wall="
               << result.wall_seconds << "s\n";
     std::cerr << "fleet_runner: health: failed=" << result.failed
               << " retried=" << result.retried
@@ -414,6 +384,10 @@ int main(int argc, char** argv) {
                       static_cast<double>(result.segment_misses));
     run_report.metric("bioz_hits", static_cast<double>(result.bioz_hits));
     run_report.metric("bioz_misses", static_cast<double>(result.bioz_misses));
+    run_report.metric("segment_carried",
+                      static_cast<double>(result.segment_carried));
+    run_report.metric("bioz_carried",
+                      static_cast<double>(result.bioz_carried));
     run_report.metric("lost_rate", result.lost_rate);
     run_report.metric("recovery_p50_s", result.recovery_p50_s);
     run_report.metric("recovery_p95_s", result.recovery_p95_s);

@@ -4,6 +4,7 @@
 //   - JSONL metric dumps (*.jsonl, one object per line)
 // Usage: trace_validate [--min-metrics N] [--min-events N] [--require-obs]
 //                       [--require <metric>]... <file>...
+//        trace_validate [--require-obs] --compare OLD NEW
 // --require asserts that a named metric is present in every run report or
 // JSONL dump checked (repeatable) — CI uses it to pin the solver-layer
 // telemetry (spice.solver.*), the streaming-sink counters
@@ -14,9 +15,20 @@
 // gate that keeps obs-off stubs out of the committed BENCH_*.json files.
 // Exits 0 when every file parses and satisfies its structural checks —
 // the ctest smoke target runs this over a traced telemetry_session run.
+//
+// --compare OLD NEW checks two run reports and prints every metric, extra
+// and the wall time that differ between them (the prof.<zone>.* metrics
+// give the per-zone deltas). Counters are the program's exact counts
+// (steps, iterations, memo hits), so a counter that moved fails: exit 1.
+// Two kinds of counter only warn, as gauges, histograms, extras and wall
+// time do: exec.* (they count scheduling, such as steals) and *_ns (they
+// time something). A name on one side only is listed and does not fail.
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -137,6 +149,89 @@ std::pair<std::size_t, std::set<std::string>> validate_jsonl(const std::string& 
   return {rows, names};
 }
 
+// One comparable reading of a run report: a metric (its merged value),
+// an extra, or the wall time.
+struct Reading {
+  std::string kind;  // counter, gauge, histogram, extra, wall
+  double value = 0.0;
+};
+
+std::map<std::string, Reading> readings(const Value& root) {
+  std::map<std::string, Reading> out;
+  for (const auto& m : root.at("metrics").as_array()) {
+    out[m.at("name").as_string()] = {m.at("type").as_string(),
+                                     m.at("value").as_double()};
+  }
+  for (const auto& [name, v] : root.at("extras").as_object()) {
+    out["extras." + name] = {"extra", v.as_double()};
+  }
+  out["wall_seconds"] = {"wall", root.at("wall_seconds").as_double()};
+  return out;
+}
+
+// Counters the comparison holds exact: every counter but exec.* and *_ns.
+bool exact(const std::string& name, const Reading& reading) {
+  const bool timing =
+      name.size() >= 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
+  return reading.kind == "counter" && name.rfind("exec.", 0) != 0 && !timing;
+}
+
+std::string delta(double from, double to) {
+  std::ostringstream os;
+  os << std::setprecision(10) << from << " -> " << to << " ("
+     << std::showpos << to - from;
+  if (from != 0.0) {
+    os << ", " << std::setprecision(3) << 100.0 * (to - from) / std::fabs(from)
+       << "%";
+  }
+  os << ")";
+  return os.str();
+}
+
+// Returns 0 when every exact counter is equal, 1 otherwise.
+int compare(const std::string& old_path, const std::string& new_path,
+            bool require_obs) {
+  const Value old_root = Value::parse(read_file(old_path));
+  const Value new_root = Value::parse(read_file(new_path));
+  (void)validate_report(old_root, require_obs);
+  (void)validate_report(new_root, require_obs);
+  const auto before = readings(old_root);
+  const auto after = readings(new_root);
+  std::size_t equal = 0;
+  std::size_t failed = 0;
+  std::size_t warned = 0;
+  std::size_t only_old = 0;
+  std::size_t only_new = 0;
+  for (const auto& [name, was] : before) {
+    const auto now = after.find(name);
+    if (now == after.end()) {
+      ++only_old;
+      std::cout << "only in " << old_path << ": " << was.kind << " " << name
+                << "\n";
+    } else if (now->second.value == was.value) {
+      ++equal;
+    } else {
+      const bool fail = exact(name, was) || exact(name, now->second);
+      ++(fail ? failed : warned);
+      std::cout << (fail ? "FAIL " : "warn ") << std::left << std::setw(9)
+                << now->second.kind << " " << name << ": "
+                << delta(was.value, now->second.value) << "\n";
+    }
+  }
+  for (const auto& [name, now] : after) {
+    if (before.count(name) == 0) {
+      ++only_new;
+      std::cout << "only in " << new_path << ": " << now.kind << " " << name
+                << "\n";
+    }
+  }
+  std::cout << "compare " << old_path << " -> " << new_path << ": " << equal
+            << " equal, " << failed << " exact counter(s) differ, " << warned
+            << " other change(s), " << only_old << " only in old, " << only_new
+            << " only in new\n";
+  return failed > 0 ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,9 +240,17 @@ int main(int argc, char** argv) {
   bool require_obs = false;
   std::vector<std::string> required;
   std::vector<std::string> files;
+  std::vector<std::string> compared;  // OLD NEW
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--min-metrics" && i + 1 < argc) {
+    if (arg == "--compare") {
+      if (i + 2 >= argc) {
+        std::cerr << "trace_validate: --compare wants OLD and NEW\n";
+        return 2;
+      }
+      compared = {argv[i + 1], argv[i + 2]};
+      i += 2;
+    } else if (arg == "--min-metrics" && i + 1 < argc) {
       min_metrics = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (arg == "--min-events" && i + 1 < argc) {
       min_events = static_cast<std::size_t>(std::atol(argv[++i]));
@@ -159,9 +262,18 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.empty()) {
+  if (!compared.empty() && files.empty()) {
+    try {
+      return compare(compared[0], compared[1], require_obs);
+    } catch (const std::exception& e) {
+      std::cerr << "trace_validate: --compare: " << e.what() << "\n";
+      return 2;
+    }
+  }
+  if (files.empty() || !compared.empty()) {
     std::cerr << "usage: trace_validate [--min-metrics N] [--min-events N] "
-                 "[--require-obs] [--require <metric>]... <file>...\n";
+                 "[--require-obs] [--require <metric>]... <file>...\n"
+                 "       trace_validate [--require-obs] --compare OLD NEW\n";
     return 2;
   }
 
