@@ -143,8 +143,7 @@ Fig11Result EndToEndSim::run() {
     opts.record_signals.push_back("v(pa.vdd)");
     opts.record_signals.push_back("v(pa.drain)");
   }
-  TransientStats sim_stats;
-  Fig11Result result{run_transient(ckt, opts, &sim_stats), 0.0, false, {}, false,
+  Fig11Result result{run_transient(ckt, opts), 0.0, false, {}, false,
                      {}, false, 0.0, false, 0.0};
 
   // --- Fig. 11 checks -----------------------------------------------------------
@@ -194,10 +193,6 @@ Fig11Result EndToEndSim::run() {
     r.gauge("core.fig11.t_charge_us").set(result.charged ? result.t_charge * 1e6 : -1.0);
     r.gauge("core.fig11.vo_min_after_charge").set(result.vo_min_after_charge);
     r.gauge("core.fig11.worst_case_rail").set(result.worst_case_rail);
-    r.gauge("core.fig11.sim_steps_per_sec")
-        .set(sim_stats.wall_seconds > 0.0
-                 ? static_cast<double>(sim_stats.accepted_steps) / sim_stats.wall_seconds
-                 : 0.0);
 
     // The paper's Fig. 11 phases on the simulation timeline: charge-up,
     // then the ASK downlink and LSK uplink bursts.

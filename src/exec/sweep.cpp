@@ -115,12 +115,10 @@ SweepResult Sweep::run(std::vector<std::string> columns, const SweepRowFn& row,
   std::vector<util::Rng> streams = util::Rng(opts.seed).split(n);
   std::vector<std::vector<std::string>> rows(n);
 
-  obs::Histogram* point_seconds = nullptr;
   obs::Counter* points_run = nullptr;
   if constexpr (obs::kEnabled) {
-    auto& r = obs::MetricsRegistry::instance();
-    point_seconds = &r.histogram("exec.sweep.point_seconds");
-    points_run = &r.counter("exec.sweep.points_run");
+    points_run =
+        &obs::MetricsRegistry::instance().counter("exec.sweep.points_run");
   }
 
   // One flow per point ties the dispatch (flow 's' on this thread, below)
@@ -143,15 +141,9 @@ SweepResult Sweep::run(std::vector<std::string> columns, const SweepRowFn& row,
     if (recorder.enabled()) {
       recorder.flow_end("sweep." + name_, "exec", flow0 + i);
     }
-    const auto start = std::chrono::steady_clock::now();
     const SweepPoint point(*this, i, streams[i]);
     rows[i] = row(point);
-    if constexpr (obs::kEnabled) {
-      points_run->add();
-      point_seconds->observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count());
-    }
+    if constexpr (obs::kEnabled) points_run->add();
   };
 
   if (opts.pool != nullptr) {

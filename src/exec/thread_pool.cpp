@@ -20,7 +20,6 @@ struct PoolMetrics {
   obs::Counter& tasks_run;
   obs::Counter& steals;
   obs::Counter& tasks_skipped;
-  obs::Counter& busy_ns;
 
   static PoolMetrics& get() {
     static PoolMetrics m = [] {
@@ -32,7 +31,6 @@ struct PoolMetrics {
           r.counter("exec.pool.tasks_run"),
           r.counter("exec.pool.steals"),
           r.counter("exec.pool.tasks_skipped"),
-          r.counter("exec.pool.busy_ns"),
       };
     }();
     return m;
@@ -135,7 +133,6 @@ void ThreadPool::execute(Task& task) {
     PoolMetrics::get().tasks_run.add();
     PoolMetrics::get().queue_depth.add(-1.0);
   }
-  const auto start = std::chrono::steady_clock::now();
   try {
     task();
   } catch (const std::exception& e) {
@@ -144,11 +141,6 @@ void ThreadPool::execute(Task& task) {
     util::Log::error(std::string("exec: uncaught task exception: ") + e.what());
   } catch (...) {
     util::Log::error("exec: uncaught task exception (non-std type)");
-  }
-  if constexpr (obs::kEnabled) {
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    PoolMetrics::get().busy_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
   }
 }
 

@@ -16,7 +16,9 @@
 // Observability (metrics registry, recorded only when obs is compiled
 // in): exec.pool.threads, exec.pool.queue_depth (gauges);
 // exec.pool.tasks_submitted, exec.pool.tasks_run, exec.pool.steals,
-// exec.pool.tasks_skipped, exec.pool.busy_ns (counters).
+// exec.pool.tasks_skipped (counters). The pool reads no clock: the
+// profiler zones inside its tasks (exec.sweep_point, fleet.session)
+// carry their time.
 #pragma once
 
 #include <algorithm>

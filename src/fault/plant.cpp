@@ -203,6 +203,7 @@ double RectifierPlant::measure(double amplitude) {
 
 spice::TransientCheckpoint capture_charged_checkpoint(
     const ChargeUpSpec& spec, spice::TransientStats* stats) {
+  PROF_ZONE("fault.charge_up");
   auto ckt = RectifierPlant::build(spec.amplitude, spec.carrier_hz);
   spice::TransientOptions opts;
   opts.t_stop = spec.duration;

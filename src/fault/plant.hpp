@@ -184,9 +184,6 @@ struct RectifierPlant {
 
 // One charge-up transient at a fixed drive, checkpointed at the final
 // accepted point — the operating point every fleet session forks from.
-// The CheckpointCache dedupes by value equality, so two cohorts on
-// different backends (different amplitude/carrier) get distinct blobs
-// while same-backend cohorts share one.
 struct ChargeUpSpec {
   double amplitude = kNominalDrive;
   double carrier_hz = link::kInductiveNominal.carrier_hz;
@@ -197,8 +194,26 @@ struct ChargeUpSpec {
   bool operator==(const ChargeUpSpec&) const = default;
 };
 
+// Runs the charge-up in the fault.charge_up profiler zone.
 spice::TransientCheckpoint capture_charged_checkpoint(
     const ChargeUpSpec& spec = {}, spice::TransientStats* stats = nullptr);
+
+// Every ChargeUpSpec field, the doubles as their bit patterns.
+struct ChargeUpKey {
+  std::uint64_t amplitude = 0;
+  std::uint64_t carrier_hz = 0;
+  std::uint64_t duration = 0;
+  std::uint64_t dt_max = 0;
+  int record_every = 0;
+
+  auto operator<=>(const ChargeUpKey&) const = default;
+};
+
+// An exact memo of capture_charged_checkpoint: one shared, immutable
+// blob per distinct spec. Two cohorts on different backends (different
+// amplitude/carrier) get distinct blobs; same-backend cohorts share one.
+using ChargeUpMemo =
+    ExactMemo<ChargeUpKey, std::shared_ptr<const spice::TransientCheckpoint>>;
 
 // Both plants' exact memos (plants point into them; they do not own
 // them). The keys are complete, so how long a bundle lives is a memory

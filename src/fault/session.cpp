@@ -20,8 +20,6 @@ struct SessionMetrics {
   obs::Counter& failures;
   obs::Counter& rate_fallbacks;
   obs::Counter& rate_recoveries;
-  obs::Gauge& link_quality;
-  obs::Gauge& rate_bps;
   obs::Histogram& backoff_ms;
 
   static SessionMetrics& get() {
@@ -33,8 +31,6 @@ struct SessionMetrics {
           r.counter("session.failures"),
           r.counter("session.rate_fallbacks"),
           r.counter("session.rate_recoveries"),
-          r.gauge("session.link_quality"),
-          r.gauge("session.rate_bps"),
           r.histogram("session.backoff_ms",
                       {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000}),
       };
@@ -89,7 +85,6 @@ void Session::update_quality(bool success) {
   quality_ = (1.0 - options_.quality_alpha) * quality_ +
              options_.quality_alpha * (success ? 1.0 : 0.0);
   ++dwell_;
-  if constexpr (obs::kEnabled) SessionMetrics::get().link_quality.set(quality_);
 }
 
 void Session::maybe_move_rate() {
@@ -120,9 +115,6 @@ void Session::maybe_move_rate() {
     // Probation: the estimator restarts between the thresholds so the
     // new rate must prove itself before the next move either way.
     quality_ = 0.75;
-    if constexpr (obs::kEnabled) {
-      SessionMetrics::get().rate_bps.set(current_rate());
-    }
   }
 }
 

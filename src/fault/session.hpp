@@ -10,8 +10,10 @@
 // commands exactly-once across retries.
 //
 // Everything reports through obs: session.retries, session.backoff_ms,
-// session.link_quality, session.rate_bps, session.rate_fallbacks,
-// session.exchanges, session.failures.
+// session.rate_fallbacks, session.rate_recoveries, session.exchanges,
+// session.failures. A session's link quality and rate are its own state
+// (link_quality(), current_rate()), not process-wide gauges: the patient
+// pipeline publishes each session's final rate to its scoped registry.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "src/fleet/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -20,8 +21,8 @@ namespace {
 
 // The charge-up operating point for one cohort: the fleet-wide spec,
 // with the amplitude/carrier retargeted to the cohort backend's nominal
-// drive when it is not the inductive default. CheckpointCache dedupes
-// by value, so same-backend cohorts still share one blob.
+// drive when it is not the inductive default. The charge-up memo keys on
+// the spec's bits, so same-backend cohorts still share one blob.
 fault::ChargeUpSpec charge_for(const FleetConfig& config,
                                const CohortProfile& cohort) {
   fault::ChargeUpSpec charge = config.charge;
@@ -96,7 +97,7 @@ FleetService::FleetService(std::size_t threads) : pool_(threads) {}
 FleetResult FleetService::run(const FleetConfig& config) {
   validate(config);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto cache_before = cache_.stats();
+  const std::uint64_t captures_before = charged_.misses();
   const std::size_t n_cohorts = config.cohorts.size();
 
   FleetResult result;
@@ -139,14 +140,14 @@ FleetResult FleetService::run(const FleetConfig& config) {
 
   // One capture per distinct spec, shared by every session in the
   // cohorts that need it (the bio-impedance workload is stateless and
-  // skips charge-up entirely). cache_.charged dedupes by spec value, so
-  // same-backend cohorts resolve to the same blob. The plant memos then
-  // share every later rectifier segment of sessions with the same drive
-  // history, and every repeated bio-impedance measure; rotating them
-  // keeps the previous sharing run's entries readable and releases the
-  // older ones. When sharing is off each session pays its own charge-up
-  // and measures inside run_patient_session — same results, different
-  // wall clock — and the memos are left as they are.
+  // skips charge-up entirely). The charge-up memo keys on the spec's
+  // bits, so same-backend cohorts resolve to the same blob. The plant
+  // memos then share every later rectifier segment of sessions with the
+  // same drive history, and every repeated bio-impedance measure;
+  // rotating them keeps the previous sharing run's entries readable and
+  // releases the older ones. When sharing is off each session pays its
+  // own charge-up and measures inside run_patient_session — same
+  // results, different wall clock — and the memos are left as they are.
   std::vector<std::shared_ptr<const spice::TransientCheckpoint>> blobs(
       n_cohorts);
   fault::PlantMemos* memos = nullptr;
@@ -156,7 +157,16 @@ FleetResult FleetService::run(const FleetConfig& config) {
     memos_.bioz.rotate();
     for (std::size_t c = 0; c < n_cohorts; ++c) {
       if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
-        blobs[c] = cache_.charged(charge_for(config, config.cohorts[c]));
+        const fault::ChargeUpSpec spec = charge_for(config, config.cohorts[c]);
+        blobs[c] = charged_.lookup(
+            {std::bit_cast<std::uint64_t>(spec.amplitude),
+             std::bit_cast<std::uint64_t>(spec.carrier_hz),
+             std::bit_cast<std::uint64_t>(spec.duration),
+             std::bit_cast<std::uint64_t>(spec.dt_max), spec.record_every},
+            nullptr, [&spec] {
+              return std::make_shared<const spice::TransientCheckpoint>(
+                  fault::capture_charged_checkpoint(spec));
+            });
       }
     }
   }
@@ -244,9 +254,7 @@ FleetResult FleetService::run(const FleetConfig& config) {
   std::vector<std::vector<double>> cohort_samples(n_cohorts);
   std::vector<double> all_samples;
   util::Fingerprint fp;
-  double wall_sum = 0.0;
-  std::size_t fresh_sessions = 0;  // ran this invocation (not replayed)
-  std::size_t fresh_private = 0;   // healthy fresh sessions, own charge-up
+  std::size_t fresh_private = 0;  // healthy fresh sessions, own charge-up
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     const auto& s = result.sessions[i];
     const auto& h = result.health[i];
@@ -278,7 +286,6 @@ FleetResult FleetService::run(const FleetConfig& config) {
       // fields fold into the aggregates above, nothing else.
       ++result.resumed;
     } else {
-      ++fresh_sessions;
       if (s.forked) ++result.checkpoint_forks;
       // Only the spice-plant workload ever captures privately; stateless
       // workloads run un-forked without a charge-up to book.
@@ -287,8 +294,6 @@ FleetResult FleetService::run(const FleetConfig& config) {
               fault::Workload::kLactateSpice) {
         ++fresh_private;
       }
-      result.charge_capture_seconds += s.charge_wall_seconds;
-      wall_sum += s.wall_seconds;
       result.power_queries += s.power_queries;
       result.power_hits += s.power_hits;
     }
@@ -330,9 +335,6 @@ FleetResult FleetService::run(const FleetConfig& config) {
                                static_cast<double>(result.total_exchanges)
                          : 0.0;
   result.fingerprint = fp.value();
-  result.session_wall_mean_s =
-      fresh_sessions > 0 ? wall_sum / static_cast<double>(fresh_sessions)
-                         : 0.0;
   if (memos != nullptr) {
     result.segment_hits = memos->segments.hits();
     result.segment_misses = memos->segments.misses();
@@ -342,15 +344,12 @@ FleetResult FleetService::run(const FleetConfig& config) {
     result.bioz_carried = memos->bioz.carried();
   }
 
-  // Solo-path captures were booked per session above; add the cache's
-  // share (0 extra when this spec was already cached by a prior run).
-  // Only healthy fresh sessions book a private capture: failed slots are
-  // zeroed and resumed slots cost nothing this run.
-  const auto cache_after = cache_.stats();
+  // Solo-path captures were counted per session above; add the memo's
+  // misses (0 when a prior run on this service captured the spec).
+  // Only healthy fresh sessions count a private capture: failed slots
+  // are zeroed and resumed slots cost nothing this run.
   result.charge_captures =
-      (cache_after.captures - cache_before.captures) + fresh_private;
-  result.charge_capture_seconds +=
-      cache_after.capture_seconds - cache_before.capture_seconds;
+      (charged_.misses() - captures_before) + fresh_private;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -369,12 +368,9 @@ FleetResult FleetService::run(const FleetConfig& config) {
     root.gauge("fleet.recovery_p99_s").set(result.recovery_p99_s);
     root.gauge("fleet.charge_captures")
         .set(static_cast<double>(result.charge_captures));
-    root.gauge("fleet.charge_capture_seconds")
-        .set(result.charge_capture_seconds);
     root.gauge("fleet.checkpoint_forks")
         .set(static_cast<double>(result.checkpoint_forks));
     root.gauge("fleet.wall_seconds").set(result.wall_seconds);
-    root.gauge("fleet.session_wall_mean_s").set(result.session_wall_mean_s);
     root.counter("link.power_queries").add(result.power_queries);
     root.counter("link.power_hits").add(result.power_hits);
     root.counter("fleet.segment_hits").add(result.segment_hits);

@@ -3,20 +3,20 @@
 // SimClock and RNG lanes — sharded across the exec work-stealing pool.
 //
 // The scaling lever is shared analog state. One charge-up transient is
-// captured per distinct ChargeUpSpec (CheckpointCache) and every
-// session forks the immutable blob instead of re-simulating the ~270 us
-// charge-up. Then the service's fault::PlantMemos let sessions share
-// every later simulation too: a rectifier segment two sessions would
-// simulate from the same committed node at the same drive, or a
-// bio-impedance measure at the same input, runs once in a run, and a
-// run reads back what the previous run on the service simulated. The
-// memo keys are complete, so how long entries live is a memory choice:
-// two generations, this run's and the previous run's. The hard
-// contract: every session's deterministic results are bit-identical to
-// running that session solo with the same seed, for any thread count
-// and whether or not analog state was shared — slot-indexed results,
-// per-session hashed RNG streams, a deterministic capture and exact
-// memos make that structural.
+// captured per distinct ChargeUpSpec (the service's fault::ChargeUpMemo)
+// and every session forks the immutable blob instead of re-simulating
+// the ~270 us charge-up. Then the service's fault::PlantMemos let
+// sessions share every later simulation too: a rectifier segment two
+// sessions would simulate from the same committed node at the same
+// drive, or a bio-impedance measure at the same input, runs once in a
+// run, and a run reads back what the previous run on the service
+// simulated. The memo keys are complete, so how long entries live is a
+// memory choice: two generations, this run's and the previous run's.
+// The hard contract: every session's deterministic results are
+// bit-identical to running that session solo with the same seed, for
+// any thread count and whether or not analog state was shared —
+// slot-indexed results, per-session hashed RNG streams, a deterministic
+// capture and exact memos make that structural.
 //
 // Observability: each session records into a scoped registry parented
 // on its cohort's registry; after the run the service aggregates each
@@ -33,7 +33,6 @@
 
 #include "src/exec/thread_pool.hpp"
 #include "src/fault/plant.hpp"
-#include "src/fleet/checkpoint.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
 
@@ -56,8 +55,8 @@ struct FleetConfig {
   // the service's plant memos. false = every session captures its own
   // charge-up and simulates every measure itself (the solo path,
   // fleet-wide), and the run leaves the memos as they are. Results are
-  // bit-identical either way; only wall clock moves. The A/B lever
-  // behind BENCH_fleet_soak's fork-speedup row.
+  // bit-identical either way; only wall clock moves: the A/B lever for
+  // the wall time sharing saves.
   bool share_checkpoint = true;
   bool analysis_hints = false;
   fault::ChargeUpSpec charge;
@@ -127,12 +126,11 @@ struct FleetResult {
   long long total_exchanges = 0;
   long long lost_measurements = 0;
   double lost_rate = 0.0;
-  // Wall-clock accounting, excluded from the fingerprint.
-  double wall_seconds = 0.0;
+  // Accounting excluded from the fingerprint. The run's per-layer time
+  // is in the profiler zones (fleet.session, fault.charge_up, ...).
+  double wall_seconds = 0.0;              // the whole run
   std::size_t charge_captures = 0;        // 1 when shared, N when not
-  double charge_capture_seconds = 0.0;    // total wall spent charging up
   std::size_t checkpoint_forks = 0;       // sessions that ran from the blob
-  double session_wall_mean_s = 0.0;       // mean session body wall clock
   std::uint64_t power_queries = 0;        // link power queries, fresh sessions
   std::uint64_t power_hits = 0;           // ... of which the memo answered
   // Plant memo traffic over this run (all 0 without sharing): the
@@ -153,25 +151,26 @@ struct FleetResult {
 // interpolation; 0 on an empty set. Shared with the runner's reporting.
 double exact_percentile(const std::vector<double>& sorted, double p);
 
-// Long-lived service: owns the worker pool, the checkpoint cache and the
+// Long-lived service: owns the worker pool, the charge-up memo and the
 // plant memos, so successive runs (a soak driver, a growing fleet) reuse
-// all three. Every sharing run rotates the memos first: the previous
-// run's entries stay readable for this run and the older ones are
-// released, so a service holds at most the distinct inputs of its last
-// two sharing runs, however long it lives. Runs on one service are
-// meant to follow one another; the per-run memo counts assume it.
+// all three. The charge-up memo is never rotated: it holds one blob per
+// distinct spec the service has seen. Every sharing run rotates the
+// plant memos first: the previous run's entries stay readable for this
+// run and the older ones are released, so a service holds at most the
+// distinct inputs of its last two sharing runs, however long it lives.
+// Runs on one service are meant to follow one another; the per-run memo
+// counts assume it.
 class FleetService {
  public:
   explicit FleetService(std::size_t threads = 1);
 
   FleetResult run(const FleetConfig& config);
 
-  const CheckpointCache& checkpoints() const { return cache_; }
   std::size_t threads() const { return pool_.size(); }
 
  private:
   exec::ThreadPool pool_;
-  CheckpointCache cache_;
+  fault::ChargeUpMemo charged_;
   fault::PlantMemos memos_;
 };
 

@@ -126,16 +126,11 @@ SessionResult run_patient_session(
   // bit-identical to the fleet's shared one — forking changes wall
   // clock, never results.
   if (spice_plant && charged == nullptr) {
-    const auto t0 = std::chrono::steady_clock::now();
     charged = std::make_shared<const spice::TransientCheckpoint>(
         fault::capture_charged_checkpoint(spec.charge));
-    result.charge_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
   } else if (spice_plant) {
     result.forked = true;
   }
-  const auto body_t0 = std::chrono::steady_clock::now();
 
   fault::PatientInputs inputs;
   inputs.link = spec.cohort.link;
@@ -165,9 +160,6 @@ SessionResult run_patient_session(
     }
   };
   static_cast<fault::PatientOutcome&>(result) = fault::run_patient(inputs);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - body_t0)
-          .count();
   return result;
 }
 

@@ -70,13 +70,13 @@ struct SessionSpec {
 
 // The patient pipeline's outcome plus the session's identity. The
 // fingerprint covers the index and every deterministic outcome field;
-// the wall-clock accounting is excluded from it and not journaled.
+// `forked` is excluded from it and not journaled. The session's time is
+// the fleet.session profiler zone's (and fault.charge_up's for a
+// private charge-up).
 struct SessionResult : fault::PatientOutcome {
   std::uint64_t index = 0;
   std::string cohort;
-  bool forked = false;               // ran from a shared checkpoint
-  double wall_seconds = 0.0;         // session body (charge-up excluded)
-  double charge_wall_seconds = 0.0;  // private charge-up cost (0 if forked)
+  bool forked = false;  // ran from a shared checkpoint
 };
 
 // FNV-1a over the index and the deterministic outcome fields; equal

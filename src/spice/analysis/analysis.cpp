@@ -1,7 +1,6 @@
 #include "src/spice/analysis/analysis.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <utility>
@@ -20,10 +19,6 @@ struct AnalysisMetrics {
   obs::Counter& runs;
   obs::Counter& cache_hits;
   obs::Counter& hints_applied;
-  obs::Counter& lint_ns;
-  obs::Counter& envelope_ns;
-  obs::Counter& sparsity_ns;
-  obs::Counter& timescale_ns;
   obs::Gauge& last_unknowns;
   obs::Gauge& last_factor_nnz;
   obs::Gauge& last_dt_recommend;
@@ -35,10 +30,6 @@ struct AnalysisMetrics {
           r.counter("spice.analysis.runs"),
           r.counter("spice.analysis.cache_hits"),
           r.counter("spice.analysis.hints_applied"),
-          r.counter("spice.analysis.lint_ns"),
-          r.counter("spice.analysis.envelope_ns"),
-          r.counter("spice.analysis.sparsity_ns"),
-          r.counter("spice.analysis.timescale_ns"),
           r.gauge("spice.analysis.last_unknowns"),
           r.gauge("spice.analysis.last_factor_nnz"),
           r.gauge("spice.analysis.last_dt_recommend"),
@@ -47,13 +38,6 @@ struct AnalysisMetrics {
     return m;
   }
 };
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // JSON helper: finite -> number, non-finite -> null (JSON has no inf).
 obs::json::Value json_number(double v) {
@@ -165,7 +149,6 @@ std::string AnalysisReport::to_json() const {
   for (const auto& t : timings) {
     Value::Object o;
     o["pass"] = t.pass;
-    o["ns"] = static_cast<std::uint64_t>(t.ns);
     o["cached"] = t.cached;
     passes.emplace_back(std::move(o));
   }
@@ -193,32 +176,34 @@ const AnalysisReport& AnalysisManager::run(Circuit& circuit) {
     entries.push_back(Entry{dev.get(), dev->info()});
   }
 
-  const auto timed = [this](const char* pass, obs::Counter& sink, auto&& body) {
-    const std::uint64_t t0 = now_ns();
-    body();
-    const std::uint64_t ns = now_ns() - t0;
-    report_.timings.push_back(PassTiming{pass, ns, false});
-    if constexpr (obs::kEnabled) sink.add(ns);
-  };
-
-  auto& m = AnalysisMetrics::get();
-  timed("lint", m.lint_ns, [&] {
+  // One profiler zone per pass carries its time
+  // (prof.spice.analysis.<pass>.*).
+  {
+    PROF_ZONE("spice.analysis.lint");
     LintOptions lint_options;
     lint_options.dc_context = options_.dc_context;
     report_.lint = lint(circuit, lint_options);
-  });
-  timed("envelope", m.envelope_ns, [&] {
+  }
+  {
+    PROF_ZONE("spice.analysis.envelope");
     report_.envelope = detail::run_envelope(circuit, entries, report_.diagnostics);
-  });
-  timed("sparsity", m.sparsity_ns,
-        [&] { report_.sparsity = detail::run_sparsity(circuit); });
-  timed("timescale", m.timescale_ns, [&] {
+  }
+  {
+    PROF_ZONE("spice.analysis.sparsity");
+    report_.sparsity = detail::run_sparsity(circuit);
+  }
+  {
+    PROF_ZONE("spice.analysis.timescale");
     report_.timescale =
         detail::run_timescale(circuit, entries, report_.envelope,
                               options_.transient_horizon, report_.diagnostics);
-  });
+  }
+  for (const char* pass : {"lint", "envelope", "sparsity", "timescale"}) {
+    report_.timings.push_back(PassTiming{pass, false});
+  }
 
   if constexpr (obs::kEnabled) {
+    auto& m = AnalysisMetrics::get();
     m.runs.add();
     m.last_unknowns.set(static_cast<double>(report_.sparsity.unknowns));
     m.last_factor_nnz.set(static_cast<double>(report_.sparsity.prediction.factor_nnz));

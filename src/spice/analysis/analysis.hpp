@@ -101,9 +101,10 @@ struct TimescaleResult {
   double dt_recommend = 0.0;     // recommended max transient step
 };
 
+// One pass of a run, in pass order. Its time is carried by the
+// spice.analysis.<pass> profiler zone, not by the report.
 struct PassTiming {
   std::string pass;
-  std::uint64_t ns = 0;
   bool cached = false;  // result served from the manager's cache
 };
 
@@ -125,7 +126,7 @@ struct AnalysisReport {
   // Multi-line human-readable summary (always non-empty).
   std::string to_text() const;
   // Machine-readable report: envelope bands, predicted fill + flops, dt
-  // recommendation, pass timings, and both diagnostic sets.
+  // recommendation, the passes run, and both diagnostic sets.
   std::string to_json() const;
 };
 

@@ -1,7 +1,6 @@
 #include "src/spice/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -57,7 +56,6 @@ struct EngineMetrics {
   obs::Counter& sv_sequence_divergences;
   obs::Gauge& sv_nnz;
   obs::Gauge& sv_factor_nnz;
-  obs::Gauge& tr_last_steps_per_sec;
   obs::Histogram& tr_newton_iters_per_step;
 
   static EngineMetrics& get() {
@@ -88,7 +86,6 @@ struct EngineMetrics {
           r.counter("spice.solver.sequence_divergences"),
           r.gauge("spice.solver.nnz"),
           r.gauge("spice.solver.factor_nnz"),
-          r.gauge("spice.transient.last_steps_per_sec"),
           r.histogram("spice.transient.newton_iters_per_step",
                       {1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 100, 150}),
       };
@@ -375,21 +372,16 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
   // metrics registry is fed from the same numbers. Folded into the
   // caller's struct (accumulating, as before) on every exit path.
   TransientStats run;
-  const auto wall_start = std::chrono::steady_clock::now();
   obs::Span span("run_transient", "spice");
   // Folds the per-run tallies into the caller's stats and the metrics
   // registry on every exit path, including the throwing ones.
   struct Finalize {
     TransientStats& run;
     TransientStats* out;
-    std::chrono::steady_clock::time_point start;
     obs::Span& span;
     const linalg::SparseSolver<double>& solver;
     linalg::SolverStats solver_before;
     ~Finalize() {
-      run.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-              .count();
       if (out != nullptr) {
         out->accepted_steps += run.accepted_steps;
         out->rejected_steps += run.rejected_steps;
@@ -400,7 +392,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         out->lte_rejections += run.lte_rejections;
         out->max_newton_iterations =
             std::max(out->max_newton_iterations, run.max_newton_iterations);
-        out->wall_seconds += run.wall_seconds;
       }
       if constexpr (obs::kEnabled) {
         auto& m = EngineMetrics::get();
@@ -412,17 +403,13 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         m.tr_factorizations.add(run.factorizations);
         m.tr_solves.add(run.solves);
         m.tr_breakpoint_hits.add(run.breakpoint_hits);
-        if (run.wall_seconds > 0.0) {
-          m.tr_last_steps_per_sec.set(static_cast<double>(run.accepted_steps) /
-                                      run.wall_seconds);
-        }
         add_solver_metrics(solver_before, solver.stats());
         span.arg("accepted_steps", std::to_string(run.accepted_steps));
         span.arg("rejected_steps", std::to_string(run.rejected_steps));
         span.arg("newton_iterations", std::to_string(run.newton_iterations));
       }
     }
-  } finalize{run, stats, wall_start, span, solver, solver.stats()};
+  } finalize{run, stats, span, solver, solver.stats()};
   const std::size_t n = circuit.num_unknowns();
   const double dt_min =
       options.dt_min > 0.0 ? options.dt_min : dt_max / 65536.0;

@@ -140,9 +140,6 @@ struct TransientStats {
   std::size_t breakpoint_hits = 0;      // accepted steps snapped to a breakpoint
   std::size_t lte_rejections = 0;       // subset of rejected_steps (adaptive mode)
   std::size_t max_newton_iterations = 0;  // worst single step attempt
-  // Wall time of the run after setup (validation, finalize() and solver
-  // acquisition, the spice.transient.setup zone).
-  double wall_seconds = 0.0;
 };
 
 // Run a transient analysis. Throws ConvergenceError if the step size

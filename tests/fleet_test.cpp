@@ -16,6 +16,7 @@
 #include <fstream>
 #include <latch>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,7 +28,6 @@
 #include "src/exec/cancellation.hpp"
 #include "src/fault/bioz.hpp"
 #include "src/fault/plant.hpp"
-#include "src/fleet/checkpoint.hpp"
 #include "src/fleet/fleet.hpp"
 #include "src/fleet/session.hpp"
 #include "src/fleet/supervisor.hpp"
@@ -62,7 +62,6 @@ TEST(Fleet, EverySessionBitIdenticalToSolo) {
   for (std::size_t i = 0; i < config.sessions; ++i) {
     const auto solo = fleet::run_solo_session(config, i);
     EXPECT_FALSE(solo.forked);
-    EXPECT_GT(solo.charge_wall_seconds, 0.0);
     EXPECT_EQ(fleet::fingerprint_session(result.sessions[i]),
               fleet::fingerprint_session(solo))
         << "session " << i << " diverged from its solo run";
@@ -736,6 +735,35 @@ TEST(FleetServiceMemo, SuccessiveRunsMatchFreshServices) {
   }
 }
 
+TEST(FleetServiceMemo, ChargeUpCapturedOncePerSpec) {
+  // Two runs of one config on one service: the first captures the
+  // charge-up, the second forks the blob the service's memo holds.
+  auto config = small_config();
+  config.sessions = 3;
+  fleet::FleetService service(2);
+  const auto first = service.run(config);
+  EXPECT_EQ(first.charge_captures, 1u);
+  EXPECT_EQ(first.checkpoint_forks, config.sessions);
+  const auto second = service.run(config);
+  EXPECT_EQ(second.charge_captures, 0u);
+  EXPECT_EQ(second.checkpoint_forks, config.sessions);
+  EXPECT_EQ(second.fingerprint, first.fingerprint);
+
+  // A cohort on the ME link charges up at its own drive and carrier, so
+  // it gets a blob of its own: one more capture, and every session still
+  // matches its solo run, which captures at its cohort's spec.
+  auto mixed = config;
+  mixed.cohorts[1].link = "me";
+  const auto third = service.run(mixed);
+  EXPECT_EQ(third.charge_captures, 1u);
+  EXPECT_EQ(third.checkpoint_forks, mixed.sessions);
+  for (std::size_t i = 0; i < mixed.sessions; ++i) {
+    EXPECT_EQ(fleet::fingerprint_session(third.sessions[i]),
+              fleet::fingerprint_session(fleet::run_solo_session(mixed, i)))
+        << "session " << i;
+  }
+}
+
 struct DistinctInputs {
   std::uint64_t segments = 0;
   std::uint64_t measures = 0;
@@ -811,19 +839,41 @@ TEST(FleetServiceMemo, MissesPlusCarriedAreEachRunsDistinctInputs) {
   EXPECT_GT(serial[3].segment_carried, 0u);
 }
 
-TEST(Fleet, CheckpointCacheCapturesOncePerSpec) {
-  fleet::CheckpointCache cache;
-  const auto first = cache.charged();
-  const auto second = cache.charged();
-  EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(cache.stats().captures, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  fault::ChargeUpSpec shorter;
-  shorter.duration = 100e-6;
-  const auto third = cache.charged(shorter);
-  EXPECT_NE(third.get(), first.get());
-  EXPECT_EQ(cache.stats().captures, 2u);
+TEST(Fleet, RootMetricsInvariantToThreadCount) {
+  // Every root counter and gauge a fleet run publishes is a fact about
+  // the fleet, not about the thread that wrote last: one config at 1 and
+  // at 4 threads reads the same, bar timing and scheduling names.
+  const auto timing_or_scheduling = [](const std::string& name) {
+    return name.starts_with("prof.") || name.ends_with("_seconds") ||
+           name.ends_with("_per_second") || name.starts_with("exec.") ||
+           name == "fleet.threads";
+  };
+  auto config = small_config();
+  config.sessions = 24;
+  auto& root = obs::MetricsRegistry::instance();
+  const auto root_readings = [&](std::size_t threads) {
+    root.reset();
+    config.threads = threads;
+    fleet::run_fleet(config);
+    std::map<std::string, double> out;  // "<type> <name>" -> value
+    for (const auto& m : root.snapshot()) {
+      if (m.type == "histogram" || timing_or_scheduling(m.name)) continue;
+      out[m.type + " " + m.name] = m.value;
+    }
+    return out;
+  };
+  const auto serial = root_readings(1);
+  const auto pooled = root_readings(4);
+  EXPECT_EQ(serial.size(), pooled.size());
+  for (const auto& [key, value] : serial) {
+    const auto it = pooled.find(key);
+    ASSERT_NE(it, pooled.end()) << key;
+    EXPECT_EQ(it->second, value) << key;
+  }
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(serial.at("counter spice.transient.runs"), 0.0);
+    EXPECT_GT(serial.at("counter session.exchanges"), 0.0);
+  }
 }
 
 TEST(Fleet, CohortAssignmentRoundRobin) {

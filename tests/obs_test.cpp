@@ -618,7 +618,6 @@ TEST(Instrumentation, TransientCountersMatchStats) {
   EXPECT_GT(stats.factorizations, 0u);
   EXPECT_LE(stats.factorizations, stats.solves);
   EXPECT_GE(stats.max_newton_iterations, 1u);
-  EXPECT_GT(stats.wall_seconds, 0.0);
 }
 
 TEST(Instrumentation, SnappedBreakpointsAreAlwaysRecorded) {

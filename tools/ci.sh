@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate for the ironic tree. Mirrors .github/workflows/ci.yml so
-# the same correctness bar can be enforced on a disconnected box:
+# The one CI definition for the ironic tree: every job of
+# .github/workflows/ci.yml installs its packages and runs one stage of
+# this script, and the same stages run offline on a disconnected box:
 #
 #   1. release   Release-mode build with -Werror, full ctest suite
 #   2. sanitize  ASan+UBSan build (halt-on-error), full ctest suite
@@ -12,31 +13,33 @@
 #                shared plant memos (SegmentMemo, BioZMemo) and a
 #                service's successive runs over them (FleetServiceMemo)
 #   4. tidy      clang-tidy over src/ and tools/ (skips if not installed)
-#   5. lint      netlist_lint --strict over every shipped .cir netlist,
-#                and the broken fixtures must FAIL
-#   6. analyze   netlist_analyze --strict over every shipped netlist
-#                (clean envelopes, the backend's fill and flop counts, dt
-#                planning), the tissue ladder's 122 unknowns, 363 factor
-#                nonzeros and 604 solve flops pinned in the JSON report,
-#                the spice.analysis.* telemetry schema pinned via
-#                trace_validate, and fault campaign fingerprints
-#                bit-identical with --analysis-hints on vs off
-#   7. fault     fault_runner over every registered campaign, plus the
+#   5. analyze   netlist_analyze --strict --dc over every shipped .cir
+#                netlist (lint is its first pass; the broken fixtures
+#                must FAIL), --strict without --dc (clean envelopes, the
+#                backend's fill and flop counts, dt planning), the tissue
+#                ladder's 122 unknowns, 363 factor nonzeros and 604 solve
+#                flops pinned in the JSON report, the spice.analysis.*
+#                telemetry and per-pass prof.spice.analysis.<pass> zones
+#                pinned via trace_validate, and fault campaign
+#                fingerprints bit-identical with --analysis-hints on vs
+#                off
+#   6. fault     fault_runner over every registered campaign, plus the
 #                exit-code contract (unwritable --out and --telemetry must
 #                exit 2), every campaign again at 1 and 4 threads
 #                (fingerprints and plant-memo totals must be thread-count
 #                invariant), and the trace_validate pins on the
 #                spice.solver.*, obs.telemetry.*, prof.<zone>.*,
 #                fault.campaign.* memo and cohort.* telemetry
-#   8. fleet     fleet_runner 1000-session smoke with solo-parity spot
+#   7. fleet     fleet_runner 1000-session smoke with solo-parity spot
 #                checks (--verify-solo exits 1 on any fingerprint
 #                mismatch), checkpoint forking pinned to exactly one
 #                charge-up capture, the fleet fingerprint and segment-memo
 #                hit/miss totals identical across two thread counts, a
 #                --no-share leg reproducing the shared fingerprint, and
-#                the fleet.* / cohort.fleet.* / prof.fleet.session
-#                telemetry schema pinned via trace_validate
-#   9. chaos     fleet supervision: injected chaos is contained (exact
+#                the fleet.* / cohort.fleet.* / prof.fleet.session /
+#                prof.fault.charge_up telemetry schema pinned via
+#                trace_validate
+#   8. chaos     fleet supervision: injected chaos is contained (exact
 #                fleet.failed/quarantined pins, exit code 1), a
 #                retried-to-health chaos run is bit-identical to a
 #                no-chaos run (exit 0), kill -9 mid-run + --resume
@@ -44,7 +47,7 @@
 #                journal (telemetry_tail tolerates the torn tail), and
 #                the exit-code contract (0 healthy / 1 failures / 2
 #                usage) holds end to end
-#  10. linkphy   the LinkPhy backend contract: backend #1 (inductive)
+#   9. linkphy   the LinkPhy backend contract: backend #1 (inductive)
 #                campaign fingerprints bit-identical across thread counts
 #                (the exact pre-refactor value pins live in
 #                link_neutrality_test), the magnetoelectric campaign
@@ -56,11 +59,11 @@
 #                fingerprint without the memo), the --link exit-2
 #                contract on all three runners, and the link.* telemetry
 #                schema pinned via trace_validate
-#  11. obs       bench_obs_overhead in-process budget gate (instrumented
+#  10. obs       bench_obs_overhead in-process budget gate (instrumented
 #                fault campaign must stay within 5% of the obs-off run),
 #                and every *committed* BENCH_*.json must have been
 #                produced with observability compiled in
-#  12. bench     regenerate every committed BENCH_*.json from a Release
+#  11. bench     regenerate every committed BENCH_*.json from a Release
 #                build into the checkout root: bench_engine_perf,
 #                fault_runner all at 1 thread, and fleet_runner 1000
 #                sessions x 2 exchanges at 4 threads; then
@@ -69,7 +72,7 @@
 #                moved fails). Not part of `all`, because it rewrites
 #                committed files.
 #
-# Usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|bench|all]   (default: all)
+# Usage: tools/ci.sh [release|sanitize|tsan|tidy|analyze|fault|fleet|chaos|linkphy|obs|bench|all]   (default: all)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -113,7 +116,7 @@ run_tsan() {
     --target exec_test sweep_test rng_stream_test obs_test \
              obs_telemetry_test fault_session_test fault_campaign_test \
              linalg_sparse_test spice_solver_equiv_test magnetics_test \
-             fleet_test sweep_runner
+             fleet_test sweep_runner trace_validate
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
       -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo|FleetServiceMemo)'
@@ -126,29 +129,23 @@ run_tidy() {
   cmake --build "$ROOT/build-ci-release" --target tidy
 }
 
-run_lint() {
-  log "netlist_lint sweep"
-  cmake -B "$ROOT/build-ci-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$ROOT/build-ci-release" -j "$JOBS" --target netlist_lint
-  local lint="$ROOT/build-ci-release/tools/netlist_lint"
-  # Shipped netlists: zero diagnostics, even at DC, even as warnings.
-  "$lint" --strict --dc "$ROOT"/examples/netlists/*.cir
-  # Broken fixtures: the linter must refuse them.
-  if "$lint" --dc "$ROOT"/tests/netlists/*.cir; then
-    echo "ci: FAIL -- broken fixtures were not flagged" >&2
-    exit 1
-  fi
-  echo "ci: broken fixtures correctly flagged"
-}
-
 run_analyze() {
-  log "netlist_analyze sweep + static-choice, schema, and hint-fingerprint pins"
+  log "netlist lint + analysis sweep, schema, and hint-fingerprint pins"
   cmake -B "$ROOT/build-ci-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-ci-release" -j "$JOBS" \
     --target netlist_analyze fault_runner trace_validate
   local analyzer="$ROOT/build-ci-release/tools/netlist_analyze"
   local runner="$ROOT/build-ci-release/tools/fault_runner"
   local validator="$ROOT/build-ci-release/tools/trace_validate"
+  # Shipped netlists: zero diagnostics, even with the DC lint rules, even
+  # as warnings.
+  "$analyzer" --strict --dc "$ROOT"/examples/netlists/*.cir
+  # Broken fixtures: the lint pass must refuse them.
+  if "$analyzer" --dc "$ROOT"/tests/netlists/*.cir; then
+    echo "ci: FAIL -- broken fixtures were not flagged" >&2
+    exit 1
+  fi
+  echo "ci: broken fixtures correctly flagged"
   # Shipped netlists: the whole pipeline (lint + envelope + sparsity +
   # timescale) must come back clean, warnings included.
   "$analyzer" --strict --quiet "$ROOT"/examples/netlists/*.cir
@@ -163,10 +160,10 @@ run_analyze() {
   grep -q '"solve_flops": 604' "$ladder"
   "$validator" --require-obs \
     --require spice.analysis.runs \
-    --require spice.analysis.lint_ns \
-    --require spice.analysis.envelope_ns \
-    --require spice.analysis.sparsity_ns \
-    --require spice.analysis.timescale_ns \
+    --require prof.spice.analysis.lint.inclusive_ns \
+    --require prof.spice.analysis.envelope.inclusive_ns \
+    --require prof.spice.analysis.sparsity.inclusive_ns \
+    --require prof.spice.analysis.timescale.inclusive_ns \
     --require spice.analysis.last_unknowns \
     --require spice.analysis.last_factor_nnz \
     --require spice.analysis.last_dt_recommend \
@@ -182,8 +179,9 @@ run_analyze() {
     echo "ci: FAIL -- fingerprints changed under --analysis-hints" >&2
     exit 1
   fi
-  echo "ci: analyzer sweep clean; ladder size, fill and analysis schema" \
-       "pinned; hint fingerprints bit-identical"
+  echo "ci: lint and analyzer sweeps clean, broken fixtures flagged;" \
+       "ladder size, fill and analysis schema pinned; hint fingerprints" \
+       "bit-identical"
 }
 
 run_fault() {
@@ -313,6 +311,7 @@ run_fleet() {
     --require fleet.bioz_carried \
     --require fleet.sessions_per_second \
     --require prof.fleet.session.inclusive_ns \
+    --require prof.fault.charge_up.inclusive_ns \
     --require cohort.fleet.nominal.fleet.session.retries.sum \
     --require cohort.fleet.noisy_link.fleet.session.exchange_latency_s.p95 \
     --require cohort.fleet.deep_implant.fleet.session.recover_s.max \
@@ -652,7 +651,6 @@ case "$STAGE" in
   sanitize) run_sanitize ;;
   tsan)     run_tsan ;;
   tidy)     run_tidy ;;
-  lint)     run_lint ;;
   analyze)  run_analyze ;;
   fault)    run_fault ;;
   fleet)    run_fleet ;;
@@ -660,8 +658,8 @@ case "$STAGE" in
   linkphy)  run_linkphy ;;
   obs)      run_obs ;;
   bench)    run_bench ;;
-  all)      run_release; run_sanitize; run_tsan; run_tidy; run_lint; run_analyze; run_fault; run_fleet; run_chaos; run_linkphy; run_obs ;;
-  *) echo "usage: tools/ci.sh [release|sanitize|tsan|tidy|lint|analyze|fault|fleet|chaos|linkphy|obs|bench|all]" >&2; exit 2 ;;
+  all)      run_release; run_sanitize; run_tsan; run_tidy; run_analyze; run_fault; run_fleet; run_chaos; run_linkphy; run_obs ;;
+  *) echo "usage: tools/ci.sh [release|sanitize|tsan|tidy|analyze|fault|fleet|chaos|linkphy|obs|bench|all]" >&2; exit 2 ;;
 esac
 
 log "OK ($STAGE)"

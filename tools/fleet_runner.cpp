@@ -91,9 +91,7 @@ obs::json::Value to_json(const fleet::FleetResult& result,
   doc["recovery_p95_s"] = result.recovery_p95_s;
   doc["recovery_p99_s"] = result.recovery_p99_s;
   doc["wall_seconds"] = result.wall_seconds;
-  doc["session_wall_mean_s"] = result.session_wall_mean_s;
   doc["charge_captures"] = static_cast<std::uint64_t>(result.charge_captures);
-  doc["charge_capture_seconds"] = result.charge_capture_seconds;
   doc["checkpoint_forks"] =
       static_cast<std::uint64_t>(result.checkpoint_forks);
   doc["segment_hits"] = result.segment_hits;
@@ -149,7 +147,7 @@ int usage(int code) {
         "                 checkpoint, and simulates every rectifier segment\n"
         "                 and bio-impedance measure itself instead of\n"
         "                 reading the run's plant memos (same results; the\n"
-        "                 A/B lever for the fork speedup)\n"
+        "                 A/B lever for the wall time sharing saves)\n"
         "  --workload W   sensing front end every cohort drives per\n"
         "                 measurement: lactate (default; spice rectifier +\n"
         "                 potentiostat), lactate-behavioural, or bioz (the\n"
@@ -302,7 +300,6 @@ int main(int argc, char** argv) {
     // indices cover every cohort (stride vs cohort count are coprime
     // often enough; index 0 and the last session are always included).
     std::size_t mismatches = 0;
-    double solo_wall_sum = 0.0;
     obs::json::Value::Array verified;
     if (verify_solo > 0) {
       const std::size_t n = std::min(verify_solo, config.sessions);
@@ -314,7 +311,6 @@ int main(int argc, char** argv) {
         const auto fleet_fp =
             fleet::fingerprint_session(result.sessions[i]);
         const auto solo_fp = fleet::fingerprint_session(solo);
-        solo_wall_sum += solo.wall_seconds + solo.charge_wall_seconds;
         obs::json::Value::Object row;
         row["session"] = static_cast<std::uint64_t>(i);
         row["fleet_fingerprint"] = hex64(fleet_fp);
@@ -328,26 +324,12 @@ int main(int argc, char** argv) {
                     << hex64(solo_fp) << "\n";
         }
       }
-      const double solo_mean = checked > 0 ? solo_wall_sum / checked : 0.0;
       std::cerr << "fleet_runner: verified " << checked
                 << " session(s) solo: " << (checked - mismatches)
-                << " matched, solo_wall_mean=" << solo_mean << "s vs fleet "
-                << result.session_wall_mean_s << "s\n";
+                << " matched\n";
       run_report.metric("verify_solo.checked", static_cast<double>(checked));
       run_report.metric("verify_solo.mismatches",
                         static_cast<double>(mismatches));
-      run_report.metric("verify_solo.wall_mean_s", solo_mean);
-      if (solo_mean > 0.0 && result.session_wall_mean_s > 0.0) {
-        // The fork speedup: a solo session pays its own charge-up and
-        // simulates every segment; a fleet session amortizes one capture
-        // across the whole fleet and reads segments other sessions
-        // already ran from the memo, so this credits both.
-        const double amortized =
-            result.session_wall_mean_s +
-            result.charge_capture_seconds /
-                static_cast<double>(config.sessions);
-        run_report.metric("fork_speedup", solo_mean / amortized);
-      }
     }
 
     auto doc_value = to_json(result, config);
@@ -367,7 +349,6 @@ int main(int argc, char** argv) {
     run_report.metric("exchanges_per_session",
                       static_cast<double>(fleet::effective_exchanges(config)));
     run_report.metric("wall_seconds", result.wall_seconds);
-    run_report.metric("session_wall_mean_s", result.session_wall_mean_s);
     run_report.metric("sessions_per_second",
                       result.wall_seconds > 0.0
                           ? static_cast<double>(config.sessions) /
@@ -375,7 +356,6 @@ int main(int argc, char** argv) {
                           : 0.0);
     run_report.metric("charge_captures",
                       static_cast<double>(result.charge_captures));
-    run_report.metric("charge_capture_seconds", result.charge_capture_seconds);
     run_report.metric("checkpoint_forks",
                       static_cast<double>(result.checkpoint_forks));
     run_report.metric("segment_hits",

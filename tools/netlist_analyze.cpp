@@ -1,9 +1,11 @@
-// netlist_analyze: whole-netlist static analysis from the command line.
-// Parses each .cir file into a Circuit and runs the full analysis
-// pipeline (src/spice/analysis/analysis.hpp): lint, interval operating
-// envelopes, the sparse backend's fill and flop counts, and
-// timescale/stiffness planning. Parse failures are reported as lint.parse-error diagnostics
-// rather than crashes, so a CI sweep over a directory of netlists always
+// netlist_analyze: whole-netlist static analysis from the command line,
+// and the repo's one netlist checker. Parses each .cir file into a
+// Circuit and runs the full analysis pipeline
+// (src/spice/analysis/analysis.hpp): lint (the full rule catalog of
+// src/spice/lint.hpp), interval operating envelopes, the sparse
+// backend's fill and flop counts, and timescale/stiffness planning.
+// Parse failures are reported as lint.parse-error diagnostics rather
+// than crashes, so a CI sweep over a directory of netlists always
 // completes.
 //
 // Usage:
@@ -15,14 +17,14 @@
 //   --strict   warnings also fail the run (exit 1)
 //   --dc       analyze for a DC operating point (inductor loops and
 //              current cutsets become lint errors)
-//   --horizon S  transient horizon for breakpoint density [s] (default 1e-3)
+//   --horizon S  transient horizon for breakpoint density [s] (default
+//              1e-3); a value that is not, in full, a time > 0 exits 2
 //   --quiet    print nothing for clean files
 //   -          read one netlist from stdin
 //
 // Exit codes: 0 all files clean (or warnings without --strict),
 //             1 analysis errors (or warnings with --strict),
 //             2 usage or I/O error.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -34,6 +36,7 @@
 #include "src/spice/analysis/analysis.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/netlist_parser.hpp"
+#include "tools/numeric_args.hpp"
 
 namespace {
 
@@ -68,9 +71,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--dc") {
       options.dc_context = true;
     } else if (arg == "--horizon" && i + 1 < argc) {
-      options.transient_horizon = std::strtod(argv[++i], nullptr);
-      if (!(options.transient_horizon > 0.0)) {
-        std::cerr << "netlist_analyze: --horizon must be > 0\n";
+      if (!ironic::tools::parse_real(argv[++i], options.transient_horizon) ||
+          !(options.transient_horizon > 0.0)) {
+        ironic::tools::bad_value("netlist_analyze", arg, "a time > 0 [s]",
+                                 argv[i]);
         return 2;
       }
     } else if (arg == "--quiet") {
@@ -87,8 +91,8 @@ int main(int argc, char** argv) {
   }
   if (files.empty()) return usage(std::cerr);
 
-  // BENCH_netlist_analyze.json carries the spice.analysis.* pass
-  // counters/timers for the CI schema pin.
+  // BENCH_netlist_analyze.json carries the spice.analysis.* counters and
+  // the per-pass prof.spice.analysis.<pass>.* zones for the CI schema pin.
   ironic::obs::RunReport run_report("netlist_analyze");
 
   std::vector<FileReport> results;

@@ -25,7 +25,9 @@
 // Follow requires a real file; stdin is already a stream.
 //
 // Exits 2 when the input cannot be opened, matching the runners'
-// unwritable-path contract; 1 on malformed flags.
+// unwritable-path contract, or when the --idle-exit value is not, in
+// full, a number of seconds >= 0 (the runners' malformed-value
+// contract); 1 on other malformed flags.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "tools/numeric_args.hpp"
 
 using ironic::obs::json::Value;
 
@@ -116,7 +119,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--follow") {
       follow = true;
     } else if (arg == "--idle-exit" && i + 1 < argc) {
-      idle_exit = std::strtod(argv[++i], nullptr);
+      if (!ironic::tools::parse_real(argv[++i], idle_exit) ||
+          !(idle_exit >= 0.0)) {
+        ironic::tools::bad_value("telemetry_tail", arg, "seconds >= 0",
+                                 argv[i]);
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       std::cerr << "telemetry_tail: unknown option '" << arg << "'\n";
       return usage(1);

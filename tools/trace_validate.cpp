@@ -17,14 +17,17 @@
 // the ctest smoke target runs this over a traced telemetry_session run.
 //
 // --compare OLD NEW checks two run reports and prints every metric, extra
-// and the wall time that differ between them (the prof.<zone>.* metrics
+// and the wall time that differ between them (the prof.<zone>.* gauges
 // give the per-zone deltas). Counters are the program's exact counts
 // (steps, iterations, memo hits), so a counter that moved fails: exit 1.
-// Two kinds of counter only warn, as gauges, histograms, extras and wall
-// time do: exec.* (they count scheduling, such as steals) and *_ns (they
-// time something). A name on one side only is listed and does not fail.
+// exec.* counters (they count scheduling, such as steals) only warn, as
+// gauges, histograms, extras and wall time do; no counter times
+// anything, since the profiler zones carry every per-layer time. A name
+// on one side only is listed and does not fail.
+//
+// A malformed --min-metrics/--min-events value (not a whole
+// non-negative integer) is a usage error: exit 2.
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "src/obs/json.hpp"
+#include "tools/numeric_args.hpp"
 
 using ironic::obs::json::JsonError;
 using ironic::obs::json::Value;
@@ -169,11 +173,9 @@ std::map<std::string, Reading> readings(const Value& root) {
   return out;
 }
 
-// Counters the comparison holds exact: every counter but exec.* and *_ns.
+// Counters the comparison holds exact: every counter but exec.*.
 bool exact(const std::string& name, const Reading& reading) {
-  const bool timing =
-      name.size() >= 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
-  return reading.kind == "counter" && name.rfind("exec.", 0) != 0 && !timing;
+  return reading.kind == "counter" && name.rfind("exec.", 0) != 0;
 }
 
 std::string delta(double from, double to) {
@@ -250,10 +252,13 @@ int main(int argc, char** argv) {
       }
       compared = {argv[i + 1], argv[i + 2]};
       i += 2;
-    } else if (arg == "--min-metrics" && i + 1 < argc) {
-      min_metrics = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (arg == "--min-events" && i + 1 < argc) {
-      min_events = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if ((arg == "--min-metrics" || arg == "--min-events") &&
+               i + 1 < argc) {
+      auto& floor = arg == "--min-metrics" ? min_metrics : min_events;
+      if (!ironic::tools::parse_count(argv[++i], floor)) {
+        ironic::tools::bad_value("trace_validate", arg, "a count", argv[i]);
+        return 2;
+      }
     } else if (arg == "--require" && i + 1 < argc) {
       required.emplace_back(argv[++i]);
     } else if (arg == "--require-obs") {
