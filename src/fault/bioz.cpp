@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 
@@ -48,7 +49,9 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
 
 double BioZPlant::simulate(double amplitude, double tissue_scale) {
   auto ckt = build_tissue_ladder(amplitude, tissue_scale, segments);
-  if (analysis_hints) analyzer.apply_hints(*ckt);
+  if (analysis_hints) {
+    spice::analysis::apply_hints(*ckt, spice::analysis::analyze(*ckt));
+  }
   const std::string sense = "v(t" + std::to_string(sense_tap) + ")";
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;

@@ -26,7 +26,6 @@
 #include <optional>
 
 #include "src/fault/memo.hpp"
-#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/engine.hpp"
 
@@ -70,7 +69,6 @@ struct BioZPlant {
   // When set, the static-analysis passes run over each measurement
   // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
-  spice::analysis::AnalysisManager analyzer;
   // When set, measure consults this memo before simulating (not owned).
   BioZMemo* memo = nullptr;
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/obs/profiler.hpp"
+#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 
@@ -145,7 +146,9 @@ spice::TransientResult RectifierPlant::run_segment(
   // A fresh circuit every segment: resume must carry ALL state through
   // the checkpoint blob, never through device object identity.
   auto ckt = build(amplitude, carrier_hz);
-  if (analysis_hints) analyzer.apply_hints(*ckt);
+  if (analysis_hints) {
+    spice::analysis::apply_hints(*ckt, spice::analysis::analyze(*ckt));
+  }
   spice::TransientOptions opts;
   const spice::TransientCheckpoint* from = committed();
   const double t0 = from != nullptr ? from->time : 0.0;

@@ -35,7 +35,6 @@
 #include "src/link/inductive.hpp"
 #include "src/link/phy.hpp"
 #include "src/pm/rectifier.hpp"
-#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/engine.hpp"
 
@@ -149,7 +148,6 @@ struct RectifierPlant {
   // When set, the static-analysis passes run over each fresh segment
   // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
-  spice::analysis::AnalysisManager analyzer;
   // When set, measure consults this memo before simulating (not owned).
   SegmentMemo* memo = nullptr;
 
@@ -219,8 +217,8 @@ using ChargeUpMemo =
 // them). The keys are complete, so how long a bundle lives is a memory
 // choice, not a correctness one: each campaign call shares one across
 // its scenarios and drops it on return, and a fleet service keeps one
-// for its lifetime and rotates it at the start of every sharing run,
-// holding at most the distinct inputs of its last two runs.
+// for its lifetime and rotates it at the start of every run, holding
+// at most the distinct inputs of its last two runs.
 struct PlantMemos {
   SegmentMemo segments;
   BioZMemo bioz;

@@ -12,6 +12,19 @@
 namespace ironic::fault {
 namespace {
 
+// Retry backoff: kBackoffInitial * kBackoffFactor^attempt, capped at
+// kBackoffMax, then scaled by 1 +/- kJitter drawn from the session rng.
+constexpr double kBackoffInitial = 2e-3;  // [s] first retry delay
+constexpr double kBackoffMax = 0.5;       // [s] delay ceiling
+constexpr double kBackoffFactor = 2.0;    // exponential growth per retry
+constexpr double kJitter = 0.25;          // +/- fraction of the delay
+
+// Link-quality EWMA and the rate ladder moves it drives.
+constexpr double kQualityAlpha = 0.3;        // EWMA smoothing per attempt
+constexpr double kFallbackThreshold = 0.5;   // quality below -> one rung slower
+constexpr double kRecoveryThreshold = 0.95;  // quality above -> one rung faster
+constexpr int kMinDwell = 4;                 // attempts between rate moves
+
 // Registry handles for the session hot path, resolved once (the
 // TransactorMetrics pattern from comms/protocol.cpp).
 struct SessionMetrics {
@@ -63,7 +76,7 @@ Session::Session(ChannelFactory downlink, ChannelFactory uplink,
       clock_(clock),
       rng_(rng),
       options_(std::move(options)),
-      transactor_(options_.transactor_retries) {
+      transactor_(0) {  // one send per attempt: the session owns retries
   if (clock_ == nullptr) throw std::invalid_argument("Session: clock required");
   if (!downlink_factory_ || !uplink_factory_ || !handler_) {
     throw std::invalid_argument("Session: channel factories and handler required");
@@ -82,15 +95,15 @@ void Session::advance_clock_through_attempts(std::size_t booked_before) {
 }
 
 void Session::update_quality(bool success) {
-  quality_ = (1.0 - options_.quality_alpha) * quality_ +
-             options_.quality_alpha * (success ? 1.0 : 0.0);
+  quality_ = (1.0 - kQualityAlpha) * quality_ +
+             kQualityAlpha * (success ? 1.0 : 0.0);
   ++dwell_;
 }
 
 void Session::maybe_move_rate() {
-  if (dwell_ < options_.min_dwell) return;
+  if (dwell_ < kMinDwell) return;
   bool moved = false;
-  if (quality_ < options_.fallback_threshold &&
+  if (quality_ < kFallbackThreshold &&
       rung_ + 1 < options_.rate_ladder.size()) {
     ++rung_;
     ++stats_.rate_fallbacks;
@@ -100,7 +113,7 @@ void Session::maybe_move_rate() {
                          options_.rate_ladder[rung_]);
     }
     moved = true;
-  } else if (quality_ > options_.recovery_threshold && rung_ > 0) {
+  } else if (quality_ > kRecoveryThreshold && rung_ > 0) {
     --rung_;
     ++stats_.rate_recoveries;
     if constexpr (obs::kEnabled) {
@@ -158,10 +171,9 @@ ExchangeOutcome Session::exchange(comms::Command command,
     }
     if (clock_->now() - t_start >= options_.exchange_timeout) break;
     if (attempt + 1 < options_.max_attempts) {
-      double delay = options_.backoff_initial *
-                     std::pow(options_.backoff_factor, attempt);
-      delay = std::min(delay, options_.backoff_max);
-      delay *= std::max(0.0, 1.0 + options_.jitter * rng_.uniform(-1.0, 1.0));
+      double delay = kBackoffInitial * std::pow(kBackoffFactor, attempt);
+      delay = std::min(delay, kBackoffMax);
+      delay *= std::max(0.0, 1.0 + kJitter * rng_.uniform(-1.0, 1.0));
       clock_->advance(delay);
       stats_.backoff_seconds += delay;
       if constexpr (obs::kEnabled) {

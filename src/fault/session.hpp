@@ -27,22 +27,15 @@
 
 namespace ironic::fault {
 
+// The per-cohort firmware knobs. The retry backoff and the link-quality
+// estimator behind the rate moves are fixed constants (session.cpp).
 struct SessionOptions {
   int max_attempts = 16;          // total send attempts per exchange
   double exchange_timeout = 5.0;  // [s] SimClock budget per exchange
-  double backoff_initial = 2e-3;  // [s] first retry delay
-  double backoff_max = 0.5;       // [s] delay ceiling
-  double backoff_factor = 2.0;    // exponential growth per retry
-  double jitter = 0.25;           // +/- fraction of the delay, from rng
   // Downlink-rate fallback ladder [bit/s], fastest first. The paper's
   // nominal 100 kbit/s ASK downlink degrades gracefully to robust
   // low-rate modes as the link quality drops.
   std::vector<double> rate_ladder = {100e3, 50e3, 25e3, 12.5e3};
-  double quality_alpha = 0.3;       // EWMA smoothing per attempt
-  double fallback_threshold = 0.5;  // quality below -> one rung slower
-  double recovery_threshold = 0.95; // quality above -> one rung faster
-  int min_dwell = 4;                // attempts between rate moves
-  int transactor_retries = 0;       // extra in-transactor retries per attempt
 };
 
 struct ExchangeOutcome {

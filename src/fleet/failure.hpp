@@ -61,6 +61,10 @@ struct SessionFailure : std::runtime_error {
 // text is never consulted.
 FailureCode classify_failure(const std::exception& error);
 
+// Wall-clock cap for a chaos stall whose watchdog never fires, so a
+// chaos run without deadlines still terminates.
+inline constexpr double kChaosStallSeconds = 30.0;
+
 // Deterministic fault injection for the supervision layer itself. The
 // doomed subset is a pure function of (seed, index) drawn from a private
 // hashed RNG stream — never the session's own lanes — so healthy
@@ -72,12 +76,6 @@ struct ChaosSpec {
   // clean: 1 proves the retry path recovers, > max_retries proves
   // quarantine.
   int fail_attempts = 1;
-  // Wall-clock cap for a stall whose watchdog never fires, so a chaos
-  // run without deadlines still terminates.
-  double stall_seconds = 30.0;
-  // Mixed into the fleet seed for the chaos stream, so chaos draws are
-  // decoupled from every session RNG lane.
-  std::uint64_t salt = 0xc4a05f00dull;
 
   bool enabled() const { return throw_rate > 0.0 || stall_rate > 0.0; }
 };
@@ -89,7 +87,6 @@ struct ChaosPlan {
   ChaosAction action = ChaosAction::kNone;
   int fail_attempts = 0;  // attempts doomed before the session runs clean
   int at_exchange = 0;    // exchange index where the action triggers
-  double stall_seconds = 0.0;
 };
 
 // The deterministic chaos decision for session (seed, index) over an
@@ -105,7 +102,6 @@ struct SessionControls {
   exec::CancellationToken token{};
   ChaosAction action = ChaosAction::kNone;
   int at_exchange = 0;
-  double stall_seconds = 0.0;
 };
 
 }  // namespace ironic::fleet

@@ -19,6 +19,9 @@
 namespace ironic::fleet {
 namespace {
 
+// A streaming run emits about this many fleet progress events.
+constexpr std::size_t kProgressEvents = 32;
+
 // The charge-up operating point for one cohort: the fleet-wide spec,
 // with the amplitude/carrier retargeted to the cohort backend's nominal
 // drive when it is not the inductive default. The charge-up memo keys on
@@ -144,30 +147,24 @@ FleetResult FleetService::run(const FleetConfig& config) {
   // bits, so same-backend cohorts resolve to the same blob. The plant
   // memos then share every later rectifier segment of sessions with the
   // same drive history, and every repeated bio-impedance measure;
-  // rotating them keeps the previous sharing run's entries readable and
-  // releases the older ones. When sharing is off each session pays its
-  // own charge-up and measures inside run_patient_session — same
-  // results, different wall clock — and the memos are left as they are.
+  // rotating them keeps the previous run's entries readable and
+  // releases the older ones.
   std::vector<std::shared_ptr<const spice::TransientCheckpoint>> blobs(
       n_cohorts);
-  fault::PlantMemos* memos = nullptr;
-  if (config.share_checkpoint) {
-    memos = &memos_;
-    memos_.segments.rotate();
-    memos_.bioz.rotate();
-    for (std::size_t c = 0; c < n_cohorts; ++c) {
-      if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
-        const fault::ChargeUpSpec spec = charge_for(config, config.cohorts[c]);
-        blobs[c] = charged_.lookup(
-            {std::bit_cast<std::uint64_t>(spec.amplitude),
-             std::bit_cast<std::uint64_t>(spec.carrier_hz),
-             std::bit_cast<std::uint64_t>(spec.duration),
-             std::bit_cast<std::uint64_t>(spec.dt_max), spec.record_every},
-            nullptr, [&spec] {
-              return std::make_shared<const spice::TransientCheckpoint>(
-                  fault::capture_charged_checkpoint(spec));
-            });
-      }
+  memos_.segments.rotate();
+  memos_.bioz.rotate();
+  for (std::size_t c = 0; c < n_cohorts; ++c) {
+    if (config.cohorts[c].workload == fault::Workload::kLactateSpice) {
+      const fault::ChargeUpSpec spec = charge_for(config, config.cohorts[c]);
+      blobs[c] = charged_.lookup(
+          {std::bit_cast<std::uint64_t>(spec.amplitude),
+           std::bit_cast<std::uint64_t>(spec.carrier_hz),
+           std::bit_cast<std::uint64_t>(spec.duration),
+           std::bit_cast<std::uint64_t>(spec.dt_max), spec.record_every},
+          nullptr, [&spec] {
+            return std::make_shared<const spice::TransientCheckpoint>(
+                fault::capture_charged_checkpoint(spec));
+          });
     }
   }
 
@@ -191,8 +188,8 @@ FleetResult FleetService::run(const FleetConfig& config) {
 
   auto& sink = obs::TelemetrySink::instance();
   const bool stream = obs::kEnabled && sink.is_open();
-  std::size_t every = config.progress_every;
-  if (every == 0) every = std::max<std::size_t>(1, config.sessions / 32);
+  const std::size_t every =
+      std::max<std::size_t>(1, config.sessions / kProgressEvents);
 
   exec::ParallelForOptions options;
   options.grain = 1;
@@ -223,7 +220,7 @@ FleetResult FleetService::run(const FleetConfig& config) {
         // as a recorded SessionHealth, never an unwound parallel_for.
         SupervisedSession sup =
             run_supervised_session(spec, blobs[i % n_cohorts], scoped, policy,
-                                   memos);
+                                   &memos_);
         if (journal.is_open()) journal.record(sup.health, sup.result);
         result.sessions[i] = std::move(sup.result);
         result.health[i] = std::move(sup.health);
@@ -254,7 +251,6 @@ FleetResult FleetService::run(const FleetConfig& config) {
   std::vector<std::vector<double>> cohort_samples(n_cohorts);
   std::vector<double> all_samples;
   util::Fingerprint fp;
-  std::size_t fresh_private = 0;  // healthy fresh sessions, own charge-up
   for (std::size_t i = 0; i < result.sessions.size(); ++i) {
     const auto& s = result.sessions[i];
     const auto& h = result.health[i];
@@ -287,13 +283,6 @@ FleetResult FleetService::run(const FleetConfig& config) {
       ++result.resumed;
     } else {
       if (s.forked) ++result.checkpoint_forks;
-      // Only the spice-plant workload ever captures privately; stateless
-      // workloads run un-forked without a charge-up to book.
-      if (h.ok && !s.forked &&
-          config.cohorts[i % n_cohorts].workload ==
-              fault::Workload::kLactateSpice) {
-        ++fresh_private;
-      }
       result.power_queries += s.power_queries;
       result.power_hits += s.power_hits;
     }
@@ -335,21 +324,14 @@ FleetResult FleetService::run(const FleetConfig& config) {
                                static_cast<double>(result.total_exchanges)
                          : 0.0;
   result.fingerprint = fp.value();
-  if (memos != nullptr) {
-    result.segment_hits = memos->segments.hits();
-    result.segment_misses = memos->segments.misses();
-    result.segment_carried = memos->segments.carried();
-    result.bioz_hits = memos->bioz.hits();
-    result.bioz_misses = memos->bioz.misses();
-    result.bioz_carried = memos->bioz.carried();
-  }
-
-  // Solo-path captures were counted per session above; add the memo's
-  // misses (0 when a prior run on this service captured the spec).
-  // Only healthy fresh sessions count a private capture: failed slots
-  // are zeroed and resumed slots cost nothing this run.
-  result.charge_captures =
-      (charged_.misses() - captures_before) + fresh_private;
+  result.segment_hits = memos_.segments.hits();
+  result.segment_misses = memos_.segments.misses();
+  result.segment_carried = memos_.segments.carried();
+  result.bioz_hits = memos_.bioz.hits();
+  result.bioz_misses = memos_.bioz.misses();
+  result.bioz_carried = memos_.bioz.carried();
+  // 0 when an earlier run on this service captured every spec.
+  result.charge_captures = charged_.misses() - captures_before;
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

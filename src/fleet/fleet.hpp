@@ -13,10 +13,10 @@
 // simulated. The memo keys are complete, so how long entries live is a
 // memory choice: two generations, this run's and the previous run's.
 // The hard contract: every session's deterministic results are
-// bit-identical to running that session solo with the same seed, for
-// any thread count and whether or not analog state was shared —
-// slot-indexed results, per-session hashed RNG streams, a deterministic
-// capture and exact memos make that structural.
+// bit-identical to running that session solo with the same seed
+// (run_solo_session: a private charge-up, no memos), for any thread
+// count — slot-indexed results, per-session hashed RNG streams, a
+// deterministic capture and exact memos make that structural.
 //
 // Observability: each session records into a scoped registry parented
 // on its cohort's registry; after the run the service aggregates each
@@ -51,20 +51,10 @@ struct FleetConfig {
   // >= 0, and give an exchange count that fits an int (run() rejects
   // others).
   double soak_seconds = 0.0;
-  // Whether sessions share analog state: the charge-up checkpoint and
-  // the service's plant memos. false = every session captures its own
-  // charge-up and simulates every measure itself (the solo path,
-  // fleet-wide), and the run leaves the memos as they are. Results are
-  // bit-identical either way; only wall clock moves: the A/B lever for
-  // the wall time sharing saves.
-  bool share_checkpoint = true;
   bool analysis_hints = false;
   fault::ChargeUpSpec charge;
   // Session i belongs to cohorts[i % cohorts.size()].
   std::vector<CohortProfile> cohorts = default_cohorts();
-  // Emit a fleet progress telemetry event every this many completed
-  // sessions (0 = about 32 events across the run).
-  std::size_t progress_every = 0;
   // Supervision: containment is unconditional (a throwing session is
   // always recorded, never a fleet abort); this shapes retries,
   // watchdog deadlines, chaos injection, and the crash-durable journal.
@@ -109,8 +99,7 @@ struct FleetResult {
   // FNV-1a over every session's health fingerprint in index order:
   // fingerprint_session for healthy sessions, failure_fingerprint for
   // failed ones. For an all-healthy run this is exactly the historical
-  // fingerprint, and it is invariant to thread count, checkpoint
-  // sharing, and kill/resume.
+  // fingerprint, and it is invariant to thread count and kill/resume.
   std::uint64_t fingerprint = 0;
   // Supervision roll-ups.
   long long failed = 0;       // sessions whose terminal outcome is unhealthy
@@ -129,16 +118,15 @@ struct FleetResult {
   // Accounting excluded from the fingerprint. The run's per-layer time
   // is in the profiler zones (fleet.session, fault.charge_up, ...).
   double wall_seconds = 0.0;              // the whole run
-  std::size_t charge_captures = 0;        // 1 when shared, N when not
+  std::size_t charge_captures = 0;        // charge-ups this run captured
   std::size_t checkpoint_forks = 0;       // sessions that ran from the blob
   std::uint64_t power_queries = 0;        // link power queries, fresh sessions
   std::uint64_t power_hits = 0;           // ... of which the memo answered
-  // Plant memo traffic over this run (all 0 without sharing): the
-  // rectifier segment memo and the bio-impedance memo. `*_carried` are
-  // the hits the previous run's generation answered (counted in
-  // `*_hits` too). Totals only: which session reaches a key first
-  // depends on scheduling, but the totals do not (misses + carried ==
-  // this run's distinct inputs).
+  // Plant memo traffic over this run: the rectifier segment memo and
+  // the bio-impedance memo. `*_carried` are the hits the previous run's
+  // generation answered (counted in `*_hits` too). Totals only: which
+  // session reaches a key first depends on scheduling, but the totals do
+  // not (misses + carried == this run's distinct inputs).
   std::uint64_t segment_hits = 0;
   std::uint64_t segment_misses = 0;
   std::uint64_t segment_carried = 0;
@@ -154,10 +142,10 @@ double exact_percentile(const std::vector<double>& sorted, double p);
 // Long-lived service: owns the worker pool, the charge-up memo and the
 // plant memos, so successive runs (a soak driver, a growing fleet) reuse
 // all three. The charge-up memo is never rotated: it holds one blob per
-// distinct spec the service has seen. Every sharing run rotates the
-// plant memos first: the previous run's entries stay readable for this
-// run and the older ones are released, so a service holds at most the
-// distinct inputs of its last two sharing runs, however long it lives.
+// distinct spec the service has seen. Every run rotates the plant memos
+// first: the previous run's entries stay readable for this run and the
+// older ones are released, so a service holds at most the distinct
+// inputs of its last two runs, however long it lives.
 // Runs on one service are meant to follow one another; the per-run memo
 // counts assume it.
 class FleetService {

@@ -51,7 +51,7 @@ void apply_chaos(const SessionControls& controls) {
     }
     const std::chrono::duration<double> stalled =
         std::chrono::steady_clock::now() - t0;
-    if (stalled.count() >= controls.stall_seconds) return;
+    if (stalled.count() >= kChaosStallSeconds) return;
     std::this_thread::sleep_for(std::chrono::microseconds(500));
   }
 }

@@ -10,11 +10,16 @@
 
 #include "src/linalg/lu.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/telemetry.hpp"
 #include "src/spice/engine.hpp"
 #include "src/util/fingerprint.hpp"
 
 namespace ironic::fleet {
 namespace {
+
+// Mixed into the fleet seed for the chaos stream, so chaos draws are
+// decoupled from every session RNG lane.
+constexpr std::uint64_t kChaosSalt = 0xc4a05f00dull;
 
 constexpr const char* kCodeNames[kFailureCodeCount] = {
     "ok",         "solver-singular", "newton-nonconverge", "comms-exhausted",
@@ -68,10 +73,11 @@ ChaosPlan chaos_plan(const ChaosSpec& chaos, std::uint64_t seed,
                      std::uint64_t index, int exchanges) {
   ChaosPlan plan;
   if (!chaos.enabled()) return plan;
-  // A private hashed stream keyed off (seed ^ salt, index): chaos draws
-  // never touch the session's schedule/injector/channel/backoff lanes,
-  // so a session that chaos spares is bit-identical to a no-chaos run.
-  util::Rng rng = util::Rng::hashed_stream(seed ^ chaos.salt, index);
+  // A private hashed stream keyed off (seed ^ kChaosSalt, index): chaos
+  // draws never touch the session's schedule/injector/channel/backoff
+  // lanes, so a session that chaos spares is bit-identical to a no-chaos
+  // run.
+  util::Rng rng = util::Rng::hashed_stream(seed ^ kChaosSalt, index);
   const double doom = rng.uniform();
   const double where = rng.uniform();  // always drawn: plan shape is fixed
   if (doom < chaos.throw_rate) {
@@ -84,7 +90,6 @@ ChaosPlan chaos_plan(const ChaosSpec& chaos, std::uint64_t seed,
   plan.fail_attempts = std::max(1, chaos.fail_attempts);
   plan.at_exchange = std::min(
       exchanges - 1, static_cast<int>(where * static_cast<double>(exchanges)));
-  plan.stall_seconds = chaos.stall_seconds;
   return plan;
 }
 
@@ -121,7 +126,6 @@ SupervisedSession run_supervised_session(
     if (plan.action != ChaosAction::kNone && attempt < plan.fail_attempts) {
       controls.action = plan.action;
       controls.at_exchange = plan.at_exchange;
-      controls.stall_seconds = plan.stall_seconds;
     }
     try {
       // Each attempt rebuilds the session from (seed, index) alone —
@@ -211,27 +215,38 @@ RunJournal::State RunJournal::load(const std::string& path) {
 }
 
 bool RunJournal::open(const std::string& path, bool append) {
-  if (append) {
-    // A producer killed mid-write can leave a torn final line with no
-    // newline; appending straight after it would fuse two records into
-    // one forever-corrupt line. Terminate the torn line first — load()
-    // already skips it as unparseable.
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      in.seekg(0, std::ios::end);
-      if (in.tellg() > 0) {
-        in.seekg(-1, std::ios::end);
-        char last = '\n';
-        in.get(last);
-        if (last != '\n') {
-          std::ofstream fix(path, std::ios::binary | std::ios::app);
-          fix << '\n';
-        }
-      }
-    }
+  close();
+  std::FILE* out = std::fopen(path.c_str(), append ? "a+" : "w");
+  if (out == nullptr) return false;
+  // A producer killed mid-write can leave a torn final line with no
+  // newline; appending straight after it would fuse two records into
+  // one forever-corrupt line. Terminate the torn line first — load()
+  // already skips it as unparseable.
+  if (append && std::fseek(out, -1, SEEK_END) == 0 &&
+      std::fgetc(out) != '\n') {
+    std::fseek(out, 0, SEEK_END);  // a read must not run into a write
+    std::fputc('\n', out);
+    std::fflush(out);
   }
-  sink_.set_durable(true);  // journal lines outrank the obs kill switch
-  return sink_.open(path, append);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  out_ = out;
+  return true;
+}
+
+void RunJournal::close() {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (out_ != nullptr) std::fclose(out_);
+  out_ = nullptr;
+}
+
+void RunJournal::write(const std::string& event,
+                       obs::json::Value::Object fields) {
+  std::string line =
+      obs::render_event("fleet.journal", event, std::move(fields));
+  line += '\n';
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::fwrite(line.data(), 1, line.size(), out_);
+  std::fflush(out_);
 }
 
 void RunJournal::begin(std::size_t sessions, std::uint64_t seed,
@@ -240,7 +255,7 @@ void RunJournal::begin(std::size_t sessions, std::uint64_t seed,
   fields["sessions"] = static_cast<std::uint64_t>(sessions);
   fields["seed"] = hex64(seed);
   fields["exchanges"] = exchanges;
-  sink_.emit_event("fleet.journal", "begin", std::move(fields));
+  write("begin", std::move(fields));
 }
 
 void RunJournal::record(const SessionHealth& health,
@@ -261,7 +276,7 @@ void RunJournal::record(const SessionHealth& health,
   fields["recovered"] = result.recovered;
   fields["recover_seconds"] = result.recover_seconds;
   fields["restarts"] = result.restarts;
-  sink_.emit_event("fleet.journal", "session", std::move(fields));
+  write("session", std::move(fields));
 }
 
 }  // namespace ironic::fleet

@@ -11,22 +11,24 @@
 // persistent failures are quarantined.
 //
 // The RunJournal is an append-only JSONL file (one line per terminal
-// session outcome, written through a private TelemetrySink so producers
-// never block on disk) that makes a fleet run crash-durable: after a
-// mid-run kill, `fleet_runner --journal J --resume` replays the
-// journaled outcomes, re-runs only the missing sessions, and produces a
-// fleet fingerprint identical to an uninterrupted run.
+// session outcome, flushed as it is written) that makes a fleet run
+// crash-durable: after a mid-run kill, `fleet_runner --journal J
+// --resume` replays the journaled outcomes, re-runs only the missing
+// sessions, and produces a fleet fingerprint identical to an
+// uninterrupted run.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "src/fleet/failure.hpp"
 #include "src/fleet/session.hpp"
-#include "src/obs/telemetry.hpp"
+#include "src/obs/json.hpp"
 
 namespace ironic::fleet {
 
@@ -81,10 +83,15 @@ SupervisedSession run_supervised_session(
     fault::PlantMemos* memos = nullptr);
 
 // Append-only JSONL run journal. Every line is a self-contained JSON
-// object on stream "fleet.journal": one "begin" header (config
-// identity) plus one "session" line per terminal outcome carrying the
-// health entry, the session fingerprint, and the deterministic summary
-// fields the fleet aggregates need (completed/lost/retries/...).
+// object on stream "fleet.journal", in the telemetry line format
+// (obs::render_event): one "begin" header (config identity) plus one
+// "session" line per terminal outcome carrying the health entry, the
+// session fingerprint, and the deterministic summary fields the fleet
+// aggregates need (completed/lost/retries/...). Each record is one
+// fwrite and one fflush under the journal's mutex, so it is in the file
+// when the call returns and a kill can tear only the line being written.
+// The journal is not telemetry: the obs kill switch does not silence it
+// and it moves no obs.telemetry.* counter.
 class RunJournal {
  public:
   struct Entry {
@@ -106,30 +113,32 @@ class RunJournal {
   // recorded are simply re-run on resume.
   static State load(const std::string& path);
 
+  RunJournal() = default;
+  RunJournal(const RunJournal&) = delete;
+  RunJournal& operator=(const RunJournal&) = delete;
   ~RunJournal() { close(); }
 
   // Open the journal for writing; append instead of truncating when
   // resuming. Returns false when the path cannot be opened (the runner
   // maps that to exit code 2).
   bool open(const std::string& path, bool append);
-  bool is_open() const { return sink_.is_open(); }
+  bool is_open() const { return out_ != nullptr; }
 
   // The header line. Written once per fresh journal; a resumed journal
   // keeps its original header.
   void begin(std::size_t sessions, std::uint64_t seed, int exchanges);
 
-  // One terminal session outcome. Non-blocking (ring + drainer); the
-  // drainer flushes per batch, and close() drains whatever is queued.
+  // One terminal session outcome. Safe to call from every worker.
   void record(const SessionHealth& health, const SessionResult& result);
 
-  // Drain, flush, and close the stream. Called on every fleet_runner
-  // exit path — including the abnormal ones — so an error exit never
-  // strands enqueued lines.
-  void close() { sink_.close(); }
+  // Close the file; the destructor does too.
+  void close();
 
  private:
-  obs::TelemetrySink sink_;  // private sink: journal lines never mix
-                             // with the process-wide telemetry stream
+  void write(const std::string& event, obs::json::Value::Object fields);
+
+  std::mutex mutex_;  // one record at a time
+  std::FILE* out_ = nullptr;
 };
 
 }  // namespace ironic::fleet

@@ -132,8 +132,6 @@ void SparseSolver<T>::finalize_assembly() {
     merge_pattern();
     csc_valid_ = false;
     symbolic_valid_ = false;
-    factored_ = false;
-    last_factored_.clear();
     ++stats_.pattern_builds;
   } else if (had_pattern_) {
     ++stats_.pattern_reuses;
@@ -364,17 +362,9 @@ void SparseSolver<T>::factor(double pivot_tol) {
     factored_ = true;
     return;
   }
-  if (factored_ && values_ == last_factored_) {
-    // Bit-identical to the factored matrix: the cached L/U is exact, skip
-    // the numeric work entirely. The transient engine solves a linear
-    // circuit with the factors it holds while the matrix's key is
-    // unchanged, so skips only count re-assemblies of the same values (a
-    // backward-Euler linear circuit's second step, for one).
-    ++stats_.factor_skips;
-    return;
-  }
-  // Both rungs below overwrite the factors in place; one that throws
-  // leaves none usable, so the next factor() must not skip to them.
+  // Both rungs overwrite the factors in place; one that throws leaves
+  // none usable, so solve_in_place refuses to run until a factor()
+  // succeeds.
   factored_ = false;
   if (symbolic_valid_ && refactor_numeric(pivot_tol)) {
     ++stats_.factorizations;
@@ -383,7 +373,6 @@ void SparseSolver<T>::factor(double pivot_tol) {
     full_factor(pivot_tol);  // throws SingularMatrixError on failure
     ++stats_.factorizations;
   }
-  last_factored_ = values_;
   factored_ = true;
 }
 

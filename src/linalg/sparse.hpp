@@ -33,11 +33,9 @@
 // instead of marking the rows it touches. If a cached pivot degrades
 // (falls below tolerance or loses too much ground to its column), the
 // solver silently falls back to a fresh full factorization before
-// reporting SingularMatrixError. A factor() on values bit-identical to
-// the last factored ones reuses the factors outright (factor_skips); a
-// caller that knows its matrix did not change, like the transient engine
-// on a linear circuit, skips assembly and factor() altogether and only
-// solves.
+// reporting SingularMatrixError. A caller that knows its matrix did not
+// change, like the transient engine on a linear circuit, skips assembly
+// and factor() altogether and only solves.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +55,6 @@ inline constexpr double kDefaultPivotTol = 1e-30;
 struct SolverStats {
   std::uint64_t factorizations = 0;   // numeric factorizations performed
   std::uint64_t refactorizations = 0; // ... of which reused cached symbolic structure
-  std::uint64_t factor_skips = 0;     // factor() calls with bit-identical values
   std::uint64_t solves = 0;           // triangular solve_in_place calls
   std::uint64_t pattern_builds = 0;   // sparsity-pattern (re)constructions
   std::uint64_t pattern_reuses = 0;   // assemblies that fit the cached pattern
@@ -172,7 +169,6 @@ class SparseSolver {
   std::vector<T> upiv_;         // U diagonal, elimination order
   bool symbolic_valid_ = false;
   bool factored_ = false;
-  std::vector<T> last_factored_;  // values_ snapshot behind the factor skip
 
   // --- scratch -------------------------------------------------------------
   std::vector<T> work_;              // dense column accumulator

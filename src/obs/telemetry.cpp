@@ -20,6 +20,17 @@ std::int64_t telemetry_ts_us() {
 
 }  // namespace
 
+std::string render_event(const std::string& stream, const std::string& event,
+                         json::Value::Object fields) {
+  json::Value::Object row;
+  row["ts_us"] = static_cast<double>(telemetry_ts_us());
+  row["tid"] = static_cast<std::uint64_t>(thread_index());
+  row["stream"] = stream;
+  row["event"] = event;
+  for (auto& [key, value] : fields) row[key] = std::move(value);
+  return json::Value(std::move(row)).dump();
+}
+
 TelemetrySink& TelemetrySink::instance() {
   // Constructed after (and therefore destroyed before) the metrics
   // registry the counter references point into.
@@ -41,7 +52,7 @@ TelemetrySink::TelemetrySink()
 
 TelemetrySink::~TelemetrySink() { close(); }
 
-bool TelemetrySink::open(const std::string& path, bool append) {
+bool TelemetrySink::open(const std::string& path) {
   const std::lock_guard<std::mutex> lock(control_mutex_);
   close_locked();
   std::FILE* out = nullptr;
@@ -49,7 +60,7 @@ bool TelemetrySink::open(const std::string& path, bool append) {
   if (path == "-") {
     out = stdout;
   } else {
-    out = std::fopen(path.c_str(), append ? "a" : "w");
+    out = std::fopen(path.c_str(), "w");
     if (!out) return false;
     owns = true;
   }
@@ -171,13 +182,8 @@ void TelemetrySink::drain_loop() {
 
 bool TelemetrySink::emit(std::string line) {
   // The runtime kill switch silences telemetry too, so disabling obs at
-  // runtime is a faithful proxy for compiling it out. Durable sinks
-  // (the fleet run journal) are exempt: losing journal lines would cost
-  // correctness (resume would re-run completed sessions), not just
-  // observability.
-  if (!durable_.load(std::memory_order_acquire) && !runtime_enabled()) {
-    return false;
-  }
+  // runtime is a faithful proxy for compiling it out.
+  if (!runtime_enabled()) return false;
   if (!accepting_.load(std::memory_order_acquire)) return false;
   if (!try_push(std::move(line))) {
     dropped_.add(1);
@@ -190,17 +196,9 @@ bool TelemetrySink::emit(std::string line) {
 bool TelemetrySink::emit_event(const std::string& stream,
                                const std::string& event,
                                json::Value::Object fields) {
-  if (!durable_.load(std::memory_order_acquire) && !runtime_enabled()) {
-    return false;
-  }
+  if (!runtime_enabled()) return false;
   if (!accepting_.load(std::memory_order_acquire)) return false;
-  json::Value::Object row;
-  row["ts_us"] = static_cast<double>(telemetry_ts_us());
-  row["tid"] = static_cast<std::uint64_t>(thread_index());
-  row["stream"] = stream;
-  row["event"] = event;
-  for (auto& [key, value] : fields) row[key] = std::move(value);
-  return emit(json::Value(std::move(row)).dump());
+  return emit(render_event(stream, event, std::move(fields)));
 }
 
 std::size_t TelemetrySink::emit_metrics_snapshot(
@@ -210,10 +208,6 @@ std::size_t TelemetrySink::emit_metrics_snapshot(
   std::size_t queued = 0;
   for (const auto& s : registry.snapshot()) {
     json::Value::Object row;
-    row["ts_us"] = static_cast<double>(telemetry_ts_us());
-    row["tid"] = static_cast<std::uint64_t>(thread_index());
-    row["stream"] = std::string("metrics");
-    row["event"] = std::string("sample");
     row["name"] = s.name;
     row["type"] = s.type;
     row["value"] = s.value;
@@ -226,7 +220,7 @@ std::size_t TelemetrySink::emit_metrics_snapshot(
       row["p95"] = s.p95;
       row["p99"] = s.p99;
     }
-    if (emit(json::Value(std::move(row)).dump())) ++queued;
+    if (emit(render_event("metrics", "sample", std::move(row)))) ++queued;
   }
   return queued;
 }

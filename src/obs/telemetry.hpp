@@ -33,6 +33,13 @@
 
 namespace ironic::obs {
 
+// One telemetry line, without the trailing newline:
+// {"ts_us":...,"tid":...,"stream":stream,"event":event,...fields}.
+// ts_us counts microseconds since the first telemetry touch in this
+// process. The fleet run journal writes its records in this format too.
+std::string render_event(const std::string& stream, const std::string& event,
+                         json::Value::Object fields = {});
+
 // Ring capacity in lines (power of two). At ~200 B/line this is ~800 KiB
 // of queued telemetry before drops begin.
 inline constexpr std::size_t kTelemetryRingCapacity = 4096;
@@ -50,18 +57,9 @@ class TelemetrySink {
   // Open the output stream ("-" = stdout) and start the drainer.
   // Returns false (sink stays closed) if the path cannot be opened —
   // the runners map that to exit code 2. Reopening closes the previous
-  // stream first. `append` opens an existing file for appending instead
-  // of truncating (the fleet run journal's --resume path).
-  bool open(const std::string& path, bool append = false);
+  // stream first.
+  bool open(const std::string& path);
   bool is_open() const { return accepting_.load(std::memory_order_acquire); }
-
-  // A durable sink ignores the obs runtime kill switch: the fleet run
-  // journal must record every terminal session outcome even when the
-  // process has silenced telemetry, or a resume would re-run (and a
-  // crash would lose) sessions that already completed.
-  void set_durable(bool durable) {
-    durable_.store(durable, std::memory_order_release);
-  }
 
   // Stop accepting, drain the ring, flush, and close the stream. After
   // close() returns the obs.telemetry.* counters are final. Safe to
@@ -74,8 +72,7 @@ class TelemetrySink {
   // obs.telemetry.dropped). Never blocks.
   bool emit(std::string line);
 
-  // Render {"ts_us":...,"tid":...,"stream":stream,"event":event,...fields}
-  // and emit it.
+  // Render the event (render_event) and emit it.
   bool emit_event(const std::string& stream, const std::string& event,
                   json::Value::Object fields = {});
 
@@ -114,7 +111,6 @@ class TelemetrySink {
   std::atomic<bool> accepting_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> paused_{false};
-  std::atomic<bool> durable_{false};
 
   Counter& emitted_;
   Counter& dropped_;

@@ -17,7 +17,6 @@ using detail::Entry;
 
 struct AnalysisMetrics {
   obs::Counter& runs;
-  obs::Counter& cache_hits;
   obs::Counter& hints_applied;
   obs::Gauge& last_unknowns;
   obs::Gauge& last_factor_nnz;
@@ -28,7 +27,6 @@ struct AnalysisMetrics {
       auto& r = obs::MetricsRegistry::instance();
       return AnalysisMetrics{
           r.counter("spice.analysis.runs"),
-          r.counter("spice.analysis.cache_hits"),
           r.counter("spice.analysis.hints_applied"),
           r.gauge("spice.analysis.last_unknowns"),
           r.gauge("spice.analysis.last_factor_nnz"),
@@ -145,15 +143,6 @@ std::string AnalysisReport::to_json() const {
   ts["dt_recommend"] = timescale.dt_recommend;
   root["timescale"] = std::move(ts);
 
-  Value::Array passes;
-  for (const auto& t : timings) {
-    Value::Object o;
-    o["pass"] = t.pass;
-    o["cached"] = t.cached;
-    passes.emplace_back(std::move(o));
-  }
-  root["passes"] = std::move(passes);
-
   root["lint"] = Value::parse(lint.to_json());
   root["diagnostics"] = diagnostics_json(diagnostics);
   root["errors"] = static_cast<std::uint64_t>(errors());
@@ -161,14 +150,9 @@ std::string AnalysisReport::to_json() const {
   return Value(std::move(root)).dump(2);
 }
 
-const AnalysisReport& AnalysisManager::run(Circuit& circuit) {
-  if (valid_ && circuit_ == &circuit && revision_ == circuit.revision()) {
-    if constexpr (obs::kEnabled) AnalysisMetrics::get().cache_hits.add();
-    for (auto& t : report_.timings) t.cached = true;
-    return report_;
-  }
+AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options) {
   PROF_ZONE("spice.analysis");
-  report_ = AnalysisReport{};
+  AnalysisReport report;
 
   std::vector<Entry> entries;
   entries.reserve(circuit.devices().size());
@@ -181,50 +165,32 @@ const AnalysisReport& AnalysisManager::run(Circuit& circuit) {
   {
     PROF_ZONE("spice.analysis.lint");
     LintOptions lint_options;
-    lint_options.dc_context = options_.dc_context;
-    report_.lint = lint(circuit, lint_options);
+    lint_options.dc_context = options.dc_context;
+    report.lint = lint(circuit, lint_options);
   }
   {
     PROF_ZONE("spice.analysis.envelope");
-    report_.envelope = detail::run_envelope(circuit, entries, report_.diagnostics);
+    report.envelope = detail::run_envelope(circuit, entries, report.diagnostics);
   }
   {
     PROF_ZONE("spice.analysis.sparsity");
-    report_.sparsity = detail::run_sparsity(circuit);
+    report.sparsity = detail::run_sparsity(circuit);
   }
   {
     PROF_ZONE("spice.analysis.timescale");
-    report_.timescale =
-        detail::run_timescale(circuit, entries, report_.envelope,
-                              options_.transient_horizon, report_.diagnostics);
-  }
-  for (const char* pass : {"lint", "envelope", "sparsity", "timescale"}) {
-    report_.timings.push_back(PassTiming{pass, false});
+    report.timescale =
+        detail::run_timescale(circuit, entries, report.envelope,
+                              options.transient_horizon, report.diagnostics);
   }
 
   if constexpr (obs::kEnabled) {
     auto& m = AnalysisMetrics::get();
     m.runs.add();
-    m.last_unknowns.set(static_cast<double>(report_.sparsity.unknowns));
-    m.last_factor_nnz.set(static_cast<double>(report_.sparsity.prediction.factor_nnz));
-    m.last_dt_recommend.set(report_.timescale.dt_recommend);
+    m.last_unknowns.set(static_cast<double>(report.sparsity.unknowns));
+    m.last_factor_nnz.set(static_cast<double>(report.sparsity.prediction.factor_nnz));
+    m.last_dt_recommend.set(report.timescale.dt_recommend);
   }
-
-  circuit_ = &circuit;
-  revision_ = circuit.revision();
-  valid_ = true;
-  return report_;
-}
-
-const AnalysisReport& AnalysisManager::apply_hints(Circuit& circuit) {
-  const AnalysisReport& report = run(circuit);
-  analysis::apply_hints(circuit, report);
   return report;
-}
-
-AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options) {
-  AnalysisManager manager(options);
-  return manager.run(circuit);
 }
 
 void apply_hints(Circuit& circuit, const AnalysisReport& report) {

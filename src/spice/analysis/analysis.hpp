@@ -1,6 +1,6 @@
 // Netlist static-analysis framework (DESIGN.md §13).
 //
-// `AnalysisManager` runs an ordered sequence of passes over a Circuit's
+// `analyze` runs an ordered sequence of passes over a Circuit's
 // reflection data (Device::info) and its first DC assembly, without ever
 // solving the system:
 //
@@ -16,11 +16,11 @@
 //              breakpoint density, distilled into an initial/max-dt
 //              recommendation and a stiffness warning
 //
-// Results are cached per (circuit, topology revision) — re-running on an
-// unchanged netlist is a pointer-and-counter compare. `apply_hints`
-// installs the dt recommendation (Circuit::set_dt_hint); the engine
-// honors it only where the caller left dt_max at auto, so the hint can
-// never override an explicit request.
+// Every call runs every pass, so a report always describes the circuit
+// it was computed from. `apply_hints` installs the dt recommendation
+// (Circuit::set_dt_hint); the engine honors it only where the caller
+// left dt_max at auto, so the hint can never override an explicit
+// request.
 //
 // Diagnostic catalog (extends the lint.* set, same Diagnostic type):
 //   analysis.overvoltage-risk   worst-case reverse voltage across a rated
@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -101,13 +100,6 @@ struct TimescaleResult {
   double dt_recommend = 0.0;     // recommended max transient step
 };
 
-// One pass of a run, in pass order. Its time is carried by the
-// spice.analysis.<pass> profiler zone, not by the report.
-struct PassTiming {
-  std::string pass;
-  bool cached = false;  // result served from the manager's cache
-};
-
 struct AnalysisReport {
   LintReport lint;
   EnvelopeResult envelope;
@@ -115,7 +107,6 @@ struct AnalysisReport {
   TimescaleResult timescale;
   // analysis.* diagnostics (the lint.* ones live in `lint`).
   std::vector<Diagnostic> diagnostics;
-  std::vector<PassTiming> timings;
 
   // Combined severity counts across lint.* and analysis.* diagnostics.
   std::size_t errors() const;
@@ -126,35 +117,17 @@ struct AnalysisReport {
   // Multi-line human-readable summary (always non-empty).
   std::string to_text() const;
   // Machine-readable report: envelope bands, predicted fill + flops, dt
-  // recommendation, the passes run, and both diagnostic sets.
+  // recommendation, and both diagnostic sets. Each pass's time is its
+  // spice.analysis.<pass> profiler zone, not a report field.
   std::string to_json() const;
 };
 
-class AnalysisManager {
- public:
-  explicit AnalysisManager(AnalysisOptions options = {}) : options_(options) {}
-
-  // Run every pass (or serve the cached report when the circuit and its
-  // topology revision are unchanged). Finalizes the circuit; stamps
-  // devices once but leaves no lasting device state (the engines reset
-  // per-point state on entry).
-  const AnalysisReport& run(Circuit& circuit);
-
-  // run() + install the dt hint on the circuit.
-  const AnalysisReport& apply_hints(Circuit& circuit);
-
-  void invalidate() { valid_ = false; }
-
- private:
-  AnalysisOptions options_;
-  const Circuit* circuit_ = nullptr;
-  std::uint64_t revision_ = 0;
-  bool valid_ = false;
-  AnalysisReport report_;
-};
-
-// One-shot conveniences over a throwaway manager.
+// Run every pass over `circuit`. Finalizes the circuit; stamps devices
+// once but leaves no lasting device state (the engines reset per-point
+// state on entry).
 AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options = {});
+// Install `report`'s dt recommendation on `circuit` (the circuit the
+// report was computed from).
 void apply_hints(Circuit& circuit, const AnalysisReport& report);
 
 }  // namespace ironic::spice::analysis

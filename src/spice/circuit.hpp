@@ -9,7 +9,6 @@
 //   auto result = TransientSolver(spec).run(ckt);
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -90,10 +89,6 @@ class Circuit {
   linalg::SparseSolver<linalg::Complex>& acquire_complex_solver();
 
   // --- static-analysis hints ---------------------------------------------
-  // Monotonic topology revision: bumped whenever a node or device is
-  // added. Analysis passes key their caches on it.
-  std::uint64_t revision() const { return revision_; }
-
   // Recommended max transient step from the timescale pass; <= 0 = none.
   // Honored by run_transient when the caller leaves dt_max at auto (0).
   void set_dt_hint(double dt) { dt_hint_ = dt; }
@@ -113,7 +108,6 @@ class Circuit {
   bool finalized_ = false;
   bool linear_ = false;
   int internal_counter_ = 0;
-  std::uint64_t revision_ = 0;
   double dt_hint_ = 0.0;
   std::unique_ptr<linalg::SparseSolver<double>> solver_;
   std::unique_ptr<linalg::SparseSolver<linalg::Complex>> complex_solver_;

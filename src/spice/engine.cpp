@@ -49,7 +49,6 @@ struct EngineMetrics {
   // SolverStats (the backend outlives runs via the circuit cache).
   obs::Counter& sv_factorizations;
   obs::Counter& sv_refactorizations;
-  obs::Counter& sv_factor_skips;
   obs::Counter& sv_solves;
   obs::Counter& sv_pattern_builds;
   obs::Counter& sv_pattern_reuses;
@@ -79,7 +78,6 @@ struct EngineMetrics {
           r.counter("spice.transient.resumes"),
           r.counter("spice.solver.factorizations"),
           r.counter("spice.solver.refactorizations"),
-          r.counter("spice.solver.factor_skips"),
           r.counter("spice.solver.solves"),
           r.counter("spice.solver.pattern_builds"),
           r.counter("spice.solver.pattern_reuses"),
@@ -228,7 +226,6 @@ void add_solver_metrics(const linalg::SolverStats& before, const linalg::SolverS
     auto& m = EngineMetrics::get();
     m.sv_factorizations.add(after.factorizations - before.factorizations);
     m.sv_refactorizations.add(after.refactorizations - before.refactorizations);
-    m.sv_factor_skips.add(after.factor_skips - before.factor_skips);
     m.sv_solves.add(after.solves - before.solves);
     m.sv_pattern_builds.add(after.pattern_builds - before.pattern_builds);
     m.sv_pattern_reuses.add(after.pattern_reuses - before.pattern_reuses);

@@ -4,9 +4,8 @@
 // The load-bearing guarantees:
 //   - every session run inside a fleet is bit-identical to running that
 //     session solo with the same seed (fork == private charge-up);
-//   - the fleet fingerprint is invariant to the thread count, to
-//     whether analog state (charge-up blob, plant memos) was shared, and
-//     to what earlier runs on the same service left in its memos;
+//   - the fleet fingerprint is invariant to the thread count and to
+//     what earlier runs on the same service left in its memos;
 //   - mutating one forked plant never perturbs siblings forked from the
 //     same blob (committed nodes are immutable);
 //   - a memoized measure is bit-identical to the uncached one.
@@ -97,44 +96,51 @@ TEST(Fleet, FingerprintInvariantToThreadCount) {
 }
 
 TEST(Fleet, FingerprintInvariantToCheckpointSharing) {
-  auto config = small_config();
-  config.sessions = 3;
-  const auto shared = fleet::run_fleet(config);
-  config.share_checkpoint = false;
-  const auto isolated = fleet::run_fleet(config);
-  EXPECT_EQ(shared.fingerprint, isolated.fingerprint);
-  EXPECT_EQ(shared.charge_captures, 1u);
-  EXPECT_EQ(shared.checkpoint_forks, 3u);
-  // Without sharing every session pays its own charge-up and simulates
-  // every segment: no memo at all.
-  EXPECT_EQ(isolated.charge_captures, 3u);
-  EXPECT_EQ(isolated.checkpoint_forks, 0u);
-  EXPECT_EQ(isolated.segment_hits, 0u);
-  EXPECT_EQ(isolated.segment_misses, 0u);
-
-  // The bio-impedance workload on the magnetoelectric link shares no
-  // charge-up; sharing means the run's bioz memo, and it must not change
-  // a bit either.
+  // Sharing analog state must not change a bit: every session of a
+  // fleet run, which forks the charge-up blob and reads the plant memos,
+  // equals its solo run, which captures its own charge-up and reads no
+  // memo. The bio-impedance workload on the magnetoelectric link shares
+  // no charge-up; there sharing means the run's bioz memo.
+  auto lactate = small_config();
+  lactate.sessions = 3;
   auto bioz = small_config();
   for (auto& cohort : bioz.cohorts) {
     cohort.link = "me";
     cohort.workload = fault::Workload::kBioZ;
   }
-  bioz.threads = 1;
-  const auto bioz_serial = fleet::run_fleet(bioz);
-  bioz.threads = 3;
-  const auto bioz_pooled = fleet::run_fleet(bioz);
-  bioz.share_checkpoint = false;
-  const auto bioz_isolated = fleet::run_fleet(bioz);
-  EXPECT_EQ(bioz_serial.fingerprint, bioz_isolated.fingerprint);
-  EXPECT_EQ(bioz_pooled.fingerprint, bioz_isolated.fingerprint);
-  EXPECT_EQ(bioz_isolated.bioz_hits, 0u);
-  EXPECT_EQ(bioz_isolated.bioz_misses, 0u);
+  std::vector<fleet::FleetResult> bioz_runs;  // at 1, then 3 threads
+  for (const auto* config : {&lactate, &bioz}) {
+    std::vector<std::uint64_t> solo;
+    for (std::size_t i = 0; i < config->sessions; ++i) {
+      solo.push_back(
+          fleet::fingerprint_session(fleet::run_solo_session(*config, i)));
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      auto run = *config;
+      run.threads = threads;
+      const auto result = fleet::run_fleet(run);
+      ASSERT_EQ(result.sessions.size(), solo.size());
+      for (std::size_t i = 0; i < solo.size(); ++i) {
+        EXPECT_EQ(fleet::fingerprint_session(result.sessions[i]), solo[i])
+            << "session " << i << " at " << threads << " threads";
+      }
+      if (config == &lactate) {
+        EXPECT_EQ(result.charge_captures, 1u);
+        EXPECT_EQ(result.checkpoint_forks, lactate.sessions);
+      } else {
+        EXPECT_EQ(result.charge_captures, 0u);
+        EXPECT_EQ(result.checkpoint_forks, 0u);
+        bioz_runs.push_back(result);
+      }
+    }
+  }
+  const auto& bioz_serial = bioz_runs[0];
+  const auto& bioz_pooled = bioz_runs[1];
   EXPECT_EQ(bioz_serial.segment_misses, 0u);  // no rectifier plant ran
   // Every measure is a hit or a miss, and the totals do not depend on
   // the thread count.
   std::uint64_t measures = 0;
-  for (const auto& session : bioz_isolated.sessions) {
+  for (const auto& session : bioz_serial.sessions) {
     measures += static_cast<std::uint64_t>(session.checkpoints);
   }
   EXPECT_EQ(bioz_serial.bioz_hits + bioz_serial.bioz_misses, measures);
@@ -153,7 +159,7 @@ TEST(Fleet, FingerprintInvariantToCheckpointSharing) {
     const auto session =
         fleet::run_patient_session(spec, nullptr, nullptr, {}, &replay);
     EXPECT_EQ(fleet::fingerprint_session(session),
-              fleet::fingerprint_session(bioz_isolated.sessions[i]))
+              fleet::fingerprint_session(bioz_serial.sessions[i]))
         << "session " << i;
   }
   EXPECT_EQ(replay.bioz.misses(), bioz_serial.bioz_misses);
@@ -678,8 +684,8 @@ fleet::FleetConfig bioz_unit(std::uint64_t seed) {
 }
 
 // A run sequence over one service: three ME bio-impedance units, an
-// inductive lactate run, one with analysis hints, one that shares no
-// analog state, and the first unit again.
+// inductive lactate run, one with analysis hints, and the first unit
+// again.
 std::vector<fleet::FleetConfig> service_run_sequence() {
   std::vector<fleet::FleetConfig> configs;
   for (const std::uint64_t seed : {0xb102ull, 0xb103ull, 0xb104ull}) {
@@ -692,9 +698,6 @@ std::vector<fleet::FleetConfig> service_run_sequence() {
   hinted.seed += 1;
   hinted.analysis_hints = true;
   configs.push_back(hinted);
-  auto unshared = bioz_unit(0xb105ull);
-  unshared.share_checkpoint = false;
-  configs.push_back(unshared);
   configs.push_back(configs.front());
   return configs;
 }
@@ -796,11 +799,9 @@ TEST(FleetServiceMemo, MissesPlusCarriedAreEachRunsDistinctInputs) {
   lactate.sessions = 3;
   auto lactate_next = lactate;
   lactate_next.seed += 1;
-  auto unshared = bioz_unit(0xb105ull);
-  unshared.share_checkpoint = false;
   const std::vector<fleet::FleetConfig> configs = {
-      bioz_unit(0xb102ull), bioz_unit(0xb103ull), lactate,
-      lactate_next,         unshared,             bioz_unit(0xb102ull)};
+      bioz_unit(0xb102ull), bioz_unit(0xb103ull), lactate, lactate_next,
+      bioz_unit(0xb102ull)};
   std::vector<fleet::FleetResult> serial;
   {
     fleet::FleetService service(1);
@@ -817,12 +818,6 @@ TEST(FleetServiceMemo, MissesPlusCarriedAreEachRunsDistinctInputs) {
     EXPECT_EQ(run.bioz_hits, pooled.bioz_hits) << "run " << k;
     EXPECT_EQ(run.bioz_misses, pooled.bioz_misses) << "run " << k;
     EXPECT_EQ(run.bioz_carried, pooled.bioz_carried) << "run " << k;
-    if (!configs[k].share_checkpoint) {
-      EXPECT_EQ(run.segment_hits + run.segment_misses + run.bioz_hits +
-                    run.bioz_misses,
-                0u);
-      continue;
-    }
     const DistinctInputs distinct = distinct_inputs(configs[k]);
     EXPECT_EQ(run.segment_misses + run.segment_carried, distinct.segments)
         << "run " << k;
@@ -1166,7 +1161,6 @@ TEST(FleetSupervisor, WatchdogDeadlineContainsStalledSession) {
   config.sessions = 2;
   config.exchanges = 1;
   config.supervise.chaos.stall_rate = 1.0;  // every session stalls
-  config.supervise.chaos.stall_seconds = 30.0;
   config.supervise.session_deadline_s = 0.1;  // watchdog fires first
   config.supervise.max_retries = 0;
   const auto result = fleet::run_fleet(config);
@@ -1234,6 +1228,41 @@ TEST(FleetSupervisor, JournalRoundTripAndResumeReproducesFingerprint) {
   const auto replayed = fleet::run_fleet(config);
   EXPECT_EQ(replayed.fingerprint, full.fingerprint);
   EXPECT_EQ(static_cast<std::size_t>(replayed.resumed), config.sessions);
+  std::remove(path.c_str());
+}
+
+TEST(FleetSupervisor, JournalIsNotTelemetry) {
+  // The journal writes its own file: a journaled run moves no
+  // obs.telemetry.* counter, and the obs runtime kill switch, which
+  // silences telemetry, leaves the journal complete.
+  const std::string path =
+      ::testing::TempDir() + "/ironic_fleet_journal_quiet.jsonl";
+  auto config = small_config();
+  config.sessions = 4;
+  config.supervise.journal_path = path;
+  auto& root = obs::MetricsRegistry::instance();
+  for (const bool obs_on : {true, false}) {
+    SCOPED_TRACE(obs_on ? "obs on" : "obs off");
+    std::remove(path.c_str());
+    root.reset();
+    obs::set_runtime_enabled(obs_on);
+    const auto result = fleet::run_fleet(config);
+    obs::set_runtime_enabled(true);
+    for (const char* name :
+         {"obs.telemetry.emitted", "obs.telemetry.dropped",
+          "obs.telemetry.written", "obs.telemetry.flushes"}) {
+      EXPECT_EQ(root.counter(name).value(), 0u) << name;
+    }
+    const auto state = fleet::RunJournal::load(path);
+    ASSERT_TRUE(state.valid) << state.error;
+    EXPECT_EQ(state.sessions, config.sessions);
+    ASSERT_EQ(state.completed.size(), config.sessions);
+    for (std::size_t i = 0; i < config.sessions; ++i) {
+      EXPECT_EQ(state.completed.at(i).health.fingerprint,
+                result.health[i].fingerprint)
+          << "session " << i;
+    }
+  }
   std::remove(path.c_str());
 }
 

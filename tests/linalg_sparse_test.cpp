@@ -1,9 +1,9 @@
 // Unit tests for the sparse MNA backend (src/linalg/sparse.hpp): parity
 // with the dense reference LU (LuFactorization, solve_complex) on random
 // systems, slot-cache behaviour under pattern growth and stamp
-// reordering, the factor-skip / refactorization ladder (with bit-exact
-// pins of every rung), and the NaN-aware singular diagnostics shared with
-// the reference.
+// reordering, the refactor / full-factor ladder (with bit-exact pins of
+// every rung), and the NaN-aware singular diagnostics shared with the
+// reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -155,10 +155,9 @@ TEST(SparseSolver, NaNPoisonedAssemblyIsRejectedNotPropagated) {
 }
 
 TEST(SparseSolver, NaNDefeatsTheFactorSkipAndTheRefactorPath) {
-  // Factor a healthy matrix first so both the factor-skip comparison and
-  // the cached symbolic structure are armed, then poison one entry: the
-  // NaN must fail the refactor pivot check and then the full
-  // factorization, never reach solve_in_place.
+  // Factor a healthy matrix first so the cached symbolic structure is
+  // armed, then poison one entry: the NaN must fail the refactor pivot
+  // check and then the full factorization, never reach solve_in_place.
   SparseSolver<double> s(2);
   const std::vector<Entry> good{{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
   assemble(s, good);
@@ -167,7 +166,6 @@ TEST(SparseSolver, NaNDefeatsTheFactorSkipAndTheRefactorPath) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   assemble(s, {{0, 0, nan}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}});
   EXPECT_THROW(s.factor(), SingularMatrixError);
-  EXPECT_EQ(s.stats().factor_skips, 0u);
   EXPECT_EQ(s.stats().refactorizations, 0u);
 }
 
@@ -252,17 +250,18 @@ TEST(SparseSolver, FactorLadderSkipsRefactorsAndRepivots) {
   EXPECT_EQ(s.stats().factorizations, 1u);
   EXPECT_EQ(s.stats().refactorizations, 0u);
 
-  // Same values again: bit-identical, factor is skipped outright.
+  // Same values again: a numeric-only refactorization, like any other
+  // assembly on the cached pattern.
   assemble(s, a1);
   s.factor();
-  EXPECT_EQ(s.stats().factorizations, 1u);
-  EXPECT_EQ(s.stats().factor_skips, 1u);
+  EXPECT_EQ(s.stats().factorizations, 2u);
+  EXPECT_EQ(s.stats().refactorizations, 1u);
 
   // New values on the same pattern: numeric-only refactorization.
   assemble(s, {{0, 0, 8.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 4.0}});
   s.factor();
-  EXPECT_EQ(s.stats().factorizations, 2u);
-  EXPECT_EQ(s.stats().refactorizations, 1u);
+  EXPECT_EQ(s.stats().factorizations, 3u);
+  EXPECT_EQ(s.stats().refactorizations, 2u);
 
   // Degrade the cached pivot (column 0 now dominated by the off-diagonal):
   // the refactor check must reject it and fall back to a full, re-pivoted
@@ -272,8 +271,8 @@ TEST(SparseSolver, FactorLadderSkipsRefactorsAndRepivots) {
   const std::vector<double> rhs{1.0, 2.0};
   const auto xd = reference_solve(2, flipped, rhs);
   const auto xs = solve_with(s, flipped, rhs);
-  EXPECT_EQ(s.stats().factorizations, 3u);
-  EXPECT_EQ(s.stats().refactorizations, 1u);  // unchanged: fallback path
+  EXPECT_EQ(s.stats().factorizations, 4u);
+  EXPECT_EQ(s.stats().refactorizations, 2u);  // unchanged: fallback path
   for (std::size_t i = 0; i < 2; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-9);
 }
 
@@ -289,9 +288,9 @@ TEST(SparseSolver, SingularityIsDetectedOnTheRefactorPathToo) {
 
 TEST(SparseSolver, ThrowingFactorizationLeavesNoFactorsToSkipTo) {
   // A factorization that throws has already overwritten the cached
-  // factors in place. Re-assembling the last good matrix must factor it
-  // again, not skip to the half-written factors, and a solve in between
-  // must refuse to run.
+  // factors in place. A solve before the next successful factor() must
+  // refuse to run, and re-assembling the last good matrix factors it
+  // again.
   const std::vector<Entry> good{{0, 0, 3.0}, {0, 1, 1.0}, {1, 0, 1.0}, {1, 1, 2.0}};
   const std::vector<double> rhs{1.0, 2.0};
   SparseSolver<double> s(2);
@@ -302,7 +301,6 @@ TEST(SparseSolver, ThrowingFactorizationLeavesNoFactorsToSkipTo) {
   EXPECT_THROW(s.solve_in_place(unsolved), std::logic_error);
 
   const auto x = solve_with(s, good, rhs);
-  EXPECT_EQ(s.stats().factor_skips, 0u);
   EXPECT_EQ(s.stats().factorizations, 2u);
   const auto xd = reference_solve(2, good, rhs);
   for (std::size_t i = 0; i < 2; ++i) EXPECT_NEAR(x[i], xd[i], 1e-12);
@@ -348,18 +346,19 @@ TEST(SparseSolver, FactorRungsArePinnedBitForBit) {
     EXPECT_EQ(bits(solve_with(s, perturbed, rhs)), pin.refactor);
     EXPECT_EQ(s.stats().refactorizations, 1u);
 
-    // The same values again: the factor skip reuses the factors outright.
+    // The same values again: a second refactorization reproduces the
+    // first one's bits.
     EXPECT_EQ(bits(solve_with(s, perturbed, rhs)), pin.refactor);
-    EXPECT_EQ(s.stats().factor_skips, 1u);
-    EXPECT_EQ(s.stats().factorizations, 2u);
+    EXPECT_EQ(s.stats().refactorizations, 2u);
+    EXPECT_EQ(s.stats().factorizations, 3u);
 
     // Shrink every dominant diagonal entry: the cached pivots lose the
     // slack test and the solver re-pivots with a full factorization.
     auto degraded = entries;
     for (std::size_t i = 0; i < degraded.size(); i += 7) degraded[i].value *= 1e-6;
     EXPECT_EQ(bits(solve_with(s, degraded, rhs)), pin.repivot);
-    EXPECT_EQ(s.stats().factorizations, 3u);
-    EXPECT_EQ(s.stats().refactorizations, 1u);
+    EXPECT_EQ(s.stats().factorizations, 4u);
+    EXPECT_EQ(s.stats().refactorizations, 2u);
 
     // The original stamps in reverse call order: the slot cache diverges
     // at the first call and re-records, and duplicate entries sum in the

@@ -159,39 +159,11 @@ TEST(TelemetrySink, MetricsSnapshotRowsCarryLabelsAndPercentiles) {
   std::remove(path.c_str());
 }
 
-TEST(TelemetrySink, AppendModePreservesExistingLines) {
-  // The fleet run journal reopens its file with append=true on resume;
-  // truncating there would destroy the very records resume needs.
-  const std::string path = temp_path("append");
-  auto& sink = obs::TelemetrySink::instance();
-  ASSERT_TRUE(sink.open(path));
-  EXPECT_TRUE(sink.emit_event("test.stream", "first_run"));
-  sink.close();
-
-  ASSERT_TRUE(sink.open(path, /*append=*/true));
-  EXPECT_TRUE(sink.emit_event("test.stream", "second_run"));
-  sink.close();
-
-  const auto rows = read_jsonl(path);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].at("event").as_string(), "first_run");
-  EXPECT_EQ(rows[1].at("event").as_string(), "second_run");
-
-  // Default (non-append) open truncates, as before.
-  ASSERT_TRUE(sink.open(path));
-  EXPECT_TRUE(sink.emit_event("test.stream", "third_run"));
-  sink.close();
-  const auto truncated = read_jsonl(path);
-  ASSERT_EQ(truncated.size(), 1u);
-  EXPECT_EQ(truncated[0].at("event").as_string(), "third_run");
-  std::remove(path.c_str());
-}
-
 TEST(TelemetrySink, CloseFlushesLinesQueuedOnAbnormalPath) {
   // An error exit calls close() while lines may still sit in the ring
   // (the drainer can even be parked). close() must drain them to disk —
-  // the flush-on-abnormal-path contract the runners' error returns and
-  // the fleet journal rely on.
+  // the flush-on-abnormal-path contract the runners' error returns rely
+  // on.
   const std::string path = temp_path("abnormal");
   auto& sink = obs::TelemetrySink::instance();
   ASSERT_TRUE(sink.open(path));
@@ -209,25 +181,6 @@ TEST(TelemetrySink, CloseFlushesLinesQueuedOnAbnormalPath) {
   for (std::size_t i = 0; i < kLines; ++i) {
     EXPECT_DOUBLE_EQ(rows[i].at("seq").as_double(), static_cast<double>(i));
   }
-  std::remove(path.c_str());
-}
-
-TEST(TelemetrySink, DurableSinkIgnoresRuntimeKillSwitch) {
-  // The run journal is correctness, not observability: it must keep
-  // recording when the obs runtime kill switch silences telemetry.
-  const std::string path = temp_path("durable");
-  auto& sink = obs::TelemetrySink::instance();
-  ASSERT_TRUE(sink.open(path));
-  obs::set_runtime_enabled(false);
-  EXPECT_FALSE(sink.emit_event("test.stream", "silenced"));
-  sink.set_durable(true);
-  EXPECT_TRUE(sink.emit_event("test.stream", "durable_line"));
-  sink.set_durable(false);
-  obs::set_runtime_enabled(true);
-  sink.close();
-  const auto rows = read_jsonl(path);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].at("event").as_string(), "durable_line");
   std::remove(path.c_str());
 }
 

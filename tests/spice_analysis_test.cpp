@@ -202,30 +202,6 @@ TEST(Analysis, ExampleNetlistsAreStrictClean) {
   }
 }
 
-TEST(Analysis, CacheServesUnchangedCircuitAndInvalidatesOnTopologyChange) {
-  Circuit circuit;
-  const auto a = circuit.node("a");
-  circuit.add<VoltageSource>("V1", a, kGround, Waveform::dc(1.0));
-  circuit.add<Resistor>("R1", a, kGround, 1e3);
-
-  analysis::AnalysisManager manager;
-  const auto& first = manager.run(circuit);
-  for (const auto& timing : first.timings) EXPECT_FALSE(timing.cached);
-
-  const auto& second = manager.run(circuit);
-  ASSERT_FALSE(second.timings.empty());
-  for (const auto& timing : second.timings) EXPECT_TRUE(timing.cached);
-
-  // A topology change bumps the revision and re-runs the passes.
-  circuit.add<Resistor>("R2", a, kGround, 2e3);
-  const auto& third = manager.run(circuit);
-  for (const auto& timing : third.timings) EXPECT_FALSE(timing.cached);
-
-  manager.invalidate();
-  const auto& fourth = manager.run(circuit);
-  for (const auto& timing : fourth.timings) EXPECT_FALSE(timing.cached);
-}
-
 TEST(Analysis, ApplyHintsInstallsSolverAndDtRecommendations) {
   Circuit circuit;
   const auto in = circuit.node("in");
@@ -234,8 +210,8 @@ TEST(Analysis, ApplyHintsInstallsSolverAndDtRecommendations) {
   circuit.add<Resistor>("R1", in, out, 1e3);
   circuit.add<Capacitor>("C1", out, kGround, 1e-6);
 
-  analysis::AnalysisManager manager;
-  const auto& report = manager.apply_hints(circuit);
+  const auto report = analysis::analyze(circuit);
+  analysis::apply_hints(circuit, report);
   ASSERT_GT(report.timescale.dt_recommend, 0.0);
   EXPECT_EQ(circuit.dt_hint(), report.timescale.dt_recommend);
 }
@@ -361,7 +337,7 @@ TEST(Analysis, JsonReportCarriesSchema) {
   const std::string json = report.to_json();
   for (const char* key :
        {"\"unknowns\"", "\"envelope\"", "\"sparsity\"", "\"factor_nnz\"",
-        "\"timescale\"", "\"dt_recommend\"", "\"passes\"", "\"lint\"",
+        "\"timescale\"", "\"dt_recommend\"", "\"lint\"",
         "\"diagnostics\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }

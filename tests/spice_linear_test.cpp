@@ -255,8 +255,7 @@ TEST(StepHooks, ShippedDevicesDeclareTheirHooksAndFinalizeListsThemInOrder) {
 
 // A device's stamp alone: its rhs, whether it limited, and its matrix
 // entries held in `solver` (plus a diagonal that keeps the matrix
-// nonsingular), factored so a second identical assembly counts as a
-// factor skip.
+// nonsingular), factored so solves through `solver` read the matrix.
 struct DeviceStamp {
   std::vector<double> rhs;
   bool limited = false;
@@ -332,16 +331,29 @@ TEST(StepHooks, UndeclaredHooksAreNoOps) {
       EXPECT_EQ(before, after) << name << ": accept_step changed the saved state";
     }
 
-    // The next stamp: rhs, limiting and matrix entries all unchanged (an
-    // assembly equal to the one factored last is a factor skip).
+    // The next stamp: rhs, limiting and matrix entries all unchanged. The
+    // matrix is compared through its inverse: the solves of the n unit
+    // vectors after each stamp must agree bit for bit.
+    const auto inverse = [&] {
+      std::vector<double> columns;
+      for (std::size_t j = 0; j < n; ++j) {
+        std::vector<double> e(n, 0.0);
+        e[j] = 1.0;
+        solver.solve_in_place(e);
+        columns.insert(columns.end(), e.begin(), e.end());
+      }
+      return columns;
+    };
     const DeviceStamp want = stamp_alone(quiet, solver, x1, true, std::vector<double>(n, 0.0));
-    const std::uint64_t skips = solver.stats().factor_skips;
+    const std::vector<double> want_inverse = inverse();
     const DeviceStamp got = stamp_alone(busy, solver, x1, true, std::vector<double>(n, 0.0));
     EXPECT_EQ(std::memcmp(got.rhs.data(), want.rhs.data(), n * sizeof(double)), 0)
         << name << ": next stamp's rhs moved";
     EXPECT_EQ(got.limited, want.limited) << name;
     EXPECT_EQ(want.limited, quiet.nonlinear()) << name << ": x1 must exercise limiting";
-    EXPECT_EQ(solver.stats().factor_skips, skips + 1) << name << ": next stamp's matrix moved";
+    const std::vector<double> got_inverse = inverse();
+    EXPECT_EQ(std::memcmp(got_inverse.data(), want_inverse.data(), n * n * sizeof(double)), 0)
+        << name << ": next stamp's matrix moved";
 
     if (!hooks.rhs_stamp) {
       const DeviceStamp restamp = stamp_alone(busy, solver, x1, /*matrix=*/false, filled);
@@ -382,9 +394,9 @@ TEST(StepHooks, MatrixOnlyDeviceIsStampedOncePerAssembly) {
     ASSERT_TRUE(ckt.linear());
 
     // Every assembly ends in one factor() call, counted as a
-    // factorization or a factor skip (the DC solve's included).
+    // factorization (the DC solve's included).
     const auto& solver = ckt.acquire_solver().stats();
-    EXPECT_EQ(counter.stamps, solver.factorizations + solver.factor_skips) << start_from_dc;
+    EXPECT_EQ(counter.stamps, solver.factorizations) << start_from_dc;
     EXPECT_LT(counter.stamps, stats.accepted_steps / 10) << start_from_dc;
     EXPECT_EQ(counter.start_steps, 0u) << start_from_dc;
     EXPECT_EQ(counter.accept_steps, 0u) << start_from_dc;

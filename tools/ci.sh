@@ -34,19 +34,20 @@
 #                checks (--verify-solo exits 1 on any fingerprint
 #                mismatch), checkpoint forking pinned to exactly one
 #                charge-up capture, the fleet fingerprint and segment-memo
-#                hit/miss totals identical across two thread counts, a
-#                --no-share leg reproducing the shared fingerprint, and
-#                the fleet.* / cohort.fleet.* / prof.fleet.session /
-#                prof.fault.charge_up telemetry schema pinned via
-#                trace_validate
+#                hit/miss totals identical across two thread counts,
+#                every session of the 24-session run equal to its solo
+#                run, and the fleet.* / cohort.fleet.* /
+#                prof.fleet.session / prof.fault.charge_up telemetry
+#                schema pinned via trace_validate
 #   8. chaos     fleet supervision: injected chaos is contained (exact
 #                fleet.failed/quarantined pins, exit code 1), a
 #                retried-to-health chaos run is bit-identical to a
-#                no-chaos run (exit 0), kill -9 mid-run + --resume
-#                reproduces the uninterrupted fingerprint from the
-#                journal (telemetry_tail tolerates the torn tail), and
-#                the exit-code contract (0 healthy / 1 failures / 2
-#                usage) holds end to end
+#                no-chaos run (exit 0), kill -9 once the journal holds
+#                100 session records + --resume replays a partial
+#                journal and reproduces the uninterrupted fingerprint
+#                (telemetry_tail tolerates the torn tail), and the
+#                exit-code contract (0 healthy / 1 failures / 2 usage)
+#                holds end to end
 #   9. linkphy   the LinkPhy backend contract: backend #1 (inductive)
 #                campaign fingerprints bit-identical across thread counts
 #                (the exact pre-refactor value pins live in
@@ -55,10 +56,10 @@
 #                bio-impedance campaign and fleet smoke (stateless
 #                workload -> zero charge-ups, zero forks; the fleet
 #                fingerprint and bioz-memo totals equal at 1 and 4
-#                threads, and a --no-share leg reproducing the
-#                fingerprint without the memo), the --link exit-2
-#                contract on all three runners, and the link.* telemetry
-#                schema pinned via trace_validate
+#                threads, and every one of its 48 sessions equal to its
+#                solo run), the --link exit-2 contract on all three
+#                runners, and the link.* telemetry schema pinned via
+#                trace_validate
 #  10. obs       bench_obs_overhead in-process budget gate (instrumented
 #                fault campaign must stay within 5% of the obs-off run),
 #                and every *committed* BENCH_*.json must have been
@@ -241,7 +242,6 @@ run_fault() {
   "$validator" --require-obs \
     --require spice.solver.factorizations \
     --require spice.solver.refactorizations \
-    --require spice.solver.factor_skips \
     --require spice.solver.pattern_builds \
     --require spice.solver.pattern_reuses \
     --require spice.solver.sequence_divergences \
@@ -319,12 +319,17 @@ run_fleet() {
   # The fleet fingerprint must be bit-identical across thread counts,
   # and so must the plant memos' hit/miss/carry totals (misses plus
   # carries are the distinct inputs, however the sessions interleave).
-  # A one-run fleet_runner has no previous run to carry from.
+  # A one-run fleet_runner has no previous run to carry from. Sharing
+  # analog state (the charge-up blob and the plant memos) must not
+  # change a bit either: --verify-solo 24 checks every session of the
+  # 3-thread run against its solo run, which captures its own charge-up
+  # and reads no memo, and exits 1 on any mismatch.
   local t1="$ROOT/build-ci-release/fleet_t1.json"
   local t3="$ROOT/build-ci-release/fleet_t3.json"
   local pins='"(fingerprint|segment_hits|segment_misses|segment_carried|bioz_hits|bioz_misses|bioz_carried)"'
   "$runner" --sessions 24 --threads 1 --exchanges 2 --out "$t1"
-  "$runner" --sessions 24 --threads 3 --exchanges 2 --out "$t3"
+  "$runner" --sessions 24 --threads 3 --exchanges 2 --verify-solo 24 \
+    --out "$t3"
   if ! diff <(grep -E "$pins" "$t1") <(grep -E "$pins" "$t3"); then
     echo "ci: FAIL -- fleet fingerprint or memo totals differ across" \
          "thread counts" >&2
@@ -332,16 +337,6 @@ run_fleet() {
   fi
   grep -q '"segment_carried": 0' "$t3"
   grep -q '"bioz_carried": 0' "$t3"
-  # Sharing analog state (the charge-up blob and the segment memo) must
-  # not change a bit: a --no-share run reproduces the shared fingerprint.
-  local unshared="$ROOT/build-ci-release/fleet_noshare.json"
-  "$runner" --sessions 24 --threads 3 --exchanges 2 --no-share \
-    --out "$unshared"
-  if ! diff <(grep '"fingerprint"' "$t3") <(grep '"fingerprint"' "$unshared"); then
-    echo "ci: FAIL -- --no-share fingerprint differs from the shared run" >&2
-    exit 1
-  fi
-  grep -q '"segment_misses": 0' "$unshared"
   # An unwritable --out must exit 2, same contract as the other runners.
   local rc=0
   "$runner" --sessions 2 --exchanges 1 --out /nonexistent-ci-dir/fleet.json \
@@ -351,8 +346,8 @@ run_fleet() {
     exit 1
   fi
   echo "ci: 1000-session fleet smoke parity-clean; fingerprints and memo" \
-       "totals thread-count invariant; --no-share reproduces the" \
-       "fingerprint; fleet telemetry schema pinned"
+       "totals thread-count invariant; every session of the 24-session" \
+       "run equals its solo run; fleet telemetry schema pinned"
 }
 
 run_chaos() {
@@ -417,33 +412,47 @@ run_chaos() {
   grep -q '"failed": 0' "$retry_out"
 
   # Leg 3 — crash durability. Kill a journaled run mid-flight (SIGKILL,
-  # no cleanup), then --resume: completed sessions replay from the
-  # journal, the rest re-run, and the fleet fingerprint matches an
-  # uninterrupted reference run bit-for-bit.
+  # no cleanup) once its journal holds kill_at session records, then
+  # --resume: the journaled sessions replay, the rest re-run, and the
+  # fleet fingerprint matches an uninterrupted reference run
+  # bit-for-bit. Every record is flushed as it is written, so the count
+  # polled here is exact; the run is sized to outlast the poll, and the
+  # resume must replay part of the run, neither none nor all of it.
   local journal="$ROOT/build-ci-release/fleet_kill.journal.jsonl"
   local ref_out="$ROOT/build-ci-release/fleet_kill_ref.json"
   local res_out="$ROOT/build-ci-release/fleet_kill_resumed.json"
+  local sessions=2000 kill_at=100 journaled=0 polls=0
   rm -f "$journal"
-  "$runner" --sessions 400 --threads 2 --exchanges 2 --out "$ref_out"
-  "$runner" --sessions 400 --threads 2 --exchanges 2 --journal "$journal" \
-    --out /dev/null >/dev/null 2>&1 &
+  "$runner" --sessions "$sessions" --threads 2 --exchanges 2 --out "$ref_out"
+  "$runner" --sessions "$sessions" --threads 2 --exchanges 2 \
+    --journal "$journal" --out /dev/null >/dev/null 2>&1 &
   local pid=$!
-  sleep 3
+  while [ "$journaled" -lt "$kill_at" ] && [ "$polls" -lt 1500 ]; do
+    sleep 0.02
+    polls=$((polls + 1))
+    journaled="$(grep -c '"event":"session"' "$journal" 2>/dev/null || true)"
+    journaled="${journaled:-0}"
+  done
   kill -9 "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
-  local journaled
   journaled="$(grep -c '"event":"session"' "$journal" || true)"
   echo "ci: killed journaled run after $journaled recorded session(s)"
   # The torn tail (if the kill landed mid-write) must not break the
   # schema-agnostic tooling either.
   "$tail_tool" --stats "$journal" >/dev/null
-  "$runner" --sessions 400 --threads 4 --exchanges 2 --journal "$journal" \
-    --resume --out "$res_out"
+  "$runner" --sessions "$sessions" --threads 4 --exchanges 2 \
+    --journal "$journal" --resume --out "$res_out"
   if ! diff <(grep '"fingerprint"' "$ref_out") <(grep '"fingerprint"' "$res_out"); then
     echo "ci: FAIL -- resumed fingerprint differs from uninterrupted run" >&2
     exit 1
   fi
-  grep -o '"resumed": [0-9]*' "$res_out"
+  local resumed
+  resumed="$(grep -o '"resumed": [0-9]*' "$res_out" | grep -o '[0-9]*$')"
+  echo "ci: resumed $resumed of $sessions session(s) from the journal"
+  if [ "$resumed" -le 0 ] || [ "$resumed" -ge "$sessions" ]; then
+    echo "ci: FAIL -- want a partial resume (0 < resumed < $sessions)" >&2
+    exit 1
+  fi
 
   # Leg 4 — exit-code contract edges not already covered above: healthy
   # exit 0 is leg 2's clean run; usage and unwritable-journal exit 2.
@@ -462,7 +471,8 @@ run_chaos() {
     exit 1
   fi
   echo "ci: chaos contained with exact failure pins; retried run" \
-       "bit-identical to no-chaos; kill+resume fingerprint parity holds"
+       "bit-identical to no-chaos; partial kill+resume fingerprint parity" \
+       "holds"
 }
 
 run_linkphy() {
@@ -523,8 +533,9 @@ run_linkphy() {
   # checkpoint forks (the workload is stateless) and fingerprint the
   # same at 1 and 4 threads (every measure is a linear ladder transient
   # on the engine's one-solve-per-step path). The run's bioz memo totals
-  # must match across thread counts too, and a --no-share leg, which
-  # simulates every measure itself, must reproduce the fingerprint.
+  # must match across thread counts too, and every session of the
+  # 4-thread run must equal its solo run, which simulates every measure
+  # itself (--verify-solo 48 exits 1 on any mismatch).
   local bioz="$ROOT/build-ci-release/linkphy_bioz.json"
   "$fault" --out "$bioz" bioz_tissue_drift
   grep -q '"lost_measurements": 0' "$bioz"
@@ -533,7 +544,7 @@ run_linkphy() {
   "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 1 \
     --out "$bfleet1"
   "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
-    --out "$bfleet"
+    --verify-solo 48 --out "$bfleet"
   local bpins='"(fingerprint|bioz_hits|bioz_misses|bioz_carried)"'
   if ! diff <(grep -E "$bpins" "$bfleet1") <(grep -E "$bpins" "$bfleet"); then
     echo "ci: FAIL -- bioz fleet fingerprints or memo totals differ across" \
@@ -542,14 +553,6 @@ run_linkphy() {
   fi
   grep -q '"charge_captures": 0' "$bfleet"
   grep -q '"checkpoint_forks": 0' "$bfleet"
-  local bnoshare="$ROOT/build-ci-release/linkphy_bioz_fleet_noshare.json"
-  "$fleet" --workload bioz --sessions 48 --exchanges 2 --threads 4 \
-    --no-share --out "$bnoshare"
-  if ! diff <(grep '"fingerprint"' "$bfleet") <(grep '"fingerprint"' "$bnoshare"); then
-    echo "ci: FAIL -- bioz --no-share fingerprint differs from the shared run" >&2
-    exit 1
-  fi
-  grep -q '"bioz_misses": 0' "$bnoshare"
 
   # A magnetoelectric fleet must be thread-count invariant like the
   # inductive one (per-cohort charge-up blobs, PWM chips through the
@@ -589,8 +592,8 @@ run_linkphy() {
   fi
   echo "ci: linkphy neutrality diff clean; me pinned at 3 thread counts;" \
        "bioz campaign+fleet smoke pass, bioz fleet and memo totals" \
-       "thread-invariant, --no-share reproduces it; --link exit-2" \
-       "contract holds"
+       "thread-invariant, every bioz session equals its solo run;" \
+       "--link exit-2 contract holds"
 }
 
 run_obs() {

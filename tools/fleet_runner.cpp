@@ -7,7 +7,7 @@
 // bio-impedance measure (the run's plant memos).
 //
 //   fleet_runner [--sessions N] [--threads N] [--seed S]
-//                [--exchanges N | --soak SECONDS] [--no-share]
+//                [--exchanges N | --soak SECONDS]
 //                [--link inductive|me] [--workload lactate|bioz]
 //                [--retries N] [--deadline SECS]
 //                [--chaos RATE] [--chaos-stall RATE] [--chaos-attempts N]
@@ -58,7 +58,6 @@ obs::json::Value to_json(const fleet::FleetResult& result,
   doc["exchanges_per_session"] =
       static_cast<std::uint64_t>(fleet::effective_exchanges(config));
   doc["soak_seconds"] = config.soak_seconds;
-  doc["share_checkpoint"] = config.share_checkpoint;
   // JSON numbers are doubles; the 64-bit fingerprint rides as a string.
   doc["fingerprint"] = hex64(result.fingerprint);
   doc["failed"] = static_cast<std::uint64_t>(result.failed);
@@ -128,7 +127,7 @@ obs::json::Value to_json(const fleet::FleetResult& result,
 int usage(int code) {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
   os << "usage: fleet_runner [--sessions N] [--threads N] [--seed S]\n"
-        "                    [--exchanges N | --soak SECONDS] [--no-share]\n"
+        "                    [--exchanges N | --soak SECONDS]\n"
         "                    [--link inductive|me] [--workload W]\n"
         "                    [--retries N] [--deadline SECS]\n"
         "                    [--chaos RATE] [--chaos-stall RATE]\n"
@@ -142,12 +141,6 @@ int usage(int code) {
         "                 with ceil(SECS / 0.25) exchanges, the inductive\n"
         "                 cadence, for every cohort, so an ME cohort (0.5 s\n"
         "                 cadence) simulates twice SECS\n"
-        "  --no-share     sessions share no analog state: each captures its\n"
-        "                 own charge-up instead of forking the shared\n"
-        "                 checkpoint, and simulates every rectifier segment\n"
-        "                 and bio-impedance measure itself instead of\n"
-        "                 reading the run's plant memos (same results; the\n"
-        "                 A/B lever for the wall time sharing saves)\n"
         "  --workload W   sensing front end every cohort drives per\n"
         "                 measurement: lactate (default; spice rectifier +\n"
         "                 potentiostat), lactate-behavioural, or bioz (the\n"
@@ -173,7 +166,8 @@ int usage(int code) {
         "                 re-run only the rest; the fleet fingerprint is\n"
         "                 identical to an uninterrupted run\n"
         "  --verify-solo N\n"
-        "                 re-run N evenly spaced sessions solo and compare\n"
+        "                 re-run N evenly spaced sessions solo (a private\n"
+        "                 charge-up, no plant memos) and compare\n"
         "                 fingerprints; exits 1 on any mismatch\n"
         "  --analysis-hints\n"
         "                 run the static-analysis passes on the plant\n"
@@ -221,8 +215,6 @@ int main(int argc, char** argv) {
       if (!count(config.exchanges)) return usage(2);
     } else if (arg == "--soak" && i + 1 < argc) {
       if (!real(config.soak_seconds)) return usage(2);
-    } else if (arg == "--no-share") {
-      config.share_checkpoint = false;
     } else if (arg == "--retries" && i + 1 < argc) {
       if (!count(config.supervise.max_retries)) return usage(2);
     } else if (arg == "--deadline" && i + 1 < argc) {
