@@ -52,13 +52,6 @@ class CancellationToken {
     return token;
   }
 
-  // True when the shared flag itself was raised (as opposed to a deadline
-  // expiring); used to tell "the group was cancelled" apart from "this
-  // one task timed out".
-  bool flag_raised() const {
-    return flag_ && flag_->load(std::memory_order_relaxed);
-  }
-
  private:
   friend class CancellationSource;
   std::shared_ptr<const std::atomic<bool>> flag_;

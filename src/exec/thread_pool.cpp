@@ -181,7 +181,7 @@ ThreadPool::Stats ThreadPool::stats() const {
 // ---------------------------------------------------------------- TaskGroup
 
 TaskGroup::TaskGroup(ThreadPool& pool, CancellationToken token)
-    : pool_(pool), token_(source_.token()), external_(std::move(token)) {}
+    : pool_(pool), external_(std::move(token)) {}
 
 TaskGroup::~TaskGroup() {
   try {
@@ -192,39 +192,20 @@ TaskGroup::~TaskGroup() {
 }
 
 void TaskGroup::run(std::function<void()> fn) {
-  schedule([fn = std::move(fn)](const CancellationToken&) { fn(); }, token_,
-           /*deadline_is_error=*/false);
-}
-
-void TaskGroup::run_with_timeout(std::function<void(const CancellationToken&)> fn,
-                                 std::chrono::nanoseconds timeout) {
-  schedule(std::move(fn), token_.with_timeout(timeout),
-           /*deadline_is_error=*/true);
-}
-
-void TaskGroup::schedule(std::function<void(const CancellationToken&)> fn,
-                         CancellationToken task_token, bool deadline_is_error) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++pending_;
   }
-  pool_.submit([this, fn = std::move(fn), task_token, deadline_is_error] {
-    const bool group_cancelled =
-        source_.cancelled() || external_.cancelled();
-    const bool task_expired = !group_cancelled && task_token.cancelled();
-    if (group_cancelled || task_expired) {
+  pool_.submit([this, fn = std::move(fn)] {
+    if (cancelled()) {
       if constexpr (obs::kEnabled) {
         obs::MetricsRegistry::instance().counter("exec.pool.tasks_skipped").add();
       }
       const std::lock_guard<std::mutex> lock(mutex_);
       ++skipped_;
-      if (task_expired && deadline_is_error && !first_error_) {
-        first_error_ = std::make_exception_ptr(
-            TaskCancelled("exec: task deadline expired before it was scheduled"));
-      }
     } else {
       try {
-        fn(task_token);
+        fn();
       } catch (...) {
         {
           const std::lock_guard<std::mutex> lock(mutex_);

@@ -113,23 +113,15 @@ class TaskGroup {
   // swallowed here (call wait() yourself to observe them).
   ~TaskGroup();
 
-  // Schedule `fn`. If the group token trips while the task is still
-  // queued, the closure is never invoked.
+  // Schedule `fn`. If the group is cancelled (cancel(), a failed sibling,
+  // or the outer token tripping or passing its deadline) while the task
+  // is still queued, the closure is never invoked. A closure that must
+  // react to the outer token mid-run should capture it itself.
   void run(std::function<void()> fn);
-  // Same, but the task also gets a per-task deadline `timeout` from now;
-  // the closure receives its token to poll. A task skipped because its
-  // own deadline expired records TaskCancelled as the group error.
-  void run_with_timeout(std::function<void(const CancellationToken&)> fn,
-                        std::chrono::nanoseconds timeout);
 
   // Cooperatively cancel every task not yet started.
   void cancel() { source_.cancel(); }
   bool cancelled() const { return source_.cancelled() || external_.cancelled(); }
-  // The group's own cancel scope, for tasks that poll mid-run. (An outer
-  // token passed at construction is honoured when tasks are dequeued;
-  // long-running closures that must react to it mid-run should capture it
-  // themselves.)
-  CancellationToken token() const { return token_; }
 
   // Total tasks that threw since construction (cumulative across waits —
   // wait() rethrows only the first exception, this counts them all).
@@ -144,12 +136,8 @@ class TaskGroup {
   void wait();
 
  private:
-  void schedule(std::function<void(const CancellationToken&)> fn,
-                CancellationToken task_token, bool deadline_is_error);
-
   ThreadPool& pool_;
   CancellationSource source_;
-  CancellationToken token_;     // source_'s token
   CancellationToken external_;  // caller-supplied outer scope
 
   mutable std::mutex mutex_;

@@ -98,9 +98,7 @@ AcResult run_ac(Circuit& circuit, const AcOptions& options) {
     }
     op = options.operating_point;
   } else if (options.use_operating_point) {
-    DcOptions dc_opts;
-    dc_opts.newton = options.newton;
-    const DcResult dc = solve_dc(circuit, dc_opts);
+    const DcResult dc = solve_dc(circuit);
     if (!dc.converged) {
       throw ConvergenceError("run_ac: DC operating point failed to converge");
     }
@@ -139,9 +137,9 @@ AcResult run_ac(Circuit& circuit, const AcOptions& options) {
     std::fill(rhs.begin(), rhs.end(), linalg::Complex{0.0, 0.0});
     AcStampContext ctx{solver, rhs, op, omega};
     for (const auto& dev : circuit.devices()) dev->stamp_ac(ctx);
-    // Regularizing shunt, mirroring the transient engine's gshunt.
+    // Regularizing shunt, the same kGshunt the transient engine stamps.
     for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
-      solver.add(static_cast<int>(i), static_cast<int>(i), {1e-12, 0.0});
+      solver.add(static_cast<int>(i), static_cast<int>(i), {kGshunt, 0.0});
     }
     solver.factor();
     x = rhs;

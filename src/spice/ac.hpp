@@ -4,6 +4,11 @@
 // Used to verify the link tuning (series resonance at 5 MHz), the CA/CB
 // matching network, and amplifier transfer functions — the frequency-
 // domain complement of the transient engine.
+//
+// The operating point comes from solve_dc (validated, with its full
+// Newton / gmin-stepping / source-stepping ladder) unless the caller
+// supplies one. The linearized stamps keep the engine's constants: every
+// junction and channel its kGmin floor, every node its kGshunt leak.
 #pragma once
 
 #include <complex>
@@ -32,7 +37,6 @@ struct AcOptions {
   // only settles dynamically (e.g. the LDO and potentiostat loops; take
   // the final state of a settling transient).
   std::vector<double> operating_point;
-  NewtonOptions newton;
 };
 
 class AcResult {

@@ -39,8 +39,8 @@ namespace {
 constexpr double kUnboundedWidth = 1e9;
 // Fallback effective resistance when a component has no usable ohmic sum
 // (nonlinear channels or no anchor): the node leaks to ground only
-// through gshunt = 1e-12 S.
-constexpr double kGshuntResistance = 1e12;
+// through the engine's kGshunt.
+constexpr double kGshuntResistance = 1.0 / kGshunt;
 // Clamp for corner evaluations of device models on unbounded envelopes.
 constexpr double kCornerClamp = 1e12;
 

@@ -10,7 +10,7 @@
 
 #include "src/linalg/sparse.hpp"
 #include "src/spice/analysis/passes.hpp"
-#include "src/spice/engine.hpp"
+#include "src/spice/circuit.hpp"
 
 namespace ironic::spice::analysis::detail {
 
@@ -24,7 +24,6 @@ SparsityResult run_sparsity(Circuit& circuit) {
   linalg::SparseSolver<double> solver(n);
   std::vector<double> rhs(n, 0.0);
   std::vector<double> x(n, 0.0);
-  const NewtonOptions defaults;
 
   // Replicate solve_dc's first assembly: reset per-point device state so
   // the pass neither sees nor leaves junction-limiting history, then
@@ -38,12 +37,11 @@ SparsityResult run_sparsity(Circuit& circuit) {
                    /*dt=*/0.0,
                    Integrator::kBackwardEuler,
                    /*dc=*/true,
-                   defaults.gmin,
                    /*source_scale=*/1.0,
                    /*limited=*/false};
   for (const auto& dev : circuit.devices()) dev->stamp(ctx);
   for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
-    solver.add(static_cast<int>(i), static_cast<int>(i), defaults.gshunt);
+    solver.add(static_cast<int>(i), static_cast<int>(i), kGshunt);
   }
 
   FactorPrediction& p = result.prediction;

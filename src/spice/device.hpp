@@ -24,6 +24,13 @@ constexpr NodeId kGround = -1;
 
 enum class Integrator { kBackwardEuler, kTrapezoidal };
 
+// Floor conductance every junction and MOSFET channel stamps across
+// itself, in DC, transient and AC alike [S].
+inline constexpr double kGmin = 1e-12;
+// Node-to-ground leak on every node diagonal of every assembly; keeps the
+// MNA matrix regular [S].
+inline constexpr double kGshunt = 1e-12;
+
 class Circuit;
 
 // --- device reflection ------------------------------------------------------
@@ -119,7 +126,6 @@ struct StampContext {
   double dt = 0.0;            // step size; <= 0 in DC analysis
   Integrator integrator = Integrator::kTrapezoidal;
   bool dc = false;            // true during DC operating-point analysis
-  double gmin = 1e-12;        // minimum junction conductance
   double source_scale = 1.0;  // < 1 only during DC source stepping
   // Set by devices when junction/step limiting altered an evaluation
   // voltage; the Newton loop refuses to declare convergence while any
@@ -204,7 +210,7 @@ class Device {
   // True if the device's stamp depends on the iterate (forces Newton).
   // Returning false is a stronger promise, the linear-matrix contract:
   // the device's matrix entries (everything it passes to add_a) depend
-  // only on dt, integrator, dc, gmin and whether it has accepted a step
+  // only on dt, integrator, dc and whether it has accepted a step
   // since initialize()/restore_state() -- never on time, the iterate or
   // other state. A circuit of such devices is solved once per point, and
   // its transient re-assembles and re-factors the matrix only when that

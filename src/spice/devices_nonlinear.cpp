@@ -80,7 +80,7 @@ void Diode::start_step(double /*time*/, double /*dt*/) { have_prev_ = false; }
 void Diode::stamp_ac(AcStampContext& ctx) const {
   const double v = ctx.v_op(anode_) - ctx.v_op(cathode_);
   const JunctionEval j = eval_junction_with_breakdown(v, params_, vt_n_);
-  ac_admittance(ctx, anode_, cathode_, {j.g + 1e-12, 0.0});
+  ac_admittance(ctx, anode_, cathode_, {j.g + kGmin, 0.0});
 }
 
 void Diode::stamp(StampContext& ctx) {
@@ -92,7 +92,7 @@ void Diode::stamp(StampContext& ctx) {
   have_prev_ = true;
 
   const JunctionEval j = eval_junction_with_breakdown(v, params_, vt_n_);
-  const double g = j.g + ctx.gmin;
+  const double g = j.g + kGmin;
   const double i0 = j.i - j.g * v;  // companion current at zero volts
   stamp_conductance(ctx, anode_, cathode_, g);
   stamp_current(ctx, anode_, cathode_, i0);
@@ -173,7 +173,7 @@ void Mosfet::stamp_bulk_junction(StampContext& ctx, NodeId anode, NodeId cathode
   v_prev = v;
   have_prev = true;
   const JunctionEval j = eval_junction(v, params_.junction_is, kBulkJunctionVt);
-  stamp_conductance(ctx, anode, cathode, j.g + ctx.gmin);
+  stamp_conductance(ctx, anode, cathode, j.g + kGmin);
   stamp_current(ctx, anode, cathode, j.i - j.g * v);
 }
 
@@ -232,7 +232,7 @@ void Mosfet::stamp(StampContext& ctx) {
   stamp_current(ctx, nd, ns, i0);
 
   // Convergence aid: a floor conductance across the channel.
-  stamp_conductance(ctx, d_, s_, ctx.gmin);
+  stamp_conductance(ctx, d_, s_, kGmin);
 
   if (params_.bulk_diodes) {
     // NMOS: p-bulk to n-source/drain junctions (anode = bulk).
@@ -269,12 +269,12 @@ void Mosfet::stamp_ac(AcStampContext& ctx) const {
   ac_add(ctx, ns, nd, {-op.gds, 0.0});
   ac_add(ctx, ns, b_, {-op.gmb, 0.0});
   ac_add(ctx, ns, ns, {gsum, 0.0});
-  ac_admittance(ctx, d_, s_, {1e-12, 0.0});
+  ac_admittance(ctx, d_, s_, {kGmin, 0.0});
   if (params_.bulk_diodes) {
     const auto stamp_junction = [&](NodeId anode, NodeId cathode) {
       const double v = ctx.v_op(anode) - ctx.v_op(cathode);
       const JunctionEval j = eval_junction(v, params_.junction_is, kBulkJunctionVt);
-      ac_admittance(ctx, anode, cathode, {j.g + 1e-12, 0.0});
+      ac_admittance(ctx, anode, cathode, {j.g + kGmin, 0.0});
     };
     if (params_.type == MosType::kNmos) {
       stamp_junction(b_, s_);

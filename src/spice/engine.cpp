@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -21,6 +20,15 @@ namespace {
 // circuit carries no timescale-analysis hint. Matches the historical
 // TransientOptions default.
 constexpr double kDefaultDtMax = 1e-6;
+// A transient gives up when Newton fails at a step below dt_max / this.
+constexpr double kMinStepDivisor = 65536.0;
+
+// Newton loop.
+constexpr int kMaxNewtonIterations = 150;
+constexpr double kRelTol = 1e-4;    // relative tolerance on unknown updates
+constexpr double kVnTol = 1e-6;     // absolute voltage tolerance [V]
+constexpr double kAbsTol = 1e-9;    // absolute current tolerance [A]
+constexpr double kMaxUpdate = 5.0;  // damping: clamp ||dx||_inf to this
 
 struct NewtonOutcome {
   bool converged = false;
@@ -38,7 +46,6 @@ struct EngineMetrics {
   obs::Counter& tr_runs;
   obs::Counter& tr_accepted_steps;
   obs::Counter& tr_rejected_steps;
-  obs::Counter& tr_lte_rejections;
   obs::Counter& tr_newton_iterations;
   obs::Counter& tr_factorizations;
   obs::Counter& tr_solves;
@@ -69,7 +76,6 @@ struct EngineMetrics {
           r.counter("spice.transient.runs"),
           r.counter("spice.transient.accepted_steps"),
           r.counter("spice.transient.rejected_steps"),
-          r.counter("spice.transient.lte_rejections"),
           r.counter("spice.transient.newton_iterations"),
           r.counter("spice.transient.factorizations"),
           r.counter("spice.transient.solves"),
@@ -99,7 +105,7 @@ struct SolvePoint {
   Integrator integrator = Integrator::kBackwardEuler;
   bool dc = false;
   double source_scale = 1.0;
-  double extra_gshunt = 0.0;  // gmin-stepping leak on top of NewtonOptions::gshunt
+  double extra_gshunt = 0.0;  // gmin-stepping leak on top of kGshunt
 };
 
 // Right-hand side and Newton update scratch, held by an analysis for its
@@ -116,12 +122,11 @@ struct SolveWorkspace {
 // the solver keeps the matrix it holds. Returns whether a device limited
 // its evaluation voltages.
 bool stamp_system(Circuit& circuit, linalg::SparseSolver<double>& solver, std::vector<double>& rhs,
-                  std::span<const double> x, const SolvePoint& point,
-                  const NewtonOptions& opts, bool matrix) {
+                  std::span<const double> x, const SolvePoint& point, bool matrix) {
   PROF_ZONE("spice.stamp");
   std::fill(rhs.begin(), rhs.end(), 0.0);
   StampContext ctx{solver, rhs, x, point.time, point.dt, point.integrator, point.dc,
-                   opts.gmin, point.source_scale, false, matrix};
+                   point.source_scale, false, matrix};
   if (!matrix) {
     for (Device* dev : circuit.rhs_stamp_devices()) dev->stamp(ctx);
     return ctx.limited;
@@ -131,7 +136,7 @@ bool stamp_system(Circuit& circuit, linalg::SparseSolver<double>& solver, std::v
   // Node-to-ground leak. Stamped even when it is 0.0 so the node
   // diagonals belong to the sparse pattern unconditionally: the gmin
   // ladder reaching zero then changes values, never structure.
-  const double gshunt = opts.gshunt + point.extra_gshunt;
+  const double gshunt = kGshunt + point.extra_gshunt;
   for (std::size_t i = 0; i < circuit.num_nodes(); ++i) {
     solver.add(static_cast<int>(i), static_cast<int>(i), gshunt);
   }
@@ -163,10 +168,9 @@ bool factor_and_solve(linalg::SparseSolver<double>& solver, const std::vector<do
 // contract on Device::nonlinear) and only the right-hand side is stamped.
 NewtonOutcome linear_solve(Circuit& circuit, linalg::SparseSolver<double>& solver,
                            SolveWorkspace& ws, std::vector<double>& x,
-                           const SolvePoint& point, const NewtonOptions& opts,
-                           bool assemble) {
+                           const SolvePoint& point, bool assemble) {
   PROF_ZONE("spice.linear_solve");
-  stamp_system(circuit, solver, ws.rhs, x, point, opts, assemble);
+  stamp_system(circuit, solver, ws.rhs, x, point, assemble);
   return {factor_and_solve(solver, ws.rhs, x, assemble), 1};
 }
 
@@ -176,17 +180,17 @@ NewtonOutcome linear_solve(Circuit& circuit, linalg::SparseSolver<double>& solve
 // factorization carry over between iterations and time steps.
 NewtonOutcome newton_solve(Circuit& circuit, linalg::SparseSolver<double>& solver,
                            SolveWorkspace& ws, std::vector<double>& x,
-                           const SolvePoint& point, const NewtonOptions& opts) {
+                           const SolvePoint& point) {
   PROF_ZONE("spice.newton");
   const std::size_t n = circuit.num_unknowns();
   const std::size_t num_nodes = circuit.num_nodes();
   std::vector<double>& x_new = ws.x_new;
   NewtonOutcome outcome;
 
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
     ++outcome.iterations;
     const bool limiting_active =
-        stamp_system(circuit, solver, ws.rhs, x, point, opts, /*matrix=*/true);
+        stamp_system(circuit, solver, ws.rhs, x, point, /*matrix=*/true);
     if (!factor_and_solve(solver, ws.rhs, x_new, /*factor=*/true)) break;
 
     // Convergence check on the update.
@@ -196,13 +200,13 @@ NewtonOutcome newton_solve(Circuit& circuit, linalg::SparseSolver<double>& solve
       const double delta = std::abs(x_new[i] - x[i]);
       max_delta = std::max(max_delta, delta);
       const double magnitude = std::max(std::abs(x_new[i]), std::abs(x[i]));
-      const double abs_tol = i < num_nodes ? opts.vntol : opts.abstol;
-      if (delta > abs_tol + opts.reltol * magnitude) converged = false;
+      const double abs_tol = i < num_nodes ? kVnTol : kAbsTol;
+      if (delta > abs_tol + kRelTol * magnitude) converged = false;
     }
 
     // Damping: clamp runaway updates to keep the exponentials bounded.
-    if (max_delta > opts.max_update) {
-      const double scale = opts.max_update / max_delta;
+    if (max_delta > kMaxUpdate) {
+      const double scale = kMaxUpdate / max_delta;
       for (std::size_t i = 0; i < n; ++i) {
         x_new[i] = x[i] + scale * (x_new[i] - x[i]);
       }
@@ -241,12 +245,10 @@ void reset_devices_for_point(Circuit& circuit, double time, double dt) {
 
 }  // namespace
 
-DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
-  if (options.validate) {
-    LintOptions lint_opts;
-    lint_opts.dc_context = true;
-    validate(circuit, lint_opts);  // throws CircuitValidationError on errors
-  }
+DcResult solve_dc(Circuit& circuit) {
+  LintOptions lint_opts;
+  lint_opts.dc_context = true;
+  validate(circuit, lint_opts);  // throws CircuitValidationError on errors
   circuit.finalize();
   const std::size_t n = circuit.num_unknowns();
   linalg::SparseSolver<double>& solver = circuit.acquire_solver();
@@ -277,8 +279,8 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
                            extra_gshunt};
     const auto outcome =
         circuit.linear()
-            ? linear_solve(circuit, solver, ws, x, point, options.newton, /*assemble=*/true)
-            : newton_solve(circuit, solver, ws, x, point, options.newton);
+            ? linear_solve(circuit, solver, ws, x, point, /*assemble=*/true)
+            : newton_solve(circuit, solver, ws, x, point);
     result.total_iterations += outcome.iterations;
     return outcome.converged;
   };
@@ -295,7 +297,7 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
   }
 
   // 2. Gmin (shunt) stepping: start heavily damped, relax to nominal.
-  if (options.gmin_stepping) {
+  {
     if constexpr (obs::kEnabled) EngineMetrics::get().dc_gmin_escalations.add();
     std::vector<double> x(n, 0.0);
     bool ladder_ok = true;
@@ -314,7 +316,7 @@ DcResult solve_dc(Circuit& circuit, const DcOptions& options) {
   }
 
   // 3. Source stepping.
-  if (options.source_stepping) {
+  {
     if constexpr (obs::kEnabled) EngineMetrics::get().dc_source_escalations.add();
     std::vector<double> x(n, 0.0);
     bool ladder_ok = true;
@@ -350,18 +352,10 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       options.dt_max > 0.0
           ? options.dt_max
           : (circuit.dt_hint() > 0.0 ? circuit.dt_hint() : kDefaultDtMax);
-  const bool will_resume =
-      options.resume_from != nullptr && options.resume_from->valid();
   linalg::SparseSolver<double>& solver = [&]() -> linalg::SparseSolver<double>& {
     PROF_ZONE("spice.transient.setup");
-    if (options.validate) {
-      // Validate exactly once per run. When the internal DC solve will run,
-      // lint with dc_context escalation here and tell solve_dc the circuit
-      // is already validated — previously lint ran twice per transient.
-      LintOptions lint_options;
-      lint_options.dc_context = options.start_from_dc && !will_resume;
-      validate(circuit, lint_options);  // throws CircuitValidationError on errors
-    }
+    // Transient context: DC-only hazards like inductor loops stay warnings.
+    validate(circuit);  // throws CircuitValidationError on errors
     circuit.finalize();
     return circuit.acquire_solver();
   }();
@@ -386,7 +380,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         out->factorizations += run.factorizations;
         out->solves += run.solves;
         out->breakpoint_hits += run.breakpoint_hits;
-        out->lte_rejections += run.lte_rejections;
         out->max_newton_iterations =
             std::max(out->max_newton_iterations, run.max_newton_iterations);
       }
@@ -395,7 +388,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
         m.tr_runs.add();
         m.tr_accepted_steps.add(run.accepted_steps);
         m.tr_rejected_steps.add(run.rejected_steps);
-        m.tr_lte_rejections.add(run.lte_rejections);
         m.tr_newton_iterations.add(run.newton_iterations);
         m.tr_factorizations.add(run.factorizations);
         m.tr_solves.add(run.solves);
@@ -408,8 +400,7 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     }
   } finalize{run, stats, span, solver, solver.stats()};
   const std::size_t n = circuit.num_unknowns();
-  const double dt_min =
-      options.dt_min > 0.0 ? options.dt_min : dt_max / 65536.0;
+  const double min_step = dt_max / kMinStepDivisor;
 
   const TransientCheckpoint* resume = options.resume_from;
   const bool resuming = resume != nullptr && resume->valid();
@@ -426,24 +417,9 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     }
   }
 
-  // Initial solution.
-  std::vector<double> x(n, 0.0);
-  if (resuming) {
-    x = resume->x;
-  } else if (options.start_from_dc) {
-    DcOptions dc_opts;
-    dc_opts.newton = options.newton;
-    dc_opts.validate = false;  // validated above (with dc_context) already
-    const DcResult dc = solve_dc(circuit, dc_opts);
-    if (!dc.converged) {
-      throw ConvergenceError("run_transient: DC operating point failed to converge");
-    }
-    x = dc.x;
-    circuit.finalize();  // re-run setup in case solve_dc's finalize reordered branches
-    // solve_dc emitted its own solver-metric delta; restart ours here so
-    // the DC share is not counted twice.
-    finalize.solver_before = solver.stats();
-  }
+  // Initial solution: rest (zeros, devices add their initial conditions
+  // in initialize()) or the checkpointed solution.
+  std::vector<double> x = resuming ? resume->x : std::vector<double>(n, 0.0);
   for (const auto& dev : circuit.devices()) dev->initialize(x);
   if (resuming) {
     // initialize() above seeded companion models from the checkpointed
@@ -479,9 +455,12 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       record_indices.push_back(static_cast<std::size_t>(it - all_names.begin()));
     }
   }
+  double t = resuming ? resume->time : 0.0;
+  const std::size_t record_every = static_cast<std::size_t>(std::max(options.record_every, 1));
   TransientResult result(std::move(record_names), std::move(record_indices));
-  result.reserve(static_cast<std::size_t>(options.t_stop / dt_max /
-                                          std::max(options.record_every, 1)) + 16);
+  // Rows for the span this run simulates, not the whole [0, t_stop].
+  result.reserve(static_cast<std::size_t>((options.t_stop - t) / dt_max /
+                                          static_cast<double>(record_every)) + 16);
 
   // Breakpoints from stimulus waveforms.
   std::vector<double> breakpoints;
@@ -496,28 +475,14 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
 
   // The checkpointed point itself was recorded by the run that captured
   // it, so a resumed run starts recording strictly after resume->time.
-  if (!resuming && options.record_start <= 0.0) result.append(0.0, x);
+  if (!resuming) result.append(0.0, x);
 
-  double t = resuming ? resume->time : 0.0;
   double dt = resuming ? resume->dt : dt_max;
   int success_streak = resuming ? resume->success_streak : 0;
   // Accepted-step ordinal used for record decimation; restored on resume
   // so the record phase is continuous across the splice.
   std::size_t step_index = resuming ? resume->step_index : 0;
   std::vector<double> x_try(n);
-  // LTE controller history: the previous accepted point and its step.
-  std::vector<double> x_prev(n, 0.0);
-  double dt_prev = 0.0;
-  bool have_prev_point = false;
-  if (resuming) {
-    if (resume->x_prev.size() == n) x_prev = resume->x_prev;
-    dt_prev = resume->dt_prev;
-    have_prev_point = resume->have_prev_point;
-  }
-  const bool checkpointing = options.checkpoint != nullptr;
-  double next_checkpoint_time = options.checkpoint_interval > 0.0
-                                    ? t + options.checkpoint_interval
-                                    : std::numeric_limits<double>::infinity();
   const std::size_t kMaxSteps = 200'000'000;
 
   obs::Histogram* newton_hist = nullptr;
@@ -527,8 +492,8 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
 
   SolveWorkspace ws(n);
   // A linear circuit's matrix is a function of this key (the
-  // linear-matrix contract on Device::nonlinear; integrator and gmin are
-  // fixed per run), so while the key matches the one of the last factored
+  // linear-matrix contract on Device::nonlinear; the integrator is fixed
+  // per run), so while the key matches the one of the last factored
   // assembly a step only restamps the right-hand side and solves.
   const bool linear = circuit.linear();
   struct LinearKey {
@@ -574,11 +539,11 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     NewtonOutcome outcome;
     if (linear) {
       const LinearKey key{dt_step, run.accepted_steps > 0};
-      outcome = linear_solve(circuit, solver, ws, x_try, point, options.newton,
+      outcome = linear_solve(circuit, solver, ws, x_try, point,
                              /*assemble=*/factored_key != key);
       factored_key = outcome.converged ? std::optional<LinearKey>(key) : std::nullopt;
     } else {
-      outcome = newton_solve(circuit, solver, ws, x_try, point, options.newton);
+      outcome = newton_solve(circuit, solver, ws, x_try, point);
     }
     run.newton_iterations += static_cast<std::size_t>(outcome.iterations);
     run.factorizations += solver.stats().factorizations - solver_entry.factorizations;
@@ -593,39 +558,11 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       ++run.rejected_steps;
       success_streak = 0;
       dt = dt_step / 2.0;
-      if (dt < dt_min) {
+      if (dt < min_step) {
         throw ConvergenceError("run_transient: Newton failed below minimum step at t=" +
                                  std::to_string(t_next));
       }
       continue;
-    }
-
-    // LTE step control: measure the deviation from a linear prediction.
-    if (options.adaptive && have_prev_point && dt_prev > 0.0) {
-      double err = 0.0;
-      const double ratio = dt_step / dt_prev;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double predicted = x[i] + (x[i] - x_prev[i]) * ratio;
-        err = std::max(err, std::abs(x_try[i] - predicted));
-      }
-      if (err > 4.0 * options.lte_tol && dt_step > 2.0 * dt_min) {
-        ++run.rejected_steps;
-        ++run.lte_rejections;
-        success_streak = 0;
-        dt = std::max(dt_step / 2.0, dt_min);
-        continue;  // redo the point with a smaller step
-      }
-      // Accepted: pick the next step from the error (clamped growth).
-      const double scale =
-          err > 0.0 ? std::sqrt(options.lte_tol / err) : 2.0;
-      dt = std::min(dt_max,
-                    std::max(dt_min, dt_step * std::min(std::max(scale, 0.5), 2.0)));
-    }
-
-    if (options.adaptive) {
-      x_prev = x;
-      dt_prev = dt_step;
-      have_prev_point = true;
     }
 
     for (Device* dev : circuit.accept_step_devices()) {
@@ -637,31 +574,23 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     ++step_index;
     if (snapped_to_bp) ++run.breakpoint_hits;
 
+    // Recording guarantee: breakpoint-snapped points and the final point
+    // are never decimated away (see TransientOptions::record_every); they
+    // are also the points a checkpoint is captured at.
     const bool is_final = t >= options.t_stop - 1e-15 * options.t_stop;
-    const bool take_checkpoint =
-        checkpointing && (is_final || snapped_to_bp || t >= next_checkpoint_time);
-    // Recording guarantee: breakpoint-snapped points, checkpointed points
-    // and the final point are never decimated away (see
-    // TransientOptions::record_every).
-    if (t >= options.record_start &&
-        (is_final || snapped_to_bp || take_checkpoint ||
-         step_index %
-                 static_cast<std::size_t>(std::max(options.record_every, 1)) ==
-             0)) {
-      result.append(t, x);
-    }
+    const bool guaranteed = is_final || snapped_to_bp;
+    if (guaranteed || step_index % record_every == 0) result.append(t, x);
 
-    // Step recovery after a run of clean accepts (the LTE controller
-    // manages dt itself in adaptive mode).
+    // Step recovery after a run of clean accepts.
     ++success_streak;
-    if (!options.adaptive && success_streak >= 4 && dt < dt_max) {
+    if (success_streak >= 4 && dt < dt_max) {
       dt = std::min(dt * 2.0, dt_max);
       success_streak = 0;
     }
 
     // Capture after the step-control update so a resume continues with
     // exactly the dt/streak the uninterrupted run would have used next.
-    if (take_checkpoint) {
+    if (guaranteed && options.checkpoint != nullptr) {
       PROF_ZONE("spice.checkpoint");
       TransientCheckpoint& cp = *options.checkpoint;
       cp.time = t;
@@ -671,12 +600,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
       for (const auto& dev : circuit.devices()) dev->save_state(cp.device_state);
       cp.success_streak = success_streak;
       cp.step_index = step_index;
-      cp.x_prev = x_prev;
-      cp.dt_prev = dt_prev;
-      cp.have_prev_point = have_prev_point;
-      if (options.checkpoint_interval > 0.0) {
-        next_checkpoint_time = t + options.checkpoint_interval;
-      }
       if constexpr (obs::kEnabled) EngineMetrics::get().tr_checkpoints.add();
     }
   }

@@ -427,7 +427,7 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
                    circuit.node_name(e.info.terminals[ib].node) + "'" +
                    (options.dc_context
                         ? "; the DC operating point is singular (give the winding "
-                          "an ESR or skip start_from_dc)"
+                          "an ESR)"
                         : " (the DC operating point would be singular; transient "
                           "companion models regularize it)"));
         }

@@ -11,9 +11,9 @@
 //
 // `validate()` is the engine-facing wrapper: it throws
 // CircuitValidationError when any error-severity diagnostic fires.
-// solve_dc() and run_transient() call it by default (see
-// DcOptions::validate / TransientOptions::validate), turning "Newton
-// mysteriously failed to converge" into a named, located diagnostic.
+// solve_dc() (in DC context) and run_transient() call it on every run,
+// turning "Newton mysteriously failed to converge" into a named, located
+// diagnostic.
 //
 // Rule catalog (rule_id -> meaning):
 //   lint.ground-missing    no device terminal touches node 0 at all

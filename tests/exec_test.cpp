@@ -174,19 +174,6 @@ TEST(ThreadPool, CancelSkipsQueuedTasksAndWaitThrows) {
   EXPECT_TRUE(group.cancelled());
 }
 
-TEST(ThreadPool, RunWithTimeoutExpiredDeadlineIsGroupError) {
-  ThreadPool pool(1);
-  TaskGroup group(pool);
-  // A zero timeout has expired by the time the task is dequeued, however
-  // fast the pool is: the closure must never run and the group must
-  // report the deadline as its error.
-  std::atomic<int> ran{0};
-  group.run_with_timeout([&ran](const CancellationToken&) { ++ran; },
-                         std::chrono::nanoseconds(0));
-  EXPECT_THROW(group.wait(), TaskCancelled);
-  EXPECT_EQ(ran.load(), 0);
-}
-
 TEST(ThreadPool, TryRunOneOnIdlePoolReturnsFalse) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.try_run_one());
@@ -228,6 +215,24 @@ TEST(ParallelFor, CancelledTokenThrows) {
   EXPECT_THROW(
       parallel_for(pool, 0, 100, [&ran](std::size_t) { ++ran; }, opts),
       TaskCancelled);
+}
+
+TEST(ParallelFor, ExpiredDeadlineTokenRunsNoItem) {
+  // A zero timeout has expired before the first item is due, however
+  // fast the pool is: the inline path (one worker) checks the token
+  // before its first item, the pooled path (four workers) skips every
+  // queued chunk, and both report TaskCancelled without running the body.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    ParallelForOptions opts;
+    opts.token = CancellationToken{}.with_timeout(std::chrono::nanoseconds(0));
+    std::atomic<int> ran{0};
+    EXPECT_THROW(
+        parallel_for(pool, 0, 100, [&ran](std::size_t) { ++ran; }, opts),
+        TaskCancelled)
+        << threads;
+    EXPECT_EQ(ran.load(), 0) << threads;
+  }
 }
 
 TEST(ParallelFor, MidSweepCancellationStopsScheduledWork) {
@@ -273,8 +278,10 @@ TEST(ParallelFor, SerialAndParallelSumsMatchBitwise) {
 }
 
 TEST(ExecTolerance, SerialAndPooledMonteCarloBitIdentical) {
+  // Two draws: the four-worker pool still runs them at once, and each is
+  // a full end-to-end transient, the bulk of this test's time under TSan.
   core::ToleranceSpec spec;
-  spec.runs = 6;  // keep the end-to-end sims affordable in a unit test
+  spec.runs = 2;
   const auto base = core::shortened_fig11_config();
   const auto serial = core::run_tolerance_analysis(spec, base);
   ThreadPool pool(4);

@@ -1,5 +1,5 @@
-// Tests for the extension features: Zener breakdown, power-on reset,
-// adaptive (LTE) time stepping, and the Monte-Carlo tolerance analysis.
+// Tests for the extension features: Zener breakdown, power-on reset, and
+// the Monte-Carlo tolerance analysis.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -152,53 +152,6 @@ TEST(Por, SpecValidation) {
   EXPECT_THROW(pm::PorModel{bad}, std::invalid_argument);
   Circuit ckt;
   EXPECT_THROW(pm::build_por(ckt, "p", ckt.node("r"), bad), std::invalid_argument);
-}
-
-// --------------------------------------------------------- adaptive stepping
-
-TEST(AdaptiveStep, ResolvesFastTransientUnderCoarseNominalStep) {
-  // RC with tau = 1 us driven by a step, nominal dt = 5 us: the fixed-
-  // step run cannot see the exponential at all; the LTE controller must
-  // refine automatically.
-  const auto run_case = [](bool adaptive) {
-    Circuit ckt;
-    const auto in = ckt.node("in");
-    const auto out = ckt.node("out");
-    ckt.add<VoltageSource>("V1", in, kGround,
-                           Waveform::pulse(0.0, 1.0, 10e-6, 1e-9, 1e-9, 1.0, 0.0));
-    ckt.add<Resistor>("R1", in, out, 1e3);
-    ckt.add<Capacitor>("C1", out, kGround, 1e-9);
-    TransientOptions opts;
-    opts.t_stop = 20e-6;
-    opts.dt_max = 5e-6;
-    opts.adaptive = adaptive;
-    opts.lte_tol = 1e-3;
-    TransientStats stats;
-    auto res = run_transient(ckt, opts, &stats);
-    return std::make_pair(res.value_at("v(out)", 11e-6), stats.accepted_steps);
-  };
-  const auto [v_adaptive, steps_adaptive] = run_case(true);
-  const double expected = 1.0 - std::exp(-1.0);
-  EXPECT_NEAR(v_adaptive, expected, 0.02);
-  // Adaptivity spent extra steps only around the edge.
-  EXPECT_GT(steps_adaptive, 10u);
-  EXPECT_LT(steps_adaptive, 4000u);
-}
-
-TEST(AdaptiveStep, NoWorseOnSmoothProblems) {
-  Circuit ckt;
-  const auto in = ckt.node("in");
-  ckt.add<VoltageSource>("V1", in, kGround, Waveform::sine(1.0, 1e3));
-  ckt.add<Resistor>("R1", in, kGround, 1e3);
-  TransientOptions opts;
-  opts.t_stop = 2e-3;
-  opts.dt_max = 10e-6;
-  opts.adaptive = true;
-  opts.lte_tol = 1e-2;
-  TransientStats stats;
-  const auto res = run_transient(ckt, opts, &stats);
-  EXPECT_NEAR(res.value_at("v(in)", 0.25e-3), 1.0, 1e-3);
-  EXPECT_LE(stats.accepted_steps, 2u * 200u + 16u);
 }
 
 // ----------------------------------------------------- tolerance Monte Carlo

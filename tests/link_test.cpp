@@ -251,7 +251,6 @@ TEST(BioZ, TissueLadderEngineCountersArePinned) {
 
   EXPECT_EQ(stats.accepted_steps, 400u);
   EXPECT_EQ(stats.rejected_steps, 0u);
-  EXPECT_EQ(stats.lte_rejections, 0u);
   EXPECT_EQ(stats.breakpoint_hits, 2u);
   EXPECT_EQ(stats.newton_iterations, 400u);
   EXPECT_EQ(stats.factorizations, 7u);

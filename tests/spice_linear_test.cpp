@@ -49,7 +49,7 @@ class ForceNewton final : public Device {
 };
 
 // One of every linear device kind, driven by a voltage and a current
-// pulse whose edges stay well below NewtonOptions::max_update.
+// pulse whose edges stay well below the Newton loop's 5 V update clamp.
 void build_every_linear_kind(Circuit& ckt) {
   const auto in = ckt.node("in");
   const auto a = ckt.node("a");
@@ -115,51 +115,44 @@ TEST(LinearFastPath, MatchesForcedNewtonBitForBit) {
 
   for (const auto& c : cases) {
     for (const Integrator integrator : {Integrator::kTrapezoidal, Integrator::kBackwardEuler}) {
-      for (const bool adaptive : {false, true}) {
-        for (const bool start_from_dc : {false, true}) {
-          const std::string label =
-              c.name + (integrator == Integrator::kTrapezoidal ? " trap" : " be") +
-              (adaptive ? " adaptive" : " fixed") + (start_from_dc ? " dc" : " uic");
-          TransientOptions opts;
-          opts.t_stop = c.t_stop;
-          opts.dt_max = c.dt_max;
-          opts.integrator = integrator;
-          opts.adaptive = adaptive;
-          opts.start_from_dc = start_from_dc;
+      const std::string label =
+          c.name + (integrator == Integrator::kTrapezoidal ? " trap" : " be");
+      TransientOptions opts;
+      opts.t_stop = c.t_stop;
+      opts.dt_max = c.dt_max;
+      opts.integrator = integrator;
 
-          Circuit fast_ckt;
-          c.build(fast_ckt);
-          TransientStats fast_stats;
-          const auto fast = run_transient(fast_ckt, opts, &fast_stats);
-          ASSERT_TRUE(fast_ckt.linear()) << label;
+      Circuit fast_ckt;
+      c.build(fast_ckt);
+      TransientStats fast_stats;
+      const auto fast = run_transient(fast_ckt, opts, &fast_stats);
+      ASSERT_TRUE(fast_ckt.linear()) << label;
 
-          Circuit forced_ckt;
-          c.build(forced_ckt);
-          forced_ckt.add<ForceNewton>("XNEWTON");
-          TransientStats forced_stats;
-          const auto forced = run_transient(forced_ckt, opts, &forced_stats);
-          ASSERT_FALSE(forced_ckt.linear()) << label;
+      Circuit forced_ckt;
+      c.build(forced_ckt);
+      forced_ckt.add<ForceNewton>("XNEWTON");
+      TransientStats forced_stats;
+      const auto forced = run_transient(forced_ckt, opts, &forced_stats);
+      ASSERT_FALSE(forced_ckt.linear()) << label;
 
-          expect_same_bits(fast, forced, label);
-          const std::size_t attempts = fast_stats.accepted_steps + fast_stats.rejected_steps;
-          EXPECT_EQ(forced_stats.accepted_steps, fast_stats.accepted_steps) << label;
-          EXPECT_EQ(forced_stats.rejected_steps, fast_stats.rejected_steps) << label;
-          // Two iterations on every attempt: the forced run was never damped.
-          EXPECT_EQ(forced_stats.newton_iterations, 2 * attempts) << label;
-          EXPECT_EQ(fast_stats.newton_iterations, attempts) << label;
-          EXPECT_EQ(fast_stats.solves, attempts) << label;
-          EXPECT_LT(fast_stats.factorizations, fast_stats.accepted_steps) << label;
-          if (c.pulsed) {
-            EXPECT_GT(fast_stats.breakpoint_hits, 0u) << label;
-          }
-        }
+      expect_same_bits(fast, forced, label);
+      const std::size_t attempts = fast_stats.accepted_steps + fast_stats.rejected_steps;
+      EXPECT_EQ(forced_stats.accepted_steps, fast_stats.accepted_steps) << label;
+      EXPECT_EQ(forced_stats.rejected_steps, fast_stats.rejected_steps) << label;
+      // Two iterations on every attempt: the forced run was never damped.
+      EXPECT_EQ(forced_stats.newton_iterations, 2 * attempts) << label;
+      EXPECT_EQ(fast_stats.newton_iterations, attempts) << label;
+      EXPECT_EQ(fast_stats.solves, attempts) << label;
+      EXPECT_LT(fast_stats.factorizations, fast_stats.accepted_steps) << label;
+      if (c.pulsed) {
+        EXPECT_GT(fast_stats.breakpoint_hits, 0u) << label;
       }
     }
   }
 }
 
 TEST(LinearFastPath, SourceEdgeAboveMaxUpdateIsSolvedExactly) {
-  // A 20 V edge in 1 ns is four times NewtonOptions::max_update. Run
+  // A 20 V edge in 1 ns is four times the Newton update clamp. Run
   // through the Newton loop, whose damping clamps every update to 5 V, a
   // linear circuit accepted the damped iterate: v(in) read 10 V at the
   // end of the edge and v(out) 0.736 V one 50 ns step later (exact:
@@ -266,7 +259,7 @@ DeviceStamp stamp_alone(Device& dev, ironic::linalg::SparseSolver<double>& solve
                         std::vector<double> rhs) {
   if (matrix) solver.begin_assembly();
   StampContext ctx{solver, rhs, x, /*time=*/1e-6, /*dt=*/1e-9, Integrator::kTrapezoidal,
-                   /*dc=*/false, /*gmin=*/1e-12, /*source_scale=*/1.0, false, matrix};
+                   /*dc=*/false, /*source_scale=*/1.0, false, matrix};
   dev.stamp(ctx);
   if (matrix) {
     for (std::size_t i = 0; i < solver.size(); ++i) {
@@ -381,26 +374,23 @@ class CountingMatrixOnly final : public Device {
 };
 
 TEST(StepHooks, MatrixOnlyDeviceIsStampedOncePerAssembly) {
-  for (const bool start_from_dc : {false, true}) {
-    Circuit ckt;
-    build_every_linear_kind(ckt);
-    auto& counter = ckt.add<CountingMatrixOnly>("XCOUNT");
-    TransientOptions opts;
-    opts.t_stop = 2e-6;
-    opts.dt_max = 2e-9;
-    opts.start_from_dc = start_from_dc;
-    TransientStats stats;
-    run_transient(ckt, opts, &stats);
-    ASSERT_TRUE(ckt.linear());
+  Circuit ckt;
+  build_every_linear_kind(ckt);
+  auto& counter = ckt.add<CountingMatrixOnly>("XCOUNT");
+  TransientOptions opts;
+  opts.t_stop = 2e-6;
+  opts.dt_max = 2e-9;
+  TransientStats stats;
+  run_transient(ckt, opts, &stats);
+  ASSERT_TRUE(ckt.linear());
 
-    // Every assembly ends in one factor() call, counted as a
-    // factorization (the DC solve's included).
-    const auto& solver = ckt.acquire_solver().stats();
-    EXPECT_EQ(counter.stamps, solver.factorizations) << start_from_dc;
-    EXPECT_LT(counter.stamps, stats.accepted_steps / 10) << start_from_dc;
-    EXPECT_EQ(counter.start_steps, 0u) << start_from_dc;
-    EXPECT_EQ(counter.accept_steps, 0u) << start_from_dc;
-  }
+  // Every assembly ends in one factor() call, counted as a
+  // factorization.
+  const auto& solver = ckt.acquire_solver().stats();
+  EXPECT_EQ(counter.stamps, solver.factorizations);
+  EXPECT_LT(counter.stamps, stats.accepted_steps / 10);
+  EXPECT_EQ(counter.start_steps, 0u);
+  EXPECT_EQ(counter.accept_steps, 0u);
 }
 
 }  // namespace

@@ -298,12 +298,6 @@ TEST(EngineValidate, VoltageLoopBecomesPreRunDiagnostic) {
   tr.t_stop = 1e-6;
   tr.dt_max = 1e-8;
   EXPECT_THROW(run_transient(ckt, tr), CircuitValidationError);
-
-  // The old behavior stays reachable for engine-internals testing.
-  DcOptions no_validate;
-  no_validate.validate = false;
-  const auto dc = solve_dc(ckt, no_validate);
-  EXPECT_FALSE(dc.converged);
 }
 
 TEST(EngineValidate, DcCurrentCutsetCaughtBeforeDivergence) {
@@ -312,16 +306,10 @@ TEST(EngineValidate, DcCurrentCutsetCaughtBeforeDivergence) {
   ckt.add<CurrentSource>("I1", kGround, n1, Waveform::dc(1e-3));
   ckt.add<Capacitor>("C1", n1, kGround, 1e-9);
 
-  // Unvalidated, this "converges": the circuit is linear, so one solve
-  // lands on the exact operating point of the regularized system, the
-  // meaningless v(n1) = I/gshunt (1e9 V) -- a silently useless answer.
-  // Now it is a pre-run diagnostic.
-  DcOptions no_validate;
-  no_validate.validate = false;
-  const auto dc = solve_dc(ckt, no_validate);
-  EXPECT_TRUE(dc.converged);
-  EXPECT_DOUBLE_EQ(dc.x[static_cast<std::size_t>(n1)], 1e-3 / no_validate.newton.gshunt);
-
+  // Unvalidated, this would "converge": the circuit is linear, so one
+  // solve lands on the exact operating point of the regularized system,
+  // the meaningless v(n1) = I/gshunt (1e9 V) -- a silently useless
+  // answer. It is a pre-run diagnostic instead.
   EXPECT_THROW(solve_dc(ckt), CircuitValidationError);
 }
 

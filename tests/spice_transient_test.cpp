@@ -216,26 +216,6 @@ TEST(Transient, SmoothSwitchTogglesLoad) {
   EXPECT_NEAR(res.value_at("v(out)", 14e-6), 1.0, 1e-3);   // off again
 }
 
-TEST(Transient, StartFromDcSkipsInitialTransient) {
-  // Divider with a cap across the lower leg: starting from the operating
-  // point there is nothing to settle.
-  Circuit ckt;
-  const auto in = ckt.node("in");
-  const auto out = ckt.node("out");
-  ckt.add<VoltageSource>("V1", in, kGround, Waveform::dc(2.0));
-  ckt.add<Resistor>("R1", in, out, 1e3);
-  ckt.add<Resistor>("R2", out, kGround, 1e3);
-  ckt.add<Capacitor>("C1", out, kGround, 1e-6);
-
-  TransientOptions opts;
-  opts.t_stop = 0.2e-3;
-  opts.dt_max = 1e-6;
-  opts.start_from_dc = true;
-  const auto res = run_transient(ckt, opts);
-  EXPECT_NEAR(res.value_at("v(out)", 0.0), 1.0, 1e-6);
-  EXPECT_NEAR(res.value_at("v(out)", 0.1e-3), 1.0, 1e-6);
-}
-
 TEST(Transient, RecordSignalSubsetAndDecimation) {
   Circuit ckt;
   const auto in = ckt.node("in");
