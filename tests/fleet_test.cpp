@@ -166,6 +166,45 @@ TEST(Fleet, FingerprintInvariantToCheckpointSharing) {
   EXPECT_EQ(replay.bioz.hits(), bioz_serial.bioz_hits);
 }
 
+TEST(Fleet, SessionsRestartingFromOneNodeMatchSolo) {
+  // Twelve lactate sessions of two exchanges. A session whose first
+  // measure runs at the nominal drive commits the node every such
+  // session shares, and when a fault moves its drive before the second
+  // measure it restarts from that node: the discarded half segment is
+  // one input for all of them. Each session must still equal its solo
+  // run, at 1 and at 4 threads.
+  auto config = small_config();
+  config.sessions = 12;
+  std::vector<std::uint64_t> solo;
+  for (std::size_t i = 0; i < config.sessions; ++i) {
+    solo.push_back(
+        fleet::fingerprint_session(fleet::run_solo_session(config, i)));
+  }
+  // The first ADC code of a session measured first at the nominal drive.
+  fault::RectifierPlant first;
+  first.fork_from(std::make_shared<const spice::TransientCheckpoint>(
+                      fault::capture_charged_checkpoint(config.charge)),
+                  config.charge.amplitude);
+  const std::uint16_t nominal_code =
+      fault::adc_code(first.measure(config.charge.amplitude));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    config.threads = threads;
+    const auto result = fleet::run_fleet(config);
+    ASSERT_EQ(result.sessions.size(), config.sessions);
+    int restarted_from_shared_node = 0;
+    for (std::size_t i = 0; i < config.sessions; ++i) {
+      const auto& session = result.sessions[i];
+      EXPECT_EQ(fleet::fingerprint_session(session), solo[i])
+          << "session " << i << " at " << threads << " threads";
+      if (session.restarts == 1 && session.adc_codes.size() == 2 &&
+          session.adc_codes[0] == nominal_code) {
+        ++restarted_from_shared_node;
+      }
+    }
+    EXPECT_GE(restarted_from_shared_node, 2) << threads << " threads";
+  }
+}
+
 TEST(Fleet, ForkedPlantMutationNeverPerturbsSiblings) {
   const fault::ChargeUpSpec spec;
   auto blob = std::make_shared<const spice::TransientCheckpoint>(
