@@ -168,8 +168,19 @@ Segment RectifierPlant::simulate(double amplitude) {
     // The fault hit while a segment at the old drive was in flight:
     // that half segment is wasted work, thrown away with its scratch
     // checkpoint; the measurement restarts from the committed state.
-    spice::TransientCheckpoint doomed;
-    run_segment(committed_amplitude_, segment_length / 2.0, &doomed);
+    // Every plant on this node at this drive wastes the same half, so a
+    // memo runs it once (an empty value; a failure replays).
+    const auto doomed = [&] {
+      spice::TransientCheckpoint scratch;
+      run_segment(committed_amplitude_, segment_length / 2.0, &scratch);
+      return Segment{};
+    };
+    if (memo == nullptr) {
+      doomed();
+    } else {
+      memo->lookup(key(committed_amplitude_, segment_length / 2.0, true),
+                   committed_, doomed);
+    }
     segment.restarted = true;
   }
   auto scratch = std::make_shared<spice::TransientCheckpoint>();
@@ -184,17 +195,23 @@ Segment RectifierPlant::simulate(double amplitude) {
   return segment;
 }
 
+SegmentKey RectifierPlant::key(double amplitude, double length,
+                               bool restart_half) const {
+  return {reinterpret_cast<std::uintptr_t>(committed_.get()),
+          std::bit_cast<std::uint64_t>(committed_amplitude_),
+          std::bit_cast<std::uint64_t>(amplitude),
+          std::bit_cast<std::uint64_t>(length),
+          std::bit_cast<std::uint64_t>(carrier_hz),
+          analysis_hints,
+          restart_half};
+}
+
 double RectifierPlant::measure(double amplitude) {
   const Segment segment =
       memo == nullptr
           ? simulate(amplitude)
-          : memo->lookup({reinterpret_cast<std::uintptr_t>(committed_.get()),
-                          std::bit_cast<std::uint64_t>(committed_amplitude_),
-                          std::bit_cast<std::uint64_t>(amplitude),
-                          std::bit_cast<std::uint64_t>(segment_length),
-                          std::bit_cast<std::uint64_t>(carrier_hz),
-                          analysis_hints},
-                         committed_, [&] { return simulate(amplitude); });
+          : memo->lookup(key(amplitude, segment_length, false), committed_,
+                         [&] { return simulate(amplitude); });
   if (segment.restarted) ++restarts;
   // Commit: the new node replaces the old one, which stays untouched for
   // any sibling (or memo entry) still holding it.

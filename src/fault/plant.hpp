@@ -12,8 +12,9 @@
 // `capture_charged_checkpoint` produces the shared blob by running the
 // ~270 us charge-up transient once. `SegmentMemo` then lets plants that
 // sit on the same node and see the same drive share the next segment
-// too, and `PlantMemos` bundles it with the bio-impedance memo for a
-// fleet service or one campaign call.
+// too (and the half segment a restart from that node throws away), and
+// `PlantMemos` bundles it with the bio-impedance memo for a fleet
+// service or one campaign call.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
@@ -104,16 +105,19 @@ void tally_active(FaultInjector& injector, const FaultSchedule& schedule,
 
 // What one RectifierPlant::measure computes from a committed state: the
 // node it commits, the settled Vo, and whether a drive change threw away
-// a half segment first (the plant's `restarts` tally).
+// a half segment first (the plant's `restarts` tally). A restart half
+// commits nothing, so its value is empty.
 struct Segment {
   std::shared_ptr<const spice::TransientCheckpoint> committed;
   double vo = 0.0;
   bool restarted = false;
 };
 
-// The committed node's *address* plus the plant fields measure reads
-// (committed and requested amplitude, segment length, carrier, analysis
-// hints), doubles as their bit patterns.
+// The committed node's *address* plus the plant fields a run reads
+// (committed and run amplitude, run length, carrier, analysis hints),
+// doubles as their bit patterns. A measure runs `segment_length` at the
+// requested drive; a restart half runs half of it at the committed drive
+// and is flagged, so no measure key can name it.
 struct SegmentKey {
   std::uintptr_t parent = 0;  // committed node address (0 = none)
   std::uint64_t committed_amplitude = 0;
@@ -121,17 +125,20 @@ struct SegmentKey {
   std::uint64_t segment_length = 0;
   std::uint64_t carrier_hz = 0;
   bool analysis_hints = false;
+  bool restart_half = false;
 
   auto operator<=>(const SegmentKey&) const = default;
 };
 
-// An exact memo of RectifierPlant::measure. Plants that sit on the same
-// committed node and are measured at the same drive simulate that
-// segment once. Identity keying is exact because every entry pins its
-// parent node: the address cannot be reused while the key exists, and a
-// node never changes after it is committed. Inputs outside the key (the
-// Newton options, the circuit recipe) are fixed in the code, so an entry
-// stays exact for as long as a memo holds it.
+// An exact memo of RectifierPlant::measure and of the half segment a
+// restart throws away. Plants that sit on the same committed node and
+// are measured at the same drive simulate that segment once, and plants
+// that restart from the same node at the same committed drive run the
+// discarded half once. Identity keying is exact because every entry pins
+// its parent node: the address cannot be reused while the key exists,
+// and a node never changes after it is committed. Inputs outside the key
+// (the Newton options, the circuit recipe) are fixed in the code, so an
+// entry stays exact for as long as a memo holds it.
 using SegmentMemo = ExactMemo<SegmentKey, Segment>;
 
 // Rectifier transient segments spliced at committed checkpoints: the
@@ -148,7 +155,8 @@ struct RectifierPlant {
   // When set, the static-analysis passes run over each fresh segment
   // circuit and install the dt hint before the transient.
   bool analysis_hints = false;
-  // When set, measure consults this memo before simulating (not owned).
+  // When set, measure consults this memo before simulating, and so does
+  // the restart half inside a simulation (not owned).
   SegmentMemo* memo = nullptr;
 
   static std::unique_ptr<spice::Circuit> build(
@@ -175,6 +183,8 @@ struct RectifierPlant {
  private:
   // The one physics path behind measure, memoized or not.
   Segment simulate(double amplitude);
+  // The memo key of a run from the committed node.
+  SegmentKey key(double amplitude, double length, bool restart_half) const;
 
   std::shared_ptr<const spice::TransientCheckpoint> committed_;
   double committed_amplitude_ = -1.0;

@@ -1,6 +1,8 @@
 #include "src/magnetics/link.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "src/magnetics/coupling.hpp"
@@ -98,6 +100,14 @@ void InductiveLink::set_placement(double distance, double offset) {
     throw std::invalid_argument("InductiveLink: placement must be finite");
   }
   if (distance <= 0.0) throw std::invalid_argument("InductiveLink: distance must be > 0");
+  // k and M depend on the placement alone (the coils are fixed), so the
+  // placement already held, bit for bit, keeps them.
+  if (std::bit_cast<std::uint64_t>(distance) ==
+          std::bit_cast<std::uint64_t>(config_.distance) &&
+      std::bit_cast<std::uint64_t>(offset) ==
+          std::bit_cast<std::uint64_t>(config_.lateral_offset)) {
+    return;
+  }
   config_.distance = distance;
   config_.lateral_offset = offset;
   recompute();

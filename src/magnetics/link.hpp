@@ -61,9 +61,10 @@ class InductiveLink {
   double drive_for_power(double target_power, double load_resistance) const;
 
   // Reconfigure the geometry (retunes k and M). set_placement moves both
-  // coordinates with one mutual-inductance solve; it throws
-  // std::invalid_argument on a non-finite input or a distance <= 0. The
-  // single-coordinate setters are shorthands for it.
+  // coordinates with one mutual-inductance solve, or none when both are
+  // bit for bit the ones held; it throws std::invalid_argument on a
+  // non-finite input or a distance <= 0. The single-coordinate setters
+  // are shorthands for it.
   void set_placement(double distance, double offset);
   void set_distance(double distance);
   void set_lateral_offset(double offset);

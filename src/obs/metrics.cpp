@@ -1,6 +1,7 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -112,6 +113,86 @@ void Gauge::set_max(double v) {
   }
 }
 
+void ExactSum::add(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int biased = static_cast<int>((bits >> 52) & 0x7ff);
+  // |v| = m * 2^(shift - 128), m the 53-bit significand: shift is the
+  // bit of the fixed-point number m's lowest bit lands on.
+  const int shift = std::max(biased, 1) - 1075 + 128;
+  if (biased == 0x7ff || shift > 138) {  // inf, NaN, or |v| >= 2^63
+    outside_ += v;
+    return;
+  }
+  std::uint64_t m = bits & ((std::uint64_t{1} << 52) - 1);
+  if (biased != 0) m |= std::uint64_t{1} << 52;
+  std::array<std::uint64_t, 4> term{};
+  if (shift < 0) {
+    term[0] = shift > -64 ? m >> -shift : 0;
+  } else {
+    const int word = shift / 64;
+    const int bit = shift % 64;
+    term[static_cast<std::size_t>(word)] = m << bit;
+    if (bit != 0) term[static_cast<std::size_t>(word) + 1] = m >> (64 - bit);
+  }
+  if ((bits >> 63) != 0) {  // two's complement negation
+    bool carry = true;
+    for (auto& w : term) {
+      w = ~w + (carry ? 1 : 0);
+      carry = carry && w == 0;
+    }
+  }
+  add_words(term);
+}
+
+void ExactSum::add(const ExactSum& other) {
+  add_words(other.words_);
+  outside_ += other.outside_;
+}
+
+void ExactSum::add_words(const std::array<std::uint64_t, 4>& x) {
+  std::uint64_t carry = 0;
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    const std::uint64_t partial = words_[i] + x[i];
+    const std::uint64_t total = partial + carry;
+    carry = (partial < x[i] ? 1 : 0) + (total < partial ? 1 : 0);
+    words_[i] = total;
+  }
+}
+
+double ExactSum::value() const {
+  std::array<std::uint64_t, 4> mag = words_;
+  const bool negative = (mag[3] >> 63) != 0;
+  if (negative) {
+    bool carry = true;
+    for (auto& w : mag) {
+      w = ~w + (carry ? 1 : 0);
+      carry = carry && w == 0;
+    }
+  }
+  std::size_t top = mag.size();
+  while (top > 0 && mag[top - 1] == 0) --top;
+  double total = 0.0;
+  if (top == 1) {
+    total = std::ldexp(static_cast<double>(mag[0]), -128);
+  } else if (top > 1) {
+    // The 64 bits from the highest set bit down, with a sticky bit for
+    // everything below them, so the one conversion rounds to nearest.
+    const std::size_t t = top - 1;
+    const int lead = std::countl_zero(mag[t]);
+    std::uint64_t window = mag[t] << lead;
+    std::uint64_t below = mag[t - 1];
+    if (lead != 0) {
+      window |= mag[t - 1] >> (64 - lead);
+      below = mag[t - 1] << lead;
+    }
+    for (std::size_t i = 0; i + 1 < t; ++i) below |= mag[i];
+    if (below != 0) window |= 1;
+    total = std::ldexp(static_cast<double>(window),
+                       static_cast<int>(64 * t) - lead - 128);
+  }
+  return (negative ? -total : total) + outside_;
+}
+
 // One thread's slice of a histogram, allocated on first observation so
 // idle metrics cost one pointer array. A spin lock guards the fields:
 // observe() holds it for one observation, merged() and reset() hold every
@@ -130,7 +211,7 @@ struct Histogram::Shard {
   std::atomic<bool> busy{false};
   std::vector<std::uint64_t> buckets;
   std::uint64_t count = 0;
-  double sum = 0.0;
+  ExactSum sum;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
 };
@@ -169,7 +250,7 @@ void Histogram::observe(double v) {
   const std::lock_guard<Shard> guard(s);
   ++s.buckets[idx];
   ++s.count;
-  s.sum += v;
+  s.sum.add(v);
   s.min = s.min < v ? s.min : v;
   s.max = s.max > v ? s.max : v;
 }
@@ -211,11 +292,12 @@ Histogram::Merged Histogram::merged() const {
       if (!s) continue;
       for (std::size_t i = 0; i < m.buckets.size(); ++i) m.buckets[i] += s->buckets[i];
       m.count += s->count;
-      m.sum += s->sum;
+      m.exact_sum.add(s->sum);
       lo = std::min(lo, s->min);
       hi = std::max(hi, s->max);
     }
   }
+  m.sum = m.exact_sum.value();
   m.min = (m.count == 0 || std::isinf(lo)) ? 0.0 : lo;
   m.max = (m.count == 0 || std::isinf(hi)) ? 0.0 : hi;
   return m;
@@ -237,7 +319,7 @@ void Histogram::reset() {
     if (!s) continue;
     std::fill(s->buckets.begin(), s->buckets.end(), 0);
     s->count = 0;
-    s->sum = 0.0;
+    s->sum = ExactSum{};
     s->min = std::numeric_limits<double>::infinity();
     s->max = -std::numeric_limits<double>::infinity();
   }
@@ -310,7 +392,7 @@ std::vector<CohortAggregate> MetricsRegistry::aggregate_cohorts() const {
     std::vector<std::uint64_t> buckets;
     std::uint64_t sessions = 0;
     std::uint64_t count = 0;
-    double sum = 0.0;
+    ExactSum sum;  // exact, so the order children merge in is moot
     double min = std::numeric_limits<double>::infinity();
     double max = -std::numeric_limits<double>::infinity();
     std::vector<double> means;  // fallback when bounds differ
@@ -347,7 +429,7 @@ std::vector<CohortAggregate> MetricsRegistry::aggregate_cohorts() const {
         }
       }
       agg.count += m.count;
-      agg.sum += m.sum;
+      agg.sum.add(m.exact_sum);
       if (m.count > 0) {
         agg.min = std::min(agg.min, m.min);
         agg.max = std::max(agg.max, m.max);
@@ -380,10 +462,10 @@ std::vector<CohortAggregate> MetricsRegistry::aggregate_cohorts() const {
     row.type = "histogram";
     row.sessions = agg.sessions;
     row.count = agg.count;
-    row.sum = agg.sum;
+    row.sum = agg.sum.value();
     row.min = std::isinf(agg.min) ? 0.0 : agg.min;
     row.max = std::isinf(agg.max) ? 0.0 : agg.max;
-    row.mean = agg.count == 0 ? 0.0 : agg.sum / static_cast<double>(agg.count);
+    row.mean = agg.count == 0 ? 0.0 : row.sum / static_cast<double>(agg.count);
     if (!agg.mixed_bounds) {
       row.p50 = percentile_from_buckets(agg.bounds, agg.buckets, agg.count,
                                         row.min, row.max, 50.0);

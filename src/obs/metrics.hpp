@@ -150,11 +150,35 @@ class Gauge {
   std::array<detail::ShardF64, kMetricShards> cells_;
 };
 
+// A sum whose value does not depend on the order of its terms: a signed
+// fixed-point number at 2^-128 in four 64-bit words, two's complement,
+// least significant first. A finite term of magnitude in [2^-76, 2^63)
+// converts exactly, a smaller one truncates toward zero at 2^-128, so
+// adding terms (or other sums) is exact integer addition, and value()
+// rounds the total to the nearest double once. Non-finite terms, and
+// finite ones of 2^63 or more, add into a plain double beside it, which
+// keeps their IEEE behaviour (+inf, NaN) in value().
+class ExactSum {
+ public:
+  void add(double v);
+  void add(const ExactSum& other);
+  double value() const;
+
+ private:
+  void add_words(const std::array<std::uint64_t, 4>& x);
+
+  std::array<std::uint64_t, 4> words_{};
+  double outside_ = 0.0;  // terms the fixed-point range does not hold
+};
+
 // Fixed-boundary histogram: `bounds` are the inclusive upper edges of the
 // buckets; one overflow bucket catches everything above the last edge.
 // Observation updates the calling thread's lazily allocated shard (bucket,
-// count, sum, min and max under the shard's spin lock, which is
-// uncontended when ordinals do not collide).
+// count, exact sum, min and max under the shard's spin lock, which is
+// uncontended when ordinals do not collide). Which shard an observation
+// lands in depends on the thread that made it, so the sum is an ExactSum:
+// the same observations give the same sum() and mean() bits however
+// they were spread over threads and in whatever order.
 //
 // Snapshot coherence contract: merge-style readers (count/sum/min/max/
 // percentile/bucket_counts/merged) and reset() hold every shard's lock
@@ -175,7 +199,8 @@ class Histogram {
   struct Merged {
     std::vector<std::uint64_t> buckets;
     std::uint64_t count = 0;
-    double sum = 0.0;
+    ExactSum exact_sum;  // for merging histograms without rounding
+    double sum = 0.0;    // exact_sum.value()
     double min = 0.0;  // 0 when empty
     double max = 0.0;  // 0 when empty
   };

@@ -114,6 +114,24 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source, NodeI
   if (params_.w <= 0.0 || params_.l <= 0.0) {
     throw std::invalid_argument("Mosfet: W and L must be > 0");
   }
+  // Pair each entry of the fixed order with the swapped list's entries
+  // for the same slot, first with first: terminals that share a node
+  // (drain == bulk) give one slot two contributions, and they keep
+  // their swapped order.
+  channel_ = channel_entries(d_, s_);
+  const auto swapped = channel_entries(s_, d_);
+  std::array<bool, 8> taken{};
+  for (std::size_t k = 0; k < channel_.size(); ++k) {
+    std::uint8_t j = 0;
+    while (taken[j] || !(swapped[j] == channel_[k])) ++j;
+    taken[j] = true;
+    swapped_value_[k] = j;
+  }
+}
+
+std::array<Mosfet::Entry, 8> Mosfet::channel_entries(NodeId nd, NodeId ns) const {
+  return {{{nd, g_}, {nd, nd}, {nd, b_}, {nd, ns},
+           {ns, g_}, {ns, nd}, {ns, b_}, {ns, ns}}};
 }
 
 void Mosfet::start_step(double /*time*/, double /*dt*/) {
@@ -187,7 +205,8 @@ void Mosfet::stamp(StampContext& ctx) {
 
   // Source/drain swap so the evaluated frame always has vds >= 0.
   NodeId nd = d_, ns = s_;
-  if (fvd < fvs) {
+  const bool swapped = fvd < fvs;
+  if (swapped) {
     std::swap(fvd, fvs);
     std::swap(nd, ns);
   }
@@ -216,16 +235,16 @@ void Mosfet::stamp(StampContext& ctx) {
   //   dI/dvg = gm, dI/dvd_eff = gds, dI/dvb = gmb, dI/dvs_eff = -(gm+gds+gmb),
   // and the constant companion term uses the limited frame voltages so the
   // stamp reproduces the evaluated current exactly at this iterate.
+  // The values follow channel_entries(nd, ns); the calls go out in the
+  // (d_, s_) order whatever the orientation, so the solver's recorded
+  // stamp sequence holds, and each slot's sum is the same bits.
   const double gsum = op.gm + op.gds + op.gmb;
-
-  add_a(ctx, nd, g_, op.gm);
-  add_a(ctx, nd, nd, op.gds);
-  add_a(ctx, nd, b_, op.gmb);
-  add_a(ctx, nd, ns, -gsum);
-  add_a(ctx, ns, g_, -op.gm);
-  add_a(ctx, ns, nd, -op.gds);
-  add_a(ctx, ns, b_, -op.gmb);
-  add_a(ctx, ns, ns, gsum);
+  const std::array<double, 8> value = {op.gm,  op.gds,  op.gmb,  -gsum,
+                                       -op.gm, -op.gds, -op.gmb, gsum};
+  for (std::size_t k = 0; k < channel_.size(); ++k) {
+    add_a(ctx, channel_[k].row, channel_[k].col,
+          value[swapped ? swapped_value_[k] : k]);
+  }
 
   const double i0 =
       polarity_ * (op.ids - op.gm * vgs - op.gds * vds - op.gmb * vbs);

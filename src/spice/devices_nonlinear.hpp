@@ -5,6 +5,9 @@
 // SPICE-style junction limiting to keep the exponentials tame.
 #pragma once
 
+#include <array>
+#include <cstdint>
+
 #include "src/spice/circuit.hpp"
 #include "src/spice/device.hpp"
 
@@ -97,10 +100,24 @@ class Mosfet final : public Device {
   void stamp_bulk_junction(StampContext& ctx, NodeId anode, NodeId cathode,
                            double& v_prev, bool& have_prev);
 
+  // One channel matrix entry: (row, column) node pair.
+  struct Entry {
+    NodeId row, col;
+    bool operator==(const Entry&) const = default;
+  };
+  // The channel stamp's eight entries for an evaluated (drain, source).
+  std::array<Entry, 8> channel_entries(NodeId nd, NodeId ns) const;
+
   NodeId d_, g_, s_, b_;
   MosParams params_;
   double polarity_;  // +1 NMOS, -1 PMOS
   double junction_vcrit_;  // bulk-junction critical voltage for pnjlim
+  // stamp issues channel_entries(d_, s_) in both orientations. Swapped,
+  // entry k takes the value the swapped list gives entry
+  // swapped_value_[k], so every slot still sums its contributions in
+  // the swapped list's order.
+  std::array<Entry, 8> channel_;
+  std::array<std::uint8_t, 8> swapped_value_{};
   // Per-iteration limiting state.
   double vgs_prev_ = 0.0, vds_prev_ = 0.0;
   bool have_prev_ = false;

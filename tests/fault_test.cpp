@@ -1,13 +1,20 @@
 // Fault schedules and the injector: window arithmetic, stochastic
-// generation determinism, and the comms channel wrapper.
+// generation determinism, and the comms channel wrapper; and the plant's
+// restart cost under a shared memo.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <stdexcept>
 
 #include "src/comms/bitstream.hpp"
 #include "src/fault/injector.hpp"
+#include "src/fault/plant.hpp"
 #include "src/fault/schedule.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -210,6 +217,44 @@ TEST(FaultInjector, RequiresScheduleAndClock) {
                std::invalid_argument);
   EXPECT_THROW(FaultInjector(&schedule, nullptr, ironic::util::Rng(1)),
                std::invalid_argument);
+}
+
+// Two plants forked from one blob and measured at two different drives
+// each restart from the blob: the half segment they discard runs from
+// the same node at the blob's drive, so one shared PlantMemos runs it
+// once. That is 3 transient runs (2 segments and 1 restart half), not 4,
+// and each plant still reads exactly what a plant without a memo reads.
+TEST(RectifierPlant, RestartHalfRunsOncePerNodeAndDrive) {
+  const ChargeUpSpec spec;
+  const auto blob = std::make_shared<const spice::TransientCheckpoint>(
+      capture_charged_checkpoint(spec));
+  const std::array<double, 2> drives = {0.8 * spec.amplitude,
+                                        1.1 * spec.amplitude};
+  std::array<double, 2> solo{};
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    RectifierPlant plant;
+    plant.fork_from(blob, spec.amplitude);
+    solo[k] = plant.measure(drives[k]);
+    EXPECT_EQ(plant.restarts, 1);
+  }
+
+  auto& runs = obs::MetricsRegistry::instance().counter("spice.transient.runs");
+  const std::uint64_t runs_before = runs.value();
+  PlantMemos memos;
+  for (std::size_t k = 0; k < drives.size(); ++k) {
+    RectifierPlant plant;
+    plant.memo = &memos.segments;
+    plant.fork_from(blob, spec.amplitude);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plant.measure(drives[k])),
+              std::bit_cast<std::uint64_t>(solo[k]))
+        << "drive " << drives[k];
+    EXPECT_EQ(plant.restarts, 1);
+  }
+  if (obs::kEnabled && obs::runtime_enabled()) {
+    EXPECT_EQ(runs.value() - runs_before, 3u);
+  }
+  EXPECT_EQ(memos.segments.misses(), 3u);  // 2 segments, 1 restart half
+  EXPECT_EQ(memos.segments.hits(), 1u);    // the second restart half
 }
 
 }  // namespace

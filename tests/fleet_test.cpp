@@ -288,11 +288,13 @@ TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
   }
   EXPECT_EQ(reference.restarts, 2);
   EXPECT_EQ(reference.checkpoints, 5);
-  EXPECT_EQ(memo.misses(), drives.size());
+  // Every segment and both restart halves (from two different nodes).
+  EXPECT_EQ(memo.misses(), drives.size() + 2);
   EXPECT_EQ(memo.hits(), 0u);
 
   // A third plant with the same drive history is served entirely from
-  // the memo: the same values, the same counters, the very same nodes.
+  // the memo: the same values, the same counters, the very same nodes,
+  // and no restart half, since a segment read back runs nothing.
   fault::RectifierPlant replay;
   replay.memo = &memo;
   replay.fork_from(blob, nominal);
@@ -302,7 +304,7 @@ TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
   }
   EXPECT_EQ(replay.restarts, reference.restarts);
   EXPECT_EQ(replay.checkpoints, reference.checkpoints);
-  EXPECT_EQ(memo.misses(), drives.size());
+  EXPECT_EQ(memo.misses(), drives.size() + 2);
   EXPECT_EQ(memo.hits(), drives.size());
 }
 
@@ -324,7 +326,7 @@ TEST(SegmentMemo, ConcurrentRequestsForOneKeySimulateOnce) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.misses(), 2u);  // the segment and its restart half
   EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
   fault::RectifierPlant reference;
   reference.fork_from(blob, nominal);
@@ -375,7 +377,8 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(memo.misses(), 1u);
+  // The failing segment and the restart half before it, which succeeds.
+  EXPECT_EQ(memo.misses(), 2u);
   EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(messages[t], expected) << "thread " << t;
@@ -383,6 +386,46 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
     EXPECT_EQ(plants[t].committed(), blob.get());
     EXPECT_EQ(plants[t].checkpoints, 0);
   }
+}
+
+TEST(SegmentMemo, RestartHalfFailureReachesEveryRequester) {
+  // A plant that believes its node was committed at an infinite drive
+  // restarts from it, and the half segment at that drive throws. A
+  // second plant on the same node measured at another drive is a new
+  // segment but the same restart half: it reads the stored failure back
+  // without running it.
+  const double nominal = fault::ChargeUpSpec{}.amplitude;
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto blob = charged_blob();
+  std::string expected;
+  {
+    fault::RectifierPlant reference;
+    reference.fork_from(blob, inf);
+    try {
+      reference.measure(nominal);
+    } catch (const std::exception& error) {
+      expected = error.what();
+    }
+  }
+  EXPECT_FALSE(expected.empty());
+
+  fault::SegmentMemo memo;
+  for (const double drive : {nominal, 0.8 * nominal}) {
+    fault::RectifierPlant plant;
+    plant.memo = &memo;
+    plant.fork_from(blob, inf);
+    std::string message;
+    try {
+      plant.measure(drive);
+    } catch (const std::exception& error) {
+      message = error.what();
+    }
+    EXPECT_EQ(message, expected) << "drive " << drive;
+    EXPECT_EQ(plant.committed(), blob.get());  // a throw commits nothing
+    EXPECT_EQ(plant.restarts, 0);
+  }
+  EXPECT_EQ(memo.misses(), 3u);  // 2 segments, 1 restart half
+  EXPECT_EQ(memo.hits(), 1u);    // the second plant's restart half
 }
 
 TEST(SegmentMemo, RotationCarriesAnEntryWithoutSimulating) {
@@ -393,14 +436,14 @@ TEST(SegmentMemo, RotationCarriesAnEntryWithoutSimulating) {
   first.memo = &memo;
   first.fork_from(blob, nominal);
   const double vo = first.measure(0.8 * nominal);
-  EXPECT_EQ(memo.misses(), 1u);
+  EXPECT_EQ(memo.misses(), 2u);  // the segment and its restart half
   memo.rotate();
   EXPECT_EQ(memo.hits(), 0u);
   EXPECT_EQ(memo.misses(), 0u);
   EXPECT_EQ(memo.carried(), 0u);
 
   // The next generation reads the entry back: the same value, restart
-  // and committed node, no simulation.
+  // and committed node, no simulation (and so no restart half).
   fault::RectifierPlant second;
   second.memo = &memo;
   second.fork_from(blob, nominal);

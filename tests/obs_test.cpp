@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -175,6 +177,82 @@ TEST(Histogram, P0AndP100ClampToObservedRange) {
   EXPECT_DOUBLE_EQ(h.percentile(100.0), 10.0);
   EXPECT_DOUBLE_EQ(h.percentile(-5.0), 1.0);
   EXPECT_DOUBLE_EQ(h.percentile(400.0), 10.0);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Histogram, SumIsExactRoundedOnce) {
+  // Added left to right in doubles these give 1 (the first 1 vanishes
+  // into 1e16) and 0.9999999999999999; their exact sums round to 2 and 1.
+  obs::Histogram cancel({});
+  for (const double v : {1e16, 1.0, -1e16, 1.0}) cancel.observe(v);
+  EXPECT_EQ(bits_of(cancel.sum()), bits_of(2.0));
+  EXPECT_EQ(bits_of(cancel.mean()), bits_of(0.5));
+  obs::Histogram tenths({});
+  for (int i = 0; i < 10; ++i) tenths.observe(0.1);
+  EXPECT_EQ(bits_of(tenths.sum()), bits_of(1.0));
+  // Below 2^-76 a term truncates at 2^-128; at 2^63 and up it is added
+  // as a double beside the fixed-point total.
+  obs::Histogram wide({});
+  for (const double v : {1e20, -3e-30, 1.0}) wide.observe(v);
+  EXPECT_EQ(bits_of(wide.sum()), bits_of(1e20 + 1.0));
+}
+
+TEST(Histogram, NonFiniteObservationsKeepTheirIeeeSum) {
+  obs::Histogram up({});
+  up.observe(1.0);
+  up.observe(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(up.sum(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(up.mean(), std::numeric_limits<double>::infinity());
+  up.observe(-std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(up.sum()));
+  obs::Histogram nan({});
+  nan.observe(2.0);
+  nan.observe(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(std::isnan(nan.sum()));
+  EXPECT_TRUE(std::isnan(nan.mean()));
+  EXPECT_EQ(nan.count(), 2u);
+}
+
+TEST(MetricsShard, HistogramSumIsIndependentOfThreadsAndOrder) {
+  // One set of observations of mixed sign and magnitude, whose running
+  // double sum depends on the order: made forward on one thread,
+  // backward on one thread, and striped over four threads (so over four
+  // shards), the three histograms report the same sum and mean bits.
+  std::vector<double> values;
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 4000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double unit = static_cast<double>(state >> 11) * 0x1p-53;
+    const double magnitude = std::ldexp(unit, static_cast<int>(state % 61) - 30);
+    values.push_back((state >> 7) % 3 == 0 ? -magnitude : magnitude);
+  }
+  obs::Histogram forward({});
+  obs::Histogram backward({});
+  obs::Histogram striped({});
+  for (const double v : values) forward.observe(v);
+  for (auto it = values.rbegin(); it != values.rend(); ++it) backward.observe(*it);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const obs::ThreadRegistration registration;
+      for (std::size_t i = t; i < values.size(); i += kThreads) {
+        striped.observe(values[values.size() - 1 - i]);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  double naive_forward = 0.0;
+  double naive_backward = 0.0;
+  for (const double v : values) naive_forward += v;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) naive_backward += *it;
+  EXPECT_NE(bits_of(naive_forward), bits_of(naive_backward));  // not vacuous
+  for (const auto* h : {&backward, &striped}) {
+    EXPECT_EQ(h->count(), forward.count());
+    EXPECT_EQ(bits_of(h->sum()), bits_of(forward.sum()));
+    EXPECT_EQ(bits_of(h->mean()), bits_of(forward.mean()));
+  }
 }
 
 TEST(MetricsShard, CounterConcurrentAddsSumExactly) {

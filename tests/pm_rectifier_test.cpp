@@ -203,6 +203,9 @@ TEST(Rectifier, BenchCircuitEngineCountersArePinned) {
   EXPECT_EQ(solver.solves, 2760u);
   EXPECT_EQ(solver.pattern_builds, 1u);
   EXPECT_EQ(solver.pattern_reuses, 2759u);
+  // Every assembly replays the recorded stamp order, MOSFETs that swap
+  // source and drain included.
+  EXPECT_EQ(solver.sequence_divergences, 0u);
   EXPECT_EQ(solver.nnz, 32u);
   EXPECT_EQ(solver.factor_nnz, 39u);
 

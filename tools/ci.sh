@@ -267,8 +267,18 @@ run_fault() {
     --require cohort.ask_burst_coupling_drop.fault.scenario.recover_s.max \
     --require cohort.brownout_shedding.fault.scenario.brownouts.max \
     "$ROOT/build-ci-release/BENCH_fault_resilience.json"
+  # Every device stamps in one call order, a MOSFET whose source and
+  # drain swap included, so no assembly leaves the solver's recorded
+  # stamp sequence (DESIGN.md §11.1).
+  if ! grep -A2 '"name": "spice.solver.sequence_divergences"' \
+      "$ROOT/build-ci-release/BENCH_fault_resilience.json" |
+      grep -q '"value": 0$'; then
+    echo "ci: FAIL -- spice.solver.sequence_divergences is not 0" >&2
+    exit 1
+  fi
   echo "ci: campaigns wrote $out; fingerprints and memo totals" \
-       "thread-count invariant; exit-code and telemetry contracts hold"
+       "thread-count invariant; no stamp-sequence divergence;" \
+       "exit-code and telemetry contracts hold"
 }
 
 run_fleet() {
