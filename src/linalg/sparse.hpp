@@ -12,11 +12,11 @@
 // plus one indexed accumulate per stamp — no hashing, no searches — and
 // that replay is inline here; every other call (the range check, the
 // first call of an assembly, recording) goes out of line. When the
-// order diverges (a MOSFET swapping source/drain roles between
-// operating regions reorders its stamp calls), the matched prefix is
-// kept, the rest falls back to a binary search per entry, and the
-// sequence is re-recorded — a speed blip, never a correctness issue
-// (counted in sequence_divergences).
+// order diverges (a device whose stamp calls depend on its operating
+// point; the shipped devices keep one order, see DESIGN.md §11.1), the
+// matched prefix is kept, the rest falls back to a binary search per
+// entry, and the sequence is re-recorded — a speed blip, never a
+// correctness issue (counted in sequence_divergences).
 // Entries the pattern has never seen land in an overflow triplet list and
 // are merged at factor() time (capacitors stamp nothing at DC, so a DC
 // solve followed by a transient grows the pattern once).

@@ -113,6 +113,19 @@ void Gauge::set_max(double v) {
   }
 }
 
+namespace {
+
+// Two's complement negation of a four-word fixed-point number.
+void negate(std::array<std::uint64_t, 4>& words) {
+  bool carry = true;
+  for (auto& w : words) {
+    w = ~w + (carry ? 1 : 0);
+    carry = carry && w == 0;
+  }
+}
+
+}  // namespace
+
 void ExactSum::add(double v) {
   const auto bits = std::bit_cast<std::uint64_t>(v);
   const int biased = static_cast<int>((bits >> 52) & 0x7ff);
@@ -134,13 +147,7 @@ void ExactSum::add(double v) {
     term[static_cast<std::size_t>(word)] = m << bit;
     if (bit != 0) term[static_cast<std::size_t>(word) + 1] = m >> (64 - bit);
   }
-  if ((bits >> 63) != 0) {  // two's complement negation
-    bool carry = true;
-    for (auto& w : term) {
-      w = ~w + (carry ? 1 : 0);
-      carry = carry && w == 0;
-    }
-  }
+  if ((bits >> 63) != 0) negate(term);
   add_words(term);
 }
 
@@ -162,13 +169,7 @@ void ExactSum::add_words(const std::array<std::uint64_t, 4>& x) {
 double ExactSum::value() const {
   std::array<std::uint64_t, 4> mag = words_;
   const bool negative = (mag[3] >> 63) != 0;
-  if (negative) {
-    bool carry = true;
-    for (auto& w : mag) {
-      w = ~w + (carry ? 1 : 0);
-      carry = carry && w == 0;
-    }
-  }
+  if (negative) negate(mag);
   std::size_t top = mag.size();
   while (top > 0 && mag[top - 1] == 0) --top;
   double total = 0.0;

@@ -201,8 +201,8 @@ class Histogram {
     std::uint64_t count = 0;
     ExactSum exact_sum;  // for merging histograms without rounding
     double sum = 0.0;    // exact_sum.value()
-    double min = 0.0;  // 0 when empty
-    double max = 0.0;  // 0 when empty
+    double min = 0.0;    // 0 when empty
+    double max = 0.0;    // 0 when empty
   };
   Merged merged() const;
 

@@ -235,9 +235,10 @@ void Mosfet::stamp(StampContext& ctx) {
   //   dI/dvg = gm, dI/dvd_eff = gds, dI/dvb = gmb, dI/dvs_eff = -(gm+gds+gmb),
   // and the constant companion term uses the limited frame voltages so the
   // stamp reproduces the evaluated current exactly at this iterate.
-  // The values follow channel_entries(nd, ns); the calls go out in the
-  // (d_, s_) order whatever the orientation, so the solver's recorded
-  // stamp sequence holds, and each slot's sum is the same bits.
+  // The values follow channel_entries(nd, ns), but the calls go out in
+  // the (d_, s_) order in both orientations, so every assembly replays
+  // the solver's recorded stamp sequence; swapped_value_ keeps each
+  // slot's values in the order channel_entries(nd, ns) lists them.
   const double gsum = op.gm + op.gds + op.gmb;
   const std::array<double, 8> value = {op.gm,  op.gds,  op.gmb,  -gsum,
                                        -op.gm, -op.gds, -op.gmb, gsum};
