@@ -88,13 +88,13 @@ TEST(FaultCampaign, ScriptedCampaignIsThreadCountInvariant) {
   // The scenarios share the call's plant memos. Misses are the distinct
   // inputs, so the totals are thread-count invariant too. Every
   // committed segment is a hit or a miss, and so is the half segment
-  // each simulated restart throws away (a segment read back from the
-  // memo runs no half): this campaign simulates at least one restart.
+  // each simulated restart throws away. The three scenarios restart at
+  // one shared segment: one simulates it with its half, and two read it
+  // back, which runs no half.
   EXPECT_GT(a.segment_hits, 0u);
-  EXPECT_GT(a.segment_hits + a.segment_misses,
-            static_cast<std::uint64_t>(a.checkpoints));
-  EXPECT_LE(a.segment_hits + a.segment_misses,
-            static_cast<std::uint64_t>(a.checkpoints + a.restarts));
+  EXPECT_EQ(a.restarts, 3);
+  EXPECT_EQ(a.segment_hits + a.segment_misses,
+            static_cast<std::uint64_t>(a.checkpoints) + 1);
   EXPECT_EQ(a.segment_hits, b.segment_hits);
   EXPECT_EQ(a.segment_misses, b.segment_misses);
   EXPECT_EQ(a.bioz_hits + a.bioz_misses, 0u);  // no bio-impedance plant
