@@ -38,9 +38,14 @@ class CancellationToken {
 
   // Derived token sharing the same cancel flag but additionally cancelled
   // once `timeout` elapses (measured from now). An existing earlier
-  // deadline is kept.
+  // deadline is kept. A timeout that runs past the clock's range
+  // saturates at its last instant: adding it to now() would overflow.
   CancellationToken with_timeout(std::chrono::nanoseconds timeout) const {
-    return with_deadline(std::chrono::steady_clock::now() + timeout);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    return with_deadline(timeout < Clock::time_point::max() - now
+                             ? now + timeout
+                             : Clock::time_point::max());
   }
   CancellationToken with_deadline(
       std::chrono::steady_clock::time_point deadline) const {

@@ -6,15 +6,21 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 
 namespace ironic::fault {
+namespace {
+
+// Cascaded Fricke cells, as in examples/netlists/tissue_ladder.cir.
+constexpr int kLadderCells = 60;
+// The signal BioZPlant::measure reads.
+constexpr const char* kSenseTap = "v(t5)";
+
+}  // namespace
 
 std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
-                                                    double tissue_scale,
-                                                    int segments) {
+                                                    double tissue_scale) {
   if (!std::isfinite(amplitude)) {
     throw std::invalid_argument("build_tissue_ladder: amplitude must be finite");
   }
@@ -32,7 +38,7 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
       spice::Waveform::pulse(0.0, amplitude, 1e-6, 100e-9, 100e-9, 20e-6,
                              50e-6));
   auto prev = in;
-  for (int s = 1; s <= segments; ++s) {
+  for (int s = 1; s <= kLadderCells; ++s) {
     const std::string tag = std::to_string(s);
     const auto t = ckt->node("t" + tag);
     const auto m = ckt->node("m" + tag);
@@ -48,19 +54,15 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
 }
 
 double BioZPlant::simulate(double amplitude, double tissue_scale) {
-  auto ckt = build_tissue_ladder(amplitude, tissue_scale, segments);
-  if (analysis_hints) {
-    spice::analysis::apply_hints(*ckt, spice::analysis::analyze(*ckt));
-  }
-  const std::string sense = "v(t" + std::to_string(sense_tap) + ")";
+  auto ckt = build_tissue_ladder(amplitude, tissue_scale);
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;
   opts.dt_max = 50e-9;
   opts.record_every = 4;
-  opts.record_signals = {sense};
+  opts.record_signals = {kSenseTap};
   const auto res = spice::run_transient(*ckt, opts);
   // The pulse is high from ~1.1 us; average the settled back half.
-  return res.mean_between(sense, 10e-6, 20e-6);
+  return res.mean_between(kSenseTap, 10e-6, 20e-6);
 }
 
 double BioZPlant::measure(double amplitude, double tissue_scale) {
@@ -68,8 +70,7 @@ double BioZPlant::measure(double amplitude, double tissue_scale) {
       memo == nullptr
           ? simulate(amplitude, tissue_scale)
           : memo->lookup({std::bit_cast<std::uint64_t>(amplitude),
-                          std::bit_cast<std::uint64_t>(tissue_scale), segments,
-                          sense_tap, analysis_hints},
+                          std::bit_cast<std::uint64_t>(tissue_scale)},
                          nullptr,
                          [&] { return simulate(amplitude, tissue_scale); });
   ++measurements;

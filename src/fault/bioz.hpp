@@ -34,22 +34,18 @@ namespace ironic::fault {
 // The tissue-ladder stimulation circuit: `amplitude` is the pulse high
 // level (the implant's compensated drive rail), `tissue_scale`
 // multiplies every segment's Re/Ri (1.0 = the shipped netlist's
-// sirloin numbers), `segments` cascaded cells. Throws
+// sirloin numbers), 60 cascaded cells. Throws
 // std::invalid_argument on a non-finite amplitude or a tissue scale that
 // is not finite and positive: the linear transient would otherwise
 // carry the NaN through to the sensed voltage without complaint.
 std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
-                                                    double tissue_scale,
-                                                    int segments = 60);
+                                                    double tissue_scale);
 
 // Every input BioZPlant::measure reads: the drive and tissue scale as
-// their bit patterns, plus the plant fields that shape the circuit.
+// their bit patterns.
 struct BioZKey {
   std::uint64_t amplitude = 0;
   std::uint64_t tissue_scale = 0;
-  int segments = 0;
-  int sense_tap = 0;
-  bool analysis_hints = false;
 
   auto operator<=>(const BioZKey&) const = default;
 };
@@ -59,23 +55,17 @@ struct BioZKey {
 using BioZMemo = ExactMemo<BioZKey, double>;
 
 struct BioZPlant {
-  int segments = 60;
-  // Voltage tap: v(t<sense_tap>), a few cells past the near electrode —
-  // deep enough that tissue drift moves the divider, shallow enough
-  // that the level stays in the ADC's [0, 4] V window.
-  int sense_tap = 5;
   // Measures served, memoized or not (the `checkpoints` column).
   int measurements = 0;
-  // When set, the static-analysis passes run over each measurement
-  // circuit and install the dt hint before the transient.
-  bool analysis_hints = false;
   // When set, measure consults this memo before simulating (not owned).
   BioZMemo* memo = nullptr;
 
   // One measurement: a 20 us stimulation pulse into the ladder, the
-  // sense voltage averaged over the settled back half of the pulse.
-  // Deterministic: pure function of (amplitude, tissue_scale) and the
-  // plant fields in BioZKey.
+  // voltage at v(t5) averaged over the settled back half of the pulse.
+  // The tap sits a few cells past the near electrode: deep enough that
+  // tissue drift moves the divider, shallow enough that the level stays
+  // in the ADC's [0, 4] V window. Deterministic: a pure function of
+  // (amplitude, tissue_scale).
   double measure(double amplitude, double tissue_scale);
 
  private:

@@ -64,7 +64,6 @@ ScenarioResult run_link_scenario(const CampaignConfig& config, int index,
   PatientInputs inputs;
   inputs.link = config.link;
   inputs.workload = workload;
-  inputs.analysis_hints = config.analysis_hints;
   inputs.schedule = std::move(schedule);
   inputs.options = std::move(session_options);
   inputs.exchanges = config.exchanges;

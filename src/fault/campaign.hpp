@@ -37,11 +37,6 @@ struct CampaignConfig {
   // override this; the rest dispatch through it, and "inductive" is
   // bit-identical to the pre-LinkPhy pipeline.
   std::string link = "inductive";
-  // Run the static-analysis passes over each rectifier-plant circuit and
-  // install the dt hint before the transient segments. Must not change
-  // the fingerprint (the segments set dt_max explicitly, and the hint
-  // only fills a dt_max left at auto; the ctest gate pins this).
-  bool analysis_hints = false;
 };
 
 // One scenario: the patient pipeline's outcome (brownout_shedding, a

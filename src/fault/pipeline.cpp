@@ -9,6 +9,16 @@
 #include "src/pm/regulator.hpp"
 
 namespace ironic::fault {
+namespace {
+
+// The behavioural rectifier: the drive's peak minus a diode drop,
+// clamped at the four-diode chain voltage. It is the lactate soak's
+// front end and the rail under the bio-impedance ladder.
+double behavioural_rectifier(double amplitude) {
+  return std::clamp(amplitude - 0.75, 0.0, 3.0);
+}
+
+}  // namespace
 
 PatientOutcome run_patient(const PatientInputs& inputs) {
   PatientOutcome result;
@@ -21,12 +31,10 @@ PatientOutcome run_patient(const PatientInputs& inputs) {
   const double cadence = budget.nominal().cadence_s;
   RectifierPlant plant;
   plant.carrier_hz = budget.nominal().carrier_hz;
-  plant.analysis_hints = inputs.analysis_hints;
   if (inputs.charged != nullptr) {
     plant.fork_from(inputs.charged, inputs.charged_amplitude);
   }
   BioZPlant bioz;
-  bioz.analysis_hints = inputs.analysis_hints;
   if (inputs.memos != nullptr) {
     plant.memo = &inputs.memos->segments;
     bioz.memo = &inputs.memos->bioz;
@@ -69,9 +77,7 @@ PatientOutcome run_patient(const PatientInputs& inputs) {
           rail = vo;
           break;
         case Workload::kLactateBehavioural:
-          // Behavioural front end for the soak: peak minus a diode
-          // drop, clamped at the four-diode chain voltage.
-          vo = std::clamp(amplitude - 0.75, 0.0, 3.0);
+          vo = behavioural_rectifier(amplitude);
           rail = vo;
           break;
         case Workload::kBioZ:
@@ -79,7 +85,7 @@ PatientOutcome run_patient(const PatientInputs& inputs) {
           // the LDO sees is the behavioural rectifier output.
           vo = bioz.measure(amplitude,
                             bioz_tissue_scale(injector.tissue_thickness()));
-          rail = std::clamp(amplitude - 0.75, 0.0, 3.0);
+          rail = behavioural_rectifier(amplitude);
           break;
       }
       if (!ldo.in_regulation(rail * injector.rail_scale())) {

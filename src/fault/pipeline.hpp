@@ -64,7 +64,6 @@ struct PatientOutcome {
 struct PatientInputs {
   std::string link = "inductive";  // LinkPhy backend name
   Workload workload = Workload::kLactateSpice;
-  bool analysis_hints = false;  // passed to both plants
   FaultSchedule schedule;
   SessionOptions options;
   int exchanges = 0;

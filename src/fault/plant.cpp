@@ -6,11 +6,22 @@
 #include <utility>
 
 #include "src/obs/profiler.hpp"
-#include "src/spice/analysis/analysis.hpp"
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
 
 namespace ironic::fault {
+namespace {
+
+// Every rectifier run's recipe: one measure is a 10 us segment, and the
+// segments and the charge-up step at 10 ns.
+constexpr double kSegmentLength = 10e-6;
+constexpr double kStep = 10e-9;
+// The paper's charge-up time scale [s], and its trace decimation (the
+// checkpointed state does not depend on it).
+constexpr double kChargeUpDuration = 270e-6;
+constexpr int kChargeUpRecordEvery = 64;
+
+}  // namespace
 
 const char* workload_name(Workload workload) {
   switch (workload) {
@@ -146,14 +157,11 @@ spice::TransientResult RectifierPlant::run_segment(
   // A fresh circuit every segment: resume must carry ALL state through
   // the checkpoint blob, never through device object identity.
   auto ckt = build(amplitude, carrier_hz);
-  if (analysis_hints) {
-    spice::analysis::apply_hints(*ckt, spice::analysis::analyze(*ckt));
-  }
   spice::TransientOptions opts;
   const spice::TransientCheckpoint* from = committed();
   const double t0 = from != nullptr ? from->time : 0.0;
   opts.t_stop = t0 + length;
-  opts.dt_max = 10e-9;
+  opts.dt_max = kStep;
   opts.record_every = 8;
   opts.record_signals = {"v(r.vo)"};
   opts.checkpoint = capture;
@@ -172,45 +180,40 @@ Segment RectifierPlant::simulate(double amplitude) {
     // memo runs it once (an empty value; a failure replays).
     const auto doomed = [&] {
       spice::TransientCheckpoint scratch;
-      run_segment(committed_amplitude_, segment_length / 2.0, &scratch);
+      run_segment(committed_amplitude_, kSegmentLength / 2.0, &scratch);
       return Segment{};
     };
     if (memo == nullptr) {
       doomed();
     } else {
-      memo->lookup(key(committed_amplitude_, segment_length / 2.0, true),
-                   committed_, doomed);
+      memo->lookup(key(committed_amplitude_, true), committed_, doomed);
     }
     segment.restarted = true;
   }
   auto scratch = std::make_shared<spice::TransientCheckpoint>();
-  const auto res = run_segment(amplitude, segment_length, scratch.get());
+  const auto res = run_segment(amplitude, kSegmentLength, scratch.get());
   const spice::TransientCheckpoint* from = committed();
   const double t0 = from != nullptr ? from->time : 0.0;
   // Average the settled second half of the segment (the first half of
   // the very first segment is still charging Co).
-  segment.vo = res.mean_between("v(r.vo)", t0 + segment_length / 2.0,
-                                t0 + segment_length);
+  segment.vo = res.mean_between("v(r.vo)", t0 + kSegmentLength / 2.0,
+                                t0 + kSegmentLength);
   segment.committed = std::move(scratch);
   return segment;
 }
 
-SegmentKey RectifierPlant::key(double amplitude, double length,
-                               bool restart_half) const {
+SegmentKey RectifierPlant::key(double amplitude, bool restart_half) const {
   return {reinterpret_cast<std::uintptr_t>(committed_.get()),
           std::bit_cast<std::uint64_t>(committed_amplitude_),
           std::bit_cast<std::uint64_t>(amplitude),
-          std::bit_cast<std::uint64_t>(length),
-          std::bit_cast<std::uint64_t>(carrier_hz),
-          analysis_hints,
-          restart_half};
+          std::bit_cast<std::uint64_t>(carrier_hz), restart_half};
 }
 
 double RectifierPlant::measure(double amplitude) {
   const Segment segment =
       memo == nullptr
           ? simulate(amplitude)
-          : memo->lookup(key(amplitude, segment_length, false), committed_,
+          : memo->lookup(key(amplitude, false), committed_,
                          [&] { return simulate(amplitude); });
   if (segment.restarted) ++restarts;
   // Commit: the new node replaces the old one, which stays untouched for
@@ -226,9 +229,9 @@ spice::TransientCheckpoint capture_charged_checkpoint(
   PROF_ZONE("fault.charge_up");
   auto ckt = RectifierPlant::build(spec.amplitude, spec.carrier_hz);
   spice::TransientOptions opts;
-  opts.t_stop = spec.duration;
-  opts.dt_max = spec.dt_max;
-  opts.record_every = spec.record_every;
+  opts.t_stop = kChargeUpDuration;
+  opts.dt_max = kStep;
+  opts.record_every = kChargeUpRecordEvery;
   opts.record_signals = {"v(r.vo)"};
   spice::TransientCheckpoint checkpoint;
   opts.checkpoint = &checkpoint;

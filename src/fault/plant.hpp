@@ -113,18 +113,16 @@ struct Segment {
   bool restarted = false;
 };
 
-// The committed node's *address* plus the plant fields a run reads
-// (committed and run amplitude, run length, carrier, analysis hints),
-// doubles as their bit patterns. A measure runs `segment_length` at the
-// requested drive; a restart half runs half of it at the committed drive
-// and is flagged, so no measure key can name it.
+// The committed node's *address* plus the inputs a run reads (committed
+// and run amplitude, carrier), doubles as their bit patterns. A measure
+// runs one 10 us segment at the requested drive; a restart half runs
+// half of one at the committed drive and is flagged, so no measure key
+// can name it.
 struct SegmentKey {
   std::uintptr_t parent = 0;  // committed node address (0 = none)
   std::uint64_t committed_amplitude = 0;
   std::uint64_t amplitude = 0;
-  std::uint64_t segment_length = 0;
   std::uint64_t carrier_hz = 0;
-  bool analysis_hints = false;
   bool restart_half = false;
 
   auto operator<=>(const SegmentKey&) const = default;
@@ -144,17 +142,14 @@ using SegmentMemo = ExactMemo<SegmentKey, Segment>;
 // Rectifier transient segments spliced at committed checkpoints: the
 // implant's analog state persists between measurements, and a drive
 // change mid-flight (a fault landing inside a segment) costs a discarded
-// half segment plus a restart from the last committed checkpoint.
+// half segment plus a restart from the last committed checkpoint. Every
+// measure runs one 10 us segment at a 10 ns step.
 struct RectifierPlant {
-  double segment_length = 10e-6;
   // Source carrier [Hz]; set from the backend's NominalProfile (5 MHz
   // inductive, 1 MHz magnetoelectric).
   double carrier_hz = link::kInductiveNominal.carrier_hz;
   int restarts = 0;
   int checkpoints = 0;
-  // When set, the static-analysis passes run over each fresh segment
-  // circuit and install the dt hint before the transient.
-  bool analysis_hints = false;
   // When set, measure consults this memo before simulating, and so does
   // the restart half inside a simulation (not owned).
   SegmentMemo* memo = nullptr;
@@ -177,14 +172,14 @@ struct RectifierPlant {
   // before the first segment when the plant was not forked.
   const spice::TransientCheckpoint* committed() const;
 
-  spice::TransientResult run_segment(double amplitude, double length,
-                                     spice::TransientCheckpoint* capture);
-
  private:
   // The one physics path behind measure, memoized or not.
   Segment simulate(double amplitude);
+  // One run of `length` seconds from the committed node at `amplitude`.
+  spice::TransientResult run_segment(double amplitude, double length,
+                                     spice::TransientCheckpoint* capture);
   // The memo key of a run from the committed node.
-  SegmentKey key(double amplitude, double length, bool restart_half) const;
+  SegmentKey key(double amplitude, bool restart_half) const;
 
   std::shared_ptr<const spice::TransientCheckpoint> committed_;
   double committed_amplitude_ = -1.0;
@@ -192,12 +187,11 @@ struct RectifierPlant {
 
 // One charge-up transient at a fixed drive, checkpointed at the final
 // accepted point — the operating point every fleet session forks from.
+// It runs the paper's ~270 us charge-up time scale at the segments'
+// 10 ns step.
 struct ChargeUpSpec {
   double amplitude = kNominalDrive;
   double carrier_hz = link::kInductiveNominal.carrier_hz;
-  double duration = 270e-6;  // [s] the paper's charge-up time scale
-  double dt_max = 10e-9;     // matches the measurement segments
-  int record_every = 64;     // charge-up trace decimation (state unaffected)
 
   bool operator==(const ChargeUpSpec&) const = default;
 };
@@ -206,13 +200,10 @@ struct ChargeUpSpec {
 spice::TransientCheckpoint capture_charged_checkpoint(
     const ChargeUpSpec& spec = {}, spice::TransientStats* stats = nullptr);
 
-// Every ChargeUpSpec field, the doubles as their bit patterns.
+// Every ChargeUpSpec field as its bit pattern.
 struct ChargeUpKey {
   std::uint64_t amplitude = 0;
   std::uint64_t carrier_hz = 0;
-  std::uint64_t duration = 0;
-  std::uint64_t dt_max = 0;
-  int record_every = 0;
 
   auto operator<=>(const ChargeUpKey&) const = default;
 };

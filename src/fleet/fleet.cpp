@@ -44,7 +44,6 @@ SessionSpec make_spec(const FleetConfig& config, std::uint64_t index) {
   spec.exchanges = effective_exchanges(config);
   spec.cohort = config.cohorts[index % config.cohorts.size()];
   spec.charge = charge_for(config, spec.cohort);
-  spec.analysis_hints = config.analysis_hints;
   return spec;
 }
 
@@ -60,6 +59,16 @@ void validate(const FleetConfig& config) {
   }
   if (effective_exchanges(config) < 1) {
     throw std::invalid_argument("fleet: exchanges must be >= 1");
+  }
+  // The watchdog casts the deadline to integer nanoseconds; a product
+  // that does not fit them overflows that cast (undefined behaviour).
+  const double deadline_ns = config.supervise.session_deadline_s * 1e9;
+  if (!(deadline_ns >= 0.0 &&
+        deadline_ns < static_cast<double>(
+                          std::chrono::nanoseconds::max().count()))) {
+    throw std::invalid_argument(
+        "fleet: session deadline must be finite, >= 0 and fit in "
+        "nanoseconds");
   }
   for (const auto& cohort : config.cohorts) {
     if (!link::is_backend(cohort.link)) {
@@ -158,9 +167,7 @@ FleetResult FleetService::run(const FleetConfig& config) {
       const fault::ChargeUpSpec spec = charge_for(config, config.cohorts[c]);
       blobs[c] = charged_.lookup(
           {std::bit_cast<std::uint64_t>(spec.amplitude),
-           std::bit_cast<std::uint64_t>(spec.carrier_hz),
-           std::bit_cast<std::uint64_t>(spec.duration),
-           std::bit_cast<std::uint64_t>(spec.dt_max), spec.record_every},
+           std::bit_cast<std::uint64_t>(spec.carrier_hz)},
           nullptr, [&spec] {
             return std::make_shared<const spice::TransientCheckpoint>(
                 fault::capture_charged_checkpoint(spec));

@@ -51,6 +51,8 @@ struct FleetConfig {
   // >= 0, and give an exchange count that fits an int (run() rejects
   // others).
   double soak_seconds = 0.0;
+  // Unread. Declared only because perfbench/harness.cpp copies it into
+  // the SessionSpec field of the same name; delete both with that line.
   bool analysis_hints = false;
   fault::ChargeUpSpec charge;
   // Session i belongs to cohorts[i % cohorts.size()].

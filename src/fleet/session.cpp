@@ -135,7 +135,6 @@ SessionResult run_patient_session(
   fault::PatientInputs inputs;
   inputs.link = spec.cohort.link;
   inputs.workload = spec.cohort.workload;
-  inputs.analysis_hints = spec.analysis_hints;
   inputs.schedule = make_session_schedule(spec);
   inputs.options = session_options(spec.cohort);
   inputs.exchanges = spec.exchanges;

@@ -65,6 +65,8 @@ struct SessionSpec {
   int exchanges = 4;
   CohortProfile cohort;
   fault::ChargeUpSpec charge;
+  // Unread: perfbench/harness.cpp copies the FleetConfig field of the
+  // same name into it. Delete both with that line.
   bool analysis_hints = false;
 };
 

@@ -39,7 +39,9 @@ struct SupervisorPolicy {
   int max_retries = 2;
   // Per-attempt wall-clock watchdog (0 = none). The deadline token is
   // polled between exchanges, so a runaway attempt reports `deadline`
-  // instead of hanging its pool worker forever.
+  // instead of hanging its pool worker forever. FleetService::run
+  // rejects a value that is negative, not finite, or past what integer
+  // nanoseconds hold (about 292 years).
   double session_deadline_s = 0.0;
   ChaosSpec chaos;
   std::string journal_path;  // "" = no journal

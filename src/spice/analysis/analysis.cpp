@@ -17,7 +17,6 @@ using detail::Entry;
 
 struct AnalysisMetrics {
   obs::Counter& runs;
-  obs::Counter& hints_applied;
   obs::Gauge& last_unknowns;
   obs::Gauge& last_factor_nnz;
   obs::Gauge& last_dt_recommend;
@@ -27,7 +26,6 @@ struct AnalysisMetrics {
       auto& r = obs::MetricsRegistry::instance();
       return AnalysisMetrics{
           r.counter("spice.analysis.runs"),
-          r.counter("spice.analysis.hints_applied"),
           r.gauge("spice.analysis.last_unknowns"),
           r.gauge("spice.analysis.last_factor_nnz"),
           r.gauge("spice.analysis.last_dt_recommend"),
@@ -191,13 +189,6 @@ AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options) {
     m.last_dt_recommend.set(report.timescale.dt_recommend);
   }
   return report;
-}
-
-void apply_hints(Circuit& circuit, const AnalysisReport& report) {
-  if (report.timescale.dt_recommend > 0.0) {
-    circuit.set_dt_hint(report.timescale.dt_recommend);
-  }
-  if constexpr (obs::kEnabled) AnalysisMetrics::get().hints_applied.add();
 }
 
 }  // namespace ironic::spice::analysis

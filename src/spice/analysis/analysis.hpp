@@ -17,10 +17,8 @@
 //              recommendation and a stiffness warning
 //
 // Every call runs every pass, so a report always describes the circuit
-// it was computed from. `apply_hints` installs the dt recommendation
-// (Circuit::set_dt_hint); the engine honors it only where the caller
-// left dt_max at auto, so the hint can never override an explicit
-// request.
+// it was computed from. The report advises; nothing feeds it back into
+// the engine, whose callers choose their own transient step.
 //
 // Diagnostic catalog (extends the lint.* set, same Diagnostic type):
 //   analysis.overvoltage-risk   worst-case reverse voltage across a rated
@@ -126,8 +124,5 @@ struct AnalysisReport {
 // once but leaves no lasting device state (the engines reset per-point
 // state on entry).
 AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options = {});
-// Install `report`'s dt recommendation on `circuit` (the circuit the
-// report was computed from).
-void apply_hints(Circuit& circuit, const AnalysisReport& report);
 
 }  // namespace ironic::spice::analysis

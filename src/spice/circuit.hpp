@@ -88,12 +88,6 @@ class Circuit {
   linalg::SparseSolver<double>& acquire_solver();
   linalg::SparseSolver<linalg::Complex>& acquire_complex_solver();
 
-  // --- static-analysis hints ---------------------------------------------
-  // Recommended max transient step from the timescale pass; <= 0 = none.
-  // Honored by run_transient when the caller leaves dt_max at auto (0).
-  void set_dt_hint(double dt) { dt_hint_ = dt; }
-  double dt_hint() const { return dt_hint_; }
-
  private:
   void register_device(std::unique_ptr<Device> device);
 
@@ -108,7 +102,6 @@ class Circuit {
   bool finalized_ = false;
   bool linear_ = false;
   int internal_counter_ = 0;
-  double dt_hint_ = 0.0;
   std::unique_ptr<linalg::SparseSolver<double>> solver_;
   std::unique_ptr<linalg::SparseSolver<linalg::Complex>> complex_solver_;
 };

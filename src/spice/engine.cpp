@@ -16,10 +16,6 @@
 namespace ironic::spice {
 namespace {
 
-// Fallback nominal step when the caller leaves dt_max at auto (0) and the
-// circuit carries no timescale-analysis hint. Matches the historical
-// TransientOptions default.
-constexpr double kDefaultDtMax = 1e-6;
 // A transient gives up when Newton fails at a step below dt_max / this.
 constexpr double kMinStepDivisor = 65536.0;
 
@@ -342,16 +338,15 @@ DcResult solve_dc(Circuit& circuit) {
 
 TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
                               TransientStats* stats) {
-  if (options.t_stop <= 0.0) throw std::invalid_argument("run_transient: t_stop must be > 0");
-  if (options.dt_max < 0.0) {
-    throw std::invalid_argument("run_transient: dt_max must be > 0 (or 0 for auto)");
+  // Both times size the row reservation and bound the step loop below,
+  // where a NaN or an infinity has no meaning.
+  if (!(std::isfinite(options.t_stop) && options.t_stop > 0.0)) {
+    throw std::invalid_argument("run_transient: t_stop must be finite and > 0");
   }
-  // dt_max 0 = auto: the static timescale pass's hint when one is
-  // installed on the circuit, else the historical 1 us default.
-  const double dt_max =
-      options.dt_max > 0.0
-          ? options.dt_max
-          : (circuit.dt_hint() > 0.0 ? circuit.dt_hint() : kDefaultDtMax);
+  if (!(std::isfinite(options.dt_max) && options.dt_max > 0.0)) {
+    throw std::invalid_argument("run_transient: dt_max must be finite and > 0");
+  }
+  const double dt_max = options.dt_max;
   linalg::SparseSolver<double>& solver = [&]() -> linalg::SparseSolver<double>& {
     PROF_ZONE("spice.transient.setup");
     // Transient context: DC-only hazards like inductor loops stay warnings.

@@ -69,11 +69,10 @@ struct TransientCheckpoint {
 };
 
 struct TransientOptions {
+  // Both times must be finite and > 0 (std::invalid_argument otherwise).
   double t_stop = 1e-3;
-  // Nominal step (engine may shorten, never exceed). 0 = auto: use the
-  // circuit's timescale-analysis hint (Circuit::dt_hint) when one is
-  // installed, else 1 us. Negative values are rejected.
-  double dt_max = 0.0;
+  // Nominal step (engine may shorten, never exceed).
+  double dt_max = 1e-6;
   Integrator integrator = Integrator::kTrapezoidal;
   // Record every k-th accepted point. Guarantee: points the engine
   // snapped to a stimulus breakpoint (clock edges, envelope corners) and

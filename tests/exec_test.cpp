@@ -235,6 +235,19 @@ TEST(ParallelFor, ExpiredDeadlineTokenRunsNoItem) {
   }
 }
 
+TEST(ParallelFor, TimeoutPastTheClockRangeNeverExpires) {
+  // The longest timeout saturates at the clock's last instant instead of
+  // wrapping the deadline into the past, so every item runs.
+  ThreadPool pool(1);
+  ParallelForOptions opts;
+  opts.token =
+      CancellationToken{}.with_timeout(std::chrono::nanoseconds::max());
+  EXPECT_FALSE(opts.token.cancelled());
+  std::atomic<int> ran{0};
+  parallel_for(pool, 0, 100, [&ran](std::size_t) { ++ran; }, opts);
+  EXPECT_EQ(ran.load(), 100);
+}
+
 TEST(ParallelFor, MidSweepCancellationStopsScheduledWork) {
   // The first item to execute — whichever it is under the LIFO/steal
   // scheduling — trips the source; every chunk dequeued afterwards is

@@ -1,8 +1,7 @@
 // Fault-plan static pre-validation (DESIGN.md §13): bad campaigns are
 // rejected at load, before any scenario executes, with stable issue
 // codes; good plans (including every registered campaign at its default
-// config) sail through; and the analysis-hints path changes nothing the
-// fingerprint can see.
+// config) sail through.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -164,20 +163,4 @@ TEST(FaultPlan, CampaignRejectedWhenEventsOutliveRun) {
   config.link = "me";
   config.scenarios = 1;
   EXPECT_NO_THROW(run_campaign(config));
-}
-
-// Hints on vs off must be invisible to the campaign fingerprint: the dt
-// hint only fills a dt_max left at auto, and the plant sets its own.
-TEST(FaultPlan, AnalysisHintsPreserveFingerprint) {
-  CampaignConfig config;
-  config.name = "ask_burst_coupling_drop";
-  config.scenarios = 1;
-  config.exchanges = 6;
-
-  const auto baseline = run_campaign(config);
-  config.analysis_hints = true;
-  const auto hinted = run_campaign(config);
-  EXPECT_EQ(baseline.fingerprint, hinted.fingerprint);
-  EXPECT_EQ(baseline.completed, hinted.completed);
-  EXPECT_EQ(baseline.checkpoints, hinted.checkpoints);
 }

@@ -203,7 +203,7 @@ TEST(BioZ, ProgrammaticLadderMatchesTheShippedNetlist) {
   spice::Circuit parsed;
   spice::parse_netlist(parsed, text.str());
   // The shipped netlist pulses 0 -> 3 V; build the twin at the same drive.
-  auto built = fault::build_tissue_ladder(3.0, 1.0, 60);
+  auto built = fault::build_tissue_ladder(3.0, 1.0);
 
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;
@@ -239,7 +239,7 @@ TEST(BioZ, TissueLadderEngineCountersArePinned) {
   // A device or engine change that claims to move no bit must leave
   // every one of them alone.
   const double drive = link::kMagnetoelectricNominal.drive_v;
-  auto ckt = fault::build_tissue_ladder(drive, 1.0, 60);
+  auto ckt = fault::build_tissue_ladder(drive, 1.0);
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;
   opts.dt_max = 50e-9;

@@ -9,8 +9,7 @@
 //   - the static envelope always contains the actual DC operating
 //     point wherever solve_dc converges
 //   - run_transient validates once (the internal DC solve must not
-//     re-lint), and the engine honors the dt hint only where the caller
-//     left dt_max at auto.
+//     re-lint).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,57 +199,6 @@ TEST(Analysis, ExampleNetlistsAreStrictClean) {
     EXPECT_EQ(report.errors(), 0u);
     EXPECT_EQ(report.warnings(), 0u);
   }
-}
-
-TEST(Analysis, ApplyHintsInstallsSolverAndDtRecommendations) {
-  Circuit circuit;
-  const auto in = circuit.node("in");
-  const auto out = circuit.node("out");
-  circuit.add<VoltageSource>("V1", in, kGround, Waveform::sine(1.0, 1e3));
-  circuit.add<Resistor>("R1", in, out, 1e3);
-  circuit.add<Capacitor>("C1", out, kGround, 1e-6);
-
-  const auto report = analysis::analyze(circuit);
-  analysis::apply_hints(circuit, report);
-  ASSERT_GT(report.timescale.dt_recommend, 0.0);
-  EXPECT_EQ(circuit.dt_hint(), report.timescale.dt_recommend);
-}
-
-// The engine's dt_max=0 default defers to the circuit's hint; an
-// explicit dt_max must override it; negative is rejected.
-TEST(Analysis, TransientHonorsDtHintOnlyWhenAuto) {
-  const auto build = [](Circuit& circuit) {
-    const auto in = circuit.node("in");
-    const auto out = circuit.node("out");
-    circuit.add<VoltageSource>("V1", in, kGround, Waveform::dc(1.0));
-    circuit.add<Resistor>("R1", in, out, 1e3);
-    circuit.add<Capacitor>("C1", out, kGround, 1e-3);
-  };
-
-  TransientOptions options;
-  options.t_stop = 1e-4;
-  options.record_signals = {"v(out)"};
-
-  Circuit hinted;
-  build(hinted);
-  hinted.set_dt_hint(1e-5);
-  const auto with_hint = run_transient(hinted, options);
-
-  Circuit explicit_dt;
-  build(explicit_dt);
-  explicit_dt.set_dt_hint(1e-5);
-  TransientOptions explicit_options = options;
-  explicit_options.dt_max = 1e-6;  // caller's choice beats the hint
-  const auto with_explicit = run_transient(explicit_dt, explicit_options);
-
-  // 1e-5 steps over 1e-4 is ~10 points; 1e-6 is ~100.
-  EXPECT_LT(with_hint.num_points() * 5, with_explicit.num_points());
-
-  Circuit bad;
-  build(bad);
-  TransientOptions negative = options;
-  negative.dt_max = -1.0;
-  EXPECT_THROW(run_transient(bad, negative), std::invalid_argument);
 }
 
 // run_transient validates exactly once up front.

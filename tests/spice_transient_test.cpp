@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/spice/circuit.hpp"
 #include "src/spice/devices_nonlinear.hpp"
@@ -249,18 +250,35 @@ TEST(Transient, StatsArePopulated) {
   EXPECT_GE(stats.newton_iterations, stats.accepted_steps);
 }
 
+// Both times must be finite and > 0, and every recorded signal must
+// exist; each bad option throws before any work.
 TEST(Transient, InvalidOptionsRejected) {
   Circuit ckt;
-  ckt.add<Resistor>("R1", ckt.node("a"), kGround, 1.0);
-  TransientOptions opts;
-  opts.t_stop = 0.0;
-  EXPECT_THROW(run_transient(ckt, opts), std::invalid_argument);
-  opts.t_stop = 1e-3;
-  opts.dt_max = -1e-6;  // 0 now means "auto" (dt hint or 1 us), < 0 is bad
-  EXPECT_THROW(run_transient(ckt, opts), std::invalid_argument);
-  opts.dt_max = 1e-6;
-  opts.record_signals = {"v(nonexistent)"};
-  EXPECT_THROW(run_transient(ckt, opts), std::invalid_argument);
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add<VoltageSource>("V1", in, kGround, Waveform::dc(1.0));
+  ckt.add<Resistor>("R1", in, out, 1e3);
+  ckt.add<Capacitor>("C1", out, kGround, 1e-3);
+  TransientOptions valid;
+  valid.t_stop = 1e-4;
+  valid.dt_max = 1e-6;
+  valid.record_signals = {"v(out)"};
+  EXPECT_GT(run_transient(ckt, valid).num_points(), 90u);
+
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    TransientOptions stop = valid;
+    stop.t_stop = bad;
+    EXPECT_THROW(run_transient(ckt, stop), std::invalid_argument)
+        << "t_stop " << bad;
+    TransientOptions step = valid;
+    step.dt_max = bad;
+    EXPECT_THROW(run_transient(ckt, step), std::invalid_argument)
+        << "dt_max " << bad;
+  }
+  TransientOptions unknown = valid;
+  unknown.record_signals = {"v(nonexistent)"};
+  EXPECT_THROW(run_transient(ckt, unknown), std::invalid_argument);
 }
 
 TEST(Transient, CapacitorVoltageContinuityAcrossSteps) {

@@ -20,9 +20,7 @@
 #                ladder's 122 unknowns, 363 factor nonzeros and 604 solve
 #                flops pinned in the JSON report, the spice.analysis.*
 #                telemetry and per-pass prof.spice.analysis.<pass> zones
-#                pinned via trace_validate, and fault campaign
-#                fingerprints bit-identical with --analysis-hints on vs
-#                off
+#                pinned via trace_validate
 #   6. fault     fault_runner over every registered campaign, plus the
 #                exit-code contract (unwritable --out and --telemetry must
 #                exit 2), every campaign again at 1 and 4 threads
@@ -131,12 +129,11 @@ run_tidy() {
 }
 
 run_analyze() {
-  log "netlist lint + analysis sweep, schema, and hint-fingerprint pins"
+  log "netlist lint + analysis sweep and schema pins"
   cmake -B "$ROOT/build-ci-release" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   cmake --build "$ROOT/build-ci-release" -j "$JOBS" \
-    --target netlist_analyze fault_runner trace_validate
+    --target netlist_analyze trace_validate
   local analyzer="$ROOT/build-ci-release/tools/netlist_analyze"
-  local runner="$ROOT/build-ci-release/tools/fault_runner"
   local validator="$ROOT/build-ci-release/tools/trace_validate"
   # Shipped netlists: zero diagnostics, even with the DC lint rules, even
   # as warnings.
@@ -169,20 +166,8 @@ run_analyze() {
     --require spice.analysis.last_factor_nnz \
     --require spice.analysis.last_dt_recommend \
     "$ROOT/build-ci-release/BENCH_netlist_analyze.json"
-  # Analysis hints must be invisible to the campaign fingerprints: the
-  # dt hint only fills a dt_max left at auto, and the plants set their
-  # own.
-  local plain="$ROOT/build-ci-release/fault_hints_off.json"
-  local hinted="$ROOT/build-ci-release/fault_hints_on.json"
-  "$runner" --out "$plain" all
-  "$runner" --analysis-hints --out "$hinted" all
-  if ! diff <(grep '"fingerprint"' "$plain") <(grep '"fingerprint"' "$hinted"); then
-    echo "ci: FAIL -- fingerprints changed under --analysis-hints" >&2
-    exit 1
-  fi
   echo "ci: lint and analyzer sweeps clean, broken fixtures flagged;" \
-       "ladder size, fill and analysis schema pinned; hint fingerprints" \
-       "bit-identical"
+       "ladder size, fill and analysis schema pinned"
 }
 
 run_fault() {

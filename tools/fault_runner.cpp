@@ -93,11 +93,7 @@ int usage(int code) {
         "       fault_runner --list\n"
      << ironic::tools::CommonArgs::usage_lines()
      << "  --scenarios N  scenarios per campaign (default 3)\n"
-        "  --exchanges N  measurement exchanges per scenario (default 10)\n"
-        "  --analysis-hints\n"
-        "                 run the static-analysis passes on each plant\n"
-        "                 circuit and install the dt hint; fingerprints\n"
-        "                 must not change (the plant sets its own step)\n";
+        "  --exchanges N  measurement exchanges per scenario (default 10)\n";
   return code;
 }
 
@@ -134,8 +130,6 @@ int main(int argc, char** argv) {
       if (!count(config.scenarios)) return usage(2);
     } else if (arg == "--exchanges" && i + 1 < argc) {
       if (!count(config.exchanges)) return usage(2);
-    } else if (arg == "--analysis-hints") {
-      config.analysis_hints = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "fault_runner: unknown option '" << arg << "'\n";
       return usage(2);

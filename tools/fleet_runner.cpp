@@ -150,8 +150,8 @@ int usage(int code) {
         "                 original seed, so a retried success is\n"
         "                 bit-identical to a clean run\n"
         "  --deadline S   per-attempt watchdog deadline in wall seconds\n"
-        "                 (0 = none); an expired attempt is contained and\n"
-        "                 classified as `deadline`\n"
+        "                 (0 = none; finite, >= 0); an expired attempt is\n"
+        "                 contained and classified as `deadline`\n"
         "  --chaos RATE   deterministically make ~RATE of sessions throw\n"
         "                 (seeded; healthy sessions stay bit-identical)\n"
         "  --chaos-stall RATE\n"
@@ -169,9 +169,6 @@ int usage(int code) {
         "                 re-run N evenly spaced sessions solo (a private\n"
         "                 charge-up, no plant memos) and compare\n"
         "                 fingerprints; exits 1 on any mismatch\n"
-        "  --analysis-hints\n"
-        "                 run the static-analysis passes on the plant\n"
-        "                 circuits (fingerprints must not change)\n"
         "exit codes: 0 = all sessions healthy; 1 = failed/quarantined\n"
         "sessions or solo-parity mismatch; 2 = usage error or unwritable\n"
         "--out/--telemetry/--journal path\n";
@@ -239,8 +236,6 @@ int main(int argc, char** argv) {
         return usage(2);
       }
       for (auto& cohort : config.cohorts) cohort.workload = workload;
-    } else if (arg == "--analysis-hints") {
-      config.analysis_hints = true;
     } else {
       std::cerr << "fleet_runner: unknown argument '" << arg << "'\n";
       return usage(2);
