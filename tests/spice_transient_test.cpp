@@ -281,6 +281,42 @@ TEST(Transient, InvalidOptionsRejected) {
   EXPECT_THROW(run_transient(ckt, unknown), std::invalid_argument);
 }
 
+// The caller's dt_max sets the step of a linear run; left unset it is
+// 1 us.
+TEST(Transient, StepHonorsCallerDtMax) {
+  const auto build = [](Circuit& circuit) {
+    const auto in = circuit.node("in");
+    const auto out = circuit.node("out");
+    circuit.add<VoltageSource>("V1", in, kGround, Waveform::dc(1.0));
+    circuit.add<Resistor>("R1", in, out, 1e3);
+    circuit.add<Capacitor>("C1", out, kGround, 1e-3);
+  };
+
+  TransientOptions options;
+  options.t_stop = 1e-4;
+  options.record_signals = {"v(out)"};
+
+  Circuit coarse;
+  build(coarse);
+  TransientOptions coarse_options = options;
+  coarse_options.dt_max = 1e-5;
+  const auto with_coarse = run_transient(coarse, coarse_options);
+
+  Circuit fine;
+  build(fine);
+  TransientOptions fine_options = options;
+  fine_options.dt_max = 1e-6;
+  const auto with_fine = run_transient(fine, fine_options);
+
+  Circuit unset;
+  build(unset);
+  const auto with_default = run_transient(unset, options);
+
+  // 1e-5 steps over 1e-4 is ~10 points; 1e-6 is ~100.
+  EXPECT_LT(with_coarse.num_points() * 5, with_fine.num_points());
+  EXPECT_EQ(with_default.num_points(), with_fine.num_points());
+}
+
 TEST(Transient, CapacitorVoltageContinuityAcrossSteps) {
   // Property: with trapezoidal integration the capacitor charge matches
   // the integral of its current (checked through the source branch).
