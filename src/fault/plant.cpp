@@ -152,70 +152,45 @@ const spice::TransientCheckpoint* RectifierPlant::committed() const {
                                                       : nullptr;
 }
 
-spice::TransientResult RectifierPlant::run_segment(
-    double amplitude, double length, spice::TransientCheckpoint* capture) {
+Segment RectifierPlant::simulate(double amplitude) {
   // A fresh circuit every segment: resume must carry ALL state through
   // the checkpoint blob, never through device object identity.
   auto ckt = build(amplitude, carrier_hz);
-  spice::TransientOptions opts;
   const spice::TransientCheckpoint* from = committed();
   const double t0 = from != nullptr ? from->time : 0.0;
-  opts.t_stop = t0 + length;
+  auto scratch = std::make_shared<spice::TransientCheckpoint>();
+  spice::TransientOptions opts;
+  opts.t_stop = t0 + kSegmentLength;
   opts.dt_max = kStep;
   opts.record_every = 8;
   opts.record_signals = {"v(r.vo)"};
-  opts.checkpoint = capture;
+  opts.checkpoint = scratch.get();
   if (from != nullptr) opts.resume_from = from;
-  return spice::run_transient(*ckt, opts);
-}
-
-Segment RectifierPlant::simulate(double amplitude) {
-  Segment segment;
-  if (committed() != nullptr && committed_amplitude_ >= 0.0 &&
-      amplitude != committed_amplitude_) {
-    // The fault hit while a segment at the old drive was in flight:
-    // that half segment is wasted work, thrown away with its scratch
-    // checkpoint; the measurement restarts from the committed state.
-    // Every plant on this node at this drive wastes the same half, so a
-    // memo runs it once (an empty value; a failure replays).
-    const auto doomed = [&] {
-      spice::TransientCheckpoint scratch;
-      run_segment(committed_amplitude_, kSegmentLength / 2.0, &scratch);
-      return Segment{};
-    };
-    if (memo == nullptr) {
-      doomed();
-    } else {
-      memo->lookup(key(committed_amplitude_, true), committed_, doomed);
-    }
-    segment.restarted = true;
-  }
-  auto scratch = std::make_shared<spice::TransientCheckpoint>();
-  const auto res = run_segment(amplitude, kSegmentLength, scratch.get());
-  const spice::TransientCheckpoint* from = committed();
-  const double t0 = from != nullptr ? from->time : 0.0;
+  const auto res = spice::run_transient(*ckt, opts);
   // Average the settled second half of the segment (the first half of
   // the very first segment is still charging Co).
-  segment.vo = res.mean_between("v(r.vo)", t0 + kSegmentLength / 2.0,
-                                t0 + kSegmentLength);
-  segment.committed = std::move(scratch);
-  return segment;
+  const double vo = res.mean_between("v(r.vo)", t0 + kSegmentLength / 2.0,
+                                     t0 + kSegmentLength);
+  return {std::move(scratch), vo};
 }
 
-SegmentKey RectifierPlant::key(double amplitude, bool restart_half) const {
+SegmentKey RectifierPlant::key(double amplitude) const {
   return {reinterpret_cast<std::uintptr_t>(committed_.get()),
-          std::bit_cast<std::uint64_t>(committed_amplitude_),
           std::bit_cast<std::uint64_t>(amplitude),
-          std::bit_cast<std::uint64_t>(carrier_hz), restart_half};
+          std::bit_cast<std::uint64_t>(carrier_hz)};
 }
 
 double RectifierPlant::measure(double amplitude) {
+  // A drive change lands while a segment at the old drive is in flight:
+  // that segment is discarded, and the measurement restarts from the
+  // committed node.
+  const bool restart = committed() != nullptr && committed_amplitude_ >= 0.0 &&
+                       amplitude != committed_amplitude_;
   const Segment segment =
-      memo == nullptr
-          ? simulate(amplitude)
-          : memo->lookup(key(amplitude, false), committed_,
-                         [&] { return simulate(amplitude); });
-  if (segment.restarted) ++restarts;
+      memo == nullptr ? simulate(amplitude)
+                      : memo->lookup(key(amplitude), committed_,
+                                     [&] { return simulate(amplitude); });
+  if (restart) ++restarts;
   // Commit: the new node replaces the old one, which stays untouched for
   // any sibling (or memo entry) still holding it.
   committed_ = segment.committed;

@@ -12,9 +12,8 @@
 // `capture_charged_checkpoint` produces the shared blob by running the
 // ~270 us charge-up transient once. `SegmentMemo` then lets plants that
 // sit on the same node and see the same drive share the next segment
-// too (and the half segment a restart from that node throws away), and
-// `PlantMemos` bundles it with the bio-impedance memo for a fleet
-// service or one campaign call.
+// too, and `PlantMemos` bundles it with the bio-impedance memo for a
+// fleet service or one campaign call.
 //
 // Since the LinkPhy refactor the physical layer is pluggable: LinkBudget
 // dispatches through a link::LinkPhy backend ("inductive" reproduces the
@@ -104,54 +103,46 @@ void tally_active(FaultInjector& injector, const FaultSchedule& schedule,
                   double t);
 
 // What one RectifierPlant::measure computes from a committed state: the
-// node it commits, the settled Vo, and whether a drive change threw away
-// a half segment first (the plant's `restarts` tally). A restart half
-// commits nothing, so its value is empty.
+// node it commits and the settled Vo.
 struct Segment {
   std::shared_ptr<const spice::TransientCheckpoint> committed;
   double vo = 0.0;
-  bool restarted = false;
 };
 
-// The committed node's *address* plus the inputs a run reads (committed
-// and run amplitude, carrier), doubles as their bit patterns. A measure
-// runs one 10 us segment at the requested drive; a restart half runs
-// half of one at the committed drive and is flagged, so no measure key
-// can name it.
+// The committed node's *address* plus the inputs a segment reads (drive
+// amplitude, carrier), doubles as their bit patterns.
 struct SegmentKey {
   std::uintptr_t parent = 0;  // committed node address (0 = none)
-  std::uint64_t committed_amplitude = 0;
   std::uint64_t amplitude = 0;
   std::uint64_t carrier_hz = 0;
-  bool restart_half = false;
 
   auto operator<=>(const SegmentKey&) const = default;
 };
 
-// An exact memo of RectifierPlant::measure and of the half segment a
-// restart throws away. Plants that sit on the same committed node and
-// are measured at the same drive simulate that segment once, and plants
-// that restart from the same node at the same committed drive run the
-// discarded half once. Identity keying is exact because every entry pins
-// its parent node: the address cannot be reused while the key exists,
-// and a node never changes after it is committed. Inputs outside the key
-// (the Newton options, the circuit recipe) are fixed in the code, so an
-// entry stays exact for as long as a memo holds it.
+// An exact memo of RectifierPlant::measure: plants that sit on the same
+// committed node and are measured at the same drive simulate that
+// segment once. Identity keying is exact because every entry pins its
+// parent node: the address cannot be reused while the key exists, and a
+// node never changes after it is committed. Inputs outside the key (the
+// Newton options, the circuit recipe) are fixed in the code, so an entry
+// stays exact for as long as a memo holds it.
 using SegmentMemo = ExactMemo<SegmentKey, Segment>;
 
 // Rectifier transient segments spliced at committed checkpoints: the
-// implant's analog state persists between measurements, and a drive
-// change mid-flight (a fault landing inside a segment) costs a discarded
-// half segment plus a restart from the last committed checkpoint. Every
-// measure runs one 10 us segment at a 10 ns step.
+// implant's analog state persists between measurements. A drive change
+// mid-flight (a fault landing inside a segment) discards the segment in
+// flight and restarts from the last committed checkpoint; the plant
+// counts that restart and simulates only the new segment. Every measure
+// runs one 10 us segment at a 10 ns step.
 struct RectifierPlant {
   // Source carrier [Hz]; set from the backend's NominalProfile (5 MHz
   // inductive, 1 MHz magnetoelectric).
   double carrier_hz = link::kInductiveNominal.carrier_hz;
+  // Measures whose drive differed from the committed node's; a measure
+  // that throws counts nothing.
   int restarts = 0;
   int checkpoints = 0;
-  // When set, measure consults this memo before simulating, and so does
-  // the restart half inside a simulation (not owned).
+  // When set, measure consults this memo before simulating (not owned).
   SegmentMemo* memo = nullptr;
 
   static std::unique_ptr<spice::Circuit> build(
@@ -159,10 +150,10 @@ struct RectifierPlant {
 
   // Adopt `base` as the committed operating point without copying the
   // blob. `base_amplitude` is the drive the blob was captured at, so the
-  // first measurement at a different drive pays the usual doomed-segment
-  // restart. Committed nodes are immutable: a measure commits a new node
-  // rather than writing into the old one, so mutating this plant can
-  // never perturb sibling plants forked from the same blob.
+  // first measurement at a different drive counts a restart. Committed
+  // nodes are immutable: a measure commits a new node rather than
+  // writing into the old one, so mutating this plant can never perturb
+  // sibling plants forked from the same blob.
   void fork_from(std::shared_ptr<const spice::TransientCheckpoint> base,
                  double base_amplitude);
 
@@ -173,13 +164,11 @@ struct RectifierPlant {
   const spice::TransientCheckpoint* committed() const;
 
  private:
-  // The one physics path behind measure, memoized or not.
+  // The one physics path behind measure, memoized or not: one segment
+  // from the committed node at `amplitude`.
   Segment simulate(double amplitude);
-  // One run of `length` seconds from the committed node at `amplitude`.
-  spice::TransientResult run_segment(double amplitude, double length,
-                                     spice::TransientCheckpoint* capture);
-  // The memo key of a run from the committed node.
-  SegmentKey key(double amplitude, bool restart_half) const;
+  // The memo key of a segment from the committed node.
+  SegmentKey key(double amplitude) const;
 
   std::shared_ptr<const spice::TransientCheckpoint> committed_;
   double committed_amplitude_ = -1.0;

@@ -69,6 +69,8 @@ inline constexpr double kChaosStallSeconds = 30.0;
 // doomed subset is a pure function of (seed, index) drawn from a private
 // hashed RNG stream — never the session's own lanes — so healthy
 // sessions are bit-identical with chaos on or off, any thread count.
+// fleet::validate rejects rates outside [0, 1] (or NaN), rates summing
+// past 1, and fail_attempts < 1.
 struct ChaosSpec {
   double throw_rate = 0.0;  // P(session throws SessionFailure{kChaos})
   double stall_rate = 0.0;  // P(session stalls until watchdog/stall cap)

@@ -70,6 +70,19 @@ void validate(const FleetConfig& config) {
         "fleet: session deadline must be finite, >= 0 and fit in "
         "nanoseconds");
   }
+  // One uniform draw picks throw, stall or neither, so each chaos rate
+  // is a probability and the two cannot sum past 1 (NaN fails every
+  // comparison here).
+  const ChaosSpec& chaos = config.supervise.chaos;
+  const auto is_rate = [](double rate) { return rate >= 0.0 && rate <= 1.0; };
+  if (!is_rate(chaos.throw_rate) || !is_rate(chaos.stall_rate) ||
+      !is_rate(chaos.throw_rate + chaos.stall_rate)) {
+    throw std::invalid_argument(
+        "fleet: chaos rates must be finite, in [0, 1] and sum to at most 1");
+  }
+  if (chaos.fail_attempts < 1) {
+    throw std::invalid_argument("fleet: chaos attempts must be >= 1");
+  }
   for (const auto& cohort : config.cohorts) {
     if (!link::is_backend(cohort.link)) {
       throw std::invalid_argument("fleet: cohort '" + cohort.name +

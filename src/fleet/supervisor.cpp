@@ -87,7 +87,7 @@ ChaosPlan chaos_plan(const ChaosSpec& chaos, std::uint64_t seed,
   } else {
     return plan;
   }
-  plan.fail_attempts = std::max(1, chaos.fail_attempts);
+  plan.fail_attempts = chaos.fail_attempts;  // fleet::validate: >= 1
   plan.at_exchange = std::min(
       exchanges - 1, static_cast<int>(where * static_cast<double>(exchanges)));
   return plan;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "src/obs/json.hpp"
@@ -149,6 +150,13 @@ std::string AnalysisReport::to_json() const {
 }
 
 AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options) {
+  // The timescale pass walks every stimulus corner in [0, horizon]: an
+  // infinite window never ends.
+  if (!(std::isfinite(options.transient_horizon) &&
+        options.transient_horizon > 0.0)) {
+    throw std::invalid_argument(
+        "analysis: transient horizon must be finite and > 0");
+  }
   PROF_ZONE("spice.analysis");
   AnalysisReport report;
 

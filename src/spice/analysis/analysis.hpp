@@ -41,7 +41,8 @@ struct AnalysisOptions {
   // Lint in DC-operating-point context (inductor loops and current
   // cutsets escalate to errors); forwarded to the embedded lint pass.
   bool dc_context = false;
-  // Window scanned for stimulus breakpoints by the timescale pass.
+  // Window scanned for stimulus breakpoints by the timescale pass [s];
+  // finite and > 0.
   double transient_horizon = 1e-3;
 };
 
@@ -122,7 +123,8 @@ struct AnalysisReport {
 
 // Run every pass over `circuit`. Finalizes the circuit; stamps devices
 // once but leaves no lasting device state (the engines reset per-point
-// state on entry).
+// state on entry). Throws std::invalid_argument, before any pass runs,
+// for a transient horizon that is not finite and > 0.
 AnalysisReport analyze(Circuit& circuit, const AnalysisOptions& options = {});
 
 }  // namespace ironic::spice::analysis

@@ -220,25 +220,30 @@ TEST(FaultInjector, RequiresScheduleAndClock) {
 }
 
 // Two plants forked from one blob and measured at two different drives
-// each restart from the blob: the half segment they discard runs from
-// the same node at the blob's drive, so one shared PlantMemos runs it
-// once. That is 3 transient runs (2 segments and 1 restart half), not 4,
-// and each plant still reads exactly what a plant without a memo reads.
-TEST(RectifierPlant, RestartHalfRunsOncePerNodeAndDrive) {
+// each restart from the blob. A restart is a count, not a run: each
+// plant simulates only its own segment, so one shared PlantMemos runs 2
+// transients for them, and each plant still reads exactly what a plant
+// without a memo reads.
+TEST(RectifierPlant, RestartRunsOnlyItsSegment) {
   const ChargeUpSpec spec;
   const auto blob = std::make_shared<const spice::TransientCheckpoint>(
       capture_charged_checkpoint(spec));
   const std::array<double, 2> drives = {0.8 * spec.amplitude,
                                         1.1 * spec.amplitude};
+  auto& runs = obs::MetricsRegistry::instance().counter("spice.transient.runs");
+  const bool counted = obs::kEnabled && obs::runtime_enabled();
   std::array<double, 2> solo{};
   for (std::size_t k = 0; k < drives.size(); ++k) {
     RectifierPlant plant;
     plant.fork_from(blob, spec.amplitude);
+    const std::uint64_t runs_before = runs.value();
     solo[k] = plant.measure(drives[k]);
     EXPECT_EQ(plant.restarts, 1);
+    if (counted) {
+      EXPECT_EQ(runs.value() - runs_before, 1u);
+    }
   }
 
-  auto& runs = obs::MetricsRegistry::instance().counter("spice.transient.runs");
   const std::uint64_t runs_before = runs.value();
   PlantMemos memos;
   for (std::size_t k = 0; k < drives.size(); ++k) {
@@ -250,11 +255,11 @@ TEST(RectifierPlant, RestartHalfRunsOncePerNodeAndDrive) {
         << "drive " << drives[k];
     EXPECT_EQ(plant.restarts, 1);
   }
-  if (obs::kEnabled && obs::runtime_enabled()) {
-    EXPECT_EQ(runs.value() - runs_before, 3u);
+  if (counted) {
+    EXPECT_EQ(runs.value() - runs_before, 2u);
   }
-  EXPECT_EQ(memos.segments.misses(), 3u);  // 2 segments, 1 restart half
-  EXPECT_EQ(memos.segments.hits(), 1u);    // the second restart half
+  EXPECT_EQ(memos.segments.misses(), 2u);  // one segment per drive
+  EXPECT_EQ(memos.segments.hits(), 0u);
 }
 
 }  // namespace

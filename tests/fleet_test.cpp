@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -170,9 +171,8 @@ TEST(Fleet, SessionsRestartingFromOneNodeMatchSolo) {
   // Twelve lactate sessions of two exchanges. A session whose first
   // measure runs at the nominal drive commits the node every such
   // session shares, and when a fault moves its drive before the second
-  // measure it restarts from that node: the discarded half segment is
-  // one input for all of them. Each session must still equal its solo
-  // run, at 1 and at 4 threads.
+  // measure it restarts from that node. Each session must still equal
+  // its solo run, at 1 and at 4 threads.
   auto config = small_config();
   config.sessions = 12;
   std::vector<std::uint64_t> solo;
@@ -259,8 +259,8 @@ std::shared_ptr<const spice::TransientCheckpoint> charged_blob() {
 
 TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
   const double nominal = fault::ChargeUpSpec{}.amplitude;
-  // Nominal twice, a 0.8x drive change (a discarded half segment and a
-  // restart), 0.8x again, and back to nominal (a second restart).
+  // Nominal twice, a 0.8x drive change (a restart), 0.8x again, and back
+  // to nominal (a second restart).
   const std::vector<double> drives = {nominal, nominal, 0.8 * nominal,
                                       0.8 * nominal, nominal};
   const auto blob = charged_blob();
@@ -288,13 +288,13 @@ TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
   }
   EXPECT_EQ(reference.restarts, 2);
   EXPECT_EQ(reference.checkpoints, 5);
-  // Every segment and both restart halves (from two different nodes).
-  EXPECT_EQ(memo.misses(), drives.size() + 2);
+  // Every segment, and nothing else: a restart runs no segment of its
+  // own.
+  EXPECT_EQ(memo.misses(), drives.size());
   EXPECT_EQ(memo.hits(), 0u);
 
   // A third plant with the same drive history is served entirely from
-  // the memo: the same values, the same counters, the very same nodes,
-  // and no restart half, since a segment read back runs nothing.
+  // the memo: the same values, the same counters, the very same nodes.
   fault::RectifierPlant replay;
   replay.memo = &memo;
   replay.fork_from(blob, nominal);
@@ -304,7 +304,7 @@ TEST(SegmentMemo, MemoizedPlantIsBitIdenticalToUncachedPlant) {
   }
   EXPECT_EQ(replay.restarts, reference.restarts);
   EXPECT_EQ(replay.checkpoints, reference.checkpoints);
-  EXPECT_EQ(memo.misses(), drives.size() + 2);
+  EXPECT_EQ(memo.misses(), drives.size());
   EXPECT_EQ(memo.hits(), drives.size());
 }
 
@@ -326,7 +326,7 @@ TEST(SegmentMemo, ConcurrentRequestsForOneKeySimulateOnce) {
     });
   }
   for (auto& thread : threads) thread.join();
-  EXPECT_EQ(memo.misses(), 2u);  // the segment and its restart half
+  EXPECT_EQ(memo.misses(), 1u);
   EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
   fault::RectifierPlant reference;
   reference.fork_from(blob, nominal);
@@ -377,8 +377,8 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
     });
   }
   for (auto& thread : threads) thread.join();
-  // The failing segment and the restart half before it, which succeeds.
-  EXPECT_EQ(memo.misses(), 2u);
+  // The failing segment, simulated once.
+  EXPECT_EQ(memo.misses(), 1u);
   EXPECT_EQ(memo.hits(), static_cast<std::uint64_t>(kThreads - 1));
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(messages[t], expected) << "thread " << t;
@@ -386,46 +386,6 @@ TEST(SegmentMemo, FailureReachesEveryRequester) {
     EXPECT_EQ(plants[t].committed(), blob.get());
     EXPECT_EQ(plants[t].checkpoints, 0);
   }
-}
-
-TEST(SegmentMemo, RestartHalfFailureReachesEveryRequester) {
-  // A plant that believes its node was committed at an infinite drive
-  // restarts from it, and the half segment at that drive throws. A
-  // second plant on the same node measured at another drive is a new
-  // segment but the same restart half: it reads the stored failure back
-  // without running it.
-  const double nominal = fault::ChargeUpSpec{}.amplitude;
-  const double inf = std::numeric_limits<double>::infinity();
-  const auto blob = charged_blob();
-  std::string expected;
-  {
-    fault::RectifierPlant reference;
-    reference.fork_from(blob, inf);
-    try {
-      reference.measure(nominal);
-    } catch (const std::exception& error) {
-      expected = error.what();
-    }
-  }
-  EXPECT_FALSE(expected.empty());
-
-  fault::SegmentMemo memo;
-  for (const double drive : {nominal, 0.8 * nominal}) {
-    fault::RectifierPlant plant;
-    plant.memo = &memo;
-    plant.fork_from(blob, inf);
-    std::string message;
-    try {
-      plant.measure(drive);
-    } catch (const std::exception& error) {
-      message = error.what();
-    }
-    EXPECT_EQ(message, expected) << "drive " << drive;
-    EXPECT_EQ(plant.committed(), blob.get());  // a throw commits nothing
-    EXPECT_EQ(plant.restarts, 0);
-  }
-  EXPECT_EQ(memo.misses(), 3u);  // 2 segments, 1 restart half
-  EXPECT_EQ(memo.hits(), 1u);    // the second plant's restart half
 }
 
 TEST(SegmentMemo, RotationCarriesAnEntryWithoutSimulating) {
@@ -436,14 +396,14 @@ TEST(SegmentMemo, RotationCarriesAnEntryWithoutSimulating) {
   first.memo = &memo;
   first.fork_from(blob, nominal);
   const double vo = first.measure(0.8 * nominal);
-  EXPECT_EQ(memo.misses(), 2u);  // the segment and its restart half
+  EXPECT_EQ(memo.misses(), 1u);
   memo.rotate();
   EXPECT_EQ(memo.hits(), 0u);
   EXPECT_EQ(memo.misses(), 0u);
   EXPECT_EQ(memo.carried(), 0u);
 
   // The next generation reads the entry back: the same value, restart
-  // and committed node, no simulation (and so no restart half).
+  // and committed node, and no simulation.
   fault::RectifierPlant second;
   second.memo = &memo;
   second.fork_from(blob, nominal);
@@ -1008,6 +968,35 @@ TEST(Fleet, InvalidConfigsThrow) {
         << "soak " << soak;
     EXPECT_THROW(fleet::run_solo_session(config, 0), std::invalid_argument)
         << "soak " << soak;
+  }
+  // Chaos rates are probabilities of one draw: each in [0, 1], summing
+  // to at most 1, with at least one doomed attempt.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [throw_rate, stall_rate] :
+       std::vector<std::pair<double, double>>{{nan, 0.0},
+                                              {-1.0, 0.0},
+                                              {2.0, 0.0},
+                                              {inf, 0.0},
+                                              {0.0, nan},
+                                              {0.0, -0.5},
+                                              {0.0, 1.5},
+                                              {1.0, 0.5},
+                                              {0.6, 0.6}}) {
+    config = {};
+    config.supervise.chaos.throw_rate = throw_rate;
+    config.supervise.chaos.stall_rate = stall_rate;
+    EXPECT_THROW(fleet::run_fleet(config), std::invalid_argument)
+        << "throw " << throw_rate << " stall " << stall_rate;
+    EXPECT_THROW(fleet::run_solo_session(config, 0), std::invalid_argument)
+        << "throw " << throw_rate << " stall " << stall_rate;
+  }
+  for (const int attempts : {0, -1}) {
+    config = {};
+    config.supervise.chaos.throw_rate = 0.5;
+    config.supervise.chaos.fail_attempts = attempts;
+    EXPECT_THROW(fleet::run_fleet(config), std::invalid_argument)
+        << "attempts " << attempts;
   }
 }
 

@@ -16,7 +16,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -272,6 +274,26 @@ TEST(Analysis, StiffnessSpreadEarnsInfoDiagnostic) {
     }
   }
   EXPECT_TRUE(flagged) << report.to_text();
+}
+
+// The timescale pass walks every stimulus corner in its window, so an
+// unbounded window never ends: analyze rejects a horizon that is not
+// finite and > 0 before any pass runs.
+TEST(Analysis, HorizonMustBeFiniteAndPositive) {
+  Circuit circuit;
+  const auto a = circuit.node("a");
+  circuit.add<VoltageSource>("V1", a, kGround, Waveform::dc(1.0));
+  circuit.add<Resistor>("R1", a, kGround, 1e3);
+  analysis::AnalysisOptions options;
+  for (const double horizon :
+       {std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0,
+        std::numeric_limits<double>::infinity()}) {
+    options.transient_horizon = horizon;
+    EXPECT_THROW(analysis::analyze(circuit, options), std::invalid_argument)
+        << "horizon " << horizon;
+  }
+  options.transient_horizon = 1e-3;
+  EXPECT_NO_THROW(analysis::analyze(circuit, options));
 }
 
 // The JSON report carries the schema the CI analyze stage greps.

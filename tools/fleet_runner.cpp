@@ -156,10 +156,12 @@ int usage(int code) {
         "                 (seeded; healthy sessions stay bit-identical)\n"
         "  --chaos-stall RATE\n"
         "                 deterministically make ~RATE of sessions stall\n"
-        "                 until the watchdog fires (or a 30 s cap)\n"
+        "                 until the watchdog fires (or a 30 s cap); each\n"
+        "                 rate in [0, 1], the two summing to at most 1\n"
         "  --chaos-attempts N\n"
-        "                 attempts doomed per chaos-picked session; set\n"
-        "                 above --retries to force quarantine (default 1)\n"
+        "                 attempts doomed per chaos-picked session, >= 1;\n"
+        "                 set above --retries to force quarantine\n"
+        "                 (default 1)\n"
         "  --journal FILE append-only JSONL run journal: one line per\n"
         "                 terminal session outcome, crash-durable\n"
         "  --resume       replay completed sessions from --journal FILE and\n"

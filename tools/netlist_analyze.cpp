@@ -18,13 +18,15 @@
 //   --dc       analyze for a DC operating point (inductor loops and
 //              current cutsets become lint errors)
 //   --horizon S  transient horizon for breakpoint density [s] (default
-//              1e-3); a value that is not, in full, a time > 0 exits 2
+//              1e-3); a value that is not, in full, a finite time > 0
+//              exits 2
 //   --quiet    print nothing for clean files
 //   -          read one netlist from stdin
 //
 // Exit codes: 0 all files clean (or warnings without --strict),
 //             1 analysis errors (or warnings with --strict),
 //             2 usage or I/O error.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -72,9 +74,10 @@ int main(int argc, char** argv) {
       options.dc_context = true;
     } else if (arg == "--horizon" && i + 1 < argc) {
       if (!ironic::tools::parse_real(argv[++i], options.transient_horizon) ||
+          !std::isfinite(options.transient_horizon) ||
           !(options.transient_horizon > 0.0)) {
-        ironic::tools::bad_value("netlist_analyze", arg, "a time > 0 [s]",
-                                 argv[i]);
+        ironic::tools::bad_value("netlist_analyze", arg,
+                                 "a finite time > 0 [s]", argv[i]);
         return 2;
       }
     } else if (arg == "--quiet") {
