@@ -1,12 +1,13 @@
 // Fault schedules and the injector: window arithmetic, stochastic
-// generation determinism, and the comms channel wrapper; and the plant's
-// restart cost under a shared memo.
+// generation determinism, and the comms channel wrapper; the plant's
+// restart cost under a shared memo; and the pinned charge-up checkpoint.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <memory>
 #include <stdexcept>
 
@@ -15,6 +16,8 @@
 #include "src/fault/plant.hpp"
 #include "src/fault/schedule.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/spice/engine.hpp"
+#include "src/util/fingerprint.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -260,6 +263,32 @@ TEST(RectifierPlant, RestartRunsOnlyItsSegment) {
   }
   EXPECT_EQ(memos.segments.misses(), 2u);  // one segment per drive
   EXPECT_EQ(memos.segments.hits(), 0u);
+}
+
+// The charge-up every fleet service runs first: the Fig. 11 rectifier
+// from rest to 270 us at the 10 ns step. Pins its engine counts and the
+// bits of the checkpoint every session forks from, so a kernel change
+// that claims to alter nothing must leave all of them where they are.
+TEST(ChargeUp, CheckpointIsPinnedBitForBit) {
+  spice::TransientStats stats;
+  const spice::TransientCheckpoint node = capture_charged_checkpoint(ChargeUpSpec{}, &stats);
+  EXPECT_EQ(stats.accepted_steps, 27001u);
+  EXPECT_EQ(stats.rejected_steps, 0u);
+  EXPECT_EQ(stats.newton_iterations, 101275u);
+  EXPECT_EQ(stats.factorizations, 101275u);
+  EXPECT_EQ(stats.solves, 101275u);
+  EXPECT_LE(stats.max_newton_iterations, 15u);
+  ASSERT_EQ(node.x.size(), 13u);
+  ASSERT_EQ(node.device_state.size(), 3u);
+
+  util::Fingerprint fp;
+  fp.feed(node.time);
+  fp.feed(node.dt);
+  for (const double v : node.x) fp.feed(v);
+  for (const double v : node.device_state) fp.feed(v);
+  fp.feed_i(node.success_streak);
+  fp.feed(static_cast<std::uint64_t>(node.step_index));
+  EXPECT_EQ(fp.value(), 0x3fe1d36cfe42012bull) << std::hex << fp.value();
 }
 
 }  // namespace

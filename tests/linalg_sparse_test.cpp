@@ -116,6 +116,19 @@ TEST(SparseSolver, AddRejectsOutOfRangeIndices) {
   s.begin_assembly();
   EXPECT_THROW(s.add(-1, 0, 1.0), std::out_of_range);
   EXPECT_THROW(s.add(0, 2, 1.0), std::out_of_range);
+  // The pairs a sentinel ending the recorded call sequence could be
+  // mistaken for, on a fresh solver and on one replaying a recording.
+  EXPECT_THROW(s.add(-1, -1, 1.0), std::out_of_range);
+  EXPECT_THROW(s.add(2, 2, 1.0), std::out_of_range);
+  s.add(0, 0, 1.0);
+  s.add(1, 1, 1.0);
+  s.factor();
+  s.begin_assembly();
+  s.add(0, 0, 1.0);
+  s.add(1, 1, 1.0);
+  EXPECT_THROW(s.add(-1, -1, 1.0), std::out_of_range);
+  EXPECT_THROW(s.add(2, 2, 1.0), std::out_of_range);
+  EXPECT_EQ(s.stats().sequence_divergences, 0u);
 }
 
 TEST(SparseSolver, SingularMatrixDiagnosticsMatchDense) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "src/linalg/sparse.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/devices_nonlinear.hpp"
 #include "src/spice/devices_passive.hpp"
@@ -237,6 +240,45 @@ TEST(Dc, SmoothSwitchOnOff) {
     ASSERT_TRUE(dc.converged);
     EXPECT_LT(dc.x[static_cast<std::size_t>(out)], 1e-3);
   }
+}
+
+// A source evaluates its waveform once per stamped time, so a
+// set_waveform between two stamps at one time point must drop the value
+// the first stamp computed.
+TEST(Sources, SetWaveformBetweenStampsAtOneTimeTakesEffect) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  auto& vs = ckt.add<VoltageSource>("V1", a, kGround, Waveform::sine(1.0, 1e6));
+  auto& is = ckt.add<CurrentSource>("I1", a, kGround, Waveform::dc(2.0));
+  ckt.add<Resistor>("R1", a, kGround, 1e3);
+  ckt.finalize();
+  const std::size_t n = ckt.num_unknowns();
+  ironic::linalg::SparseSolver<double> solver(n);
+  std::vector<double> rhs(n, 0.0);
+  const std::vector<double> x(n, 0.0);
+  const auto stamp_rhs = [&] {
+    std::fill(rhs.begin(), rhs.end(), 0.0);
+    // A quarter period into the 1 MHz sine; matrix false stamps rhs only.
+    StampContext ctx{solver, rhs, x, 0.25e-6, 1e-8, Integrator::kTrapezoidal,
+                     false, 1.0, false, false};
+    vs.stamp(ctx);
+    is.stamp(ctx);
+  };
+  const auto branch = static_cast<std::size_t>(vs.branch_index());
+  const auto node = static_cast<std::size_t>(a);
+
+  stamp_rhs();
+  EXPECT_DOUBLE_EQ(rhs[branch], 1.0);
+  EXPECT_EQ(rhs[node], -2.0);
+  stamp_rhs();  // the same time again: the same values
+  EXPECT_DOUBLE_EQ(rhs[branch], 1.0);
+  EXPECT_EQ(rhs[node], -2.0);
+
+  vs.set_waveform(Waveform::dc(-0.5));
+  is.set_waveform(Waveform::dc(3.0));
+  stamp_rhs();
+  EXPECT_EQ(rhs[branch], -0.5);
+  EXPECT_EQ(rhs[node], -3.0);
 }
 
 TEST(Dc, OpAmpFollower) {
