@@ -25,6 +25,7 @@ SparseSolver<T>::SparseSolver(std::size_t n) : n_(n) {
   row_ptr_.assign(n_ + 1, 0);
   work_.assign(n_, T{});
   mark_.assign(n_, 0);
+  row_entry_.assign(n_, -1);
 }
 
 template <typename T>
@@ -59,7 +60,9 @@ void SparseSolver<T>::add_slow(int row, int col, T value) {
   if (!assembling_) begin_assembly();
   const std::int64_t key = pack(row, col);
   if (fast_) {
-    if (cursor_ < seq_rc_.size() && seq_rc_[cursor_] == key) {
+    // Only an assembly's first call, armed just above, can match here:
+    // add() took every other match inline.
+    if (seq_rc_[cursor_] == key) {
       values_[static_cast<std::size_t>(seq_slot_[cursor_])] += value;
       ++cursor_;
       return;
@@ -72,6 +75,7 @@ void SparseSolver<T>::add_slow(int row, int col, T value) {
     new_rc_.assign(seq_rc_.begin(), seq_rc_.begin() + static_cast<std::ptrdiff_t>(cursor_));
     new_slot_.assign(seq_slot_.begin(),
                      seq_slot_.begin() + static_cast<std::ptrdiff_t>(cursor_));
+    cursor_ = seq_rc_.size() - 1;
   }
   const int slot = find_slot(row, col);
   if (slot >= 0) {
@@ -149,10 +153,12 @@ void SparseSolver<T>::finalize_assembly() {
     } else {
       seq_slot_ = std::move(new_slot_);
     }
+    seq_rc_.push_back(kSeqEnd);
     seq_valid_ = true;
   }
   fast_ = false;
   recording_ = false;
+  cursor_ = seq_rc_.size() - 1;
   stats_.nnz = cols_.size();
 }
 
@@ -205,20 +211,26 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
   symbolic_valid_ = false;
   if (!csc_valid_) build_csc();
   build_col_order();
-  l_ptr_.assign(1, 0);
-  l_row_.clear();
-  l_val_.clear();
-  u_ptr_.assign(1, 0);
-  u_k_.clear();
-  u_val_.clear();
+  // The pivots come first, one entry per step; the rest of lu_ grows a
+  // step at a time.
+  lu_.assign(n_, T{});
+  idx_.assign(n_, -1);
+  a_slot_.assign(n_, -1);
+  entry_row_.assign(n_, -1);
+  col_ptr_.assign(1, static_cast<int>(n_));
+  l_ptr_.clear();
+  updates_.clear();
+  upd_ptr_.assign(1, 0);
   pivot_row_.assign(n_, -1);
   row_pos_.assign(n_, -1);
-  upiv_.assign(n_, T{});
-  // refactor_numeric leaves values behind in work_; the marking below
-  // needs a zero accumulator.
-  std::fill(work_.begin(), work_.end(), T{});
   clear_column_workspace();
   stats_.factor_nnz = n_;
+  const auto push_entry = [this](T value, int step, int row) {
+    lu_.push_back(value);
+    idx_.push_back(step);
+    a_slot_.push_back(-1);
+    entry_row_.push_back(row);
+  };
 
   for (std::size_t jj = 0; jj < n_; ++jj) {
     const int j = col_order_[jj];
@@ -230,25 +242,29 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
       touched_.push_back(r);
       work_[static_cast<std::size_t>(r)] = values_[static_cast<std::size_t>(csc_slots_[static_cast<std::size_t>(p)])];
     }
-    // Eliminate with every earlier pivot whose row appears structurally.
-    // The scan is O(jj) but each hit does real work; at MNA sizes the
-    // scan is noise next to a dense O(n^3) elimination.
+    // Eliminate with every earlier pivot whose row appears structurally,
+    // recording each update with its target row; the row becomes an
+    // entry of this column once the pivot is known. The scan is O(jj)
+    // but each hit does real work; at MNA sizes the scan is noise next
+    // to a dense O(n^3) elimination.
+    const std::size_t step_updates = updates_.size();
     for (std::size_t kk = 0; kk < jj; ++kk) {
       const int pr = pivot_row_[kk];
       if (!mark_[static_cast<std::size_t>(pr)]) continue;
       const T ukj = work_[static_cast<std::size_t>(pr)];
-      u_k_.push_back(static_cast<int>(kk));
-      u_val_.push_back(ukj);
-      for (int q = l_ptr_[kk]; q < l_ptr_[kk + 1]; ++q) {
-        const int r = l_row_[static_cast<std::size_t>(q)];
+      const int u = static_cast<int>(lu_.size());
+      push_entry(ukj, static_cast<int>(kk), pr);
+      for (int t = l_ptr_[kk]; t < col_ptr_[kk + 1]; ++t) {
+        const int r = entry_row_[static_cast<std::size_t>(t)];
         if (!mark_[static_cast<std::size_t>(r)]) {
           mark_[static_cast<std::size_t>(r)] = 1;
           touched_.push_back(r);
         }
-        work_[static_cast<std::size_t>(r)] -= l_val_[static_cast<std::size_t>(q)] * ukj;
+        work_[static_cast<std::size_t>(r)] -= lu_[static_cast<std::size_t>(t)] * ukj;
+        updates_.push_back({r, t, u});
       }
     }
-    u_ptr_.push_back(static_cast<int>(u_k_.size()));
+    l_ptr_.push_back(static_cast<int>(lu_.size()));
     // Partial pivot among the not-yet-pivoted structural rows. A NaN
     // anywhere in the candidates poisons the column: reject it (negated
     // comparison below), mirroring LuFactorization's NaN-aware check.
@@ -267,10 +283,9 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     if (poisoned || best < 0 || !(best_mag >= pivot_tol)) {
       const double reported = poisoned ? std::numeric_limits<double>::quiet_NaN()
                                        : (best < 0 ? 0.0 : best_mag);
-      // Close the arrays after this column, so factor_flops() counts the
-      // updates it made.
-      u_ptr_.resize(n_ + 1, u_ptr_.back());
-      l_ptr_.resize(n_ + 1, l_ptr_.back());
+      // Close the column after its U entries, so factor_flops() counts
+      // the updates it made.
+      col_ptr_.push_back(static_cast<int>(lu_.size()));
       clear_column_workspace();
       throw SingularMatrixError("LU pivot " + std::to_string(jj) + " below tolerance (" +
                                 std::to_string(reported) + ") — floating node or " +
@@ -279,78 +294,75 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     pivot_row_[jj] = best;
     row_pos_[static_cast<std::size_t>(best)] = static_cast<int>(jj);
     const T piv = work_[static_cast<std::size_t>(best)];
-    upiv_[jj] = piv;
+    lu_[jj] = piv;
+    entry_row_[jj] = best;
     for (const int r : touched_) {
       if (row_pos_[static_cast<std::size_t>(r)] >= 0) continue;
-      l_row_.push_back(r);
-      l_val_.push_back(work_[static_cast<std::size_t>(r)] / piv);
+      push_entry(work_[static_cast<std::size_t>(r)] / piv, -1, r);
     }
-    l_ptr_.push_back(static_cast<int>(l_row_.size()));
-    stats_.factor_nnz += static_cast<std::size_t>(u_ptr_[jj + 1] - u_ptr_[jj]) +
-                         static_cast<std::size_t>(l_ptr_[jj + 1] - l_ptr_[jj]);
+    col_ptr_.push_back(static_cast<int>(lu_.size()));
+    // Compile the step: each row of the column to its entry, which turns
+    // the recorded update targets and the A rows into entries.
+    row_entry_[static_cast<std::size_t>(best)] = static_cast<int>(jj);
+    for (int t = col_ptr_[jj]; t < col_ptr_[jj + 1]; ++t) {
+      row_entry_[static_cast<std::size_t>(entry_row_[static_cast<std::size_t>(t)])] = t;
+    }
+    for (std::size_t q = step_updates; q < updates_.size(); ++q) {
+      updates_[q].t = row_entry_[static_cast<std::size_t>(updates_[q].t)];
+    }
+    for (int p = csc_ptr_[static_cast<std::size_t>(j)];
+         p < csc_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+      const int t = row_entry_[static_cast<std::size_t>(csc_rows_[static_cast<std::size_t>(p)])];
+      a_slot_[static_cast<std::size_t>(t)] = csc_slots_[static_cast<std::size_t>(p)];
+    }
+    upd_ptr_.push_back(static_cast<int>(updates_.size()));
+    stats_.factor_nnz += static_cast<std::size_t>(col_ptr_[jj + 1] - col_ptr_[jj]);
     clear_column_workspace();
   }
   // Every row has its pivot now: the solve indexes L by elimination step.
-  l_step_.resize(l_row_.size());
-  for (std::size_t q = 0; q < l_row_.size(); ++q) {
-    l_step_[q] = row_pos_[static_cast<std::size_t>(l_row_[q])];
+  for (std::size_t jj = 0; jj < n_; ++jj) {
+    for (int t = l_ptr_[jj]; t < col_ptr_[jj + 1]; ++t) {
+      idx_[static_cast<std::size_t>(t)] =
+          row_pos_[static_cast<std::size_t>(entry_row_[static_cast<std::size_t>(t)])];
+    }
   }
   symbolic_valid_ = true;
 }
 
 template <typename T>
 bool SparseSolver<T>::refactor_numeric(double pivot_tol) {
-  // Recompute the numbers along the cached elimination structure: same
-  // pivot order, same L/U patterns, no structural work. Column jj's rows
-  // are known — its U rows (earlier pivots), its pivot row and its L rows
-  // — so they are zeroed up front rather than marked as they are touched.
-  // Fails (returns false) when a cached pivot degrades, and the caller
-  // falls back to a full factorization.
+  // Replay the tape on the new numbers: same pivot order, same patterns,
+  // no structural work. Every entry starts from its A slot or from zero,
+  // so one gather fills the whole array; each step then applies its
+  // updates, tests its pivot and divides its L entries. Every
+  // floating-point operation has the operands and the order the full
+  // factorization gave it. Fails (returns false) when a cached pivot
+  // degrades, and the caller falls back to a full factorization.
+  T* const lu = lu_.data();
+  const T* const a = values_.data();
+  for (std::size_t t = 0; t < lu_.size(); ++t) {
+    const int slot = a_slot_[t];
+    lu[t] = slot < 0 ? T{} : a[slot];
+  }
+  const Update* const up = updates_.data();
   for (std::size_t jj = 0; jj < n_; ++jj) {
-    const int u_lo = u_ptr_[jj], u_hi = u_ptr_[jj + 1];
-    const int l_lo = l_ptr_[jj], l_hi = l_ptr_[jj + 1];
-    const auto prow = static_cast<std::size_t>(pivot_row_[jj]);
-    for (int p = u_lo; p < u_hi; ++p) {
-      const int k = u_k_[static_cast<std::size_t>(p)];
-      work_[static_cast<std::size_t>(pivot_row_[static_cast<std::size_t>(k)])] = T{};
+    for (int q = upd_ptr_[jj]; q < upd_ptr_[jj + 1]; ++q) {
+      lu[up[q].t] -= lu[up[q].l] * lu[up[q].u];
     }
-    work_[prow] = T{};
-    for (int q = l_lo; q < l_hi; ++q) {
-      work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] = T{};
-    }
-    const int j = col_order_[jj];
-    for (int p = csc_ptr_[static_cast<std::size_t>(j)];
-         p < csc_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      work_[static_cast<std::size_t>(csc_rows_[static_cast<std::size_t>(p)])] =
-          values_[static_cast<std::size_t>(csc_slots_[static_cast<std::size_t>(p)])];
-    }
-    for (int p = u_lo; p < u_hi; ++p) {
-      const auto k = static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)]);
-      const T ukj = work_[static_cast<std::size_t>(pivot_row_[k])];
-      u_val_[static_cast<std::size_t>(p)] = ukj;
-      for (int q = l_ptr_[k]; q < l_ptr_[k + 1]; ++q) {
-        work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] -=
-            l_val_[static_cast<std::size_t>(q)] * ukj;
-      }
-    }
-    const T piv = work_[prow];
+    const T piv = lu[jj];
     const double piv_mag = magnitude(piv);
-    // Largest not-yet-eliminated magnitude in the column (the pivot row
-    // and the L rows), for the stability check; NaN candidates fall to
+    // Largest not-yet-eliminated magnitude in the column (the pivot and
+    // the L entries), for the stability check; NaN candidates fall to
     // the tolerance test.
+    const int l_lo = l_ptr_[jj], l_hi = col_ptr_[jj + 1];
     double col_max = 0.0;
     if (piv_mag > col_max) col_max = piv_mag;
-    for (int q = l_lo; q < l_hi; ++q) {
-      const double mag =
-          magnitude(work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])]);
+    for (int t = l_lo; t < l_hi; ++t) {
+      const double mag = magnitude(lu[t]);
       if (mag > col_max) col_max = mag;
     }
     if (!(piv_mag >= pivot_tol) || !(piv_mag >= kRefactorPivotSlack * col_max)) return false;
-    upiv_[jj] = piv;
-    for (int q = l_lo; q < l_hi; ++q) {
-      l_val_[static_cast<std::size_t>(q)] =
-          work_[static_cast<std::size_t>(l_row_[static_cast<std::size_t>(q)])] / piv;
-    }
+    for (int t = l_lo; t < l_hi; ++t) lu[t] = lu[t] / piv;
   }
   return true;
 }
@@ -387,6 +399,8 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
     throw std::logic_error("SparseSolver::solve_in_place called before factor()");
   }
   fwd_.resize(n_);
+  const T* const lu = lu_.data();
+  const int* const idx = idx_.data();
   // y = L^-1 P b (unit-diagonal L), elimination order.
   for (std::size_t kk = 0; kk < n_; ++kk) {
     fwd_[kk] = b[static_cast<std::size_t>(pivot_row_[kk])];
@@ -394,19 +408,17 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
   for (std::size_t kk = 0; kk < n_; ++kk) {
     const T yk = fwd_[kk];
     if (yk == T{}) continue;
-    for (int q = l_ptr_[kk]; q < l_ptr_[kk + 1]; ++q) {
-      fwd_[static_cast<std::size_t>(l_step_[static_cast<std::size_t>(q)])] -=
-          l_val_[static_cast<std::size_t>(q)] * yk;
+    for (int t = l_ptr_[kk]; t < col_ptr_[kk + 1]; ++t) {
+      fwd_[static_cast<std::size_t>(idx[t])] -= lu[t] * yk;
     }
   }
   // Column-oriented back substitution over U, right to left.
   for (std::size_t jj = n_; jj-- > 0;) {
-    const T zj = fwd_[jj] / upiv_[jj];
+    const T zj = fwd_[jj] / lu[jj];
     fwd_[jj] = zj;
     if (zj == T{}) continue;
-    for (int p = u_ptr_[jj]; p < u_ptr_[jj + 1]; ++p) {
-      fwd_[static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)])] -=
-          u_val_[static_cast<std::size_t>(p)] * zj;
+    for (int t = col_ptr_[jj]; t < l_ptr_[jj]; ++t) {
+      fwd_[static_cast<std::size_t>(idx[t])] -= lu[t] * zj;
     }
   }
   for (std::size_t jj = 0; jj < n_; ++jj) {
@@ -416,15 +428,11 @@ void SparseSolver<T>::solve_in_place(std::span<T> b) {
 
 template <typename T>
 double SparseSolver<T>::factor_flops() const {
-  // Each U entry applies its pivot's L column (a multiply and a subtract
-  // per entry); each L entry is one divide by the pivot.
-  double flops = 0.0;
-  for (std::size_t jj = 0; jj + 1 < u_ptr_.size(); ++jj) {
-    for (int p = u_ptr_[jj]; p < u_ptr_[jj + 1]; ++p) {
-      const auto k = static_cast<std::size_t>(u_k_[static_cast<std::size_t>(p)]);
-      flops += 2.0 * static_cast<double>(l_ptr_[k + 1] - l_ptr_[k]);
-    }
-    flops += static_cast<double>(l_ptr_[jj + 1] - l_ptr_[jj]);
+  // Each recorded update is a multiply and a subtract; each L entry is
+  // one divide by the pivot.
+  double flops = 2.0 * static_cast<double>(updates_.size());
+  for (std::size_t jj = 0; jj < l_ptr_.size(); ++jj) {
+    flops += static_cast<double>(col_ptr_[jj + 1] - l_ptr_[jj]);
   }
   return flops;
 }

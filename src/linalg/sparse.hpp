@@ -7,16 +7,17 @@
 // as the reference oracles the tests compare it against.
 //
 // Assembly. Devices call add(r, c, v) in whatever order their stamps
-// produce. The first assembly records that call sequence; subsequent
-// assemblies replay it with a cursor, so the steady state is one compare
-// plus one indexed accumulate per stamp — no hashing, no searches — and
-// that replay is inline here; every other call (the range check, the
-// first call of an assembly, recording) goes out of line. When the
-// order diverges (a device whose stamp calls depend on its operating
-// point; the shipped devices keep one order, see DESIGN.md §11.1), the
-// matched prefix is kept, the rest falls back to a binary search per
-// entry, and the sequence is re-recorded — a speed blip, never a
-// correctness issue (counted in sequence_divergences).
+// produce. The first assembly records that call sequence, closed by a
+// sentinel key no call packs to; subsequent assemblies replay it with a
+// cursor, so the steady state is one compare plus one indexed accumulate
+// per stamp — no hashing, no searches, no bounds test — and that replay
+// is inline here; every other call (the range check, the first call of
+// an assembly, recording) goes out of line. When the order diverges (a
+// device whose stamp calls depend on its operating point; the shipped
+// devices keep one order, see DESIGN.md §11.1), the matched prefix is
+// kept, the rest falls back to a binary search per entry, and the
+// sequence is re-recorded — a speed blip, never a correctness issue
+// (counted in sequence_divergences).
 // Entries the pattern has never seen land in an overflow triplet list and
 // are merged at factor() time (capacitors stamp nothing at DC, so a DC
 // solve followed by a transient grows the pattern once).
@@ -25,17 +26,18 @@
 // pivoting, and a static column pre-order by ascending column count (a
 // cheap Markowitz flavor that keeps fill low on MNA matrices). Structure
 // decisions are symbolic — an entry that is numerically zero this
-// iteration still occupies its slot — so the elimination structure (pivot
-// order, L/U patterns) is cached and later factorizations only redo the
-// numbers along it. L and U are stored as flat column arrays, and a
-// refactorization knows each column's rows up front (its U rows, its
-// pivot row, its L rows), so it zeroes exactly those in the accumulator
-// instead of marking the rows it touches. If a cached pivot degrades
-// (falls below tolerance or loses too much ground to its column), the
-// solver silently falls back to a fresh full factorization before
-// reporting SingularMatrixError. A caller that knows its matrix did not
-// change, like the transient engine on a linear circuit, skips assembly
-// and factor() altogether and only solves.
+// iteration still occupies its slot — so the full factorization compiles
+// the elimination into a tape: one factor array (the pivots, then each
+// step's U and L entries), the A slot or fill zero each entry starts
+// from, and the flat list of lu[t] -= lu[l] * lu[u] updates in
+// elimination order. A later factorization of the same pattern gathers
+// A into the array and replays the tape; the triangular solves read the
+// same array. If a cached pivot degrades (falls below tolerance or loses
+// too much ground to its column), the solver silently falls back to a
+// fresh full factorization before reporting SingularMatrixError. A
+// caller that knows its matrix did not change, like the transient engine
+// on a linear circuit, skips assembly and factor() altogether and only
+// solves.
 #pragma once
 
 #include <cstddef>
@@ -84,7 +86,8 @@ class SparseSolver {
   void add(int row, int col, T value) {
     // Replay: the call the recorded sequence expects next. A match implies
     // the indices are in range, since only checked calls are recorded.
-    if (fast_ && cursor_ < seq_rc_.size() && seq_rc_[cursor_] == pack(row, col)) {
+    // Outside a replay the cursor rests on kSeqEnd, which no call matches.
+    if (seq_rc_[cursor_] == pack(row, col)) {
       values_[static_cast<std::size_t>(seq_slot_[cursor_])] += value;
       ++cursor_;
       return;
@@ -101,16 +104,25 @@ class SparseSolver {
   // Structural nonzeros of the cached pattern.
   std::size_t pattern_nnz() const { return cols_.size(); }
   // Multiply-add and divide count of the last full factorization, read
-  // off the L/U columns it left. A factorization that threw counts the
-  // columns it eliminated, the failing one's updates included; its
+  // off the tape it left. A factorization that threw counts the columns
+  // it eliminated, the failing one's updates included; its
   // stats().factor_nnz likewise counts the columns that got a pivot.
   double factor_flops() const;
 
  private:
+  // Row in the high half, column in the low one. A negative column
+  // sign-extends over the row half, so every such call packs with row
+  // bits all ones: a key with a zero row half and a negative column half,
+  // like kSeqEnd, is one no call produces.
   static std::int64_t pack(int row, int col) {
-    return (static_cast<std::int64_t>(row) << 32) |
-           static_cast<std::int64_t>(static_cast<std::uint32_t>(col));
+    return (static_cast<std::int64_t>(row) << 32) | static_cast<std::int64_t>(col);
   }
+  static constexpr std::int64_t kSeqEnd = 0xffffffff;
+
+  // One step of the refactorization tape: lu[t] -= lu[l] * lu[u].
+  struct Update {
+    int t, l, u;
+  };
 
   void add_slow(int row, int col, T value);
   int find_slot(int row, int col) const;
@@ -131,7 +143,8 @@ class SparseSolver {
   bool pattern_valid_ = false;
 
   // --- call-sequence slot cache -------------------------------------------
-  std::vector<std::int64_t> seq_rc_;   // packed (row, col) per recorded call
+  // Packed (row, col) per recorded call, then kSeqEnd.
+  std::vector<std::int64_t> seq_rc_{kSeqEnd};
   std::vector<std::int32_t> seq_slot_; // slot into values_ per recorded call
   bool seq_valid_ = false;
   // Per-assembly state.
@@ -139,7 +152,7 @@ class SparseSolver {
   bool fast_ = false;       // cursor replay still aligned with seq_rc_
   bool recording_ = false;  // re-recording the sequence this assembly
   bool had_pattern_ = false;
-  std::size_t cursor_ = 0;
+  std::size_t cursor_ = 0;  // next expected call; at kSeqEnd outside a replay
   std::vector<std::int64_t> new_rc_;
   std::vector<std::int32_t> new_slot_;
   struct Triplet {
@@ -153,27 +166,33 @@ class SparseSolver {
   std::vector<int> csc_ptr_, csc_rows_, csc_slots_;
   bool csc_valid_ = false;
 
-  // --- cached factorization -----------------------------------------------
-  // Flat column arrays, indexed by elimination step jj. L column jj (unit
-  // diagonal implied) is entries l_ptr_[jj] .. l_ptr_[jj + 1]: original
-  // row, that row's elimination step (what the solve indexes by), and the
-  // multiplier. U column jj is u_ptr_[jj] .. u_ptr_[jj + 1]: the step k of
-  // the pivot each entry multiplies, and the value.
-  std::vector<int> l_ptr_, l_row_, l_step_;
-  std::vector<T> l_val_;
-  std::vector<int> u_ptr_, u_k_;
-  std::vector<T> u_val_;
+  // --- cached factorization: the compiled tape ---------------------------
+  // lu_ holds the factors. Entries 0 .. n_ are the U diagonal in
+  // elimination order, contiguous for the back substitution's chain of
+  // divisions. Step jj's U entries follow from col_ptr_[jj], then its L
+  // multipliers (unit diagonal implied) from l_ptr_[jj] to
+  // col_ptr_[jj + 1]. idx_ gives a U entry the step whose pivot row it
+  // sits in, an L entry its row's elimination step: the solves index by
+  // it. a_slot_ is the values_ slot each entry starts from (-1: fill,
+  // starts at zero), and step jj's updates are updates_[upd_ptr_[jj] ..
+  // upd_ptr_[jj + 1]], in the order the full factorization made them.
+  std::vector<T> lu_;
+  std::vector<int> col_ptr_, l_ptr_, idx_, a_slot_;
+  std::vector<Update> updates_;
+  std::vector<int> upd_ptr_;
   std::vector<int> pivot_row_;  // elimination step -> original row
   std::vector<int> row_pos_;    // original row -> elimination step
   std::vector<int> col_order_;  // elimination step -> original column
-  std::vector<T> upiv_;         // U diagonal, elimination order
   bool symbolic_valid_ = false;
   bool factored_ = false;
 
   // --- scratch -------------------------------------------------------------
+  // full_factor only; work_ and mark_ are zero between its columns.
   std::vector<T> work_;              // dense column accumulator
-  std::vector<unsigned char> mark_;  // full_factor: rows in the column so far
+  std::vector<unsigned char> mark_;  // rows in the column so far
   std::vector<int> touched_;         // ... in the order they entered it
+  std::vector<int> entry_row_;       // original row of each lu_ entry
+  std::vector<int> row_entry_;       // original row -> its entry in the column
   std::vector<T> fwd_;
 
   SolverStats stats_;

@@ -110,7 +110,9 @@ Mosfet::Mosfet(std::string name, NodeId drain, NodeId gate, NodeId source, NodeI
       params_(params),
       polarity_(params.type == MosType::kNmos ? 1.0 : -1.0),
       junction_vcrit_(kBulkJunctionVt *
-                      std::log(kBulkJunctionVt / (std::sqrt(2.0) * params_.junction_is))) {
+                      std::log(kBulkJunctionVt / (std::sqrt(2.0) * params_.junction_is))),
+      sqrt_phi_(std::sqrt(params_.phi)),
+      beta_(params_.beta()) {
   if (params_.w <= 0.0 || params_.l <= 0.0) {
     throw std::invalid_argument("Mosfet: W and L must be > 0");
   }
@@ -146,12 +148,12 @@ Mosfet::Operating Mosfet::evaluate(double vgs, double vds, double vbs) const {
   const double phi = params_.phi;
   const double vbs_clamped = std::min(vbs, phi - 0.02);
   const double sqrt_arg = std::sqrt(phi - vbs_clamped);
-  const double vth = params_.vt0 + params_.gamma * (sqrt_arg - std::sqrt(phi));
+  const double vth = params_.vt0 + params_.gamma * (sqrt_arg - sqrt_phi_);
   const double dvth_dvbs = -params_.gamma / (2.0 * sqrt_arg);
   const double vov = vgs - vth;
   if (vov <= 0.0) return op;  // cutoff: engine gmin keeps the node pinned
 
-  const double beta = params_.beta();
+  const double beta = beta_;
   const double clm = 1.0 + params_.lambda * vds;
   if (vds >= vov) {
     // Saturation.
@@ -184,6 +186,9 @@ double Mosfet::drain_current(double vd, double vg, double vs, double vb) const {
 
 void Mosfet::stamp_bulk_junction(StampContext& ctx, NodeId anode, NodeId cathode,
                                  double& v_prev, bool& have_prev) {
+  // Both terminals on ground (M2's bulk-source junction): the junction
+  // sits at 0 V, limits nothing and every stamp it makes lands on ground.
+  if (anode == kGround && cathode == kGround) return;
   const double v_raw = ctx.v(anode) - ctx.v(cathode);
   double v = v_raw;
   if (have_prev) v = pnjlim(v, v_prev, kBulkJunctionVt, junction_vcrit_);

@@ -112,6 +112,8 @@ class Mosfet final : public Device {
   MosParams params_;
   double polarity_;  // +1 NMOS, -1 PMOS
   double junction_vcrit_;  // bulk-junction critical voltage for pnjlim
+  double sqrt_phi_;  // sqrt(params_.phi)
+  double beta_;      // params_.beta()
   // stamp issues channel_entries(d_, s_) in both orientations. Swapped,
   // entry k takes the value the swapped list gives entry
   // swapped_value_[k], so every slot still sums its contributions in

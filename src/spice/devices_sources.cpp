@@ -28,7 +28,7 @@ void VoltageSource::stamp_ac(AcStampContext& ctx) const {
 
 void VoltageSource::collect_breakpoints(double t0, double t1,
                                         std::vector<double>& out) const {
-  waveform_.breakpoints(t0, t1, out);
+  waveform().breakpoints(t0, t1, out);
 }
 
 // ------------------------------------------------------------ CurrentSource
@@ -49,7 +49,7 @@ void CurrentSource::stamp_ac(AcStampContext& ctx) const {
 
 void CurrentSource::collect_breakpoints(double t0, double t1,
                                         std::vector<double>& out) const {
-  waveform_.breakpoints(t0, t1, out);
+  waveform().breakpoints(t0, t1, out);
 }
 
 // --------------------------------------------------------------------- Vcvs
@@ -107,8 +107,8 @@ DeviceInfo VoltageSource::info() const {
   d.kind = DeviceKind::kVoltageSource;
   d.terminals = {{"+", a_, TerminalDc::kConducting}, {"-", b_, TerminalDc::kConducting}};
   d.rigid_pairs = {{0, 1}};
-  d.has_source_range = waveform_.value_range(d.source_min, d.source_max);
-  d.stimulus_timescale = waveform_.min_timescale();
+  d.has_source_range = waveform().value_range(d.source_min, d.source_max);
+  d.stimulus_timescale = waveform().min_timescale();
   return d;
 }
 
@@ -119,8 +119,8 @@ DeviceInfo CurrentSource::info() const {
   // the node voltages on either side are set entirely by the rest of the
   // circuit, so for connectivity purposes its terminals are blocking.
   d.terminals = {{"+", a_, TerminalDc::kBlocking}, {"-", b_, TerminalDc::kBlocking}};
-  d.has_source_range = waveform_.value_range(d.source_min, d.source_max);
-  d.stimulus_timescale = waveform_.min_timescale();
+  d.has_source_range = waveform().value_range(d.source_min, d.source_max);
+  d.stimulus_timescale = waveform().min_timescale();
   return d;
 }
 

@@ -1,11 +1,44 @@
 // Independent and linear controlled sources.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include "src/spice/circuit.hpp"
 #include "src/spice/device.hpp"
 #include "src/spice/waveform.hpp"
 
 namespace ironic::spice {
+
+// An independent source's waveform, evaluated once per stamped time: the
+// value is keyed on the time's bits, so the Newton iterations of one time
+// point and the right-hand-side restamps of a held matrix reuse it,
+// whichever engine path stamps. A new waveform drops the value.
+class StampedWaveform {
+ public:
+  explicit StampedWaveform(Waveform waveform) : waveform_(std::move(waveform)) {}
+  double operator()(double t) {
+    const auto bits = std::bit_cast<std::uint64_t>(t);
+    if (!valid_ || bits != time_bits_) {
+      value_ = waveform_(t);
+      time_bits_ = bits;
+      valid_ = true;
+    }
+    return value_;
+  }
+  const Waveform& waveform() const { return waveform_; }
+  void set(Waveform waveform) {
+    waveform_ = std::move(waveform);
+    valid_ = false;
+  }
+
+ private:
+  Waveform waveform_;
+  std::uint64_t time_bits_ = 0;
+  double value_ = 0.0;
+  bool valid_ = false;
+};
 
 // Ideal independent voltage source; positive terminal `a`.
 // The branch current ("i(<name>)") flows from a through the source to b,
@@ -27,13 +60,13 @@ class VoltageSource final : public Device {
   }
   void collect_breakpoints(double t0, double t1, std::vector<double>& out) const override;
   int branch_index() const { return branch_; }
-  void set_waveform(Waveform waveform) { waveform_ = std::move(waveform); }
-  const Waveform& waveform() const { return waveform_; }
+  void set_waveform(Waveform waveform) { waveform_.set(std::move(waveform)); }
+  const Waveform& waveform() const { return waveform_.waveform(); }
   DeviceInfo info() const override;
 
  private:
   NodeId a_, b_;
-  Waveform waveform_;
+  StampedWaveform waveform_;
   int branch_ = -1;
   double ac_magnitude_ = 0.0;
   double ac_phase_ = 0.0;
@@ -54,13 +87,13 @@ class CurrentSource final : public Device {
     ac_phase_ = phase_rad;
   }
   void collect_breakpoints(double t0, double t1, std::vector<double>& out) const override;
-  void set_waveform(Waveform waveform) { waveform_ = std::move(waveform); }
-  const Waveform& waveform() const { return waveform_; }
+  void set_waveform(Waveform waveform) { waveform_.set(std::move(waveform)); }
+  const Waveform& waveform() const { return waveform_.waveform(); }
   DeviceInfo info() const override;
 
  private:
   NodeId a_, b_;
-  Waveform waveform_;
+  StampedWaveform waveform_;
   double ac_magnitude_ = 0.0;
   double ac_phase_ = 0.0;
 };
