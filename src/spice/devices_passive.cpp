@@ -8,12 +8,13 @@ namespace ironic::spice {
 // ---------------------------------------------------------------- Resistor
 
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double resistance)
-    : Device(std::move(name)), a_(a), b_(b), resistance_(resistance) {
+    : Device(std::move(name)), a_(a), b_(b), resistance_(resistance),
+      conductance_(1.0 / resistance) {
   if (resistance_ <= 0.0) throw std::invalid_argument("Resistor: resistance must be > 0");
 }
 
 void Resistor::stamp(StampContext& ctx) {
-  stamp_conductance(ctx, a_, b_, 1.0 / resistance_);
+  stamp_conductance(ctx, a_, b_, conductance_);
 }
 
 void Resistor::stamp_ac(AcStampContext& ctx) const {
@@ -23,6 +24,7 @@ void Resistor::stamp_ac(AcStampContext& ctx) const {
 void Resistor::set_resistance(double r) {
   if (r <= 0.0) throw std::invalid_argument("Resistor: resistance must be > 0");
   resistance_ = r;
+  conductance_ = 1.0 / r;
 }
 
 // --------------------------------------------------------------- Capacitor

@@ -28,6 +28,7 @@ class Resistor final : public Device {
  private:
   NodeId a_, b_;
   double resistance_;
+  double conductance_;  // 1 / resistance_, what every stamp adds
 };
 
 class Capacitor final : public Device {
