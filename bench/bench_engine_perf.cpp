@@ -7,6 +7,7 @@
 #include <string>
 
 #include "src/exec/exec.hpp"
+#include "src/fault/plant.hpp"
 #include "src/linalg/lu.hpp"
 #include "src/obs/report.hpp"
 #include "src/magnetics/coil_design.hpp"
@@ -117,6 +118,17 @@ static void BM_TransientRectifier(benchmark::State& state) {
   report_transient_stats(state, stats);
 }
 BENCHMARK(BM_TransientRectifier);
+
+static void BM_ChargeUp(benchmark::State& state) {
+  // The fleet's shared charge-up (Fig. 11): the campaigns' rectifier
+  // plant from rest to 270 us at the 10 ns step, 27,001 steps.
+  TransientStats stats;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fault::capture_charged_checkpoint({}, &stats));
+  }
+  report_transient_stats(state, stats);
+}
+BENCHMARK(BM_ChargeUp)->Unit(benchmark::kMillisecond);
 
 static void BM_CoilMutualInductance(benchmark::State& state) {
   const magnetics::Coil tx{magnetics::patch_coil_spec()};

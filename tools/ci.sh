@@ -68,8 +68,8 @@
 #                sessions x 2 exchanges at 4 threads; then
 #                trace_validate --compare the fault and fleet reports
 #                against their committed copies (any exact counter that
-#                moved fails). Not part of `all`, because it rewrites
-#                committed files.
+#                moved in either fails, after both are compared). Not
+#                part of `all`, because it rewrites committed files.
 #
 # Usage: tools/ci.sh [release|sanitize|tsan|tidy|analyze|fault|fleet|chaos|linkphy|obs|bench|all]   (default: all)
 set -euo pipefail
@@ -636,11 +636,20 @@ run_bench() {
   # Every exact counter must equal the committed copy's; timing only
   # warns. The engine report is left out: google-benchmark picks its
   # iteration counts, and with them its counters, anew on every run.
+  # Both reports are compared before the stage fails, so one report's
+  # moved counters never hide the other's.
   local committed_copy="$bin/BENCH_committed.json"
+  local moved=""
   for report in BENCH_fault_resilience.json BENCH_fleet_soak.json; do
     (cd "$ROOT" && git show "HEAD:$report") >"$committed_copy"
-    "$bin/tools/trace_validate" --compare "$committed_copy" "$ROOT/$report"
+    if ! "$bin/tools/trace_validate" --compare "$committed_copy" "$ROOT/$report"; then
+      moved="$moved $report"
+    fi
   done
+  if [ -n "$moved" ]; then
+    echo "ci: FAIL -- exact counters moved in:$moved (reports regenerated; review with git diff)" >&2
+    exit 1
+  fi
   echo "ci: committed reports regenerated; review with git diff"
 }
 
