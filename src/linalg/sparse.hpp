@@ -167,15 +167,15 @@ class SparseSolver {
   bool csc_valid_ = false;
 
   // --- cached factorization: the compiled tape ---------------------------
-  // lu_ holds the factors. Entries 0 .. n_ are the U diagonal in
+  // lu_ holds the factors. Entries [0, n_) are the U diagonal in
   // elimination order, contiguous for the back substitution's chain of
-  // divisions. Step jj's U entries follow from col_ptr_[jj], then its L
-  // multipliers (unit diagonal implied) from l_ptr_[jj] to
-  // col_ptr_[jj + 1]. idx_ gives a U entry the step whose pivot row it
-  // sits in, an L entry its row's elimination step: the solves index by
-  // it. a_slot_ is the values_ slot each entry starts from (-1: fill,
-  // starts at zero), and step jj's updates are updates_[upd_ptr_[jj] ..
-  // upd_ptr_[jj + 1]], in the order the full factorization made them.
+  // divisions. Step jj's U entries are [col_ptr_[jj], l_ptr_[jj]), its L
+  // multipliers (unit diagonal implied) [l_ptr_[jj], col_ptr_[jj + 1]).
+  // idx_ gives a U entry the step whose pivot row it sits in, an L entry
+  // its row's elimination step: the solves index by it. a_slot_ is the
+  // values_ slot each entry starts from (-1: fill, starts at zero), and
+  // step jj's updates are updates_[upd_ptr_[jj], upd_ptr_[jj + 1]), in
+  // the order the full factorization made them.
   std::vector<T> lu_;
   std::vector<int> col_ptr_, l_ptr_, idx_, a_slot_;
   std::vector<Update> updates_;
@@ -187,13 +187,13 @@ class SparseSolver {
   bool factored_ = false;
 
   // --- scratch -------------------------------------------------------------
-  // full_factor only; work_ and mark_ are zero between its columns.
+  // full_factor's; work_ and mark_ are zero between its columns.
   std::vector<T> work_;              // dense column accumulator
   std::vector<unsigned char> mark_;  // rows in the column so far
   std::vector<int> touched_;         // ... in the order they entered it
   std::vector<int> entry_row_;       // original row of each lu_ entry
   std::vector<int> row_entry_;       // original row -> its entry in the column
-  std::vector<T> fwd_;
+  std::vector<T> fwd_;               // solve_in_place's, elimination order
 
   SolverStats stats_;
 };
