@@ -295,7 +295,6 @@ void SparseSolver<T>::full_factor(double pivot_tol) {
     row_pos_[static_cast<std::size_t>(best)] = static_cast<int>(jj);
     const T piv = work_[static_cast<std::size_t>(best)];
     lu_[jj] = piv;
-    entry_row_[jj] = best;
     for (const int r : touched_) {
       if (row_pos_[static_cast<std::size_t>(r)] >= 0) continue;
       push_entry(work_[static_cast<std::size_t>(r)] / piv, -1, r);

@@ -191,7 +191,7 @@ class SparseSolver {
   std::vector<T> work_;              // dense column accumulator
   std::vector<unsigned char> mark_;  // rows in the column so far
   std::vector<int> touched_;         // ... in the order they entered it
-  std::vector<int> entry_row_;       // original row of each lu_ entry
+  std::vector<int> entry_row_;       // original row of each U and L entry
   std::vector<int> row_entry_;       // original row -> its entry in the column
   std::vector<T> fwd_;               // solve_in_place's, elimination order
 
