@@ -265,8 +265,8 @@ TEST(RectifierPlant, RestartRunsOnlyItsSegment) {
   EXPECT_EQ(memos.segments.hits(), 0u);
 }
 
-// The charge-up every fleet service runs first: the Fig. 11 rectifier
-// from rest to 270 us at the 10 ns step. Pins its engine counts and the
+// The charge-up every fleet service runs first (Fig. 11): the plant's
+// rectifier from rest to 270 us at the 10 ns step. Pins its engine counts and the
 // bits of the checkpoint every session forks from, so a kernel change
 // that claims to alter nothing must leave all of them where they are.
 TEST(ChargeUp, CheckpointIsPinnedBitForBit) {
