@@ -7,16 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/comms/pwm.hpp"
@@ -271,6 +276,76 @@ TEST(BioZ, TissueLadderEngineCountersArePinned) {
   fault::BioZPlant plant;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(plant.measure(drive, 1.0)),
             std::bit_cast<std::uint64_t>(measured));
+}
+
+TEST(BioZ, TemplateMatchesFreshLadderBitForBit) {
+  // Two threads measure a shuffled grid of drives (0 V and a negative
+  // drive among them) and tissue scales (inside and outside the clamped
+  // band) through memo-less plants at once, with rejected inputs mixed
+  // in. Every result must be the bits of a ladder built and run fresh
+  // for that input alone, whatever ran before it on its thread.
+  const std::vector<double> amplitudes = {0.0, -1.5, 1.2, 2.4, 3.2, 3.9};
+  const std::vector<double> scales = {0.25, 0.5, 1.0, 1.7, 3.0, 4.5};
+  struct Input {
+    double amplitude;
+    double scale;
+  };
+  std::vector<Input> grid;
+  for (const double a : amplitudes) {
+    for (const double s : scales) grid.push_back({a, s});
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Input> rejected = {{nan, 1.0}, {2.4, 0.0}, {2.4, -1.0}, {2.4, inf}};
+
+  struct Lane {
+    std::vector<Input> order;
+    std::vector<double> got;
+    int rejections = 0;
+  };
+  std::array<Lane, 2> lanes;
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    lanes[k].order = grid;
+    std::mt19937 rng(static_cast<std::mt19937::result_type>(17 + k));
+    std::shuffle(lanes[k].order.begin(), lanes[k].order.end(), rng);
+  }
+  const auto run_lane = [&rejected](Lane& lane) {
+    fault::BioZPlant plant;
+    for (std::size_t i = 0; i < lane.order.size(); ++i) {
+      if (i % 9 == 4) {
+        const Input bad = rejected[(i / 9) % rejected.size()];
+        try {
+          plant.measure(bad.amplitude, bad.scale);
+        } catch (const std::invalid_argument&) {
+          ++lane.rejections;
+        }
+      }
+      lane.got.push_back(plant.measure(lane.order[i].amplitude, lane.order[i].scale));
+    }
+  };
+  std::thread other(run_lane, std::ref(lanes[1]));
+  run_lane(lanes[0]);
+  other.join();
+
+  spice::TransientOptions opts;
+  opts.t_stop = 20e-6;
+  opts.dt_max = 50e-9;
+  opts.record_every = 4;
+  opts.record_signals = {"v(t5)"};
+  const auto fresh = [&opts](const Input& in) {
+    auto ckt = fault::build_tissue_ladder(in.amplitude, in.scale);
+    return spice::run_transient(*ckt, opts).mean_between("v(t5)", 10e-6, 20e-6);
+  };
+  for (const Lane& lane : lanes) {
+    EXPECT_EQ(lane.rejections, 4);
+    ASSERT_EQ(lane.got.size(), grid.size());
+    for (std::size_t i = 0; i < lane.order.size(); ++i) {
+      const double want = fresh(lane.order[i]);
+      EXPECT_EQ(std::memcmp(&lane.got[i], &want, sizeof(double)), 0)
+          << "drive " << lane.order[i].amplitude << " V, scale " << lane.order[i].scale
+          << ": " << lane.got[i] << " vs " << want;
+    }
+  }
 }
 
 TEST(BioZ, TissueScaleMapsThicknessFaultsIntoTheClampedBand) {
