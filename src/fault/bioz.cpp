@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/spice/devices_passive.hpp"
 #include "src/spice/devices_sources.hpp"
@@ -14,13 +15,13 @@ namespace {
 
 // Cascaded Fricke cells, as in examples/netlists/tissue_ladder.cir.
 constexpr int kLadderCells = 60;
+// Per segment, the ionic resistances tissue drift scales.
+constexpr double kReOhms = 820.0;
+constexpr double kRiOhms = 390.0;
 // The signal BioZPlant::measure reads.
 constexpr const char* kSenseTap = "v(t5)";
 
-}  // namespace
-
-std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
-                                                    double tissue_scale) {
+void check_ladder_inputs(double amplitude, double tissue_scale) {
   if (!std::isfinite(amplitude)) {
     throw std::invalid_argument("build_tissue_ladder: amplitude must be finite");
   }
@@ -28,15 +29,66 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
     throw std::invalid_argument(
         "build_tissue_ladder: tissue scale must be finite and positive");
   }
+}
+
+// The biphasic-style stimulation pulse with high level `amplitude`.
+spice::Waveform ladder_drive(double amplitude) {
+  return spice::Waveform::pulse(0.0, amplitude, 1e-6, 100e-9, 100e-9, 20e-6,
+                                50e-6);
+}
+
+// One ladder per thread, built by build_tissue_ladder on first use and
+// re-valued in place before every measure: the drive pulse and every
+// Re/Ri, the only values build_tissue_ladder's inputs reach. Its solver
+// keeps the pattern and stamp sequence between measures, and every run
+// picks its pivots afresh (spice/engine.hpp), so a measure has the bits
+// of a freshly built ladder whatever ran on the thread before it.
+class LadderTemplate {
+ public:
+  LadderTemplate() : circuit_(build_tissue_ladder(0.0, 1.0)) {
+    drive_ = &device<spice::VoltageSource>("V1");
+    for (int s = 1; s <= kLadderCells; ++s) {
+      const std::string tag = std::to_string(s);
+      re_.push_back(&device<spice::Resistor>("RE" + tag));
+      ri_.push_back(&device<spice::Resistor>("RI" + tag));
+    }
+  }
+
+  spice::Circuit& revalue(double amplitude, double tissue_scale) {
+    check_ladder_inputs(amplitude, tissue_scale);
+    drive_->set_waveform(ladder_drive(amplitude));
+    for (spice::Resistor* re : re_) re->set_resistance(kReOhms * tissue_scale);
+    for (spice::Resistor* ri : ri_) ri->set_resistance(kRiOhms * tissue_scale);
+    return *circuit_;
+  }
+
+ private:
+  template <typename D>
+  D& device(const std::string& name) {
+    auto* found = dynamic_cast<D*>(circuit_->find_device(name));
+    if (found == nullptr) {
+      throw std::logic_error("bioz ladder template: no device " + name);
+    }
+    return *found;
+  }
+
+  std::unique_ptr<spice::Circuit> circuit_;
+  spice::VoltageSource* drive_ = nullptr;
+  std::vector<spice::Resistor*> re_, ri_;
+};
+
+}  // namespace
+
+std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
+                                                    double tissue_scale) {
+  check_ladder_inputs(amplitude, tissue_scale);
   // Mirrors examples/netlists/tissue_ladder.cir: per segment a 47 ohm
   // access resistance into a Fricke cell (Re 820 shunted by Ri 390 +
   // Cm 33n), terminated in 1 kohm, driven by the biphasic-style pulse.
   auto ckt = std::make_unique<spice::Circuit>();
   const auto in = ckt->node("in");
-  ckt->add<spice::VoltageSource>(
-      "V1", in, spice::kGround,
-      spice::Waveform::pulse(0.0, amplitude, 1e-6, 100e-9, 100e-9, 20e-6,
-                             50e-6));
+  ckt->add<spice::VoltageSource>("V1", in, spice::kGround,
+                                 ladder_drive(amplitude));
   auto prev = in;
   for (int s = 1; s <= kLadderCells; ++s) {
     const std::string tag = std::to_string(s);
@@ -44,8 +96,8 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
     const auto m = ckt->node("m" + tag);
     ckt->add<spice::Resistor>("RS" + tag, prev, t, 47.0);
     ckt->add<spice::Resistor>("RE" + tag, t, spice::kGround,
-                              820.0 * tissue_scale);
-    ckt->add<spice::Resistor>("RI" + tag, t, m, 390.0 * tissue_scale);
+                              kReOhms * tissue_scale);
+    ckt->add<spice::Resistor>("RI" + tag, t, m, kRiOhms * tissue_scale);
     ckt->add<spice::Capacitor>("CM" + tag, m, spice::kGround, 33e-9);
     prev = t;
   }
@@ -54,13 +106,14 @@ std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
 }
 
 double BioZPlant::simulate(double amplitude, double tissue_scale) {
-  auto ckt = build_tissue_ladder(amplitude, tissue_scale);
+  thread_local LadderTemplate ladder;
+  spice::Circuit& ckt = ladder.revalue(amplitude, tissue_scale);
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;
   opts.dt_max = 50e-9;
   opts.record_every = 4;
   opts.record_signals = {kSenseTap};
-  const auto res = spice::run_transient(*ckt, opts);
+  const auto res = spice::run_transient(ckt, opts);
   // The pulse is high from ~1.1 us; average the settled back half.
   return res.mean_between(kSenseTap, 10e-6, 20e-6);
 }

@@ -65,7 +65,10 @@ struct BioZPlant {
   // The tap sits a few cells past the near electrode: deep enough that
   // tissue drift moves the divider, shallow enough that the level stays
   // in the ADC's [0, 4] V window. Deterministic: a pure function of
-  // (amplitude, tissue_scale).
+  // (amplitude, tissue_scale), bit for bit the transient of a ladder
+  // build_tissue_ladder builds for them, though it runs on its thread's
+  // one ladder, built once and re-valued per measure. Throws what
+  // build_tissue_ladder throws.
   double measure(double amplitude, double tissue_scale);
 
  private:

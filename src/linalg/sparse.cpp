@@ -162,6 +162,8 @@ void SparseSolver<T>::finalize_assembly() {
   stats_.nnz = cols_.size();
 }
 
+// The CSC view of the pattern and the column order read off its counts:
+// both change only with the pattern.
 template <typename T>
 void SparseSolver<T>::build_csc() {
   const std::size_t nnz = cols_.size();
@@ -179,11 +181,6 @@ void SparseSolver<T>::build_csc() {
       csc_slots_[static_cast<std::size_t>(q)] = p;
     }
   }
-  csc_valid_ = true;
-}
-
-template <typename T>
-void SparseSolver<T>::build_col_order() {
   col_order_.resize(n_);
   for (std::size_t j = 0; j < n_; ++j) col_order_[j] = static_cast<int>(j);
   // Ascending column count, index-stable ties: a cheap static Markowitz
@@ -195,6 +192,7 @@ void SparseSolver<T>::build_col_order() {
     if (ca != cb) return ca < cb;
     return a < b;
   });
+  csc_valid_ = true;
 }
 
 template <typename T>
@@ -210,7 +208,6 @@ template <typename T>
 void SparseSolver<T>::full_factor(double pivot_tol) {
   symbolic_valid_ = false;
   if (!csc_valid_) build_csc();
-  build_col_order();
   // The pivots come first, one entry per step; the rest of lu_ grows a
   // step at a time.
   lu_.assign(n_, T{});

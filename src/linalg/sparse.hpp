@@ -24,7 +24,8 @@
 //
 // Factorization. Left-looking column LU with a dense accumulator, partial
 // pivoting, and a static column pre-order by ascending column count (a
-// cheap Markowitz flavor that keeps fill low on MNA matrices). Structure
+// cheap Markowitz flavor that keeps fill low on MNA matrices), computed
+// once per pattern. Structure
 // decisions are symbolic — an entry that is numerically zero this
 // iteration still occupies its slot — so the full factorization compiles
 // the elimination into a tape: one factor array (the pivots, then each
@@ -37,7 +38,9 @@
 // fresh full factorization before reporting SingularMatrixError. A
 // caller that knows its matrix did not change, like the transient engine
 // on a linear circuit, skips assembly and factor() altogether and only
-// solves.
+// solves. forget_pivots() makes the next factor() a full one on the kept
+// pattern and stamp sequence: an analysis run calls it first, so its
+// pivots come from its own matrices, never from an earlier run's.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +101,13 @@ class SparseSolver {
   // falls below `pivot_tol` (NaN-aware: poisoned stamps are rejected here
   // rather than propagated through the solve).
   void factor(double pivot_tol = kDefaultPivotTol);
+  // The next factor() is a full factorization that picks its pivots
+  // afresh; the pattern, column order and recorded stamp sequence stay.
+  // Until then the solver holds no factors.
+  void forget_pivots() {
+    symbolic_valid_ = false;
+    factored_ = false;
+  }
   void solve_in_place(std::span<T> b);
   const SolverStats& stats() const { return stats_; }
 
@@ -129,7 +139,6 @@ class SparseSolver {
   void finalize_assembly();
   void merge_pattern();
   void build_csc();
-  void build_col_order();
   void full_factor(double pivot_tol);
   bool refactor_numeric(double pivot_tol);
   void clear_column_workspace();

@@ -78,10 +78,11 @@ class Circuit {
   // Signal names in unknown order: v(<node>) then i(<branch>).
   std::vector<std::string> signal_names() const;
 
-  // Circuit-owned linear solvers, so the cached stamp slots, sparsity
-  // pattern, and symbolic factorization survive across Newton iterations,
-  // time steps, and whole runs (a checkpoint-resumed transient re-uses
-  // the pattern its capturing run built). The solver is re-created when
+  // Circuit-owned linear solvers, so the cached stamp slots and sparsity
+  // pattern survive across Newton iterations, time steps and whole runs
+  // (a checkpoint-resumed transient re-uses the pattern its capturing run
+  // built), and the pivot order across the iterations and steps of one
+  // run (each run picks its own: engine.hpp). The solver is re-created when
   // the number of unknowns changed; topology growth at a constant size
   // is absorbed by the solver's own pattern merging. Call after
   // finalize().

@@ -248,6 +248,7 @@ DcResult solve_dc(Circuit& circuit) {
   circuit.finalize();
   const std::size_t n = circuit.num_unknowns();
   linalg::SparseSolver<double>& solver = circuit.acquire_solver();
+  solver.forget_pivots();
   const linalg::SolverStats solver_before = solver.stats();
   DcResult result;
   result.x.assign(n, 0.0);
@@ -352,7 +353,9 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
     // Transient context: DC-only hazards like inductor loops stay warnings.
     validate(circuit);  // throws CircuitValidationError on errors
     circuit.finalize();
-    return circuit.acquire_solver();
+    linalg::SparseSolver<double>& kept = circuit.acquire_solver();
+    kept.forget_pivots();
+    return kept;
   }();
   // Per-run tallies, kept even when the caller passes no stats: the
   // metrics registry is fed from the same numbers. Folded into the

@@ -18,6 +18,12 @@
 // per point is exact, and a transient re-assembles and re-factors its
 // matrix only when the step size changes or after its first accepted
 // step (Device::nonlinear states the contract this rests on).
+//
+// A circuit keeps its solver's pattern and recorded stamp sequence
+// across runs, but every DC solve and transient starts with a full
+// factorization that picks its pivots from its own matrices: a run on a
+// circuit whose values changed since its last run pivots as a freshly
+// built copy would.
 #pragma once
 
 #include <stdexcept>

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "src/spice/circuit.hpp"
@@ -315,6 +316,52 @@ TEST(Transient, StepHonorsCallerDtMax) {
   // 1e-5 steps over 1e-4 is ~10 points; 1e-6 is ~100.
   EXPECT_LT(with_coarse.num_points() * 5, with_fine.num_points());
   EXPECT_EQ(with_default.num_points(), with_fine.num_points());
+}
+
+// A run on a circuit that already ran must not inherit the earlier run's
+// pivot order. V1 floats between a and b, each node tied to ground by a
+// resistor: the first column eliminated is v(a)'s, where the pivot is
+// a's conductance 1/RA or the branch row's 1, whichever is larger. RA
+// goes from 0.5 ohm (pivot on a) to 2 ohm (a fresh factorization pivots
+// on the branch row); the old pivot, 0.5 against 1, still passes a
+// numeric refactorization's stability test.
+TEST(Transient, RerunAfterValueChangeMatchesFreshCircuit) {
+  const auto build = [](Circuit& circuit, double ra) -> Resistor& {
+    const auto a = circuit.node("a");
+    const auto b = circuit.node("b");
+    circuit.add<VoltageSource>("V1", a, b, Waveform::sine(1.3, 7e3));
+    circuit.add<Capacitor>("C1", b, kGround, 3.3e-6);
+    circuit.add<Resistor>("RB", b, kGround, 1.7e3);
+    return circuit.add<Resistor>("RA", a, kGround, ra);
+  };
+  TransientOptions opts;
+  opts.t_stop = 2e-4;
+  opts.dt_max = 1e-6;
+
+  Circuit reused;
+  Resistor& ra = build(reused, 0.5);
+  run_transient(reused, opts);
+  ra.set_resistance(2.0);
+  TransientStats stats;
+  const auto rerun = run_transient(reused, opts, &stats);
+
+  Circuit fresh_circuit;
+  build(fresh_circuit, 2.0);
+  TransientStats fresh_stats;
+  const auto fresh = run_transient(fresh_circuit, opts, &fresh_stats);
+
+  EXPECT_EQ(stats.factorizations, fresh_stats.factorizations);
+  ASSERT_EQ(rerun.num_points(), fresh.num_points());
+  std::size_t differing = 0;
+  for (const auto& signal : {"v(a)", "v(b)", "i(V1)"}) {
+    const auto& got = rerun.signal(signal);
+    const auto& want = fresh.signal(signal);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 TEST(Transient, CapacitorVoltageContinuityAcrossSteps) {
