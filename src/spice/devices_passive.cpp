@@ -4,13 +4,23 @@
 #include <stdexcept>
 
 namespace ironic::spice {
+namespace {
+
+// An element value must be finite and > 0: NaN fails every comparison,
+// and an infinite resistance would stamp a zero conductance, a silent
+// open circuit.
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
+}  // namespace
 
 // ---------------------------------------------------------------- Resistor
 
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double resistance)
     : Device(std::move(name)), a_(a), b_(b), resistance_(resistance),
       conductance_(1.0 / resistance) {
-  if (resistance_ <= 0.0) throw std::invalid_argument("Resistor: resistance must be > 0");
+  if (!positive_finite(resistance_)) {
+    throw std::invalid_argument("Resistor: resistance must be finite and > 0");
+  }
 }
 
 void Resistor::stamp(StampContext& ctx) {
@@ -22,7 +32,9 @@ void Resistor::stamp_ac(AcStampContext& ctx) const {
 }
 
 void Resistor::set_resistance(double r) {
-  if (r <= 0.0) throw std::invalid_argument("Resistor: resistance must be > 0");
+  if (!positive_finite(r)) {
+    throw std::invalid_argument("Resistor: resistance must be finite and > 0");
+  }
   resistance_ = r;
   conductance_ = 1.0 / r;
 }
@@ -32,7 +44,9 @@ void Resistor::set_resistance(double r) {
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double capacitance,
                      double initial_voltage)
     : Device(std::move(name)), a_(a), b_(b), capacitance_(capacitance), ic_(initial_voltage) {
-  if (capacitance_ <= 0.0) throw std::invalid_argument("Capacitor: capacitance must be > 0");
+  if (!positive_finite(capacitance_)) {
+    throw std::invalid_argument("Capacitor: capacitance must be finite and > 0");
+  }
 }
 
 double Capacitor::branch_voltage(std::span<const double> x) const {
@@ -96,8 +110,12 @@ Inductor::Inductor(std::string name, NodeId a, NodeId b, double inductance,
       inductance_(inductance),
       esr_(series_resistance),
       ic_(initial_current) {
-  if (inductance_ <= 0.0) throw std::invalid_argument("Inductor: inductance must be > 0");
-  if (esr_ < 0.0) throw std::invalid_argument("Inductor: series resistance must be >= 0");
+  if (!positive_finite(inductance_)) {
+    throw std::invalid_argument("Inductor: inductance must be finite and > 0");
+  }
+  if (!(std::isfinite(esr_) && esr_ >= 0.0)) {
+    throw std::invalid_argument("Inductor: series resistance must be finite and >= 0");
+  }
 }
 
 void Inductor::setup(Circuit& ckt) { branch_ = ckt.allocate_branch(name()); }
@@ -303,7 +321,7 @@ DeviceInfo Resistor::info() const {
 
 void Resistor::check_params(std::vector<std::string>& errors,
                             std::vector<std::string>& /*warnings*/) const {
-  if (resistance_ <= 0.0) errors.push_back("resistance must be > 0");
+  if (!positive_finite(resistance_)) errors.push_back("resistance must be finite and > 0");
 }
 
 DeviceInfo Capacitor::info() const {
@@ -317,7 +335,7 @@ DeviceInfo Capacitor::info() const {
 
 void Capacitor::check_params(std::vector<std::string>& errors,
                              std::vector<std::string>& /*warnings*/) const {
-  if (capacitance_ <= 0.0) errors.push_back("capacitance must be > 0");
+  if (!positive_finite(capacitance_)) errors.push_back("capacitance must be finite and > 0");
 }
 
 DeviceInfo Inductor::info() const {
@@ -332,8 +350,10 @@ DeviceInfo Inductor::info() const {
 
 void Inductor::check_params(std::vector<std::string>& errors,
                             std::vector<std::string>& /*warnings*/) const {
-  if (inductance_ <= 0.0) errors.push_back("inductance must be > 0");
-  if (esr_ < 0.0) errors.push_back("series resistance must be >= 0");
+  if (!positive_finite(inductance_)) errors.push_back("inductance must be finite and > 0");
+  if (!(std::isfinite(esr_) && esr_ >= 0.0)) {
+    errors.push_back("series resistance must be finite and >= 0");
+  }
 }
 
 DeviceInfo CoupledInductors::info() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/linalg/sparse.hpp"
@@ -328,6 +329,25 @@ TEST(Dc, InvalidComponentValuesRejected) {
   EXPECT_THROW(ckt.add<CoupledInductors>("K", ckt.node("a"), kGround, ckt.node("b"),
                                          kGround, 1e-6, 1e-6, 1.5),
                std::invalid_argument);
+}
+
+// NaN passes a `v <= 0` test and an infinite resistance stamps a zero
+// conductance (a silent open circuit): both are rejected where the value
+// enters, by the constructors and by Resistor::set_resistance.
+TEST(Dc, NonFinitePassiveValuesRejected) {
+  Circuit ckt;
+  const auto a = ckt.node("a");
+  Resistor& r = ckt.add<Resistor>("R", a, kGround, 1.0);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Resistor("RX", a, kGround, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(Capacitor("CX", a, kGround, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(Inductor("LX", a, kGround, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(Inductor("LX", a, kGround, 1e-6, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(r.set_resistance(bad), std::invalid_argument) << bad;
+    EXPECT_EQ(r.resistance(), 1.0);
+  }
 }
 
 }  // namespace
