@@ -81,10 +81,15 @@ namespace detail {
 
 // Monotonic tick source: TSC on x86-64 (converted to wall ns at
 // snapshot time via calibration against the steady clock);
-// steady_clock nanoseconds elsewhere.
+// steady_clock nanoseconds elsewhere. RDTSCP, not RDTSC: it waits for
+// every earlier instruction to finish, so a zone boundary does not
+// charge the next zone for work still in flight (a factorization's
+// divisions would otherwise land in the solve that follows it). It
+// reads the same counter, so the calibration is unchanged.
 inline std::uint64_t prof_now_ticks() {
 #if defined(__x86_64__)
-  return __builtin_ia32_rdtsc();
+  unsigned int aux = 0;
+  return __builtin_ia32_rdtscp(&aux);
 #else
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
