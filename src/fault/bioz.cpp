@@ -37,83 +37,70 @@ spice::Waveform ladder_drive(double amplitude) {
                                 50e-6);
 }
 
-// One ladder per thread, built by build_tissue_ladder on first use and
-// re-valued in place before every measure: the drive pulse and every
-// Re/Ri, the only values build_tissue_ladder's inputs reach. Its solver
-// keeps the pattern and stamp sequence between measures, and every run
-// picks its pivots afresh (spice/engine.hpp), so a measure has the bits
-// of a freshly built ladder whatever ran on the thread before it.
-class LadderTemplate {
- public:
-  LadderTemplate() : circuit_(build_tissue_ladder(0.0, 1.0)) {
-    drive_ = &device<spice::VoltageSource>("V1");
-    for (int s = 1; s <= kLadderCells; ++s) {
-      const std::string tag = std::to_string(s);
-      re_.push_back(&device<spice::Resistor>("RE" + tag));
-      ri_.push_back(&device<spice::Resistor>("RI" + tag));
-    }
-  }
-
-  spice::Circuit& revalue(double amplitude, double tissue_scale) {
-    check_ladder_inputs(amplitude, tissue_scale);
-    drive_->set_waveform(ladder_drive(amplitude));
-    for (spice::Resistor* re : re_) re->set_resistance(kReOhms * tissue_scale);
-    for (spice::Resistor* ri : ri_) ri->set_resistance(kRiOhms * tissue_scale);
-    return *circuit_;
-  }
-
- private:
-  template <typename D>
-  D& device(const std::string& name) {
-    auto* found = dynamic_cast<D*>(circuit_->find_device(name));
-    if (found == nullptr) {
-      throw std::logic_error("bioz ladder template: no device " + name);
-    }
-    return *found;
-  }
-
-  std::unique_ptr<spice::Circuit> circuit_;
-  spice::VoltageSource* drive_ = nullptr;
-  std::vector<spice::Resistor*> re_, ri_;
+// The ladder and the devices its two inputs reach.
+struct Ladder {
+  std::unique_ptr<spice::Circuit> circuit;
+  spice::VoltageSource* drive = nullptr;
+  std::vector<spice::Resistor*> re, ri;
 };
+
+Ladder make_ladder(double amplitude, double tissue_scale) {
+  check_ladder_inputs(amplitude, tissue_scale);
+  // Mirrors examples/netlists/tissue_ladder.cir: per segment a 47 ohm
+  // access resistance into a Fricke cell (Re 820 shunted by Ri 390 +
+  // Cm 33n), terminated in 1 kohm, driven by the biphasic-style pulse.
+  Ladder ladder;
+  ladder.circuit = std::make_unique<spice::Circuit>();
+  spice::Circuit& ckt = *ladder.circuit;
+  const auto in = ckt.node("in");
+  ladder.drive = &ckt.add<spice::VoltageSource>("V1", in, spice::kGround,
+                                                ladder_drive(amplitude));
+  auto prev = in;
+  for (int s = 1; s <= kLadderCells; ++s) {
+    const std::string tag = std::to_string(s);
+    const auto t = ckt.node("t" + tag);
+    const auto m = ckt.node("m" + tag);
+    ckt.add<spice::Resistor>("RS" + tag, prev, t, 47.0);
+    ladder.re.push_back(&ckt.add<spice::Resistor>("RE" + tag, t, spice::kGround,
+                                                  kReOhms * tissue_scale));
+    ladder.ri.push_back(
+        &ckt.add<spice::Resistor>("RI" + tag, t, m, kRiOhms * tissue_scale));
+    ckt.add<spice::Capacitor>("CM" + tag, m, spice::kGround, 33e-9);
+    prev = t;
+  }
+  ckt.add<spice::Resistor>("RL", prev, spice::kGround, 1e3);
+  return ladder;
+}
+
+// Gives `ladder` the values make_ladder(amplitude, tissue_scale) builds.
+void revalue(Ladder& ladder, double amplitude, double tissue_scale) {
+  check_ladder_inputs(amplitude, tissue_scale);
+  ladder.drive->set_waveform(ladder_drive(amplitude));
+  for (spice::Resistor* re : ladder.re) re->set_resistance(kReOhms * tissue_scale);
+  for (spice::Resistor* ri : ladder.ri) ri->set_resistance(kRiOhms * tissue_scale);
+}
 
 }  // namespace
 
 std::unique_ptr<spice::Circuit> build_tissue_ladder(double amplitude,
                                                     double tissue_scale) {
-  check_ladder_inputs(amplitude, tissue_scale);
-  // Mirrors examples/netlists/tissue_ladder.cir: per segment a 47 ohm
-  // access resistance into a Fricke cell (Re 820 shunted by Ri 390 +
-  // Cm 33n), terminated in 1 kohm, driven by the biphasic-style pulse.
-  auto ckt = std::make_unique<spice::Circuit>();
-  const auto in = ckt->node("in");
-  ckt->add<spice::VoltageSource>("V1", in, spice::kGround,
-                                 ladder_drive(amplitude));
-  auto prev = in;
-  for (int s = 1; s <= kLadderCells; ++s) {
-    const std::string tag = std::to_string(s);
-    const auto t = ckt->node("t" + tag);
-    const auto m = ckt->node("m" + tag);
-    ckt->add<spice::Resistor>("RS" + tag, prev, t, 47.0);
-    ckt->add<spice::Resistor>("RE" + tag, t, spice::kGround,
-                              kReOhms * tissue_scale);
-    ckt->add<spice::Resistor>("RI" + tag, t, m, kRiOhms * tissue_scale);
-    ckt->add<spice::Capacitor>("CM" + tag, m, spice::kGround, 33e-9);
-    prev = t;
-  }
-  ckt->add<spice::Resistor>("RL", prev, spice::kGround, 1e3);
-  return ckt;
+  return make_ladder(amplitude, tissue_scale).circuit;
 }
 
 double BioZPlant::simulate(double amplitude, double tissue_scale) {
-  thread_local LadderTemplate ladder;
-  spice::Circuit& ckt = ladder.revalue(amplitude, tissue_scale);
+  // One ladder per thread, re-valued in place before every run. Its
+  // solver keeps the pattern and stamp sequence between measures, and
+  // every run picks its pivots afresh (spice/engine.hpp), so a measure
+  // has the bits of a freshly built ladder whatever ran on the thread
+  // before it.
+  thread_local Ladder ladder = make_ladder(0.0, 1.0);
+  revalue(ladder, amplitude, tissue_scale);
   spice::TransientOptions opts;
   opts.t_stop = 20e-6;
   opts.dt_max = 50e-9;
   opts.record_every = 4;
   opts.record_signals = {kSenseTap};
-  const auto res = spice::run_transient(ckt, opts);
+  const auto res = spice::run_transient(*ladder.circuit, opts);
   // The pulse is high from ~1.1 us; average the settled back half.
   return res.mean_between(kSenseTap, 10e-6, 20e-6);
 }
