@@ -197,16 +197,16 @@ CoupledInductors::CoupledInductors(std::string name, NodeId p1, NodeId p2, NodeI
       mutual_(coupling * std::sqrt(l_primary * l_secondary)),
       r1_(r_primary),
       r2_(r_secondary) {
-  if (l1_ <= 0.0 || l2_ <= 0.0) {
-    throw std::invalid_argument("CoupledInductors: inductances must be > 0");
+  if (!positive_finite(l1_) || !positive_finite(l2_)) {
+    throw std::invalid_argument("CoupledInductors: inductances must be finite and > 0");
   }
-  if (coupling_ < 0.0 || coupling_ >= 1.0) {
+  if (!(coupling_ >= 0.0 && coupling_ < 1.0)) {
     throw std::invalid_argument("CoupledInductors: coupling must be in [0, 1)");
   }
 }
 
 void CoupledInductors::set_coupling(double coupling) {
-  if (coupling < 0.0 || coupling >= 1.0) {
+  if (!(coupling >= 0.0 && coupling < 1.0)) {
     throw std::invalid_argument("CoupledInductors: coupling must be in [0, 1)");
   }
   coupling_ = coupling;
@@ -371,8 +371,10 @@ DeviceInfo CoupledInductors::info() const {
 
 void CoupledInductors::check_params(std::vector<std::string>& errors,
                                     std::vector<std::string>& warnings) const {
-  if (l1_ <= 0.0 || l2_ <= 0.0) errors.push_back("winding inductances must be > 0");
-  if (coupling_ < 0.0 || coupling_ >= 1.0) {
+  if (!positive_finite(l1_) || !positive_finite(l2_)) {
+    errors.push_back("winding inductances must be finite and > 0");
+  }
+  if (!(coupling_ >= 0.0 && coupling_ < 1.0)) {
     errors.push_back("coupling coefficient must be in [0, 1)");
   } else if (coupling_ > 0.0 && coupling_ < 1e-6) {
     warnings.push_back("coupling coefficient " + std::to_string(coupling_) +

@@ -333,7 +333,8 @@ TEST(Dc, InvalidComponentValuesRejected) {
 
 // NaN passes a `v <= 0` test and an infinite resistance stamps a zero
 // conductance (a silent open circuit): both are rejected where the value
-// enters, by the constructors and by Resistor::set_resistance.
+// enters, by the constructors, Resistor::set_resistance and
+// CoupledInductors::set_coupling.
 TEST(Dc, NonFinitePassiveValuesRejected) {
   Circuit ckt;
   const auto a = ckt.node("a");
@@ -347,7 +348,17 @@ TEST(Dc, NonFinitePassiveValuesRejected) {
     EXPECT_THROW(Inductor("LX", a, kGround, 1e-6, bad), std::invalid_argument) << bad;
     EXPECT_THROW(r.set_resistance(bad), std::invalid_argument) << bad;
     EXPECT_EQ(r.resistance(), 1.0);
+    EXPECT_THROW(CoupledInductors("KX", a, kGround, a, kGround, bad, 1e-6, 0.5),
+                 std::invalid_argument) << bad;
+    EXPECT_THROW(CoupledInductors("KX", a, kGround, a, kGround, 1e-6, bad, 0.5),
+                 std::invalid_argument) << bad;
   }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CoupledInductors("KX", a, kGround, a, kGround, 1e-6, 1e-6, nan),
+               std::invalid_argument);
+  CoupledInductors k("K", a, kGround, a, kGround, 1e-6, 1e-6, 0.5);
+  EXPECT_THROW(k.set_coupling(nan), std::invalid_argument);
+  EXPECT_EQ(k.coupling(), 0.5);
 }
 
 }  // namespace
