@@ -10,8 +10,10 @@
 #                circuits concurrently; the rest of the numeric suite
 #                stays on ASan), the telemetry drainer / sharded-merge
 #                races (TelemetrySink, Profiler, MetricsShard), the
-#                shared plant memos (SegmentMemo, BioZMemo) and a
+#                shared plant memos (SegmentMemo, BioZMemo), a
 #                service's successive runs over them (FleetServiceMemo)
+#                and two threads measuring on their per-thread tissue
+#                ladders (BioZ.TemplateMatchesFreshLadderBitForBit)
 #   4. tidy      clang-tidy over src/ and tools/ (skips if not installed)
 #   5. analyze   netlist_analyze --strict --dc over every shipped .cir
 #                netlist (lint is its first pass; the broken fixtures
@@ -115,10 +117,10 @@ run_tsan() {
     --target exec_test sweep_test rng_stream_test obs_test \
              obs_telemetry_test fault_session_test fault_campaign_test \
              linalg_sparse_test spice_solver_equiv_test magnetics_test \
-             fleet_test sweep_runner trace_validate
+             fleet_test link_test sweep_runner trace_validate
   TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
     ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo|FleetServiceMemo)'
+      -R '^(ThreadPool|ParallelFor|ExecTolerance|ObsConcurrency|Sweep|SweepAxis|RngStream|Metrics|Trace|RunReport|Session|FaultCampaign|SparseSolver|SolverEquiv|TelemetrySink|Profiler|NeumannKernel|SegmentMemo|BioZMemo|FleetServiceMemo|BioZ\.TemplateMatchesFreshLadderBitForBit)'
 }
 
 run_tidy() {
