@@ -76,6 +76,58 @@ TEST(LinkRegistry, NominalProfileMatchesTheConstructedBackend) {
   }
 }
 
+// A backend built directly by its constructor, bypassing the registry.
+std::unique_ptr<link::LinkPhy> construct_backend(const std::string& name) {
+  if (name == "inductive") return std::make_unique<link::InductiveAskLsk>();
+  if (name == "me") return std::make_unique<link::MagnetoelectricPwm>();
+  throw std::invalid_argument("construct_backend: " + name);
+}
+
+TEST(LinkPhy, CopiedBackendMatchesFreshBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto& name : link::backend_names()) {
+    // Coaxial, 3 mm off axis and through a tissue slab, each twice so a
+    // held placement is read back as well as set.
+    std::vector<link::LinkCondition> conditions;
+    for (int pass = 0; pass < 2; ++pass) {
+      link::LinkCondition c = construct_backend(name)->nominal_condition();
+      conditions.push_back(c);
+      c.lateral_offset = 3e-3;
+      conditions.push_back(c);
+      c.lateral_offset = 0.0;
+      c.distance *= 1.5;
+      c.tissue_thickness = 8e-3;
+      conditions.push_back(c);
+    }
+    const auto fresh = construct_backend(name);
+    const auto first = link::make_backend(name);
+    const auto second = link::make_backend(name);
+    ASSERT_EQ(first->name(), name);
+    EXPECT_EQ(bits(first->nominal_power()), bits(fresh->nominal_power())) << name;
+    // The two copies are driven in turn, so neither may see the other's
+    // placement; each must answer what the fresh backend answers.
+    for (const auto& c : conditions) {
+      const double p = fresh->power_delivered(c);
+      const double eta = fresh->efficiency(c);
+      for (link::LinkPhy* phy : {first.get(), second.get()}) {
+        EXPECT_EQ(bits(phy->power_delivered(c)), bits(p)) << name;
+        EXPECT_EQ(bits(phy->efficiency(c)), bits(eta)) << name;
+        EXPECT_EQ(bits(phy->drive_amplitude(p)), bits(fresh->drive_amplitude(p))) << name;
+        for (const double rate : {1e3, 4e3, 100e3}) {
+          EXPECT_EQ(bits(phy->bit_error_rate(p, 1e-4, rate)),
+                    bits(fresh->bit_error_rate(p, 1e-4, rate)))
+              << name << " at " << rate << " bit/s";
+        }
+      }
+    }
+    // A third copy, made after the first two were driven, starts fresh.
+    const auto third = link::make_backend(name);
+    EXPECT_EQ(bits(third->power_delivered(conditions[1])),
+              bits(construct_backend(name)->power_delivered(conditions[1])))
+        << name;
+  }
+}
+
 // The backend-author contract from src/link/phy.hpp, swept over every
 // registered backend so a third backend inherits the gate for free.
 TEST(LinkPhyProperty, PowerMonotoneNonIncreasingInDistance) {

@@ -1,8 +1,9 @@
 // Tests for the netlist linter (src/spice/lint.hpp): one unit test per
 // rule, engine-integration tests proving validate() turns formerly
-// diverging circuits into pre-run diagnostics, and an integration sweep
-// asserting every shipped example netlist lints clean while every broken
-// fixture trips its advertised rule.
+// diverging circuits into pre-run diagnostics, pins that a re-validated
+// circuit reports exactly what a fresh lint() of its values does, and
+// an integration sweep asserting every shipped example netlist lints
+// clean while every broken fixture trips its advertised rule.
 #include "src/spice/lint.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +11,15 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
+#include <tuple>
 
+#include "src/fault/bioz.hpp"
+#include "src/fault/plant.hpp"
 #include "src/obs/json.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/spice/circuit.hpp"
 #include "src/spice/devices_nonlinear.hpp"
 #include "src/spice/devices_passive.hpp"
@@ -333,6 +340,273 @@ TEST(EngineValidate, WarningsDoNotBlockSimulation) {
 // ------------------------------------------------- fixture integration
 
 const std::filesystem::path kSourceDir = IRONIC_SOURCE_DIR;
+
+// ------------------------------------------- re-validated circuits
+
+// The report validate() returns, or the one its CircuitValidationError
+// carries.
+LintReport validate_report(const Circuit& ckt, bool dc_context) {
+  LintOptions opts;
+  opts.dc_context = dc_context;
+  try {
+    return validate(ckt, opts);
+  } catch (const CircuitValidationError& e) {
+    return e.report;
+  }
+}
+
+LintReport lint_in(const Circuit& ckt, bool dc_context) {
+  LintOptions opts;
+  opts.dc_context = dc_context;
+  return lint(ckt, opts);
+}
+
+void expect_same_report(const LintReport& got, const LintReport& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size())
+      << what << "\ngot:\n" << got.to_text() << "want:\n" << want.to_text();
+  for (std::size_t i = 0; i < got.diagnostics.size(); ++i) {
+    const Diagnostic& g = got.diagnostics[i];
+    const Diagnostic& w = want.diagnostics[i];
+    EXPECT_EQ(g.severity, w.severity) << what << " #" << i;
+    EXPECT_EQ(g.rule_id, w.rule_id) << what << " #" << i;
+    EXPECT_EQ(g.device, w.device) << what << " #" << i;
+    EXPECT_EQ(g.node, w.node) << what << " #" << i;
+    EXPECT_EQ(g.message, w.message) << what << " #" << i;
+  }
+}
+
+// What one lint run adds to the spice.lint.* series.
+struct LintCounts {
+  std::uint64_t runs, errors, warnings;
+  double last_errors, last_warnings;
+
+  static LintCounts read() {
+    auto& r = ironic::obs::MetricsRegistry::instance();
+    return {r.counter("spice.lint.runs").value(),
+            r.counter("spice.lint.errors_total").value(),
+            r.counter("spice.lint.warnings_total").value(),
+            r.gauge("spice.lint.last_errors").value(),
+            r.gauge("spice.lint.last_warnings").value()};
+  }
+  // This run's increments, next to the gauges it left.
+  LintCounts since(const LintCounts& before) const {
+    return {runs - before.runs, errors - before.errors, warnings - before.warnings,
+            last_errors, last_warnings};
+  }
+  auto tie() const { return std::tie(runs, errors, warnings, last_errors, last_warnings); }
+};
+
+// Sets every value a setter reaches, the same way on any circuit: round
+// 0 leaves the built values, round 1 moves every resistance above the
+// magnitude band (so lint.magnitude fires), every source to a new
+// waveform and AC phasor and every coupling below 1e-6 (so
+// lint.param-range fires), round 2 brings them back into range.
+void revalue(Circuit& ckt, int round) {
+  if (round == 0) return;
+  const bool out_of_band = round == 1;
+  for (const auto& dev : ckt.devices()) {
+    if (auto* r = dynamic_cast<Resistor*>(dev.get())) {
+      r->set_resistance(out_of_band ? 2.5e9 : 75.0);
+    } else if (auto* v = dynamic_cast<VoltageSource*>(dev.get())) {
+      v->set_waveform(out_of_band ? Waveform::dc(0.5) : Waveform::sine(2.0, 1e5));
+      v->set_ac(out_of_band ? 1.0 : 0.0, 0.3);
+    } else if (auto* i = dynamic_cast<CurrentSource*>(dev.get())) {
+      i->set_waveform(out_of_band ? Waveform::dc(1e-4) : Waveform::sine(1e-3, 1e5));
+      i->set_ac(out_of_band ? 1e-3 : 0.0, 0.3);
+    } else if (auto* k = dynamic_cast<CoupledInductors*>(dev.get())) {
+      k->set_coupling(out_of_band ? 1e-7 : 0.3);
+    }
+  }
+}
+
+TEST(Lint, RevaluedCircuitReportMatchesFreshCircuit) {
+  std::vector<std::pair<std::string, std::function<std::unique_ptr<Circuit>()>>> builders;
+  builders.emplace_back("tissue ladder",
+                        [] { return ironic::fault::build_tissue_ladder(2.4, 1.0); });
+  builders.emplace_back("rectifier plant",
+                        [] { return ironic::fault::RectifierPlant::build(3.5); });
+  for (const auto& entry :
+       std::filesystem::directory_iterator(kSourceDir / "examples" / "netlists")) {
+    if (entry.path().extension() != ".cir") continue;
+    builders.emplace_back(entry.path().filename().string(), [path = entry.path()] {
+      auto ckt = std::make_unique<Circuit>();
+      parse_netlist(*ckt, read_file(path));
+      return ckt;
+    });
+  }
+  ASSERT_GE(builders.size(), 8u);
+
+  bool magnitude_seen = false;
+  for (const auto& [name, build] : builders) {
+    const auto kept = build();
+    for (const int round : {0, 1, 2}) {
+      revalue(*kept, round);
+      const auto fresh = build();
+      revalue(*fresh, round);
+      // Each context twice: the second call of a pair is served by the
+      // first one's topology findings.
+      for (const bool dc : {false, true, false, true}) {
+        const std::string what =
+            name + " round " + std::to_string(round) + (dc ? " dc" : " transient");
+        const LintCounts before = LintCounts::read();
+        const LintReport got = validate_report(*kept, dc);
+        const LintCounts got_counts = LintCounts::read().since(before);
+        const LintCounts fresh_before = LintCounts::read();
+        const LintReport want = lint_in(*fresh, dc);
+        const LintCounts want_counts = LintCounts::read().since(fresh_before);
+        expect_same_report(got, want, what);
+        if constexpr (ironic::obs::kEnabled) {
+          EXPECT_EQ(got_counts.tie(), want_counts.tie()) << what;
+          EXPECT_EQ(got_counts.runs, 1u) << what;
+        }
+        magnitude_seen = magnitude_seen || has_rule(got, "lint.magnitude");
+      }
+    }
+  }
+  EXPECT_TRUE(magnitude_seen);
+}
+
+TEST(Lint, TopologyChangeAfterLintIsSeen) {
+  Circuit ckt;
+  auto in = ckt.node("in");
+  ckt.add<VoltageSource>("V1", in, kGround, Waveform::dc(1.0));
+  ckt.add<Resistor>("R1", in, kGround, 1e3);
+  for (const bool dc : {false, true}) {
+    EXPECT_TRUE(validate_report(ckt, dc).clean());
+  }
+
+  const NodeId spare = ckt.node("spare");
+  for (const bool dc : {false, true}) {
+    const LintReport report = validate_report(ckt, dc);
+    ASSERT_TRUE(has_rule(report, "lint.dangling-node")) << report.to_text();
+    EXPECT_EQ(get_rule(report, "lint.dangling-node").node, "spare");
+    expect_same_report(report, lint_in(ckt, dc), "after a node");
+  }
+
+  ckt.add<Resistor>("R2", in, spare, 1e3);
+  for (const bool dc : {false, true}) {
+    const LintReport report = validate_report(ckt, dc);
+    EXPECT_FALSE(has_rule(report, "lint.dangling-node")) << report.to_text();
+    ASSERT_TRUE(has_rule(report, "lint.dangling-terminal")) << report.to_text();
+    EXPECT_EQ(get_rule(report, "lint.dangling-terminal").device, "R2");
+    EXPECT_EQ(get_rule(report, "lint.dangling-terminal").node, "spare");
+    expect_same_report(report, lint_in(ckt, dc), "after a device");
+  }
+}
+
+// A resistor whose model turns invalid once it has run: check_params
+// passes until the first transient initializes it, and fails after.
+class WearingResistor final : public Device {
+ public:
+  WearingResistor(std::string name, NodeId a, NodeId b)
+      : Device(std::move(name)), a_(a), b_(b) {}
+  void stamp(StampContext& ctx) override { stamp_conductance(ctx, a_, b_, 1e-3); }
+  void initialize(std::span<const double> /*x0*/) override { ++runs_; }
+  DeviceInfo info() const override {
+    DeviceInfo d;
+    d.kind = DeviceKind::kResistor;
+    d.terminals = {{"+", a_, TerminalDc::kConducting}, {"-", b_, TerminalDc::kConducting}};
+    d.value = 1e3;
+    d.has_value = true;
+    return d;
+  }
+  void check_params(std::vector<std::string>& errors,
+                    std::vector<std::string>& /*warnings*/) const override {
+    if (runs_ > 0) errors.push_back("worn out by its first run");
+  }
+
+ private:
+  NodeId a_, b_;
+  int runs_ = 0;
+};
+
+TEST(Lint, ValueErrorOnRerunThrows) {
+  Circuit ckt;
+  auto in = ckt.node("in");
+  ckt.add<VoltageSource>("V1", in, kGround, Waveform::dc(1.0));
+  ckt.add<WearingResistor>("R1", in, kGround);
+  TransientOptions tr;
+  tr.t_stop = 1e-6;
+  tr.dt_max = 1e-7;
+  EXPECT_NO_THROW(run_transient(ckt, tr));
+  try {
+    run_transient(ckt, tr);
+    FAIL() << "expected CircuitValidationError on the second run";
+  } catch (const CircuitValidationError& e) {
+    ASSERT_TRUE(has_rule(e.report, "lint.bad-value")) << e.report.to_text();
+    EXPECT_EQ(get_rule(e.report, "lint.bad-value").device, "R1");
+  }
+  EXPECT_THROW(solve_dc(ckt), CircuitValidationError);
+}
+
+// The fields Device::info() promises are fixed at construction.
+using TopologyFields =
+    std::tuple<DeviceKind, std::vector<std::tuple<std::string, NodeId, TerminalDc>>,
+               std::vector<std::vector<std::size_t>>,
+               std::vector<std::pair<std::size_t, std::size_t>>, std::vector<std::size_t>>;
+
+std::vector<TopologyFields> topology_of(const Circuit& ckt) {
+  std::vector<TopologyFields> out;
+  for (const auto& dev : ckt.devices()) {
+    const DeviceInfo info = dev->info();
+    std::vector<std::tuple<std::string, NodeId, TerminalDc>> terminals;
+    for (const auto& t : info.terminals) terminals.emplace_back(t.label, t.node, t.dc);
+    out.emplace_back(info.kind, std::move(terminals), info.dc_groups, info.rigid_pairs,
+                     info.rigid_to_ground);
+  }
+  return out;
+}
+
+TEST(Device, SettersLeaveTopologyInfoUnchanged) {
+  // One device of every shipped kind, the ESR-free windings included
+  // (their rigid pairs depend on a value no setter reaches).
+  Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto a = ckt.node("a");
+  const auto b = ckt.node("b");
+  const auto s1 = ckt.node("s1");
+  const auto out = ckt.node("out");
+  ckt.add<VoltageSource>("V1", in, kGround, Waveform::sine(1.0, 1e5));
+  ckt.add<Resistor>("R1", in, a, 1e3);
+  ckt.add<Capacitor>("C1", a, kGround, 1e-9);
+  ckt.add<Inductor>("L1", a, b, 1e-6);
+  ckt.add<Inductor>("L2", b, kGround, 1e-6, 0.5);
+  ckt.add<CoupledInductors>("K1", a, kGround, s1, kGround, 1e-6, 1e-6, 0.3);
+  ckt.add<CoupledInductors>("K2", b, kGround, s1, kGround, 1e-6, 1e-6, 0.2, 0.1, 0.1);
+  ckt.add<CurrentSource>("I1", kGround, s1, Waveform::dc(1e-6));
+  ckt.add<Vcvs>("E1", out, kGround, a, kGround, 0.5);
+  ckt.add<Vccs>("G1", b, kGround, a, kGround, 1e-4);
+  ckt.add<Diode>("D1", a, b);
+  MosParams mos;
+  ckt.add<Mosfet>("M1", b, a, kGround, kGround, mos);
+  ckt.add<SmoothSwitch>("S1", s1, kGround, a, kGround);
+  ckt.add<OpAmp>("U1", ckt.node("u"), a, b);
+  ckt.add<Resistor>("RU", ckt.node("u"), kGround, 1e4);
+  ckt.add<Resistor>("RO", out, kGround, 1e4);
+  const auto built = topology_of(ckt);
+  ASSERT_EQ(built.size(), ckt.devices().size());
+
+  for (const auto& dev : ckt.devices()) {
+    if (auto* r = dynamic_cast<Resistor*>(dev.get())) r->set_resistance(3.3e3);
+    if (auto* k = dynamic_cast<CoupledInductors*>(dev.get())) k->set_coupling(0.05);
+    if (auto* v = dynamic_cast<VoltageSource*>(dev.get())) {
+      v->set_waveform(Waveform::dc(0.2));
+      v->set_ac(1.0, 0.5);
+    }
+    if (auto* i = dynamic_cast<CurrentSource*>(dev.get())) {
+      i->set_waveform(Waveform::sine(1e-6, 1e4));
+      i->set_ac(1e-6, 0.5);
+    }
+    EXPECT_EQ(topology_of(ckt), built) << "after the setters of " << dev->name();
+  }
+  // Running the circuit moves every device's state, none of its topology.
+  TransientOptions tr;
+  tr.t_stop = 2e-7;
+  tr.dt_max = 2e-8;
+  ASSERT_GT(run_transient(ckt, tr).num_points(), 2u);
+  EXPECT_EQ(topology_of(ckt), built);
+}
 
 TEST(LintFixtures, ShippedExampleNetlistsLintClean) {
   const auto dir = kSourceDir / "examples" / "netlists";
