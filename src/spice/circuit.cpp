@@ -10,6 +10,7 @@ NodeId Circuit::node(const std::string& name) {
   node_ids_.emplace(name, id);
   node_names_.push_back(name);
   finalized_ = false;
+  ++topology_revision_;
   return id;
 }
 
@@ -44,6 +45,7 @@ void Circuit::register_device(std::unique_ptr<Device> device) {
   device_index_.emplace(device->name(), device.get());
   devices_.push_back(std::move(device));
   finalized_ = false;
+  ++topology_revision_;
 }
 
 Device* Circuit::find_device(const std::string& name) {

@@ -9,6 +9,7 @@
 //   auto result = TransientSolver(spec).run(ckt);
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -19,6 +20,8 @@
 #include "src/spice/device.hpp"
 
 namespace ironic::spice {
+
+struct TopologyLint;  // src/spice/lint.cpp
 
 class Circuit {
  public:
@@ -45,11 +48,17 @@ class Circuit {
     return ref;
   }
 
-  std::vector<std::unique_ptr<Device>>& devices() { return devices_; }
+  // Read-only, so the list grows only through add().
   const std::vector<std::unique_ptr<Device>>& devices() const { return devices_; }
 
   // Find a device by name; returns nullptr if absent.
   Device* find_device(const std::string& name);
+
+  // Counts topology edits: every node and every device added bumps it
+  // (the edits that also clear finalized()). A setter that re-values a
+  // device leaves it alone, since Device::info()'s topology fields are
+  // fixed at construction.
+  std::uint64_t topology_revision() const { return topology_revision_; }
 
   // --- engine interface ---------------------------------------------------
 
@@ -89,6 +98,14 @@ class Circuit {
   linalg::SparseSolver<double>& acquire_solver();
   linalg::SparseSolver<linalg::Complex>& acquire_complex_solver();
 
+  // validate()'s memo of what the topology lint rules found, one slot
+  // per LintOptions::dc_context (src/spice/lint.hpp). A cache like the
+  // solvers, so it is kept through const access; nullptr until the
+  // first validate() in that context.
+  std::shared_ptr<const TopologyLint>& topology_lint(bool dc_context) const {
+    return topology_lint_[dc_context ? 1 : 0];
+  }
+
  private:
   void register_device(std::unique_ptr<Device> device);
 
@@ -103,8 +120,10 @@ class Circuit {
   bool finalized_ = false;
   bool linear_ = false;
   int internal_counter_ = 0;
+  std::uint64_t topology_revision_ = 0;
   std::unique_ptr<linalg::SparseSolver<double>> solver_;
   std::unique_ptr<linalg::SparseSolver<linalg::Complex>> complex_solver_;
+  mutable std::shared_ptr<const TopologyLint> topology_lint_[2];
 };
 
 }  // namespace ironic::spice

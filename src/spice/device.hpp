@@ -235,6 +235,11 @@ class Device {
 
   // Topology/value snapshot for static passes (lint). The default is an
   // opaque device with no terminals; every shipped device overrides this.
+  // Its topology fields (kind, terminals, dc_groups, rigid_pairs and
+  // rigid_to_ground) are fixed at construction, and no setter may change
+  // them: validate() keeps what the topology rules found until a node or
+  // a device is added (Circuit::topology_revision). The value fields and
+  // check_params may follow a setter.
   virtual DeviceInfo info() const { return {}; }
 
   // Per-device model-parameter sanity check: append human-readable

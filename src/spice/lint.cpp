@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -178,12 +179,30 @@ const Band* magnitude_band(DeviceKind kind) {
 
 }  // namespace
 
-LintReport lint(const Circuit& circuit, const LintOptions& options) {
-  LintReport report;
-  const auto emit = [&report](Severity sev, std::string rule, std::string device,
-                              std::string node, std::string message) {
-    report.diagnostics.push_back(Diagnostic{sev, std::move(rule), std::move(device),
-                                            std::move(node), std::move(message)});
+// The topology half of a lint report: what the nine rules that read only
+// names, terminals, DC groups and rigid pairs found. None of those change
+// after construction (Device::info), so validate() keeps one per
+// (topology revision, dc_context) in its circuit and re-runs only the
+// value rules (lint.bad-value, lint.param-range, lint.magnitude).
+struct TopologyLint {
+  std::uint64_t revision = 0;
+  // A report lists `before`, then the value rules' findings, then `after`.
+  std::vector<Diagnostic> before;
+  std::vector<Diagnostic> after;
+  // The devices whose kind has a magnitude band, in device order.
+  std::vector<std::size_t> banded;
+};
+
+namespace {
+
+TopologyLint lint_topology(const Circuit& circuit, bool dc_context) {
+  TopologyLint topology;
+  topology.revision = circuit.topology_revision();
+  std::vector<Diagnostic>* sink = &topology.before;
+  const auto emit = [&sink](Severity sev, std::string rule, std::string device,
+                            std::string node, std::string message) {
+    sink->push_back(Diagnostic{sev, std::move(rule), std::move(device), std::move(node),
+                               std::move(message)});
   };
 
   const std::size_t num_nodes = circuit.num_nodes();
@@ -201,6 +220,9 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
   entries.reserve(circuit.devices().size());
   for (const auto& dev : circuit.devices()) {
     entries.push_back(Entry{dev.get(), dev->info()});
+    if (magnitude_band(entries.back().info.kind) != nullptr) {
+      topology.banded.push_back(entries.size() - 1);
+    }
   }
 
   // --- per-node terminal census -----------------------------------------
@@ -251,33 +273,8 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
     }
   }
 
-  // lint.bad-value / lint.param-range: per-device model parameter checks.
-  for (const auto& e : entries) {
-    std::vector<std::string> errors, warnings;
-    e.device->check_params(errors, warnings);
-    for (const auto& msg : errors) {
-      emit(Severity::kError, "lint.bad-value", e.device->name(), "", msg);
-    }
-    for (const auto& msg : warnings) {
-      emit(Severity::kWarning, "lint.param-range", e.device->name(), "", msg);
-    }
-  }
-
-  // lint.magnitude: unit-suffix plausibility for the primary R/C/L value.
-  if (options.magnitude_checks) {
-    for (const auto& e : entries) {
-      if (!e.info.has_value || e.info.value <= 0.0) continue;
-      const Band* band = magnitude_band(e.info.kind);
-      if (band == nullptr) continue;
-      if (e.info.value < band->lo || e.info.value > band->hi) {
-        std::ostringstream msg;
-        msg << device_kind_name(e.info.kind) << " value " << e.info.value << " "
-            << band->unit << " is far outside the plausible range " << band->range_text
-            << " -- suspected unit-suffix mistake";
-        emit(Severity::kWarning, "lint.magnitude", e.device->name(), "", msg.str());
-      }
-    }
-  }
+  // The value rules' findings go here in a report (lint_values).
+  sink = &topology.after;
 
   // lint.shorted-device: every terminal of a multi-terminal device on one
   // node. (Rigid devices shorted onto themselves are reported as
@@ -366,11 +363,11 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
         const auto& t = e.info.terminals[i];
         if (t.node == kGround) continue;
         if (!dc.same(slot(t.node), ground_slot)) {
-          emit(options.dc_context ? Severity::kError : Severity::kWarning,
+          emit(dc_context ? Severity::kError : Severity::kWarning,
                "lint.current-cutset", e.device->name(), circuit.node_name(t.node),
                "forced current through terminal '" + t.label +
                    "' has no DC return path to ground" +
-                   (options.dc_context
+                   (dc_context
                         ? "; the DC operating point diverges to I/gshunt"
                         : " (fine only if this is a deliberate integrator)"));
           break;  // one diagnostic per device is enough
@@ -419,13 +416,13 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
       if (!inductive) continue;
       for (const auto& [ia, ib] : e.info.rigid_pairs) {
         if (!rigid.unite(slot(e.info.terminals[ia].node), slot(e.info.terminals[ib].node))) {
-          emit(options.dc_context ? Severity::kError : Severity::kWarning,
+          emit(dc_context ? Severity::kError : Severity::kWarning,
                "lint.inductor-loop", e.device->name(),
                circuit.node_name(e.info.terminals[ia].node),
                std::string("ESR-free winding closes a DC short-circuit loop between '") +
                    circuit.node_name(e.info.terminals[ia].node) + "' and '" +
                    circuit.node_name(e.info.terminals[ib].node) + "'" +
-                   (options.dc_context
+                   (dc_context
                         ? "; the DC operating point is singular (give the winding "
                           "an ESR)"
                         : " (the DC operating point would be singular; transient "
@@ -435,6 +432,53 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
     }
   }
 
+  return topology;
+}
+
+// The value rules, re-run on every report: they read what setters change.
+void lint_values(const Circuit& circuit, const TopologyLint& topology,
+                 const LintOptions& options, std::vector<Diagnostic>& out) {
+  const auto& devices = circuit.devices();
+  // lint.bad-value / lint.param-range: per-device model parameter checks.
+  for (const auto& dev : devices) {
+    std::vector<std::string> errors, warnings;
+    dev->check_params(errors, warnings);
+    for (auto& msg : errors) {
+      out.push_back(Diagnostic{Severity::kError, "lint.bad-value", dev->name(), "",
+                               std::move(msg)});
+    }
+    for (auto& msg : warnings) {
+      out.push_back(Diagnostic{Severity::kWarning, "lint.param-range", dev->name(), "",
+                               std::move(msg)});
+    }
+  }
+
+  // lint.magnitude: unit-suffix plausibility for the primary R/C/L value.
+  if (options.magnitude_checks) {
+    for (const std::size_t i : topology.banded) {
+      const Device& dev = *devices[i];
+      const DeviceInfo info = dev.info();
+      if (!info.has_value || info.value <= 0.0) continue;
+      const Band* band = magnitude_band(info.kind);
+      if (info.value < band->lo || info.value > band->hi) {
+        std::ostringstream msg;
+        msg << device_kind_name(info.kind) << " value " << info.value << " " << band->unit
+            << " is far outside the plausible range " << band->range_text
+            << " -- suspected unit-suffix mistake";
+        out.push_back(
+            Diagnostic{Severity::kWarning, "lint.magnitude", dev.name(), "", msg.str()});
+      }
+    }
+  }
+}
+
+LintReport make_report(const Circuit& circuit, const TopologyLint& topology,
+                       const LintOptions& options) {
+  LintReport report;
+  report.diagnostics = topology.before;
+  lint_values(circuit, topology, options, report.diagnostics);
+  report.diagnostics.insert(report.diagnostics.end(), topology.after.begin(),
+                            topology.after.end());
   if constexpr (obs::kEnabled) {
     auto& m = LintMetrics::get();
     m.runs.add();
@@ -446,12 +490,22 @@ LintReport lint(const Circuit& circuit, const LintOptions& options) {
   return report;
 }
 
+}  // namespace
+
+LintReport lint(const Circuit& circuit, const LintOptions& options) {
+  return make_report(circuit, lint_topology(circuit, options.dc_context), options);
+}
+
 CircuitValidationError::CircuitValidationError(LintReport r)
     : std::invalid_argument("circuit failed static validation:\n" + r.to_text()),
       report(std::move(r)) {}
 
 LintReport validate(const Circuit& circuit, const LintOptions& options) {
-  LintReport report = lint(circuit, options);
+  std::shared_ptr<const TopologyLint>& topology = circuit.topology_lint(options.dc_context);
+  if (topology == nullptr || topology->revision != circuit.topology_revision()) {
+    topology = std::make_shared<const TopologyLint>(lint_topology(circuit, options.dc_context));
+  }
+  LintReport report = make_report(circuit, *topology, options);
   if (!report.ok()) {
     util::Log::event(util::LogLevel::kError, "spice.lint",
                      {{"event", "validation_failed"},

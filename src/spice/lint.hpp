@@ -13,7 +13,11 @@
 // CircuitValidationError when any error-severity diagnostic fires.
 // solve_dc() (in DC context) and run_transient() call it on every run,
 // turning "Newton mysteriously failed to converge" into a named, located
-// diagnostic.
+// diagnostic. Its report is the one lint() returns, but it runs the
+// topology rules once per topology: the circuit keeps their findings per
+// (Circuit::topology_revision, dc_context), and each call re-runs only
+// the value rules (bad-value, param-range, magnitude), the ones a
+// setter can move.
 //
 // Rule catalog (rule_id -> meaning):
 //   lint.ground-missing    no device terminal touches node 0 at all
@@ -105,7 +109,9 @@ class CircuitValidationError : public std::invalid_argument {
 
 // Engine-facing gate: lint and throw CircuitValidationError if any error
 // diagnostic fires. Returns the (possibly warning-bearing) report
-// otherwise so callers can surface warnings.
+// otherwise so callers can surface warnings. Updates the circuit's
+// topology memo, so like a run it must not race another validate() of
+// the same circuit.
 LintReport validate(const Circuit& circuit, const LintOptions& options = {});
 
 }  // namespace ironic::spice
