@@ -3,8 +3,9 @@
 //
 // Refactor-neutrality contract: this backend must reproduce the
 // pre-LinkPhy fault::LinkBudget bit-for-bit — same drive_for_power /
-// analyze call order in the constructor, the same geometry in place
-// before each analyze, same libm expression shapes in the BER and
+// analyze call order in the constructor (which make_backend runs once
+// per process, on its prototype), the same geometry in place before
+// each analyze, same libm expression shapes in the BER and
 // compensation laws. Every campaign and fleet fingerprint pinned before
 // the refactor (tests/link_neutrality_test.cpp, the linkphy CI stage)
 // rides on this file; change it only with those pins in hand.

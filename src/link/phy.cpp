@@ -15,16 +15,19 @@ struct BackendEntry {
   const char* summary;
 };
 
+// Each backend is a copy of one prototype built on first use, so its
+// constructor (the inductive pair's tuning, say) runs once per process;
+// C++ guarantees concurrent first callers see one fully built prototype.
+template <typename Backend>
+std::unique_ptr<LinkPhy> copy_prototype() {
+  static const Backend prototype;
+  return std::make_unique<Backend>(prototype);
+}
+
 constexpr BackendEntry kBackends[] = {
-    {"inductive", &kInductiveNominal,
-     []() -> std::unique_ptr<LinkPhy> {
-       return std::make_unique<InductiveAskLsk>();
-     },
+    {"inductive", &kInductiveNominal, copy_prototype<InductiveAskLsk>,
      "5 MHz inductive pair, ASK down / LSK backscatter up (the paper)"},
-    {"me", &kMagnetoelectricNominal,
-     []() -> std::unique_ptr<LinkPhy> {
-       return std::make_unique<MagnetoelectricPwm>();
-     },
+    {"me", &kMagnetoelectricNominal, copy_prototype<MagnetoelectricPwm>,
      "magnetoelectric laminate, OOK field down / PWM backscatter up"},
 };
 

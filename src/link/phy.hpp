@@ -33,7 +33,10 @@
 // Determinism: a backend must not keep hidden mutable state across
 // power_delivered calls beyond the geometry it was just given — two
 // backends constructed with the same spec must produce bit-identical
-// trajectories when driven with the same call sequence.
+// trajectories when driven with the same call sequence. make_backend
+// hands out copies of one prototype, so a backend must also be
+// copyable, and a copy must answer what a freshly constructed backend
+// would.
 #pragma once
 
 #include <memory>
@@ -124,8 +127,9 @@ bool is_backend(const std::string& name);
 // One line per backend for --help and --list style output.
 std::string backend_summary();
 
-// Construct the named backend. Throws std::invalid_argument on an
-// unknown name.
+// The named backend: a copy of a prototype built once per process, on
+// the first call for that name, so the backend's constructor runs once.
+// Throws std::invalid_argument on an unknown name.
 std::unique_ptr<LinkPhy> make_backend(const std::string& name);
 
 // The named backend's nominal profile without paying for construction
