@@ -1,7 +1,8 @@
 // bench_obs_overhead — proves the observability tax on the fault-campaign
 // hot path stays within budget, in-process.
 //
-// Two legs run the same deterministic campaign mix:
+// Two legs run the same deterministic campaign mix (every campaign at
+// its default size, one after another, at 1 thread):
 //   off  obs::set_runtime_enabled(false): every counter/gauge/histogram
 //        record, every profiler zone, and every telemetry emit
 //        early-returns — the runtime proxy for compiling with
@@ -9,25 +10,27 @@
 //        comparison shares code layout and cache state
 //   on   runtime enabled, the profiler armed, and the telemetry sink
 //        streaming JSONL to a scratch file
-// The legs interleave rep-by-rep (off, on, off, on, ...) so slow drift
-// on a shared box hits both equally, and each leg reports min-of-N wall
-// time (min, not mean: the noise is one-sided). The bench FAILS
-// (exit 1) when the on-leg exceeds the off-leg by more than
-// kMaxOverheadPct; one retry with more repetitions absorbs scheduler
-// flukes before declaring failure.
+// The legs run in kPairs adjacent on/off pairs, which leg goes first
+// alternating, and each pair gives one on/off wall ratio. The bench
+// FAILS (exit 1) when the median ratio exceeds 1 + kMaxOverheadPct /
+// 100. A pair's legs share the host's load of the moment, and the
+// median ignores the pairs a burst of it split, where a min over a few
+// short legs passed or failed by the load alone.
 //
 // It also asserts the observation-neutrality contract: campaign
 // fingerprints must be bit-identical with telemetry on or off and for
-// any thread count (1 vs 4 here) — instrumentation that perturbs the
-// simulation is a bug this bench turns into a red build.
+// any thread count (1 vs 4 here), and every leg must reproduce them —
+// instrumentation that perturbs the simulation is a bug this bench
+// turns into a red build.
 //
 // Writes BENCH_obs_overhead.json (schema ironic.run_report/1) with the
-// per-leg walls and the measured overhead percentage as extras.
+// median per-leg walls and the measured overhead percentage as extras.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "src/fault/campaign.hpp"
 #include "src/obs/obs.hpp"
@@ -37,6 +40,9 @@ using namespace ironic;
 namespace {
 
 constexpr double kMaxOverheadPct = 5.0;
+// On/off pairs the gate takes the median ratio of; odd, so the median
+// is one pair's ratio.
+constexpr int kPairs = 17;
 
 fault::CampaignConfig bench_config() {
   fault::CampaignConfig config;
@@ -47,49 +53,26 @@ fault::CampaignConfig bench_config() {
   return config;
 }
 
-struct LegResult {
-  double best_wall = 0.0;          // [s] min over reps
-  std::uint64_t fingerprint = 0;  // must agree across legs
-};
-
-// One timed campaign with obs on or off; the caller owns the sink.
-double timed_run(bool obs_on, const fault::CampaignConfig& config,
-                 LegResult* leg) {
+// One pass over every campaign with obs on or off; returns its wall
+// time [s] and leaves the campaigns' fingerprints in `fingerprints`.
+double timed_leg(bool obs_on, std::vector<std::uint64_t>* fingerprints) {
   obs::set_runtime_enabled(obs_on);
+  fingerprints->clear();
+  fault::CampaignConfig config;
+  config.threads = 1;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = fault::run_campaign(config);
+  for (const auto& name : fault::campaign_names()) {
+    config.name = name;
+    fingerprints->push_back(fault::run_campaign(config).fingerprint);
+  }
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - t0;
-  leg->best_wall = std::min(leg->best_wall, wall.count());
-  leg->fingerprint = result.fingerprint;
   return wall.count();
 }
 
-// One overhead measurement round: the legs alternate rep-by-rep so
-// drift on a shared box cancels, and each leg keeps its min.
-double measure_overhead_pct(int reps, const std::string& scratch,
-                            LegResult* off_out, LegResult* on_out) {
-  auto& sink = obs::TelemetrySink::instance();
-  if (!sink.open(scratch)) {
-    std::cerr << "bench_obs_overhead: cannot open scratch telemetry file\n";
-    std::exit(1);
-  }
-  const auto config = bench_config();
-  LegResult off, on;
-  off.best_wall = on.best_wall = 1e300;
-  // Warm both code paths once so neither leg pays first-touch costs.
-  timed_run(false, config, &off);
-  timed_run(true, config, &on);
-  off.best_wall = on.best_wall = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    timed_run(false, config, &off);
-    timed_run(true, config, &on);
-  }
-  sink.close();
-  obs::set_runtime_enabled(true);
-  *off_out = off;
-  *on_out = on;
-  return (on.best_wall - off.best_wall) / off.best_wall * 100.0;
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -129,27 +112,50 @@ int main() {
   }
 
   // Contract 2: the instrumented leg costs at most kMaxOverheadPct more
-  // wall time. Retry once with triple the reps before failing — min-of-N
-  // needs enough N when the box is busy.
-  LegResult off, on;
-  double overhead_pct = measure_overhead_pct(5, scratch, &off, &on);
-  bool retried = false;
-  if (overhead_pct > kMaxOverheadPct) {
-    retried = true;
-    overhead_pct = measure_overhead_pct(15, scratch, &off, &on);
+  // wall time, in the median of the pairs.
+  auto& sink = obs::TelemetrySink::instance();
+  if (!sink.open(scratch)) {
+    std::cerr << "bench_obs_overhead: cannot open scratch telemetry file\n";
+    return 1;
   }
-  if (off.fingerprint != on.fingerprint) {
+  // Warm both code paths once so neither leg pays first-touch costs;
+  // their fingerprints are the ones every later leg must reproduce.
+  std::vector<std::uint64_t> off_fingerprints, on_fingerprints, fingerprints;
+  timed_leg(false, &off_fingerprints);
+  timed_leg(true, &on_fingerprints);
+  if (on_fingerprints != off_fingerprints) {
     std::cerr << "FAIL: overhead legs disagree on the fingerprint\n";
     return 1;
   }
+  std::vector<double> ratios, off_walls, on_walls;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool on_first = pair % 2 == 1;
+    double off_wall = 0.0, on_wall = 0.0;
+    for (const bool on : {on_first, !on_first}) {
+      (on ? on_wall : off_wall) = timed_leg(on, &fingerprints);
+      if (fingerprints != off_fingerprints) {
+        std::cerr << "FAIL: overhead legs disagree on the fingerprint\n";
+        return 1;
+      }
+    }
+    off_walls.push_back(off_wall);
+    on_walls.push_back(on_wall);
+    ratios.push_back(on_wall / off_wall);
+  }
+  sink.close();
+  obs::set_runtime_enabled(true);
   std::remove(scratch.c_str());
 
-  std::cout << "obs off: " << off.best_wall * 1e3 << " ms   obs on: "
-            << on.best_wall * 1e3 << " ms   overhead: " << overhead_pct
-            << " %" << (retried ? "  (after retry)" : "") << "\n";
+  const double overhead_pct = (median(ratios) - 1.0) * 100.0;
+  const auto [lowest, highest] = std::minmax_element(ratios.begin(), ratios.end());
+  std::cout << "obs off: " << median(off_walls) * 1e3 << " ms   obs on: "
+            << median(on_walls) * 1e3 << " ms (medians)   overhead: "
+            << overhead_pct << " % (median of " << kPairs
+            << " pairs; pairs ranged " << (*lowest - 1.0) * 100.0 << " to "
+            << (*highest - 1.0) * 100.0 << " %)\n";
 
-  report.metric("wall_off_s", off.best_wall);
-  report.metric("wall_on_s", on.best_wall);
+  report.metric("wall_off_s", median(off_walls));
+  report.metric("wall_on_s", median(on_walls));
   report.metric("overhead_pct", overhead_pct);
   report.metric("overhead_budget_pct", kMaxOverheadPct);
 
