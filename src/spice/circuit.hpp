@@ -21,7 +21,13 @@
 
 namespace ironic::spice {
 
-struct TopologyLint;  // src/spice/lint.cpp
+// validate()'s memo of the topology lint rules' findings, complete only
+// in src/spice/lint.cpp, which defines how it is deleted.
+struct TopologyLint;
+struct TopologyLintDelete {
+  void operator()(const TopologyLint* topology) const;
+};
+using TopologyLintPtr = std::unique_ptr<const TopologyLint, TopologyLintDelete>;
 
 class Circuit {
  public:
@@ -102,7 +108,7 @@ class Circuit {
   // per LintOptions::dc_context (src/spice/lint.hpp). A cache like the
   // solvers, so it is kept through const access; nullptr until the
   // first validate() in that context.
-  std::shared_ptr<const TopologyLint>& topology_lint(bool dc_context) const {
+  TopologyLintPtr& topology_lint(bool dc_context) const {
     return topology_lint_[dc_context ? 1 : 0];
   }
 
@@ -123,7 +129,7 @@ class Circuit {
   std::uint64_t topology_revision_ = 0;
   std::unique_ptr<linalg::SparseSolver<double>> solver_;
   std::unique_ptr<linalg::SparseSolver<linalg::Complex>> complex_solver_;
-  mutable std::shared_ptr<const TopologyLint> topology_lint_[2];
+  mutable TopologyLintPtr topology_lint_[2];
 };
 
 }  // namespace ironic::spice

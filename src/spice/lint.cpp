@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
-#include <memory>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -192,6 +191,8 @@ struct TopologyLint {
   // The devices whose kind has a magnitude band, in device order.
   std::vector<std::size_t> banded;
 };
+
+void TopologyLintDelete::operator()(const TopologyLint* topology) const { delete topology; }
 
 namespace {
 
@@ -501,9 +502,9 @@ CircuitValidationError::CircuitValidationError(LintReport r)
       report(std::move(r)) {}
 
 LintReport validate(const Circuit& circuit, const LintOptions& options) {
-  std::shared_ptr<const TopologyLint>& topology = circuit.topology_lint(options.dc_context);
+  TopologyLintPtr& topology = circuit.topology_lint(options.dc_context);
   if (topology == nullptr || topology->revision != circuit.topology_revision()) {
-    topology = std::make_shared<const TopologyLint>(lint_topology(circuit, options.dc_context));
+    topology.reset(new TopologyLint(lint_topology(circuit, options.dc_context)));
   }
   LintReport report = make_report(circuit, *topology, options);
   if (!report.ok()) {
